@@ -470,10 +470,6 @@ def allocate(
     platform.  The returned outcome carries the final population and
     archive plus per-rate snapshots; it is a pure function of its inputs.
     """
-    if sizes.total() > graph.vertex_count:
-        raise InsufficientQubitsError(
-            f"requests need {sizes.total()} qubits but the platform has {graph.vertex_count}"
-        )
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
     initial_score = (max((r.score for r in ordered), default=0.0)) + 1.0

@@ -3,21 +3,40 @@
 Every user's qubits must form a connected component of exactly the
 requested size, and after the idle request is in place the request sizes
 sum to the platform size, so a completed allocation covers every qubit.
-Completion searches deterministically: request slots in declared order
-(trusted, then untrusted, idle last), existing components before fresh
-ones, and qubits in ascending index.  The search backtracks over every
-binding and growth choice, so failure means no completion exists.
+
+Inside this module qubit sets are ``int`` bitmasks (bit ``q`` set means
+qubit ``q`` is in the set); the public functions take and return
+``frozenset`` values.  Completion has two parts:
+
+* an exact **decider** (:func:`can_complete`).  It first grows each
+  existing component, in component order, into each distinct open
+  request of its trust class that is large enough, and then tiles the
+  remaining free qubits with fresh blocks anchored on the lowest free
+  qubit, branching over distinct sizes only.  A tiling state in which
+  some connected free region is smaller than the smallest open request
+  is dropped, and failed states are remembered for the rest of the call.
+  It answers whether *any* completion exists.
+* a constructive **walk** (:func:`complete_allocation`).  It visits
+  request slots in declared order (trusted, then untrusted, idle last),
+  offers each slot its existing components before fresh blocks, and
+  enumerates qubit sets in the fixed order of
+  :func:`connected_supersets`.  It enters only the first choice the
+  decider accepts, so it never backtracks, and it returns the first
+  completion in that order.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+from typing import Iterator, Sequence
 
 from .model import Allocation, ConnectivityGraph, SizeRequests, Trust, UserComponent
-from .sizing import assignment_feasible
 
 #: ("trusted" | "untrusted" | "idle", position within its class)
 RequestLabel = tuple[str, int]
+
+#: An existing component still to be grown: (trust, qubit mask, size).
+_Pending = tuple[Trust, int, int]
 
 
 def request_slots(sizes: SizeRequests) -> tuple[tuple[RequestLabel, Trust, int], ...]:
@@ -30,41 +49,175 @@ def request_slots(sizes: SizeRequests) -> tuple[tuple[RequestLabel, Trust, int],
     return tuple(slots)
 
 
-def _connected_supersets(
-    base: frozenset[int], target: int, available: frozenset[int], graph: ConnectivityGraph
-) -> Iterator[frozenset[int]]:
-    """All connected supersets of ``base`` of size ``target`` inside base+available.
+def _mask(qubits: frozenset[int]) -> int:
+    out = 0
+    for q in qubits:
+        out |= 1 << q
+    return out
 
-    Classic include/exclude enumeration on the minimum frontier vertex:
-    each superset is produced exactly once, in a deterministic order.
-    ``base`` must itself be connected and no larger than ``target``.
+
+def _qubits(mask: int) -> frozenset[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def _neighborhood(mask: int, adjacency: Sequence[int]) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adjacency[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def connected_supersets(
+    base: int, target: int, available: int, adjacency: Sequence[int]
+) -> Iterator[int]:
+    """Connected supersets of ``base`` with ``target`` qubits inside ``base | available``.
+
+    All sets are bitmasks; ``adjacency[q]`` is the neighbour mask of
+    qubit ``q`` (:attr:`ConnectivityGraph.adjacency_masks`).  ``base``
+    must be non-empty and connected.  Classic include/exclude enumeration
+    on the lowest frontier qubit: each superset is produced exactly once,
+    in a fixed order (the branch that takes the qubit comes first).
     """
-
-    def rec(current: frozenset[int], allowed: frozenset[int]) -> Iterator[frozenset[int]]:
-        if len(current) == target:
-            yield current
-            return
-        if len(current) + len(allowed) < target:
-            return
-        frontier = [q for q in allowed if any(n in current for n in graph.neighbors(q))]
-        if not frontier:
-            return
-        pick = min(frontier)
-        yield from rec(current | {pick}, allowed - {pick})
-        yield from rec(current, allowed - {pick})
-
-    if len(base) > target or not graph.is_connected(base):
+    count = base.bit_count()
+    if count > target:
         return
-    yield from rec(base, available - base)
+    stack = [(base, _neighborhood(base, adjacency), available & ~base, count)]
+    while stack:
+        current, reach, allowed, count = stack.pop()
+        if count == target:
+            yield current
+            continue
+        frontier = reach & allowed
+        if not frontier or count + allowed.bit_count() < target:
+            continue
+        pick = frontier & -frontier
+        allowed ^= pick
+        stack.append((current, reach, allowed, count))
+        stack.append(
+            (current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1)
+        )
+
+
+def _blocks(available: int, size: int, adjacency: Sequence[int]) -> Iterator[int]:
+    """Connected ``size``-subsets of ``available``, by lowest qubit, then in superset order."""
+    rest = available
+    while rest:
+        anchor = rest & -rest
+        rest ^= anchor
+        yield from connected_supersets(anchor, size, rest, adjacency)
 
 
 def connected_subsets(
     available: frozenset[int], size: int, graph: ConnectivityGraph
 ) -> Iterator[frozenset[int]]:
     """All connected ``size``-subsets of ``available``, each exactly once."""
-    for anchor in sorted(available):
-        allowed = frozenset(q for q in available if q > anchor)
-        yield from _connected_supersets(frozenset({anchor}), size, allowed, graph)
+    for block in _blocks(_mask(available), size, graph.adjacency_masks):
+        yield _qubits(block)
+
+
+def _region(seed: int, within: int, adjacency: Sequence[int]) -> int:
+    """The connected region of ``within`` that contains ``seed``."""
+    region = frontier = seed
+    while frontier:
+        frontier = _neighborhood(frontier, adjacency) & within & ~region
+        region |= frontier
+    return region
+
+
+def _regions_fit(free: int, smallest: int, adjacency: Sequence[int]) -> bool:
+    """False when some connected region of ``free`` has fewer than ``smallest`` qubits."""
+    while free:
+        region = _region(free & -free, free, adjacency)
+        if region.bit_count() < smallest:
+            return False
+        free &= ~region
+    return True
+
+
+def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], failed: set) -> bool:
+    """Can ``free`` be split into connected blocks with exactly the ``sizes`` (sorted)?"""
+    if not free:
+        return not sizes
+    key = (free, sizes)
+    if key in failed:
+        return False
+    if sizes and _regions_fit(free, sizes[0], adjacency):
+        anchor = free & -free
+        for i, size in enumerate(sizes):
+            if i and sizes[i - 1] == size:
+                continue
+            rest = sizes[:i] + sizes[i + 1 :]
+            for block in connected_supersets(anchor, size, free, adjacency):
+                if _tileable(free & ~block, rest, adjacency, failed):
+                    return True
+    failed.add(key)
+    return False
+
+
+def _completable(
+    free: int,
+    pending: tuple[_Pending, ...],
+    slots: tuple[tuple[Trust, int], ...],
+    adjacency: Sequence[int],
+    failed: set,
+) -> bool:
+    """The decider: can ``pending`` plus fresh blocks fill the open ``slots`` (sorted) exactly?"""
+    if not pending:
+        return _tileable(free, tuple(sorted(size for _, size in slots)), adjacency, failed)
+    key = (free, pending, slots)
+    if key in failed:
+        return False
+    trust, base, base_size = pending[0]
+    rest = pending[1:]
+    for i, (slot_trust, size) in enumerate(slots):
+        if slot_trust is not trust or size < base_size or (i and slots[i - 1] == slots[i]):
+            continue
+        remaining = slots[:i] + slots[i + 1 :]
+        for grown in connected_supersets(base, size, free, adjacency):
+            if _completable(free & ~grown, rest, remaining, adjacency, failed):
+                return True
+    failed.add(key)
+    return False
+
+
+def _open(slots: Sequence[tuple[RequestLabel, Trust, int]]) -> tuple[tuple[Trust, int], ...]:
+    """The open requests of ``slots`` as the decider's sorted multiset."""
+    return tuple(sorted((trust, size) for _, trust, size in slots))
+
+
+def _start(
+    allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests
+) -> tuple[int, tuple[_Pending, ...]] | None:
+    """Free mask and pending components, or None when completion is ruled out up front.
+
+    Completion needs the request sizes to sum to the platform size, the
+    groups of the allocation to partition the platform, and every
+    component to be connected already.
+    """
+    if sizes.total() != graph.vertex_count:
+        return None
+    adjacency = graph.adjacency_masks
+    platform = (1 << graph.vertex_count) - 1
+    free = covered = _mask(allocation.unallocated)
+    pending: list[_Pending] = []
+    for comp in allocation.components:
+        mask = _mask(comp.qubits)
+        if covered & mask or mask & ~platform:
+            return None
+        if _region(mask & -mask, mask, adjacency) != mask:
+            return None
+        covered |= mask
+        pending.append((comp.trust, mask, len(comp.qubits)))
+    if covered != platform:
+        return None
+    return free, tuple(pending)
 
 
 def complete_allocation(
@@ -77,58 +230,39 @@ def complete_allocation(
     Completion requires the request sizes to sum to the platform size,
     i.e. ``sizes`` after the idle request has been added.
     """
+    start = _start(allocation, graph, sizes)
+    if start is None:
+        return None
+    free, pending = start
     slots = request_slots(sizes)
-    if sum(size for _, _, size in slots) != graph.vertex_count:
+    adjacency = graph.adjacency_masks
+    failed: set = set()
+    if not _completable(free, pending, _open(slots), adjacency, failed):
         return None
 
-    comps = list(allocation.components)
+    chosen: list[int] = []
+    for index, (_, trust, size) in enumerate(slots):
+        after = _open(slots[index + 1 :])
+        grown = (
+            (block, pending[:i] + pending[i + 1 :])
+            for i, (comp_trust, base, _) in enumerate(pending)
+            if comp_trust is trust
+            for block in connected_supersets(base, size, free, adjacency)
+        )
+        fresh = ((block, pending) for block in _blocks(free, size, adjacency))
+        for block, rest in itertools.chain(grown, fresh):
+            if _completable(free & ~block, rest, after, adjacency, failed):
+                break
+        else:  # pragma: no cover - the decider accepted the state this slot starts from
+            raise AssertionError("completion walk found no accepted choice")
+        chosen.append(block)
+        free &= ~block
+        pending = rest
 
-    def class_feasible(slot_index: int, used: list[bool]) -> bool:
-        for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
-            pending = [len(c.qubits) for i, c in enumerate(comps) if not used[i] and c.trust is trust]
-            open_slots = [size for _, t, size in slots[slot_index:] if t is trust]
-            if not assignment_feasible(pending, open_slots):
-                return False
-        return True
-
-    def search(
-        slot_index: int, unallocated: frozenset[int], used: list[bool]
-    ) -> list[frozenset[int]] | None:
-        if slot_index == len(slots):
-            if unallocated or not all(used):
-                return None
-            return []
-        if not class_feasible(slot_index, used):
-            return None
-        _, trust, size = slots[slot_index]
-
-        for i, comp in enumerate(comps):
-            if used[i] or comp.trust is not trust or len(comp.qubits) > size:
-                continue
-            used[i] = True
-            for grown in _connected_supersets(comp.qubits, size, unallocated, graph):
-                rest = search(slot_index + 1, unallocated - grown, used)
-                if rest is not None:
-                    used[i] = False
-                    return [grown] + rest
-            used[i] = False
-
-        for fresh in connected_subsets(unallocated, size, graph):
-            rest = search(slot_index + 1, unallocated - fresh, used)
-            if rest is not None:
-                return [fresh] + rest
-        return None
-
-    chosen = search(0, allocation.unallocated, [False] * len(comps))
-    if chosen is None:
-        return None
-
-    assignment = {label: qubits for (label, _, _), qubits in zip(slots, chosen)}
+    assignment = {label: _qubits(mask) for (label, _, _), mask in zip(slots, chosen)}
     completed = Allocation(
         unallocated=frozenset(),
-        components=tuple(
-            UserComponent(trust, qubits) for (_, trust, _), qubits in zip(slots, chosen)
-        ),
+        components=tuple(UserComponent(trust, assignment[label]) for label, trust, _ in slots),
         score=allocation.score,
         penalty=allocation.penalty,
         incidental=allocation.incidental,
@@ -139,4 +273,8 @@ def complete_allocation(
 
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
     """True when :func:`complete_allocation` would succeed."""
-    return complete_allocation(allocation, graph, sizes) is not None
+    start = _start(allocation, graph, sizes)
+    if start is None:
+        return False
+    free, pending = start
+    return _completable(free, pending, _open(request_slots(sizes)), graph.adjacency_masks, set())

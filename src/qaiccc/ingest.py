@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 from typing import Iterable
@@ -122,6 +123,16 @@ def _qubit_group(record: dict, key: str, graph: ConnectivityGraph, index: int, p
     return group
 
 
+def _finite_non_negative(value) -> bool:
+    # json.loads accepts NaN and Infinity, which must not reach a report.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0
+    )
+
+
 def _resolve_score(record: dict, index: int, path) -> float:
     has_score = "score" in record
     has_parts = "stochastic" in record or "hamiltonian" in record
@@ -131,17 +142,21 @@ def _resolve_score(record: dict, index: int, path) -> float:
         )
     if has_score:
         score = record["score"]
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or score < 0:
-            raise InputFileError("'score' must be a non-negative number", path=path, record=index)
+        if not _finite_non_negative(score):
+            raise InputFileError(
+                "'score' must be a finite non-negative number", path=path, record=index
+            )
         return float(score)
     if "stochastic" not in record or "hamiltonian" not in record:
         raise InputFileError(
             "record needs 'score' or both 'stochastic' and 'hamiltonian'", path=path, record=index
         )
     parts = (record["stochastic"], record["hamiltonian"])
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 0 for p in parts):
+    if not all(_finite_non_negative(p) for p in parts):
         raise InputFileError(
-            "'stochastic' and 'hamiltonian' must be non-negative numbers", path=path, record=index
+            "'stochastic' and 'hamiltonian' must be finite non-negative numbers",
+            path=path,
+            record=index,
         )
     return composite_score(float(parts[0]), float(parts[1]))
 

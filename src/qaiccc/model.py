@@ -7,6 +7,7 @@ connectivity graph.  All types here are immutable values: the search in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -55,6 +56,11 @@ class ConnectivityGraph:
             nbrs[b].append(a)
         return {q: tuple(sorted(v)) for q, v in nbrs.items()}
 
+    @cached_property
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighbour bitmask per qubit: bit ``n`` of entry ``q`` is set iff q-n is an edge."""
+        return tuple(sum(1 << n for n in nbrs) for nbrs in self._adjacency.values())
+
     @property
     def qubits(self) -> frozenset[int]:
         return frozenset(range(self.vertex_count))
@@ -82,10 +88,11 @@ class ConnectivityGraph:
 class CrosstalkRate:
     """One crosstalk measurement: ``impacting`` qubits perturb ``impacted`` ones.
 
-    The composite ``score`` is dimensionless and non-negative.  Only the
-    1-to-1, 2-to-1, and 2-to-2 shapes occur; the union of the two qubit
-    groups must additionally induce a connected subgraph of the platform,
-    which is checked where a graph is in scope (see :mod:`qaiccc.ingest`).
+    The composite ``score`` is dimensionless, finite, and non-negative.
+    Only the 1-to-1, 2-to-1, and 2-to-2 shapes occur; the union of the two
+    qubit groups must additionally induce a connected subgraph of the
+    platform, which is checked where a graph is in scope (see
+    :mod:`qaiccc.ingest`).
     """
 
     score: float
@@ -95,8 +102,8 @@ class CrosstalkRate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "impacting", frozenset(self.impacting))
         object.__setattr__(self, "impacted", frozenset(self.impacted))
-        if self.score < 0:
-            raise ValueError("rate score must be non-negative")
+        if not math.isfinite(self.score) or self.score < 0:
+            raise ValueError("rate score must be a finite non-negative number")
         shape = (len(self.impacting), len(self.impacted))
         if shape not in {(1, 1), (2, 1), (2, 2)}:
             raise ValueError(f"unsupported crosstalk shape {shape}")

@@ -92,6 +92,21 @@ class TestAllocateCommand:
         err = capsys.readouterr().err
         assert "record 0" in err and "bad.json" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_score_exits_1_and_names_the_record(self, files, tmp_path, capsys, literal):
+        # json.loads accepts these literals; the report must never carry them.
+        rates = tmp_path / "bad_score.json"
+        rates.write_text(
+            '[{"score": 0.1, "impacting": [1], "impacted": [0]},'
+            f' {{"score": {literal}, "impacting": [3], "impacted": [4]}}]',
+            encoding="utf-8",
+        )
+        files = dict(files, rates=str(rates))
+        assert run_allocate(files, "--no-timings") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "record 1" in captured.err and "finite non-negative" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exits_1(self, files, capsys):
         files = dict(files, rates=files["rates"] + ".nope")
         assert run_allocate(files) == EXIT_INPUT

@@ -90,6 +90,10 @@ class TestLoadRates:
             ({"score": 0.1, "stochastic": 0.1, "hamiltonian": 0.0, "impacting": [1], "impacted": [0]}, "not both"),
             ({"score": -0.1, "impacting": [1], "impacted": [0]}, "non-negative"),
             ({"score": 0.1, "impacting": "x", "impacted": [0]}, "list of integers"),
+            ({"score": float("nan"), "impacting": [1], "impacted": [0]}, "finite non-negative"),
+            ({"stochastic": float("inf"), "hamiltonian": 0.0, "impacting": [1], "impacted": [0]}, "finite non-negative"),
+            ({"stochastic": 0.0, "hamiltonian": float("nan"), "impacting": [1], "impacted": [0]}, "finite non-negative"),
+            ({"stochastic": 1e308, "hamiltonian": 1e308, "impacting": [1], "impacted": [0]}, "finite non-negative"),
         ],
     )
     def test_record_errors_carry_the_index(self, tmp_path, demo_graph, record, fragment):

@@ -133,6 +133,11 @@ class TestRates:
         with pytest.raises(ValueError):
             CrosstalkRate(-0.1, frozenset({0}), frozenset({1}))
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_scores(self, score):
+        with pytest.raises(ValueError, match="finite"):
+            CrosstalkRate(score, frozenset({0}), frozenset({1}))
+
     def test_sort_rates_descending_with_tiebreak(self):
         a = CrosstalkRate(0.002, frozenset({1}), frozenset({0}))
         b = CrosstalkRate(0.002, frozenset({0}), frozenset({1}))
