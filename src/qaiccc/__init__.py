@@ -6,18 +6,9 @@ rest) while the largest crosstalk error rate spanning different users is
 minimized.  See the README for the pipeline and file formats.
 """
 
-from .allocator import (
-    AllocationOutcome,
-    SearchConfig,
-    allocate,
-    archive_alloc,
-    eval_alloc,
-    update_population,
-    update_sizes,
-)
+from .allocator import AllocationOutcome, SearchConfig, allocate
 from .errors import (
     BaselineInfeasibleError,
-    CompletionInfeasibleError,
     InputFileError,
     InstanceTooLargeError,
     InsufficientQubitsError,
@@ -46,7 +37,7 @@ from .oracle import (
     safe_prefix,
 )
 from .safety import SafetyReason, SafetyVerdict, involved_parties, is_safe
-from .selection import SelectionResult, complete, noise_worklist, rank, select
+from .selection import SelectionResult, noise_worklist, rank, select
 
 __version__ = "0.1.0"
 
@@ -55,7 +46,6 @@ __all__ = [
     "AllocationOutcome",
     "BaselineInfeasibleError",
     "CanonicalKey",
-    "CompletionInfeasibleError",
     "ConnectivityGraph",
     "CrosstalkRate",
     "InputFileError",
@@ -72,13 +62,10 @@ __all__ = [
     "Trust",
     "UserComponent",
     "allocate",
-    "archive_alloc",
     "baseline_naive",
     "canonicalize",
-    "complete",
     "composite_score",
     "enumerate_complete",
-    "eval_alloc",
     "involved_parties",
     "is_safe",
     "load_platform",
@@ -93,8 +80,6 @@ __all__ = [
     "select",
     "sort_rates",
     "synth_rates",
-    "update_population",
-    "update_sizes",
     "validate_allocation",
     "__version__",
 ]

@@ -25,6 +25,9 @@ exact request sizes on the platform (see :mod:`qaiccc.completion`):
 growing a user onto qubits whose complement can no longer host the other
 circuits would be withdrawn later anyway, so such branches are dropped at
 generation time.
+
+Population and archive are insertion-ordered dicts keyed by canonical
+key, so membership, update in place and retirement are each one lookup.
 """
 
 from __future__ import annotations
@@ -373,8 +376,8 @@ def replay_attributes(
 
 def archive_alloc(
     member: Allocation,
-    population: list[Allocation],
-    archive: list[Allocation],
+    population: dict[CanonicalKey, Allocation],
+    archive: dict[CanonicalKey, Allocation],
     rate: CrosstalkRate,
 ) -> Allocation:
     """Retire ``member``: record the rate it fell at and move it to the archive.
@@ -382,18 +385,18 @@ def archive_alloc(
     Only population members are investigated by later iterations, so the
     retired allocation's attributes are frozen from here on.
     """
-    position = _find(population, canonicalize(member))
-    if position is None:
+    key = canonicalize(member)
+    if key not in population:
         raise ValueError("member is not in the population")
-    retired = replace(population.pop(position), last_rate=rate)
-    archive.append(retired)
+    retired = replace(population.pop(key), last_rate=rate)
+    archive[key] = retired
     return retired
 
 
 def update_population(
     candidates: Iterable[Allocation],
-    population: list[Allocation],
-    archive: list[Allocation],
+    population: dict[CanonicalKey, Allocation],
+    archive: dict[CanonicalKey, Allocation],
     processed: Sequence[CrosstalkRate],
     config: SearchConfig,
 ) -> list[Allocation]:
@@ -406,22 +409,20 @@ def update_population(
     cap is exceeded the worst members by (score, penalty) are dropped.
     Returns the members actually admitted.
     """
-    taken = {canonicalize(a) for a in population} | {canonicalize(a) for a in archive}
     admitted: list[Allocation] = []
     for candidate in candidates:
         key = canonicalize(candidate)
-        if key in taken:
+        if key in population or key in archive:
             continue
         member = replay_attributes(candidate, processed)
         if member is None:
             continue
-        population.append(member)
+        population[key] = member
         admitted.append(member)
-        taken.add(key)
     if config.max_population is not None and len(population) > config.max_population:
-        ranked = sorted(population, key=lambda a: (-a.score, -a.penalty, canonicalize(a)))
-        for worst in ranked[: len(population) - config.max_population]:
-            population.remove(worst)
+        ranked = sorted(population.items(), key=lambda kv: (-kv[1].score, -kv[1].penalty, kv[0]))
+        for key, _ in ranked[: len(population) - config.max_population]:
+            del population[key]
     return admitted
 
 
@@ -451,13 +452,6 @@ class AllocationOutcome:
         return self.population + self.archive
 
 
-def _find(population: list[Allocation], key: CanonicalKey) -> int | None:
-    for index, member in enumerate(population):
-        if canonicalize(member) == key:
-            return index
-    return None
-
-
 def allocate(
     graph: ConnectivityGraph,
     sizes: SizeRequests,
@@ -475,25 +469,24 @@ def allocate(
     initial_score = (max((r.score for r in ordered), default=0.0)) + 1.0
 
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
-    population: list[Allocation] = [initial]
-    archive: list[Allocation] = []
+    population: dict[CanonicalKey, Allocation] = {canonicalize(initial): initial}
+    archive: dict[CanonicalKey, Allocation] = {}
     steps: list[RateStep] = []
     halted = False
 
     for index, rate in enumerate(ordered):
         processed = ordered[: index + 1]
         newly_archived: list[Allocation] = []
-        for snapshot in list(population):
-            position = _find(population, canonicalize(snapshot))
-            if position is None:  # pruned away earlier in this rate
+        for key in list(population):
+            member = population.get(key)
+            if member is None:  # pruned away earlier in this rate
                 continue
-            member = population[position]
 
             candidates: list[Allocation] = []
             if is_safe(member, rate).safe:
                 if involved_parties(member, rate) >= 2:
                     candidates = improve_alloc(member, rate, graph, full, config)
-                population[position] = eval_alloc(member, rate)
+                population[key] = eval_alloc(member, rate)
             else:
                 candidates = alloc_unallocated(member, rate.impacted, graph, full, config)
                 candidates = alloc_impacted(candidates, rate, graph, full, config)
@@ -509,14 +502,14 @@ def allocate(
         log.debug(
             "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)
         )
-        steps.append(RateStep(rate, tuple(population), tuple(newly_archived)))
+        steps.append(RateStep(rate, tuple(population.values()), tuple(newly_archived)))
         if not population:
             halted = True
             break
 
     return AllocationOutcome(
-        population=tuple(population),
-        archive=tuple(archive),
+        population=tuple(population.values()),
+        archive=tuple(archive.values()),
         sizes=full,
         rates=ordered,
         initial_score=initial_score,

@@ -292,7 +292,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     t1 = timer()
     outcome = allocate(graph, sizes, rates, config)
     t2 = timer()
-    selected = select(outcome.allocations, graph, sizes, rates)
+    selected = select(outcome, graph)
     t3 = timer()
 
     timings = None

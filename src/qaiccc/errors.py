@@ -27,10 +27,6 @@ class InsufficientQubitsError(QaicccError):
     """Requested circuit sizes sum to more qubits than the platform has."""
 
 
-class CompletionInfeasibleError(QaicccError):
-    """A partial allocation cannot be grown to exact request sizes."""
-
-
 class NoFeasibleAllocationError(QaicccError):
     """No allocation produced by the search can be completed."""
 

@@ -173,7 +173,7 @@ class SizeRequests:
 #: qubits plus the components as (trust value, sorted qubits) pairs in
 #: canonical order.  Two allocations share a key iff their structure is
 #: identical.
-CanonicalKey = tuple
+CanonicalKey = tuple[tuple[int, ...], tuple[tuple[str, tuple[int, ...]], ...]]
 
 
 @dataclass(frozen=True)

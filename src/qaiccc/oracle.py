@@ -264,7 +264,7 @@ def oracle_report(
     )
 
     outcome = allocate(graph, sizes, rates, config)
-    selected = select(outcome.allocations, graph, sizes, rates)
+    selected = select(outcome, graph)
     algorithm = safe_prefix(selected.allocation, ordered)
     return OracleReport(
         optimum_safe_prefix=optimum,

@@ -18,17 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .allocator import update_sizes
+from .allocator import AllocationOutcome
 from .completion import RequestLabel, complete_allocation
-from .errors import CompletionInfeasibleError, NoFeasibleAllocationError
-from .model import (
-    Allocation,
-    ConnectivityGraph,
-    CrosstalkRate,
-    SizeRequests,
-    canonicalize,
-    sort_rates,
-)
+from .errors import NoFeasibleAllocationError
+from .model import Allocation, ConnectivityGraph, CrosstalkRate, canonicalize, sort_rates
 
 
 @dataclass(frozen=True)
@@ -43,22 +36,6 @@ class SelectionResult:
 def rank(results: Iterable[Allocation]) -> list[Allocation]:
     """Ascending score, then penalty, then canonical key; fully deterministic."""
     return sorted(results, key=lambda a: (a.score, a.penalty, canonicalize(a)))
-
-
-def complete(
-    allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests
-) -> tuple[Allocation, dict[RequestLabel, frozenset[int]]]:
-    """Grow ``allocation`` to exact request sizes or raise.
-
-    Raises :class:`CompletionInfeasibleError` when no exact-size binding
-    with connected components exists.
-    """
-    result = complete_allocation(allocation, graph, sizes)
-    if result is None:
-        raise CompletionInfeasibleError(
-            "allocation cannot be grown to the requested circuit sizes"
-        )
-    return result
 
 
 def noise_worklist(
@@ -90,28 +67,23 @@ def noise_worklist(
     return tuple(out)
 
 
-def select(
-    results: Iterable[Allocation],
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    rates: Sequence[CrosstalkRate],
-) -> SelectionResult:
-    """Walk the ranked allocations and return the first that completes.
+def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:
+    """Walk the outcome's ranked allocations and return the first that completes.
 
-    Raises :class:`NoFeasibleAllocationError` when every candidate fails,
-    i.e. the platform cannot host the requested circuit sizes at all.
+    Completion targets ``outcome.sizes`` (idle request included) and the
+    worklist follows ``outcome.rates`` (already sorted).  Raises
+    :class:`NoFeasibleAllocationError` when every candidate fails, i.e.
+    the platform cannot host the requested circuit sizes at all.
     """
-    full = update_sizes(graph.vertex_count, sizes)
-    ordered = sort_rates(rates)
-    for candidate in rank(results):
-        completed = complete_allocation(candidate, graph, full)
+    for candidate in rank(outcome.allocations):
+        completed = complete_allocation(candidate, graph, outcome.sizes)
         if completed is None:
             continue
         allocation, assignment = completed
         return SelectionResult(
             allocation=allocation,
             assignment=assignment,
-            worklist=noise_worklist(candidate, ordered),
+            worklist=noise_worklist(candidate, outcome.rates),
         )
     raise NoFeasibleAllocationError(
         "no allocation could be completed to the requested circuit sizes"

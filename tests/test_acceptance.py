@@ -53,7 +53,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 def test_criterion_1_running_example_reproduction():
     start = time.perf_counter()
     outcome = allocate(GRAPH, SIZES, RATES)
-    result = select(outcome.allocations, GRAPH, SIZES, RATES)
+    result = select(outcome, GRAPH)
     elapsed = time.perf_counter() - start
 
     after_rate_1 = {canonicalize(m) for m in outcome.steps[0].population}
@@ -117,7 +117,7 @@ def test_criterion_4_idle_user_coverage(family):
     failures = []
     for instance in family:
         outcome = allocate(instance.graph, instance.sizes, instance.rates)
-        result = select(outcome.allocations, instance.graph, instance.sizes, instance.rates)
+        result = select(outcome, instance.graph)
         covered: set[int] = set()
         doubly = False
         for qubits in result.assignment.values():
@@ -168,7 +168,7 @@ def test_criterion_6_oracle_gap_and_baseline(family):
     gaps = []
     for instance in family:
         outcome = allocate(instance.graph, instance.sizes, instance.rates)
-        result = select(outcome.allocations, instance.graph, instance.sizes, instance.rates)
+        result = select(outcome, instance.graph)
         algorithm = safe_prefix(result.allocation, outcome.rates)
         gaps.append(
             oracle_report(instance.graph, instance.sizes, instance.rates).gap

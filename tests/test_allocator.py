@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from qaiccc import (
     Allocation,
+    AllocationOutcome,
     ConnectivityGraph,
     CrosstalkRate,
     InsufficientQubitsError,
@@ -16,23 +18,27 @@ from qaiccc import (
     Trust,
     UserComponent,
     allocate,
-    archive_alloc,
     canonicalize,
-    eval_alloc,
+    involved_parties,
+    is_safe,
     sort_rates,
-    update_population,
-    update_sizes,
     validate_allocation,
 )
 from qaiccc.allocator import (
+    RateStep,
     alloc_impacted,
     alloc_trusted,
     alloc_unallocated,
+    archive_alloc,
     connect,
+    eval_alloc,
     improve_alloc,
     new_alloc,
     replay_attributes,
+    update_population,
+    update_sizes,
 )
+from qaiccc.model import dedup_allocations
 from qaiccc.sizing import allocation_feasible
 
 CFG = SearchConfig()
@@ -291,18 +297,19 @@ class TestUpdatePopulation:
     def test_archived_structure_is_not_readmitted(self, demo_graph, demo_rates):
         ordered = sort_rates(demo_rates)
         member = build(5, u(2, 3))
-        population = [member]
-        archive: list[Allocation] = []
+        population = {canonicalize(member): member}
+        archive: dict = {}
         archive_alloc(member, population, archive, ordered[1])
         admitted = update_population([build(5, u(2, 3))], population, archive, ordered[:1], CFG)
-        assert admitted == [] and population == []
+        assert admitted == [] and population == {}
 
     def test_fresh_safe_candidate_is_admitted_with_replayed_attributes(self, demo_rates):
         ordered = sort_rates(demo_rates)
-        population: list[Allocation] = []
-        admitted = update_population([build(5, u(2, 3))], population, [], ordered[:1], CFG)
+        population: dict = {}
+        admitted = update_population([build(5, u(2, 3))], population, {}, ordered[:1], CFG)
         (member,) = admitted
         assert member.score == 0.0027 and member.penalty == 0.0027
+        assert population == {canonicalize(member): member}
 
     def test_candidate_unsafe_for_an_earlier_rate_is_rejected(self):
         # The candidate fixes the later rate but leaves the earlier one's
@@ -311,35 +318,130 @@ class TestUpdatePopulation:
         late = CrosstalkRate(0.001, frozenset({1}), frozenset({0}))
         candidate = build(5, u(0, 1), u(2))
         assert replay_attributes(candidate, [early, late]) is None
-        population: list[Allocation] = []
-        admitted = update_population([candidate], population, [], [early, late], CFG)
-        assert admitted == [] and population == []
+        population: dict = {}
+        admitted = update_population([candidate], population, {}, [early, late], CFG)
+        assert admitted == [] and population == {}
 
     def test_population_cap_drops_the_worst(self, demo_rates):
         ordered = sort_rates(demo_rates)
         cfg = SearchConfig(max_population=1)
-        population: list[Allocation] = []
+        population: dict = {}
         update_population(
-            [build(5, u(2, 3)), build(5, u(2, 3, 4))], population, [], ordered[:1], cfg
+            [build(5, u(2, 3)), build(5, u(2, 3, 4))], population, {}, ordered[:1], cfg
         )
         assert len(population) == 1
         # Equal scores; the higher penalty member is the worst.
-        assert population[0].penalty == 0.0
+        (member,) = population.values()
+        assert member.penalty == 0.0
 
 
 class TestArchiveAlloc:
     def test_member_moves_with_frozen_attributes(self, demo_rates):
         member = eval_alloc(build(5, u(2, 3)), demo_rates[0])
-        population = [member]
-        archive: list[Allocation] = []
+        population = {canonicalize(member): member}
+        archive: dict = {}
         retired = archive_alloc(member, population, archive, demo_rates[1])
-        assert population == [] and archive == [retired]
+        assert population == {} and archive == {canonicalize(member): retired}
         assert retired.last_rate == demo_rates[1]
         assert retired.score == member.score and retired.penalty == member.penalty
 
     def test_non_member_is_rejected(self, demo_rates):
         with pytest.raises(ValueError):
-            archive_alloc(build(5, u(2, 3)), [], [], demo_rates[0])
+            archive_alloc(build(5, u(2, 3)), {}, {}, demo_rates[0])
+
+
+def list_reference_allocate(graph, sizes, rates, config):
+    """The rate loop over plain lists, kept to pin the keyed store's order.
+
+    Members are re-found by recomputing canonical keys and the taken set
+    is rebuilt from population and archive on every admission round.
+    """
+    full = update_sizes(graph.vertex_count, sizes)
+    ordered = sort_rates(rates)
+    initial_score = max((r.score for r in ordered), default=0.0) + 1.0
+    population = [Allocation(unallocated=graph.qubits, components=(), score=initial_score)]
+    archive = []
+    steps = []
+    halted = False
+
+    def find(key):
+        for index, member in enumerate(population):
+            if canonicalize(member) == key:
+                return index
+        return None
+
+    def admit(candidates, processed):
+        taken = keys(population) | keys(archive)
+        for candidate in candidates:
+            key = canonicalize(candidate)
+            if key in taken:
+                continue
+            member = replay_attributes(candidate, processed)
+            if member is None:
+                continue
+            population.append(member)
+            taken.add(key)
+        if config.max_population is not None and len(population) > config.max_population:
+            ranked = sorted(population, key=lambda a: (-a.score, -a.penalty, canonicalize(a)))
+            for worst in ranked[: len(population) - config.max_population]:
+                population.remove(worst)
+
+    for index, rate in enumerate(ordered):
+        processed = ordered[: index + 1]
+        newly_archived = []
+        for snapshot in list(population):
+            position = find(canonicalize(snapshot))
+            if position is None:
+                continue
+            member = population[position]
+            candidates = []
+            if is_safe(member, rate).safe:
+                if involved_parties(member, rate) >= 2:
+                    candidates = improve_alloc(member, rate, graph, full, config)
+                population[position] = eval_alloc(member, rate)
+            else:
+                candidates = alloc_unallocated(member, rate.impacted, graph, full, config)
+                candidates = alloc_impacted(candidates, rate, graph, full, config)
+                candidates = dedup_allocations(
+                    candidates
+                    + improve_alloc(member, rate, graph, full, config)
+                    + alloc_trusted(member, rate.impacting, graph, full, config)
+                )
+                retired = replace(population.pop(position), last_rate=rate)
+                archive.append(retired)
+                newly_archived.append(retired)
+            admit(candidates, processed)
+        steps.append(RateStep(rate, tuple(population), tuple(newly_archived)))
+        if not population:
+            halted = True
+            break
+
+    return AllocationOutcome(
+        population=tuple(population),
+        archive=tuple(archive),
+        sizes=full,
+        rates=ordered,
+        initial_score=initial_score,
+        steps=tuple(steps),
+        halted=halted,
+    )
+
+
+class TestKeyedStore:
+    @pytest.mark.parametrize("cap", [None, 1, 2, 3])
+    def test_demo_matches_the_list_reference(self, demo_graph, demo_sizes, demo_rates, cap):
+        config = SearchConfig(max_population=cap)
+        expected = list_reference_allocate(demo_graph, demo_sizes, demo_rates, config)
+        assert allocate(demo_graph, demo_sizes, demo_rates, config) == expected
+
+    @pytest.mark.parametrize("cap", [None, 1, 2, 3])
+    def test_family_matches_the_list_reference(self, family, cap):
+        config = SearchConfig(max_population=cap)
+        for instance in family:
+            expected = list_reference_allocate(
+                instance.graph, instance.sizes, instance.rates, config
+            )
+            assert allocate(instance.graph, instance.sizes, instance.rates, config) == expected
 
 
 class TestAllocateEndToEnd:

@@ -17,10 +17,11 @@ from qaiccc import (
     Trust,
     UserComponent,
     allocate,
+    canonicalize,
     enumerate_complete,
-    update_sizes,
     validate_allocation,
 )
+from qaiccc.allocator import update_sizes
 from qaiccc.completion import (
     can_complete,
     complete_allocation,
@@ -43,6 +44,7 @@ def test_exact_allocation_completes_unchanged(demo_graph):
     allocation = build(5, u(0, 1), u(2, 3, 4))
     sizes = SizeRequests(untrusted=(2, 3))
     completed, assignment = complete_allocation(allocation, demo_graph, sizes)
+    assert canonicalize(completed) == canonicalize(allocation)
     assert completed.unallocated == frozenset()
     assert {frozenset(v) for v in assignment.values()} == {
         frozenset({0, 1}),

@@ -22,6 +22,7 @@ from qaiccc import (
     select,
     validate_allocation,
 )
+from qaiccc.completion import complete_allocation
 from qaiccc.errors import BaselineInfeasibleError
 
 
@@ -30,7 +31,7 @@ def runs(family):
     out = []
     for instance in family:
         outcome = allocate(instance.graph, instance.sizes, instance.rates)
-        result = select(outcome.allocations, instance.graph, instance.sizes, instance.rates)
+        result = select(outcome, instance.graph)
         out.append((instance, outcome, result))
     return out
 
@@ -135,8 +136,8 @@ def test_completion_preserves_the_safe_prefix(runs):
         ]
         selected_partial = None
         for allocation in outcome.allocations:
-            done = select([allocation], instance.graph, instance.sizes, instance.rates)
-            if canonicalize(done.allocation) == canonicalize(result.allocation):
+            done, _ = complete_allocation(allocation, instance.graph, outcome.sizes)
+            if canonicalize(done) == canonicalize(result.allocation):
                 selected_partial = allocation
                 break
         assert selected_partial is not None

@@ -6,7 +6,6 @@ import pytest
 
 from qaiccc import (
     Allocation,
-    CompletionInfeasibleError,
     ConnectivityGraph,
     CrosstalkRate,
     NoFeasibleAllocationError,
@@ -15,7 +14,6 @@ from qaiccc import (
     UserComponent,
     allocate,
     canonicalize,
-    complete,
     noise_worklist,
     rank,
     select,
@@ -53,23 +51,12 @@ class TestRank:
         assert rank([b, a]) == rank([a, b]) == [b, a]
 
 
-class TestComplete:
-    def test_exact_fit_is_identity(self, demo_graph):
-        allocation = build(5, u(0, 1), u(2, 3, 4))
-        completed, _ = complete(allocation, demo_graph, SizeRequests(untrusted=(2, 3)))
-        assert canonicalize(completed) == canonicalize(allocation)
-
-    def test_infeasible_raises(self, demo_graph):
-        with pytest.raises(CompletionInfeasibleError):
-            complete(build(5, u(0, 2, 3)), demo_graph, SizeRequests(untrusted=(2, 3)))
-
-
 class TestSelect:
     def test_running_instance_selects_the_low_penalty_allocation(
         self, demo_graph, demo_sizes, demo_rates
     ):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        result = select(outcome.allocations, demo_graph, demo_sizes, demo_rates)
+        result = select(outcome, demo_graph)
         assert canonicalize(result.allocation) == canonicalize(build(5, u(0, 1), u(2, 3, 4)))
         assert result.allocation.score == 0.0017
         assert result.allocation.penalty == 0.0
@@ -79,21 +66,22 @@ class TestSelect:
 
     def test_initial_allocation_is_the_last_resort(self, demo_graph):
         # Only the initial allocation is available; it completes greedily.
-        initial = build(5, score=1.5)
-        result = select([initial], demo_graph, SizeRequests(untrusted=(2, 3)), [])
+        outcome = allocate(demo_graph, SizeRequests(untrusted=(2, 3)), [])
+        assert len(outcome.allocations) == 1
+        result = select(outcome, demo_graph)
         assert result.allocation.unallocated == frozenset()
         assert len(result.allocation.components) == 2
 
     def test_no_connected_binding_anywhere_errors(self):
         two_cliques = ConnectivityGraph(4, frozenset({(0, 1), (2, 3)}))
-        initial = build(4, score=1.0)
+        outcome = allocate(two_cliques, SizeRequests(untrusted=(3,)), [])
         with pytest.raises(NoFeasibleAllocationError):
-            select([initial], two_cliques, SizeRequests(untrusted=(3,)), [])
+            select(outcome, two_cliques)
 
     def test_idle_component_is_materialized(self, demo_graph):
         sizes = SizeRequests(untrusted=(2,))
         outcome = allocate(demo_graph, sizes, [])
-        result = select(outcome.allocations, demo_graph, sizes, [])
+        result = select(outcome, demo_graph)
         idle = result.assignment[("idle", 0)]
         assert len(idle) == 3
         assert demo_graph.is_connected(idle)
@@ -109,7 +97,7 @@ class TestNoiseWorklist:
         self, demo_graph, demo_sizes, demo_rates
     ):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        result = select(outcome.allocations, demo_graph, demo_sizes, demo_rates)
+        result = select(outcome, demo_graph)
         assert result.worklist == (demo_rates[2],)
 
     def test_empty_attributes_give_an_empty_worklist(self, demo_rates):
