@@ -19,6 +19,7 @@ from qaiccc import (
     select,
     sort_rates,
 )
+from qaiccc.completion import complete_allocation
 
 
 def u(*qubits):
@@ -49,6 +50,13 @@ class TestRank:
         b = build(5, u(2, 4), score=0.5, penalty=0.1)
         # The key leads with the unallocated set: {0,1,3} sorts before {0,1,4}.
         assert rank([b, a]) == rank([a, b]) == [b, a]
+
+
+class TestComplete:
+    def test_exact_fit_is_identity(self, demo_graph):
+        allocation = build(5, u(0, 1), u(2, 3, 4))
+        completed, _ = complete_allocation(allocation, demo_graph, SizeRequests(untrusted=(2, 3)))
+        assert canonicalize(completed) == canonicalize(allocation)
 
 
 class TestSelect:
