@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .completion import can_complete
+from .completion import can_complete, connected_supersets
 from .errors import InsufficientQubitsError
 from .model import (
     Allocation,
@@ -50,6 +50,9 @@ from .model import (
     UserComponent,
     canonicalize,
     dedup_allocations,
+    mask_qubits,
+    mask_region,
+    qubit_mask,
     sort_rates,
 )
 from .safety import involved_parties, is_safe
@@ -66,8 +69,9 @@ class SearchConfig:
 
     ``max_population`` (off by default) prunes the worst members after
     each admission round; ``max_paths_per_connect`` caps how many
-    connector sets one connect call may consider, since the count of
-    connected extensions is exponential in the worst case.
+    connected regions one :func:`connect` call hands on, counted in
+    (size, ascending-qubit) order, since the count of connected
+    extensions is exponential in the worst case.
     """
 
     max_population: int | None = None
@@ -174,27 +178,40 @@ def connect(
 
     The connector budget comes from the user's growth allowance under
     size feasibility, minus the incoming qubits themselves; a negative
-    budget means no join can fit.  Connector sets are enumerated smallest
-    first, in ascending qubit order, and each connected region is handed
-    to :func:`new_alloc`.  With ``user`` empty the regions become a fresh
-    component of class ``fresh_trust``.
+    budget means no join can fit.  Only connected regions are generated:
+    connected sets that hold ``user | incoming`` plus unallocated
+    connector qubits, fewest connectors first and, among regions with as
+    many connectors, in ascending qubit order (the order of
+    ``itertools.combinations`` over the sorted connector pool).  The
+    first ``config.max_paths_per_connect`` regions in that order are each
+    handed to :func:`new_alloc`.  With ``user`` empty the regions become
+    a fresh component of class ``fresh_trust``.
     """
     budget = remain(user, allocation, sizes, fresh_trust=fresh_trust)
     max_len = budget - len(incoming - user)
     if max_len < 0:
         return []
 
-    base = user | incoming
-    pool = sorted(allocation.unallocated - base)
+    adjacency = graph.adjacency_masks
+    base = qubit_mask(user | incoming)
+    available = qubit_mask(allocation.unallocated) & ~base
+    # Every region lies in the part of ``base | available`` that base's
+    # lowest qubit reaches, and must hold all of ``base``.
+    reach = mask_region(base & -base, base | available, adjacency)
+    largest = reach.bit_count() if not base & ~reach else 0
+    first = base.bit_count()
+    width = graph.vertex_count
     results: list[Allocation] = []
     considered = 0
-    for length in range(0, max_len + 1):
-        for combo in itertools.combinations(pool, length):
-            region = base | frozenset(combo)
-            if not graph.is_connected(region):
-                continue
+    for size in range(first, min(first + max_len, largest) + 1):
+        regions = connected_supersets(base, size, available, adjacency)
+        # Equal-size sets in combinations order: the lowest qubit in which
+        # two regions differ belongs to the earlier one.
+        for region in sorted(regions, key=lambda m: f"{m:0{width}b}"[::-1], reverse=True):
             considered += 1
-            candidate = new_alloc(allocation, region, graph, sizes, fresh_trust=fresh_trust)
+            candidate = new_alloc(
+                allocation, mask_qubits(region), graph, sizes, fresh_trust=fresh_trust
+            )
             if candidate is not None:
                 results.append(candidate)
             if considered >= config.max_paths_per_connect:

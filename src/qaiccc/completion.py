@@ -30,7 +30,17 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .model import Allocation, ConnectivityGraph, SizeRequests, Trust, UserComponent
+from .model import (
+    Allocation,
+    ConnectivityGraph,
+    SizeRequests,
+    Trust,
+    UserComponent,
+    mask_neighborhood,
+    mask_qubits,
+    mask_region,
+    qubit_mask,
+)
 
 #: ("trusted" | "untrusted" | "idle", position within its class)
 RequestLabel = tuple[str, int]
@@ -49,31 +59,6 @@ def request_slots(sizes: SizeRequests) -> tuple[tuple[RequestLabel, Trust, int],
     return tuple(slots)
 
 
-def _mask(qubits: frozenset[int]) -> int:
-    out = 0
-    for q in qubits:
-        out |= 1 << q
-    return out
-
-
-def _qubits(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
-def _neighborhood(mask: int, adjacency: Sequence[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= adjacency[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def connected_supersets(
     base: int, target: int, available: int, adjacency: Sequence[int]
 ) -> Iterator[int]:
@@ -81,14 +66,20 @@ def connected_supersets(
 
     All sets are bitmasks; ``adjacency[q]`` is the neighbour mask of
     qubit ``q`` (:attr:`ConnectivityGraph.adjacency_masks`).  ``base``
-    must be non-empty and connected.  Classic include/exclude enumeration
-    on the lowest frontier qubit: each superset is produced exactly once,
-    in a fixed order (the branch that takes the qubit comes first).
+    must be non-empty.  Classic include/exclude enumeration on the lowest
+    frontier qubit, grown from the connected region of ``base`` that holds
+    its lowest qubit: each superset is produced exactly once, in a fixed
+    order (the branch that takes the qubit comes first).  A qubit of
+    ``base`` is never excluded, and a branch stops once the ``base``
+    qubits it still lacks no longer fit in ``target``.  On a connected
+    ``base`` these two rules never fire.
     """
-    count = base.bit_count()
-    if count > target:
+    start = mask_region(base & -base, base, adjacency)
+    lacking = base & ~start
+    count = start.bit_count()
+    if count + lacking.bit_count() > target:
         return
-    stack = [(base, _neighborhood(base, adjacency), available & ~base, count)]
+    stack = [(start, mask_neighborhood(start, adjacency), (available | base) & ~start, count)]
     while stack:
         current, reach, allowed, count = stack.pop()
         if count == target:
@@ -99,10 +90,11 @@ def connected_supersets(
             continue
         pick = frontier & -frontier
         allowed ^= pick
-        stack.append((current, reach, allowed, count))
-        stack.append(
-            (current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1)
-        )
+        if not pick & base:
+            stack.append((current, reach, allowed, count))
+            if lacking and count + 1 + (base & ~current).bit_count() > target:
+                continue
+        stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
 
 
 def _blocks(available: int, size: int, adjacency: Sequence[int]) -> Iterator[int]:
@@ -118,23 +110,14 @@ def connected_subsets(
     available: frozenset[int], size: int, graph: ConnectivityGraph
 ) -> Iterator[frozenset[int]]:
     """All connected ``size``-subsets of ``available``, each exactly once."""
-    for block in _blocks(_mask(available), size, graph.adjacency_masks):
-        yield _qubits(block)
-
-
-def _region(seed: int, within: int, adjacency: Sequence[int]) -> int:
-    """The connected region of ``within`` that contains ``seed``."""
-    region = frontier = seed
-    while frontier:
-        frontier = _neighborhood(frontier, adjacency) & within & ~region
-        region |= frontier
-    return region
+    for block in _blocks(qubit_mask(available), size, graph.adjacency_masks):
+        yield mask_qubits(block)
 
 
 def _regions_fit(free: int, smallest: int, adjacency: Sequence[int]) -> bool:
     """False when some connected region of ``free`` has fewer than ``smallest`` qubits."""
     while free:
-        region = _region(free & -free, free, adjacency)
+        region = mask_region(free & -free, free, adjacency)
         if region.bit_count() < smallest:
             return False
         free &= ~region
@@ -205,13 +188,13 @@ def _start(
         return None
     adjacency = graph.adjacency_masks
     platform = (1 << graph.vertex_count) - 1
-    free = covered = _mask(allocation.unallocated)
+    free = covered = qubit_mask(allocation.unallocated)
     pending: list[_Pending] = []
     for comp in allocation.components:
-        mask = _mask(comp.qubits)
+        mask = qubit_mask(comp.qubits)
         if covered & mask or mask & ~platform:
             return None
-        if _region(mask & -mask, mask, adjacency) != mask:
+        if mask_region(mask & -mask, mask, adjacency) != mask:
             return None
         covered |= mask
         pending.append((comp.trust, mask, len(comp.qubits)))
@@ -259,7 +242,7 @@ def complete_allocation(
         free &= ~block
         pending = rest
 
-    assignment = {label: _qubits(mask) for (label, _, _), mask in zip(slots, chosen)}
+    assignment = {label: mask_qubits(mask) for (label, _, _), mask in zip(slots, chosen)}
     completed = Allocation(
         unallocated=frozenset(),
         components=tuple(UserComponent(trust, assignment[label]) for label, trust, _ in slots),

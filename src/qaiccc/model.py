@@ -3,6 +3,10 @@
 Qubits are plain non-negative integers indexing vertices of the platform
 connectivity graph.  All types here are immutable values: the search in
 :mod:`qaiccc.allocator` never mutates an allocation, it derives new ones.
+
+Inside the searches, qubit sets are also handled as ``int`` bitmasks (bit
+``q`` set means qubit ``q`` is in the set); the helpers for them live
+here, next to :attr:`ConnectivityGraph.adjacency_masks`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,43 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
+
+
+def qubit_mask(qubits: Iterable[int]) -> int:
+    """Bitmask of non-negative qubit indices."""
+    out = 0
+    for q in qubits:
+        out |= 1 << q
+    return out
+
+
+def mask_qubits(mask: int) -> frozenset[int]:
+    """The qubits of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def mask_neighborhood(mask: int, adjacency: Sequence[int]) -> int:
+    """Union of the neighbour masks of the qubits in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adjacency[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def mask_region(seed: int, within: int, adjacency: Sequence[int]) -> int:
+    """The connected region of ``within`` that contains ``seed``."""
+    region = frontier = seed
+    while frontier:
+        frontier = mask_neighborhood(frontier, adjacency) & within & ~region
+        region |= frontier
+    return region
 
 
 class Trust(str, Enum):
@@ -69,19 +110,19 @@ class ConnectivityGraph:
         return self._adjacency[qubit]
 
     def is_connected(self, qubits: Iterable[int]) -> bool:
-        """True when ``qubits`` induces a connected subgraph (or is empty)."""
-        group = set(qubits)
+        """True when ``qubits`` induces a connected subgraph (or is empty).
+
+        A set naming a qubit outside ``0..vertex_count-1`` is not connected.
+        """
+        group = frozenset(qubits)
         if not group:
             return True
-        seen = set()
-        stack = [min(group)]
-        while stack:
-            q = stack.pop()
-            if q in seen:
-                continue
-            seen.add(q)
-            stack.extend(n for n in self._adjacency[q] if n in group and n not in seen)
-        return seen == group
+        if min(group) < 0:
+            return False
+        mask = qubit_mask(group)
+        if mask >> self.vertex_count:
+            return False
+        return mask_region(mask & -mask, mask, self.adjacency_masks) == mask
 
 
 @dataclass(frozen=True)

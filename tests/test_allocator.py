@@ -6,7 +6,10 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import qaiccc.allocator as allocator_module
 from qaiccc import (
     Allocation,
     AllocationOutcome,
@@ -39,7 +42,7 @@ from qaiccc.allocator import (
     update_sizes,
 )
 from qaiccc.model import dedup_allocations
-from qaiccc.sizing import allocation_feasible
+from qaiccc.sizing import allocation_feasible, remain
 
 CFG = SearchConfig()
 
@@ -147,6 +150,144 @@ class TestConnect:
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
+
+
+def reference_connect(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
+    """``connect`` as it was before it grew regions on bitmasks.
+
+    Every connector set up to the budget, from ``itertools.combinations``
+    over the sorted pool, smallest first; only connected regions count
+    towards the cap.
+    """
+    budget = remain(user, allocation, sizes, fresh_trust=fresh_trust)
+    max_len = budget - len(incoming - user)
+    if max_len < 0:
+        return []
+    base = user | incoming
+    pool = sorted(allocation.unallocated - base)
+    results = []
+    considered = 0
+    for length in range(0, max_len + 1):
+        for combo in itertools.combinations(pool, length):
+            region = base | frozenset(combo)
+            if not graph.is_connected(region):
+                continue
+            considered += 1
+            candidate = new_alloc(allocation, region, graph, sizes, fresh_trust=fresh_trust)
+            if candidate is not None:
+                results.append(candidate)
+            if considered >= config.max_paths_per_connect:
+                return dedup_allocations(results)
+    return dedup_allocations(results)
+
+
+class TestConnectMatchesTheReference:
+    """``connect`` returns the combinations loop's list, order included."""
+
+    @pytest.fixture
+    def checked_calls(self, monkeypatch):
+        calls = []
+
+        def checking(allocation, user, incoming, graph, sizes, config, **kwargs):
+            result = connect(allocation, user, incoming, graph, sizes, config, **kwargs)
+            expected = reference_connect(allocation, user, incoming, graph, sizes, config, **kwargs)
+            assert result == expected
+            calls.append(graph.is_connected(user | incoming))
+            return result
+
+        monkeypatch.setattr(allocator_module, "connect", checking)
+        return calls
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    def test_every_call_on_the_demo(self, checked_calls, demo_graph, demo_sizes, demo_rates, paths):
+        allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_paths_per_connect=paths))
+        assert len(checked_calls) > 10
+
+    @pytest.mark.parametrize("paths", [1, 3, 64])
+    def test_every_call_on_the_family(self, checked_calls, family, paths):
+        config = SearchConfig(max_paths_per_connect=paths)
+        for instance in family:
+            allocate(instance.graph, instance.sizes, instance.rates, config)
+        # Both connected and disconnected joins occur.
+        assert checked_calls.count(True) > 100
+        assert checked_calls.count(False) > 100
+
+
+@st.composite
+def connect_cases(draw):
+    """A connected platform of at most 8 qubits, a partial allocation and one join."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    graph = ConnectivityGraph(n, frozenset(edges))
+
+    free = set(range(n))
+    components = []
+    for _ in range(draw(st.integers(0, 2))):
+        if not free:
+            break
+        grown = {draw(st.sampled_from(sorted(free)))}
+        for _ in range(draw(st.integers(0, 2))):
+            frontier = sorted({m for q in grown for m in graph.neighbors(q)} & free - grown)
+            if not frontier:
+                break
+            grown.add(draw(st.sampled_from(frontier)))
+        free -= grown
+        components.append(UserComponent(draw(st.sampled_from(list(Trust))), frozenset(grown)))
+    allocation = Allocation(unallocated=frozenset(free), components=tuple(components))
+
+    # Every component gets a request it fits, and a fresh request of class
+    # ``fresh_trust`` is usually open, so most joins have a budget.
+    requests = {Trust.TRUSTED: [], Trust.UNTRUSTED: []}
+    spare = len(free)
+    fresh_trust = draw(st.sampled_from(list(Trust)))
+    if spare:
+        size = draw(st.integers(1, spare))
+        spare -= size
+        requests[fresh_trust].append(size)
+    for comp in components:
+        grow = draw(st.integers(0, spare))
+        spare -= grow
+        requests[comp.trust].append(len(comp.qubits) + grow)
+    sizes = update_sizes(
+        n, SizeRequests(trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED])
+    )
+
+    if components and draw(st.booleans()):
+        user = draw(st.sampled_from(components)).qubits
+        fresh_trust = None
+    else:
+        user = frozenset()
+    others = sorted(frozenset(range(n)) - user) or sorted(user)
+    if draw(st.booleans()):  # favour joins that need connectors
+        near = user | {m for q in user for m in graph.neighbors(q)}
+        others = [q for q in others if q not in near] or others
+    incoming = frozenset(draw(st.lists(st.sampled_from(others), min_size=1, max_size=2)))
+    paths = draw(st.sampled_from([1, 3, 64]))
+    return allocation, user, incoming, graph, sizes, paths, fresh_trust
+
+
+_PATH6 = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connect_cases())
+@example(  # user | incoming disconnected: {0, 1} reaches 4 through 2 and 3
+    (build(6, u(0, 1)), frozenset({0, 1}), frozenset({4}), _PATH6,
+     SizeRequests(untrusted=(5,), idle_size=1), 3, None)
+)
+@example(  # empty user with a 2-qubit incoming that needs connectors
+    (build(6), frozenset(), frozenset({1, 4}), _PATH6,
+     SizeRequests(untrusted=(5,), idle_size=1), 64, Trust.UNTRUSTED)
+)
+def test_connect_matches_the_reference_on_random_joins(case):
+    allocation, user, incoming, graph, sizes, paths, fresh_trust = case
+    config = SearchConfig(max_paths_per_connect=paths)
+    args = (allocation, user, incoming, graph, sizes, config)
+    assert connect(*args, fresh_trust=fresh_trust) == reference_connect(
+        *args, fresh_trust=fresh_trust
+    )
 
 
 class TestNewAlloc:

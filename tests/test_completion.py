@@ -199,6 +199,81 @@ def test_connected_supersets_match_brute_force(name):
                 assert set(found) == brute_supersets(nx_graph, base, target, available | base)
 
 
+def reference_connected_supersets(base, target, available, adjacency):
+    """``connected_supersets`` as it was when it took connected bases only."""
+
+    def neighborhood(mask):
+        out = 0
+        for q in qubits_of(mask):
+            out |= adjacency[q]
+        return out
+
+    count = base.bit_count()
+    if count > target:
+        return
+    stack = [(base, neighborhood(base), available & ~base, count)]
+    while stack:
+        current, reach, allowed, count = stack.pop()
+        if count == target:
+            yield current
+            continue
+        frontier = reach & allowed
+        if not frontier or count + allowed.bit_count() < target:
+            continue
+        pick = frontier & -frontier
+        allowed ^= pick
+        stack.append((current, reach, allowed, count))
+        stack.append(
+            (current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1)
+        )
+
+
+def sample_bases(nx_graph, rng, connected):
+    """Up to a dozen bases of 2 to 4 qubits, all connected or all disconnected."""
+    n = nx_graph.number_of_nodes()
+    bases = set()
+    for size in (2, 3, 4):
+        for combo in itertools.combinations(range(n), size):
+            if nx.is_connected(nx_graph.subgraph(combo)) is connected:
+                bases.add(frozenset(combo))
+    return rng.sample(sorted(bases, key=sorted), min(12, len(bases)))
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_disconnected_bases_match_brute_force(name):
+    nx_graph, graph = platform_of(NX_GRAPHS[name])
+    n = graph.vertex_count
+    rng = random.Random(name)
+    bases = sample_bases(nx_graph, rng, connected=False)
+    assert bases or name == "complete5"
+    for base in bases:
+        others = frozenset(range(n)) - base
+        for available in (others, frozenset(q for q in others if rng.random() < 0.6)):
+            for target in range(len(base), n + 1):
+                grown = connected_supersets(
+                    mask(base), target, mask(available), graph.adjacency_masks
+                )
+                found = [qubits_of(m) for m in grown]
+                assert len(found) == len(set(found))
+                assert set(found) == brute_supersets(nx_graph, base, target, available | base)
+
+
+@pytest.mark.parametrize("name", sorted(NX_GRAPHS))
+def test_connected_bases_keep_the_enumeration_order(name):
+    nx_graph, graph = platform_of(NX_GRAPHS[name])
+    n = graph.vertex_count
+    rng = random.Random(name)
+    bases = [frozenset({q}) for q in range(n)] + sample_bases(nx_graph, rng, connected=True)
+    for base in bases:
+        others = frozenset(range(n)) - base
+        for available in (others, frozenset(q for q in others if rng.random() < 0.6)):
+            for target in range(len(base), n + 1):
+                args = (mask(base), target, mask(available), graph.adjacency_masks)
+                assert list(connected_supersets(*args)) == list(
+                    reference_connected_supersets(*args)
+                )
+
+
 @pytest.mark.parametrize("name", sorted(NX_GRAPHS))
 def test_connected_subsets_match_brute_force(name):
     nx_graph, graph = platform_of(NX_GRAPHS[name])

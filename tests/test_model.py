@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from qaiccc import (
@@ -17,6 +19,7 @@ from qaiccc import (
     sort_rates,
     validate_allocation,
 )
+from qaiccc.model import mask_neighborhood, mask_qubits, mask_region, qubit_mask
 
 
 def untrusted(*qubits: int) -> UserComponent:
@@ -103,6 +106,13 @@ class TestValidateAllocation:
         problems = validate_allocation(allocation, demo_graph)
         assert any("unknown qubits [9]" in p for p in problems)
 
+    def test_component_naming_an_unknown_qubit_is_reported(self):
+        line = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        allocation = Allocation(unallocated=frozenset({0, 1, 2, 3}), components=(untrusted(99),))
+        problems = validate_allocation(allocation, line)
+        assert any("component [99] uses unknown qubits [99]" in p for p in problems)
+        assert any("component [99] is not connected" in p for p in problems)
+
 
 class TestGraph:
     def test_rejects_self_loop(self):
@@ -122,6 +132,38 @@ class TestGraph:
         assert not demo_graph.is_connected({1, 4})
         assert demo_graph.is_connected(set())
         assert demo_graph.is_connected({3})
+
+    def test_every_subset_agrees_with_networkx(self, demo_graph):
+        nx_graph = nx.Graph(sorted(demo_graph.edges))
+        for size in range(1, 6):
+            for group in itertools.combinations(range(5), size):
+                expected = nx.is_connected(nx_graph.subgraph(group))
+                assert demo_graph.is_connected(group) == expected, group
+
+    @pytest.mark.parametrize(
+        "qubits", [{99}, {5}, {0, 5}, {3, 4, 7}, {-1}, {-1, 0}, {0, 1, -3}, {0, 1, 2, 3, 4, 5}]
+    )
+    def test_unknown_or_negative_qubits_are_not_connected(self, demo_graph, qubits):
+        assert not demo_graph.is_connected(qubits)
+
+
+class TestMasks:
+    def test_mask_round_trip(self):
+        assert qubit_mask(()) == 0
+        assert qubit_mask({0, 3, 4}) == 0b11001
+        assert mask_qubits(0b11001) == frozenset({0, 3, 4})
+        assert mask_qubits(0) == frozenset()
+        for qubits in ({7}, {0, 1, 2}, set(range(0, 64, 5))):
+            assert mask_qubits(qubit_mask(qubits)) == frozenset(qubits)
+
+    def test_neighborhood_and_region(self, demo_graph):
+        adjacency = demo_graph.adjacency_masks
+        assert mask_neighborhood(qubit_mask({0}), adjacency) == qubit_mask({1, 2})
+        assert mask_neighborhood(qubit_mask({0, 3}), adjacency) == qubit_mask({1, 2, 4})
+        within = qubit_mask({0, 1, 3, 4})
+        assert mask_region(qubit_mask({0}), within, adjacency) == qubit_mask({0, 1})
+        assert mask_region(qubit_mask({4}), within, adjacency) == qubit_mask({3, 4})
+        assert mask_region(qubit_mask({0}), qubit_mask(range(5)), adjacency) == qubit_mask(range(5))
 
 
 class TestRates:

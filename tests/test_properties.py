@@ -130,10 +130,6 @@ def test_completion_preserves_the_safe_prefix(runs):
     # Growing components and materializing the idle user never breaks a
     # pattern that was already safe.
     for instance, outcome, result in runs:
-        ranked_prefixes = [
-            safe_prefix(a, outcome.rates) for a in outcome.allocations
-            if canonicalize(a) != canonicalize(result.allocation)
-        ]
         selected_partial = None
         for allocation in outcome.allocations:
             done, _ = complete_allocation(allocation, instance.graph, outcome.sizes)
