@@ -24,10 +24,11 @@ Every generated allocation is also required to still be completable to
 exact request sizes on the platform (see :mod:`qaiccc.completion`):
 growing a user onto qubits whose complement can no longer host the other
 circuits would be withdrawn later anyway, so such branches are dropped at
-generation time.
+generation time.  That decider also refuses a disconnected component.
 
 Population and archive are insertion-ordered dicts keyed by canonical
-key, so membership, update in place and retirement are each one lookup.
+key, so membership, update in place and retirement are each one lookup;
+the store is the one final deduplicator of candidates.
 """
 
 from __future__ import annotations
@@ -128,9 +129,10 @@ def new_alloc(
     """One allocation with all of ``merged`` held by a single user, or None.
 
     Components intersecting ``merged`` are fused together with the
-    unallocated qubits of ``merged``.  The result is kept only when the
-    fused component is connected, no trust classes were mixed, and the
-    allocation is still size-feasible and completable on the platform.
+    unallocated qubits of ``merged``.  The result is kept only when no
+    trust classes were mixed and the allocation is still size-feasible
+    and completable, which the completion decider refuses for a
+    disconnected fused component; whether it is new is the store's call.
     ``fresh_trust`` names the class of the component when ``merged``
     touches no existing component.  Attributes are left at their
     defaults; they are assigned at admission time.
@@ -149,9 +151,6 @@ def new_alloc(
     fused: frozenset[int] = merged & allocation.unallocated
     for comp in touching:
         fused |= comp.qubits
-    if not graph.is_connected(fused):
-        return None
-
     kept = tuple(c for c in allocation.components if not (c.qubits & merged))
     candidate = Allocation(
         unallocated=allocation.unallocated - merged,
@@ -215,8 +214,8 @@ def connect(
             if candidate is not None:
                 results.append(candidate)
             if considered >= config.max_paths_per_connect:
-                return dedup_allocations(results)
-    return dedup_allocations(results)
+                return results
+    return results
 
 
 def alloc_unallocated(
@@ -314,11 +313,11 @@ def improve_alloc(
             if candidate is not None:
                 fresh.append(candidate)
         if fresh:
-            return dedup_allocations(fresh)
+            return fresh
         fallback: list[Allocation] = []
         for comp in allocation.components:
             fallback += connect(allocation, comp.qubits, involved, graph, sizes, config)
-        return dedup_allocations(fallback)
+        return fallback
 
     candidate = new_alloc(allocation, merge_base | involved, graph, sizes)
     return [candidate] if candidate is not None else []
@@ -351,7 +350,7 @@ def alloc_trusted(
                 allocation, frozenset(), subset, graph, sizes, config,
                 fresh_trust=Trust.TRUSTED,
             )
-    return dedup_allocations(out)
+    return out
 
 
 def _accrues_penalty(allocation: Allocation, rate: CrosstalkRate) -> bool:
@@ -507,11 +506,8 @@ def allocate(
             else:
                 candidates = alloc_unallocated(member, rate.impacted, graph, full, config)
                 candidates = alloc_impacted(candidates, rate, graph, full, config)
-                candidates = dedup_allocations(
-                    candidates
-                    + improve_alloc(member, rate, graph, full, config)
-                    + alloc_trusted(member, rate.impacting, graph, full, config)
-                )
+                candidates += improve_alloc(member, rate, graph, full, config)
+                candidates += alloc_trusted(member, rate.impacting, graph, full, config)
                 newly_archived.append(archive_alloc(member, population, archive, rate))
 
             update_population(candidates, population, archive, processed, config)

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 from .allocator import AllocationOutcome, SearchConfig, allocate
 from .completion import RequestLabel, request_slots
 from .errors import (
-    InputFileError,
     InstanceTooLargeError,
     InsufficientQubitsError,
     NoFeasibleAllocationError,
@@ -33,6 +32,7 @@ from .ingest import (
     load_platform,
     load_rates,
     load_requests,
+    rate_from_record,
     rate_to_record,
     save_rates,
     synth_rates,
@@ -54,15 +54,7 @@ EXIT_TOO_LARGE = 4
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def rate_from_record(record: Mapping) -> CrosstalkRate:
-    return CrosstalkRate(
-        float(record["score"]),
-        frozenset(record["impacting"]),
-        frozenset(record["impacted"]),
-    )
-
+# serialization (rate records are read by ``ingest.rate_from_record``)
 
 def allocation_to_dict(allocation: Allocation) -> dict:
     return {
@@ -385,9 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InsufficientQubitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_QUBITS

@@ -187,18 +187,19 @@ def _start(
     if sizes.total() != graph.vertex_count:
         return None
     adjacency = graph.adjacency_masks
-    platform = (1 << graph.vertex_count) - 1
-    free = covered = qubit_mask(allocation.unallocated)
+    free = covered = graph.mask_of(allocation.unallocated)
+    if free is None:
+        return None
     pending: list[_Pending] = []
     for comp in allocation.components:
-        mask = qubit_mask(comp.qubits)
-        if covered & mask or mask & ~platform:
+        mask = graph.mask_of(comp.qubits)
+        if mask is None or covered & mask:
             return None
         if mask_region(mask & -mask, mask, adjacency) != mask:
             return None
         covered |= mask
         pending.append((comp.trust, mask, len(comp.qubits)))
-    if covered != platform:
+    if covered.bit_count() != graph.vertex_count:
         return None
     return free, tuple(pending)
 

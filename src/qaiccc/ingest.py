@@ -106,7 +106,7 @@ def save_requests(sizes: SizeRequests, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _qubit_group(record: dict, key: str, graph: ConnectivityGraph, index: int, path) -> frozenset[int]:
+def _qubit_group(record: dict, key: str, index: int | None, path) -> frozenset[int]:
     values = record.get(key)
     if not isinstance(values, list) or not all(
         isinstance(q, int) and not isinstance(q, bool) for q in values
@@ -115,11 +115,6 @@ def _qubit_group(record: dict, key: str, graph: ConnectivityGraph, index: int, p
     group = frozenset(values)
     if len(group) != len(values):
         raise InputFileError(f"'{key}' repeats a qubit", path=path, record=index)
-    invalid = [q for q in group if not 0 <= q < graph.vertex_count]
-    if invalid:
-        raise InputFileError(
-            f"'{key}' names unknown qubits {sorted(invalid)}", path=path, record=index
-        )
     return group
 
 
@@ -133,7 +128,7 @@ def _finite_non_negative(value) -> bool:
     )
 
 
-def _resolve_score(record: dict, index: int, path) -> float:
+def _resolve_score(record: dict, index: int | None, path) -> float:
     has_score = "score" in record
     has_parts = "stochastic" in record or "hamiltonian" in record
     if has_score and has_parts:
@@ -161,12 +156,28 @@ def _resolve_score(record: dict, index: int, path) -> float:
     return composite_score(float(parts[0]), float(parts[1]))
 
 
+def rate_from_record(record, index: int | None = None, path: str | None = None) -> CrosstalkRate:
+    """One rate record, checked without a platform: qubit lists, score and shape.
+
+    Errors are :class:`InputFileError` naming ``path`` and ``index`` when given.
+    """
+    if not isinstance(record, dict):
+        raise InputFileError("record must be an object", path=path, record=index)
+    impacting = _qubit_group(record, "impacting", index, path)
+    impacted = _qubit_group(record, "impacted", index, path)
+    score = _resolve_score(record, index, path)
+    try:
+        return CrosstalkRate(score, impacting, impacted)
+    except ValueError as exc:
+        raise InputFileError(str(exc), path=path, record=index) from exc
+
+
 def load_rates(path: str | Path, graph: ConnectivityGraph) -> tuple[CrosstalkRate, ...]:
     """Parse a rates file against ``graph``, preserving file order.
 
-    Every record is validated: known qubits, a supported shape, a
-    connected qubit group, a resolvable score, and no duplicate
-    (impacting, impacted) pair.  Errors carry the record index.
+    Every record passes :func:`rate_from_record` and is then checked
+    against the platform: known qubits, a connected qubit group, and no
+    duplicate (impacting, impacted) pair.  Errors carry the record index.
     """
     data = _read_json(path)
     if not isinstance(data, list):
@@ -174,22 +185,20 @@ def load_rates(path: str | Path, graph: ConnectivityGraph) -> tuple[CrosstalkRat
     rates: list[CrosstalkRate] = []
     seen_pairs: dict[tuple, int] = {}
     for index, record in enumerate(data):
-        if not isinstance(record, dict):
-            raise InputFileError("record must be an object", path=str(path), record=index)
-        impacting = _qubit_group(record, "impacting", graph, index, str(path))
-        impacted = _qubit_group(record, "impacted", graph, index, str(path))
-        score = _resolve_score(record, index, str(path))
-        try:
-            rate = CrosstalkRate(score, impacting, impacted)
-        except ValueError as exc:
-            raise InputFileError(str(exc), path=str(path), record=index) from exc
+        rate = rate_from_record(record, index, str(path))
+        for key, group in (("impacting", rate.impacting), ("impacted", rate.impacted)):
+            invalid = [q for q in group if not 0 <= q < graph.vertex_count]
+            if invalid:
+                raise InputFileError(
+                    f"'{key}' names unknown qubits {sorted(invalid)}", path=str(path), record=index
+                )
         if not graph.is_connected(rate.involved):
             raise InputFileError(
                 f"qubit group {sorted(rate.involved)} is not connected on the platform",
                 path=str(path),
                 record=index,
             )
-        pair = (tuple(sorted(impacting)), tuple(sorted(impacted)))
+        pair = (tuple(sorted(rate.impacting)), tuple(sorted(rate.impacted)))
         if pair in seen_pairs:
             raise InputFileError(
                 f"duplicate of record {seen_pairs[pair]} (same impacting/impacted pair)",

@@ -109,20 +109,25 @@ class ConnectivityGraph:
     def neighbors(self, qubit: int) -> tuple[int, ...]:
         return self._adjacency[qubit]
 
+    def mask_of(self, qubits: Iterable[int]) -> int | None:
+        """Bitmask of ``qubits``, or None when one lies outside ``0..vertex_count-1``.
+
+        The searches check a qubit group against the platform only here.
+        """
+        mask = 0
+        for q in qubits:
+            if not 0 <= q < self.vertex_count:
+                return None
+            mask |= 1 << q
+        return mask
+
     def is_connected(self, qubits: Iterable[int]) -> bool:
         """True when ``qubits`` induces a connected subgraph (or is empty).
 
         A set naming a qubit outside ``0..vertex_count-1`` is not connected.
         """
-        group = frozenset(qubits)
-        if not group:
-            return True
-        if min(group) < 0:
-            return False
-        mask = qubit_mask(group)
-        if mask >> self.vertex_count:
-            return False
-        return mask_region(mask & -mask, mask, self.adjacency_masks) == mask
+        mask = self.mask_of(qubits)
+        return mask is not None and mask_region(mask & -mask, mask, self.adjacency_masks) == mask
 
 
 @dataclass(frozen=True)
@@ -249,11 +254,6 @@ class Allocation:
     def components_of(self, trust: Trust) -> tuple[UserComponent, ...]:
         return tuple(c for c in self.components if c.trust is trust)
 
-    def allocated(self) -> frozenset[int]:
-        out: set[int] = set()
-        for comp in self.components:
-            out |= comp.qubits
-        return frozenset(out)
 
 def canonicalize(allocation: Allocation) -> CanonicalKey:
     """Total-order normal form of an allocation's structure.

@@ -213,6 +213,47 @@ class TestConnectMatchesTheReference:
         assert checked_calls.count(False) > 100
 
 
+class TestImproveAllocHandsOnDistinctStructures:
+    """``improve_alloc`` needs no deduplication of its own.
+
+    Its fresh candidates differ in trust and its fallback candidates in
+    which component grows, so no two share a canonical key.
+    """
+
+    @pytest.fixture
+    def result_lengths(self, monkeypatch):
+        lengths = []
+
+        def checking(allocation, rate, graph, sizes, config):
+            result = improve_alloc(allocation, rate, graph, sizes, config)
+            assert len(keys(result)) == len(result)
+            lengths.append(len(result))
+            return result
+
+        monkeypatch.setattr(allocator_module, "improve_alloc", checking)
+        return lengths
+
+    def test_every_call_on_the_demo(self, result_lengths, demo_graph, demo_sizes, demo_rates):
+        allocate(demo_graph, demo_sizes, demo_rates)
+        assert result_lengths
+
+    def test_every_call_on_the_family(self, result_lengths, family):
+        for instance in family:
+            allocate(instance.graph, instance.sizes, instance.rates)
+        assert len(result_lengths) > 400
+        assert any(length >= 2 for length in result_lengths)
+
+    def test_fresh_candidates_of_both_trusts_are_distinct(self, demo_graph):
+        sizes = SizeRequests(trusted=(2,), untrusted=(3,))
+        rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
+        results = improve_alloc(build(5), rate, demo_graph, sizes, CFG)
+        assert keys(results) == {
+            structure([3, 4], trust=Trust.TRUSTED),
+            structure([3, 4], trust=Trust.UNTRUSTED),
+        }
+        assert len(results) == 2
+
+
 @st.composite
 def connect_cases(draw):
     """A connected platform of at most 8 qubits, a partial allocation and one join."""

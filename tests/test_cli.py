@@ -15,7 +15,9 @@ from qaiccc.cli import (
     REPORT_SCHEMA,
     RunReport,
     main,
+    rate_from_record,
 )
+from qaiccc.errors import InputFileError
 
 PLATFORM = {"qubits": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}
 REQUESTS = {"trusted": [], "untrusted": [2, 3]}
@@ -138,6 +140,28 @@ class TestAllocateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["schema"] == REPORT_SCHEMA
         assert "timings" in report
+
+
+class TestReportRateRecords:
+    """Rate records read back from a report pass ingest's record checks."""
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"score": True, "impacting": [3, 4], "impacted": [2]}, "'score' must be a finite"),
+            ({"score": 0.0027, "impacting": "01", "impacted": [2]}, "'impacting' must be a list"),
+            ({"score": 0.0027, "impacting": [3, 4], "impacted": [2, 2]}, "'impacted' repeats"),
+        ],
+    )
+    def test_malformed_record_is_refused(self, files, tmp_path, record, message):
+        with pytest.raises(InputFileError, match=message):
+            rate_from_record(record)
+        out = tmp_path / "report.json"
+        assert run_allocate(files, "--no-timings", "--output", str(out)) == EXIT_OK
+        data = json.loads(out.read_text(encoding="utf-8"))
+        data["worklist"] = [record]
+        with pytest.raises(InputFileError, match=message):
+            RunReport.from_dict(data)
 
 
 class TestOracleCommand:

@@ -7,7 +7,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qaiccc import (
@@ -134,12 +134,71 @@ def test_trust_classes_do_not_mix(demo_graph):
         Allocation(unallocated=frozenset({0, 1}), components=(u(2, 3),)),  # qubit 4 missing
         Allocation(unallocated=frozenset({0, 1, 2}), components=(u(3, 4, 5),)),  # unknown qubit
         Allocation(unallocated=frozenset(range(5)), components=(u(5),)),  # unknown qubit
+        Allocation(unallocated=frozenset(range(5)), components=(u(-1),)),  # negative qubit
+        Allocation(unallocated=frozenset({0, 1, 2, -3}), components=(u(3, 4),)),  # negative
     ],
 )
 def test_malformed_partials_never_complete(demo_graph, allocation):
     sizes = SizeRequests(untrusted=(2, 3))
     assert not can_complete(allocation, demo_graph, sizes)
     assert complete_allocation(allocation, demo_graph, sizes) is None
+
+
+@st.composite
+def stray_partials(draw):
+    """A connected platform of at most 6 qubits, full requests and a partial over ``-2..n+1``.
+
+    Every qubit of ``-2..n+1`` is left out, left unallocated or given to
+    one of up to three components.  Half the draws keep to the platform
+    qubits and cover each once; the rest may also leave platform qubits
+    out, name unknown or negative ones, and add a qubit to a second group.
+    """
+    n = draw(st.integers(1, 6))
+    edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
+    graph = ConnectivityGraph(n, frozenset(edges))
+    requested = draw(st.lists(st.tuples(st.booleans(), st.integers(1, n)), max_size=3))
+    trusted = tuple(s for is_trusted, s in requested if is_trusted)
+    untrusted = tuple(s for is_trusted, s in requested if not is_trusted)
+    sizes = SizeRequests(trusted=trusted, untrusted=untrusted)
+    if sizes.total() > n:
+        sizes = SizeRequests()
+
+    span = range(-2, n + 2)
+    owners = draw(st.lists(st.integers(-1, 3), min_size=len(span), max_size=len(span)))
+    well_formed = draw(st.booleans())
+    if well_formed:
+        owners = [max(o, 0) if 0 <= q < n else -1 for q, o in zip(span, owners)]
+    groups: dict[int, set[int]] = {}
+    for q, owner in zip(span, owners):
+        if owner >= 0:
+            groups.setdefault(owner, set()).add(q)
+    if not well_formed and groups:
+        extra = draw(st.lists(st.tuples(st.sampled_from(span), st.sampled_from(sorted(groups)))))
+        for q, owner in extra:
+            groups[owner].add(q)
+    components = tuple(
+        UserComponent(draw(st.sampled_from(list(Trust))), frozenset(qubits))
+        for owner, qubits in sorted(groups.items())
+        if owner > 0
+    )
+    partial = Allocation(unallocated=frozenset(groups.get(0, ())), components=components)
+    return graph, update_sizes(n, sizes), partial
+
+
+LINE4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(stray_partials())
+@example((LINE4, SizeRequests(untrusted=(4,)), Allocation(frozenset(range(4)), (u(-1),))))
+@example((LINE4, SizeRequests(untrusted=(4,)), Allocation(frozenset({0, 1, 2, -3}))))
+def test_partials_naming_stray_qubits_never_complete(case):
+    graph, sizes, partial = case
+    decided = can_complete(partial, graph, sizes)
+    result = complete_allocation(partial, graph, sizes)
+    assert (result is not None) is decided
+    if validate_allocation(partial, graph):
+        assert not decided
 
 
 # --- the bitmask primitive against brute force ------------------------------
