@@ -9,26 +9,24 @@ when several parties hold the rate's qubits, additionally spawns
 single-owner merge candidates.  The loop stops early once the population
 empties, since nothing new can be generated from an empty population.
 
-Candidates enter the population only if they are structurally new (by
-canonical key, so one structure never carries two attribute sets) and
-safe for *every* rate handled so far, re-verified from scratch: a repair
-may allocate a connector qubit that an earlier rate cares about, so
-safety for the earlier prefix cannot be assumed.  Admission recomputes
+Every generated candidate must still be completable to exact request
+sizes (see :mod:`qaiccc.completion`): growing a user onto qubits whose
+complement cannot host the other circuits would be withdrawn later
+anyway.  That decider also refuses every size-infeasible candidate.
+Candidates enter the population only if they are structurally new (one
+structure never carries two attribute sets) and safe for *every* rate
+handled so far, re-verified from scratch, since a repair may allocate a
+connector qubit an earlier rate cares about.  Admission recomputes
 score, penalty, and incidental by replaying the handled prefix against
-the candidate's own structure, which keeps the bookkeeping consistent
-with the structure the candidate actually has (a repair that absorbs a
-previously unallocated involved qubit no longer deserves the parent's
-penalty for it).
+the candidate's own structure.
 
-Every generated allocation is also required to still be completable to
-exact request sizes on the platform (see :mod:`qaiccc.completion`):
-growing a user onto qubits whose complement can no longer host the other
-circuits would be withdrawn later anyway, so such branches are dropped at
-generation time.  That decider also refuses a disconnected component.
-
-Population and archive are insertion-ordered dicts keyed by canonical
-key, so membership, update in place and retirement are each one lookup;
-the store is the one final deduplicator of candidates.
+The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
+each its own structural key.  The repair operators take and return
+states, and :func:`new_alloc` asks the decider about each distinct state
+once, through a memo dict owned by one :func:`allocate` call.  Population
+and archive are insertion-ordered dicts keyed by state, and this store is
+the one final deduplicator of candidates.  An :class:`Allocation` is
+built only for a state in neither, right before its admission replay.
 """
 
 from __future__ import annotations
@@ -36,28 +34,31 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .completion import can_complete, connected_supersets
+# ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
+# longer called here; they stay bound because the benchmark's tracer
+# (bench/spans.py) wraps names at this import site.
+from .completion import can_complete, connected_supersets, decide  # noqa: F401
 from .errors import InsufficientQubitsError
-from .model import (
+from .model import (  # noqa: F401
     Allocation,
-    CanonicalKey,
     ConnectivityGraph,
     CrosstalkRate,
+    SearchState,
     SizeRequests,
     Trust,
-    UserComponent,
+    allocation_of,
     canonicalize,
+    component_order,
     dedup_allocations,
-    mask_qubits,
     mask_region,
     qubit_mask,
     sort_rates,
+    state_of,
 )
 from .safety import involved_parties, is_safe
-from .sizing import allocation_feasible, remain
+from .sizing import allocation_feasible, remain  # noqa: F401
 
 log = logging.getLogger("qaiccc.allocator")
 
@@ -105,75 +106,59 @@ def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
     return replace(sizes, idle_size=vertex_count - total)
 
 
-def _allocation_from_key(key: CanonicalKey) -> Allocation:
-    unallocated, components = key
-    return Allocation(
-        unallocated=frozenset(unallocated),
-        components=tuple(UserComponent(Trust(t), frozenset(qs)) for t, qs in components),
-    )
-
-
-@lru_cache(maxsize=200_000)
-def _completable(key: CanonicalKey, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
-    return can_complete(_allocation_from_key(key), graph, sizes)
-
-
 def new_alloc(
-    allocation: Allocation,
-    merged: frozenset[int],
+    state: SearchState,
+    merged: int,
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     *,
     fresh_trust: Trust | None = None,
-) -> Allocation | None:
-    """One allocation with all of ``merged`` held by a single user, or None.
+    memo: dict[SearchState, bool] | None = None,
+) -> SearchState | None:
+    """The state with all of the ``merged`` mask held by a single user, or None.
 
     Components intersecting ``merged`` are fused together with the
     unallocated qubits of ``merged``.  The result is kept only when no
-    trust classes were mixed and the allocation is still size-feasible
-    and completable, which the completion decider refuses for a
-    disconnected fused component; whether it is new is the store's call.
+    trust classes were mixed, the fused component is connected and the
+    completion decider accepts the state, which also refuses every
+    size-infeasible one; whether it is new is the store's call.
     ``fresh_trust`` names the class of the component when ``merged``
-    touches no existing component.  Attributes are left at their
-    defaults; they are assigned at admission time.
+    touches no existing component.  ``memo`` keeps the verdict per state
+    for the rest of one :func:`allocate` call.
     """
-    touching = [c for c in allocation.components if c.qubits & merged]
-    trusts = {c.trust for c in touching}
-    if len(trusts) > 1:
-        return None
-    if touching:
-        trust = touching[0].trust
-    elif fresh_trust is not None:
-        trust = fresh_trust
-    else:
+    free, components = state
+    touching = [c for c in components if c[1] & merged]
+    trust = touching[0][0] if touching else fresh_trust
+    if trust is None or any(c[0] is not trust for c in touching):
         return None
 
-    fused: frozenset[int] = merged & allocation.unallocated
-    for comp in touching:
-        fused |= comp.qubits
-    kept = tuple(c for c in allocation.components if not (c.qubits & merged))
-    candidate = Allocation(
-        unallocated=allocation.unallocated - merged,
-        components=kept + (UserComponent(trust, fused),),
-    )
-    if not allocation_feasible(candidate, sizes):
-        return None
-    if not _completable(canonicalize(candidate), graph, sizes):
-        return None
-    return candidate
+    fused = merged & free
+    for _, mask, _ in touching:
+        fused |= mask
+    kept = [c for c in components if not c[1] & merged]
+    kept.append((trust, fused, fused.bit_count()))
+    candidate = (free & ~merged, tuple(sorted(kept, key=component_order)))
+    if memo is None:
+        memo = {}
+    verdict = memo.get(candidate)
+    if verdict is None:
+        connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
+        verdict = memo[candidate] = connected and decide(*candidate, graph, sizes)
+    return candidate if verdict else None
 
 
 def connect(
-    allocation: Allocation,
-    user: frozenset[int],
-    incoming: frozenset[int],
+    state: SearchState,
+    user: int,
+    incoming: int,
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
     *,
     fresh_trust: Trust | None = None,
-) -> list[Allocation]:
-    """Ways of joining ``incoming`` to ``user`` through unallocated connectors.
+    memo: dict[SearchState, bool] | None = None,
+) -> list[SearchState]:
+    """Ways of joining the ``incoming`` mask to the ``user`` mask through unallocated connectors.
 
     The connector budget comes from the user's growth allowance under
     size feasibility, minus the incoming qubits themselves; a negative
@@ -183,24 +168,24 @@ def connect(
     many connectors, in ascending qubit order (the order of
     ``itertools.combinations`` over the sorted connector pool).  The
     first ``config.max_paths_per_connect`` regions in that order are each
-    handed to :func:`new_alloc`.  With ``user`` empty the regions become
-    a fresh component of class ``fresh_trust``.
+    handed to :func:`new_alloc`.  With ``user`` empty (0) the regions
+    become a fresh component of class ``fresh_trust``.
     """
-    budget = remain(user, allocation, sizes, fresh_trust=fresh_trust)
-    max_len = budget - len(incoming - user)
+    budget = remain(user, state, sizes, fresh_trust=fresh_trust)
+    max_len = budget - (incoming & ~user).bit_count()
     if max_len < 0:
         return []
 
     adjacency = graph.adjacency_masks
-    base = qubit_mask(user | incoming)
-    available = qubit_mask(allocation.unallocated) & ~base
+    base = user | incoming
+    available = state[0] & ~base
     # Every region lies in the part of ``base | available`` that base's
     # lowest qubit reaches, and must hold all of ``base``.
     reach = mask_region(base & -base, base | available, adjacency)
     largest = reach.bit_count() if not base & ~reach else 0
     first = base.bit_count()
     width = graph.vertex_count
-    results: list[Allocation] = []
+    results: list[SearchState] = []
     considered = 0
     for size in range(first, min(first + max_len, largest) + 1):
         regions = connected_supersets(base, size, available, adjacency)
@@ -208,9 +193,7 @@ def connect(
         # two regions differ belongs to the earlier one.
         for region in sorted(regions, key=lambda m: f"{m:0{width}b}"[::-1], reverse=True):
             considered += 1
-            candidate = new_alloc(
-                allocation, mask_qubits(region), graph, sizes, fresh_trust=fresh_trust
-            )
+            candidate = new_alloc(state, region, graph, sizes, fresh_trust=fresh_trust, memo=memo)
             if candidate is not None:
                 results.append(candidate)
             if considered >= config.max_paths_per_connect:
@@ -219,12 +202,14 @@ def connect(
 
 
 def alloc_unallocated(
-    allocation: Allocation,
+    state: SearchState,
     impacted: frozenset[int],
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
-) -> list[Allocation]:
+    *,
+    memo: dict[SearchState, bool] | None = None,
+) -> list[SearchState]:
     """Allocate every unallocated impacted qubit, branching over owners.
 
     Each unallocated impacted qubit is attached either to one of the
@@ -233,31 +218,33 @@ def alloc_unallocated(
     through unchanged.  Qubits are handled in ascending order, each stage
     feeding the next.
     """
-    current = [allocation]
+    current = [state]
     for qubit in sorted(impacted):
-        staged: list[Allocation] = []
+        target = 1 << qubit
+        staged: list[SearchState] = []
         for alloc in current:
-            if qubit not in alloc.unallocated:
+            if not alloc[0] & target:
                 staged.append(alloc)
                 continue
-            target = frozenset({qubit})
-            for comp in alloc.components:
-                staged += connect(alloc, comp.qubits, target, graph, sizes, config)
+            for _, mask, _ in alloc[1]:
+                staged += connect(alloc, mask, target, graph, sizes, config, memo=memo)
             for trust in _TRUST_ORDER:
                 staged += connect(
-                    alloc, frozenset(), target, graph, sizes, config, fresh_trust=trust
+                    alloc, 0, target, graph, sizes, config, fresh_trust=trust, memo=memo
                 )
-        current = dedup_allocations(staged)
+        current = list(dict.fromkeys(staged))
     return current
 
 
 def alloc_impacted(
-    candidates: Iterable[Allocation],
+    candidates: Iterable[SearchState],
     rate: CrosstalkRate,
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
-) -> list[Allocation]:
+    *,
+    memo: dict[SearchState, bool] | None = None,
+) -> list[SearchState]:
     """Give every impacted user control of an impacting qubit.
 
     For each impacted qubit, its owner either receives an unallocated
@@ -265,33 +252,34 @@ def alloc_impacted(
     allocated one.  Candidates must not have unallocated impacted qubits
     (run :func:`alloc_unallocated` first).
     """
+    picks = [1 << q for q in sorted(rate.impacting)]
     current = list(candidates)
     for impacted_qubit in sorted(rate.impacted):
-        staged: list[Allocation] = []
+        staged: list[SearchState] = []
         for alloc in current:
-            owner = alloc.owner_of(impacted_qubit)
-            if owner is None:
+            free, components = alloc
+            owner = next((m for _, m, _ in components if m >> impacted_qubit & 1), 0)
+            if not owner:
                 raise ValueError(
                     f"impacted qubit {impacted_qubit} is unallocated; "
                     "allocate impacted qubits before assigning control"
                 )
-            for impacting_qubit in sorted(rate.impacting):
-                if impacting_qubit in alloc.unallocated:
-                    target = frozenset({impacting_qubit})
-                else:
-                    target = alloc.owner_of(impacting_qubit).qubits
-                staged += connect(alloc, owner.qubits, target, graph, sizes, config)
-        current = dedup_allocations(staged)
+            for pick in picks:
+                target = pick if free & pick else next(m for _, m, _ in components if m & pick)
+                staged += connect(alloc, owner, target, graph, sizes, config, memo=memo)
+        current = list(dict.fromkeys(staged))
     return current
 
 
 def improve_alloc(
-    allocation: Allocation,
+    state: SearchState,
     rate: CrosstalkRate,
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
-) -> list[Allocation]:
+    *,
+    memo: dict[SearchState, bool] | None = None,
+) -> list[SearchState]:
     """Single-owner variants for the rate's qubits.
 
     When none of the involved qubits is allocated yet they become a fresh
@@ -299,64 +287,55 @@ def improve_alloc(
     no fresh request fits); otherwise the owners of the involved qubits
     are merged into one component together with the involved qubits.
     """
-    involved = rate.involved
-    merge_base: frozenset[int] = frozenset()
-    for qubit in sorted(involved):
-        owner = allocation.owner_of(qubit)
-        if owner is not None:
-            merge_base |= owner.qubits
+    involved = qubit_mask(rate.involved)
+    merge_base = sum(mask for _, mask, _ in state[1] if mask & involved)  # disjoint masks
 
     if not merge_base:
-        fresh: list[Allocation] = []
-        for trust in _TRUST_ORDER:
-            candidate = new_alloc(allocation, involved, graph, sizes, fresh_trust=trust)
-            if candidate is not None:
-                fresh.append(candidate)
+        fresh = [
+            candidate
+            for trust in _TRUST_ORDER
+            if (candidate := new_alloc(state, involved, graph, sizes, fresh_trust=trust, memo=memo))
+        ]
         if fresh:
             return fresh
-        fallback: list[Allocation] = []
-        for comp in allocation.components:
-            fallback += connect(allocation, comp.qubits, involved, graph, sizes, config)
+        fallback: list[SearchState] = []
+        for _, mask, _ in state[1]:
+            fallback += connect(state, mask, involved, graph, sizes, config, memo=memo)
         return fallback
 
-    candidate = new_alloc(allocation, merge_base | involved, graph, sizes)
+    candidate = new_alloc(state, merge_base | involved, graph, sizes, memo=memo)
     return [candidate] if candidate is not None else []
 
 
 def alloc_trusted(
-    allocation: Allocation,
+    state: SearchState,
     impacting: frozenset[int],
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
-) -> list[Allocation]:
+    *,
+    memo: dict[SearchState, bool] | None = None,
+) -> list[SearchState]:
     """Hand unallocated impacting qubits to trusted users.
 
     Branches over every non-empty subset of the free impacting qubits,
-    attaching it to each trusted component that would end up holding an
-    impacting qubit, or starting a fresh trusted component when a trusted
-    request is still unassigned.  Without any trusted capacity this never
-    generates anything.
+    attaching it to each trusted component, or starting a fresh trusted
+    component when a trusted request is still unassigned.  Without any
+    trusted capacity this never generates anything.
     """
-    free = sorted(impacting & allocation.unallocated)
-    out: list[Allocation] = []
-    for length in range(1, len(free) + 1):
-        for combo in itertools.combinations(free, length):
-            subset = frozenset(combo)
-            for comp in allocation.components_of(Trust.TRUSTED):
-                if impacting & (comp.qubits | subset):
-                    out += connect(allocation, comp.qubits, subset, graph, sizes, config)
+    free, components = state
+    pool = [q for q in sorted(impacting) if free >> q & 1]
+    out: list[SearchState] = []
+    for length in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, length):
+            subset = qubit_mask(combo)
+            for trust, mask, _ in components:
+                if trust is Trust.TRUSTED:
+                    out += connect(state, mask, subset, graph, sizes, config, memo=memo)
             out += connect(
-                allocation, frozenset(), subset, graph, sizes, config,
-                fresh_trust=Trust.TRUSTED,
+                state, 0, subset, graph, sizes, config, fresh_trust=Trust.TRUSTED, memo=memo
             )
     return out
-
-
-def _accrues_penalty(allocation: Allocation, rate: CrosstalkRate) -> bool:
-    # Penalty tracks the incidental crosstalk a future tenant could join in
-    # on: it accrues exactly when an involved qubit is still unallocated.
-    return bool(rate.involved & allocation.unallocated)
 
 
 def eval_alloc(allocation: Allocation, rate: CrosstalkRate) -> Allocation:
@@ -368,7 +347,8 @@ def eval_alloc(allocation: Allocation, rate: CrosstalkRate) -> Allocation:
     """
     penalty = allocation.penalty
     incidental = allocation.incidental
-    if _accrues_penalty(allocation, rate):
+    # Penalty tracks the incidental crosstalk a future tenant could join in on.
+    if rate.involved & allocation.unallocated:
         penalty = penalty + rate.score
         incidental = incidental + (rate,)
     return replace(allocation, score=rate.score, penalty=penalty, incidental=incidental)
@@ -392,8 +372,8 @@ def replay_attributes(
 
 def archive_alloc(
     member: Allocation,
-    population: dict[CanonicalKey, Allocation],
-    archive: dict[CanonicalKey, Allocation],
+    population: dict[SearchState, Allocation],
+    archive: dict[SearchState, Allocation],
     rate: CrosstalkRate,
 ) -> Allocation:
     """Retire ``member``: record the rate it fell at and move it to the archive.
@@ -401,7 +381,7 @@ def archive_alloc(
     Only population members are investigated by later iterations, so the
     retired allocation's attributes are frozen from here on.
     """
-    key = canonicalize(member)
+    key = state_of(member)
     if key not in population:
         raise ValueError("member is not in the population")
     retired = replace(population.pop(key), last_rate=rate)
@@ -410,33 +390,36 @@ def archive_alloc(
 
 
 def update_population(
-    candidates: Iterable[Allocation],
-    population: dict[CanonicalKey, Allocation],
-    archive: dict[CanonicalKey, Allocation],
+    candidates: Iterable[SearchState],
+    population: dict[SearchState, Allocation],
+    archive: dict[SearchState, Allocation],
     processed: Sequence[CrosstalkRate],
     config: SearchConfig,
 ) -> list[Allocation]:
-    """Admit candidates into ``population`` (mutated in place).
+    """Admit candidate states into ``population`` (mutated in place).
 
-    A candidate enters only when its structure is absent from population
-    and archive alike (one structure must never carry two attribute sets)
-    and when it is safe for every rate in ``processed``; admission
-    assigns its attributes by replaying that prefix.  When the population
-    cap is exceeded the worst members by (score, penalty) are dropped.
-    Returns the members actually admitted.
+    A candidate enters only when its state is absent from population and
+    archive alike (one structure must never carry two attribute sets)
+    and when it is safe for every rate in ``processed``; admission builds
+    its :class:`Allocation` and assigns the attributes by replaying that
+    prefix.  When the population cap is exceeded the worst members by
+    (score, penalty, canonical key) are dropped.  Returns the members
+    actually admitted.
     """
     admitted: list[Allocation] = []
-    for candidate in candidates:
-        key = canonicalize(candidate)
-        if key in population or key in archive:
+    for state in candidates:
+        if state in population or state in archive:
             continue
-        member = replay_attributes(candidate, processed)
+        member = replay_attributes(allocation_of(state), processed)
         if member is None:
             continue
-        population[key] = member
+        population[state] = member
         admitted.append(member)
     if config.max_population is not None and len(population) > config.max_population:
-        ranked = sorted(population.items(), key=lambda kv: (-kv[1].score, -kv[1].penalty, kv[0]))
+        ranked = sorted(
+            population.items(),
+            key=lambda kv: (-kv[1].score, -kv[1].penalty, canonicalize(kv[1])),
+        )
         for key, _ in ranked[: len(population) - config.max_population]:
             del population[key]
     return admitted
@@ -485,8 +468,9 @@ def allocate(
     initial_score = (max((r.score for r in ordered), default=0.0)) + 1.0
 
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
-    population: dict[CanonicalKey, Allocation] = {canonicalize(initial): initial}
-    archive: dict[CanonicalKey, Allocation] = {}
+    population: dict[SearchState, Allocation] = {state_of(initial): initial}
+    archive: dict[SearchState, Allocation] = {}
+    memo: dict[SearchState, bool] = {}
     steps: list[RateStep] = []
     halted = False
 
@@ -498,16 +482,16 @@ def allocate(
             if member is None:  # pruned away earlier in this rate
                 continue
 
-            candidates: list[Allocation] = []
+            candidates: list[SearchState] = []
             if is_safe(member, rate).safe:
                 if involved_parties(member, rate) >= 2:
-                    candidates = improve_alloc(member, rate, graph, full, config)
+                    candidates = improve_alloc(key, rate, graph, full, config, memo=memo)
                 population[key] = eval_alloc(member, rate)
             else:
-                candidates = alloc_unallocated(member, rate.impacted, graph, full, config)
-                candidates = alloc_impacted(candidates, rate, graph, full, config)
-                candidates += improve_alloc(member, rate, graph, full, config)
-                candidates += alloc_trusted(member, rate.impacting, graph, full, config)
+                candidates = alloc_unallocated(key, rate.impacted, graph, full, config, memo=memo)
+                candidates = alloc_impacted(candidates, rate, graph, full, config, memo=memo)
+                candidates += improve_alloc(key, rate, graph, full, config, memo=memo)
+                candidates += alloc_trusted(key, rate.impacting, graph, full, config, memo=memo)
                 newly_archived.append(archive_alloc(member, population, archive, rate))
 
             update_population(candidates, population, archive, processed, config)

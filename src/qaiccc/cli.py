@@ -23,12 +23,15 @@ from typing import Mapping, Sequence
 from .allocator import AllocationOutcome, SearchConfig, allocate
 from .completion import RequestLabel, request_slots
 from .errors import (
+    InputFileError,
     InstanceTooLargeError,
     InsufficientQubitsError,
     NoFeasibleAllocationError,
     QaicccError,
 )
 from .ingest import (
+    finite_number,
+    integer_list,
     load_platform,
     load_rates,
     load_requests,
@@ -39,7 +42,9 @@ from .ingest import (
 )
 from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
 from .oracle import DEFAULT_ENUMERATION_CAP, OracleReport, oracle_report
-from .selection import SelectionResult, rank, select
+# ``rank`` is not called here (``select`` returns its ranking); it stays
+# bound because the benchmark's tracer (bench/spans.py) wraps it here.
+from .selection import SelectionResult, rank, select  # noqa: F401
 
 log = logging.getLogger("qaiccc.cli")
 
@@ -54,7 +59,32 @@ EXIT_TOO_LARGE = 4
 
 
 # ---------------------------------------------------------------------------
-# serialization (rate records are read by ``ingest.rate_from_record``)
+# serialization.  Each record kind has one checked reader (rate records:
+# ``ingest.rate_from_record``); a malformed field raises InputFileError
+# naming it, e.g. ``'ranking[3].components[0].qubits' repeats a qubit``.
+
+_TRUST_VALUES = tuple(t.value for t in Trust)
+
+
+def _field(data, key: str, where: str, kind: type | None = None):
+    """``data[key]`` of the object at ``where``, refused unless it is a ``kind``."""
+    if not isinstance(data, Mapping) or key not in data:
+        raise InputFileError(f"'{where}' must be an object with '{key}'")
+    if kind is not None and not isinstance(data[key], kind):
+        raise InputFileError(f"'{where}.{key}' must be a {kind.__name__}")
+    return data[key]
+
+
+def _integer(data, key: str, where: str, *, optional: bool = False) -> int | None:
+    value = _field(data, key, where)
+    if (value is not None or not optional) and type(value) is not int:
+        raise InputFileError(f"'{where}.{key}' must be an integer{' or null' if optional else ''}")
+    return value
+
+
+def _qubits(value, name: str) -> frozenset[int]:
+    return frozenset(integer_list(value, name, distinct=True))
+
 
 def allocation_to_dict(allocation: Allocation) -> dict:
     return {
@@ -70,17 +100,28 @@ def allocation_to_dict(allocation: Allocation) -> dict:
     }
 
 
-def allocation_from_dict(data: Mapping) -> Allocation:
+def allocation_from_dict(data: Mapping, where: str = "allocation") -> Allocation:
+    """One report allocation; errors name the offending field under ``where``."""
+    components = []
+    for i, comp in enumerate(_field(data, "components", where, list)):
+        at = f"{where}.components[{i}]"
+        if _field(comp, "trust", at) not in _TRUST_VALUES:
+            raise InputFileError(f"'{at}.trust' must be one of {', '.join(_TRUST_VALUES)}")
+        qubits = _qubits(_field(comp, "qubits", at), f"{at}.qubits")
+        if not qubits:
+            raise InputFileError(f"'{at}.qubits' is empty")
+        components.append(UserComponent(Trust(comp["trust"]), qubits))
+    incidental = _field(data, "incidental", where, list)
+    last_rate = _field(data, "last_rate", where)
     return Allocation(
-        unallocated=frozenset(data["unallocated"]),
-        components=tuple(
-            UserComponent(Trust(c["trust"]), frozenset(c["qubits"]))
-            for c in data["components"]
+        unallocated=_qubits(_field(data, "unallocated", where), f"{where}.unallocated"),
+        components=tuple(components),
+        score=finite_number(_field(data, "score", where), f"{where}.score"),
+        penalty=finite_number(_field(data, "penalty", where), f"{where}.penalty"),
+        incidental=tuple(
+            rate_from_record(r, i, f"{where}.incidental") for i, r in enumerate(incidental)
         ),
-        score=float(data["score"]),
-        penalty=float(data["penalty"]),
-        incidental=tuple(rate_from_record(r) for r in data["incidental"]),
-        last_rate=rate_from_record(data["last_rate"]) if data["last_rate"] else None,
+        last_rate=rate_from_record(last_rate, path=f"{where}.last_rate") if last_rate else None,
     )
 
 
@@ -94,25 +135,23 @@ def _assignment_to_dict(
     }
 
 
-def _assignment_from_dict(data: Mapping) -> dict[RequestLabel, frozenset[int]]:
+def _assignment_from_dict(data: Mapping, where: str) -> dict[RequestLabel, frozenset[int]]:
     out: dict[RequestLabel, frozenset[int]] = {}
-    for i, qubits in enumerate(data["trusted"]):
-        out[("trusted", i)] = frozenset(qubits)
-    for i, qubits in enumerate(data["untrusted"]):
-        out[("untrusted", i)] = frozenset(qubits)
+    for kind in ("trusted", "untrusted"):
+        for i, qubits in enumerate(_field(data, kind, where, list)):
+            out[(kind, i)] = _qubits(qubits, f"{where}.{kind}[{i}]")
     if data.get("idle") is not None:
-        out[("idle", 0)] = frozenset(data["idle"])
+        out[("idle", 0)] = _qubits(data["idle"], f"{where}.idle")
     return out
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-readable result of one allocate run."""
+    """Machine-readable result of one allocate run; the ranking rides on ``selected``."""
 
     sizes: SizeRequests
     config: SearchConfig
     selected: SelectionResult
-    ranking: tuple[Allocation, ...]
     timings: Mapping[str, float] | None
 
     def to_dict(self) -> dict:
@@ -132,7 +171,7 @@ class RunReport:
                 "assignment": _assignment_to_dict(self.selected.assignment, self.sizes),
             },
             "worklist": [rate_to_record(r) for r in self.selected.worklist],
-            "ranking": [allocation_to_dict(a) for a in self.ranking],
+            "ranking": [allocation_to_dict(a) for a in self.selected.ranking],
         }
         if self.timings is not None:
             payload["timings"] = dict(self.timings)
@@ -142,23 +181,36 @@ class RunReport:
     def from_dict(cls, data: Mapping) -> "RunReport":
         if data.get("schema") != REPORT_SCHEMA:
             raise ValueError(f"unsupported report schema {data.get('schema')!r}")
-        sizes = SizeRequests(
-            trusted=tuple(data["requests"]["trusted"]),
-            untrusted=tuple(data["requests"]["untrusted"]),
-            idle_size=data["requests"]["idle"],
+        requests, config, selected = (
+            _field(data, key, "report") for key in ("requests", "config", "selected")
         )
-        config = SearchConfig(
-            max_population=data["config"]["max_population"],
-            max_paths_per_connect=data["config"]["max_paths_per_connect"],
-        )
+        try:
+            sizes = SizeRequests(
+                trusted=integer_list(_field(requests, "trusted", "requests"), "requests.trusted"),
+                untrusted=integer_list(_field(requests, "untrusted", "requests"), "requests.untrusted"),
+                idle_size=_integer(requests, "idle", "requests", optional=True),
+            )
+            config = SearchConfig(
+                max_population=_integer(config, "max_population", "config", optional=True),
+                max_paths_per_connect=_integer(config, "max_paths_per_connect", "config"),
+            )
+        except ValueError as exc:
+            raise InputFileError(str(exc)) from exc
+        worklist = _field(data, "worklist", "report", list)
         selected = SelectionResult(
-            allocation=allocation_from_dict(data["selected"]["allocation"]),
-            assignment=_assignment_from_dict(data["selected"]["assignment"]),
-            worklist=tuple(rate_from_record(r) for r in data["worklist"]),
+            allocation=allocation_from_dict(
+                _field(selected, "allocation", "selected"), "selected.allocation"
+            ),
+            assignment=_assignment_from_dict(
+                _field(selected, "assignment", "selected"), "selected.assignment"
+            ),
+            worklist=tuple(rate_from_record(r, i, "worklist") for i, r in enumerate(worklist)),
+            ranking=tuple(
+                allocation_from_dict(a, f"ranking[{i}]")
+                for i, a in enumerate(_field(data, "ranking", "report", list))
+            ),
         )
-        ranking = tuple(allocation_from_dict(a) for a in data["ranking"])
-        timings = data.get("timings")
-        return cls(sizes=sizes, config=config, selected=selected, ranking=ranking, timings=timings)
+        return cls(sizes=sizes, config=config, selected=selected, timings=data.get("timings"))
 
 
 def oracle_report_to_dict(report: OracleReport, cap: int) -> dict:
@@ -233,8 +285,8 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     lines.append(f"noise worklist ({len(selected.worklist)}):")
     for rate in selected.worklist:
         lines.append(f"  {format_rate(rate)}")
-    lines.append(f"ranking ({len(report.ranking)}):")
-    for position, allocation in enumerate(report.ranking, start=1):
+    lines.append(f"ranking ({len(selected.ranking)}):")
+    for position, allocation in enumerate(selected.ranking, start=1):
         last = f"last={allocation.last_rate.score!r}" if allocation.last_rate else "last=-"
         lines.append(
             f"  {position}. {format_structure(allocation)} "
@@ -269,13 +321,9 @@ def _write_output(text: str, output: str | None) -> None:
 
 def cmd_allocate(args: argparse.Namespace) -> int:
     try:
-        config = SearchConfig(
-            max_population=args.max_population,
-            max_paths_per_connect=args.max_paths,
-        )
+        config = SearchConfig(max_population=args.max_population, max_paths_per_connect=args.max_paths)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFileError(str(exc)) from exc
     timer = time.perf_counter
     t0 = timer()
     graph = load_platform(args.platform)
@@ -287,14 +335,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     selected = select(outcome, graph)
     t3 = timer()
 
-    timings = None
-    if not args.no_timings:
-        timings = {"ingest_s": t1 - t0, "allocate_s": t2 - t1, "select_s": t3 - t2}
+    timings = None if args.no_timings else {"ingest_s": t1 - t0, "allocate_s": t2 - t1, "select_s": t3 - t2}
     report = RunReport(
         sizes=outcome.sizes,
         config=config,
         selected=selected,
-        ranking=tuple(rank(outcome.allocations)),
         timings=timings,
     )
     if args.format == "json":
@@ -365,6 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
+#: Exit code per error class; the first matching entry wins.
+_EXIT_CODES = (
+    (InsufficientQubitsError, EXIT_INSUFFICIENT_QUBITS),
+    (NoFeasibleAllocationError, EXIT_NO_ALLOCATION),
+    (InstanceTooLargeError, EXIT_TOO_LARGE),
+    (Exception, EXIT_INPUT),
+)
+
 
 def _setup_logging() -> None:
     level = os.environ.get("QAICCC_LOG", "error").lower()
@@ -377,21 +430,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InsufficientQubitsError as exc:
+    except (OSError, QaicccError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_QUBITS
-    except NoFeasibleAllocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ALLOCATION
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QaicccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

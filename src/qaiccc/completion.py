@@ -5,10 +5,12 @@ requested size, and after the idle request is in place the request sizes
 sum to the platform size, so a completed allocation covers every qubit.
 
 Inside this module qubit sets are ``int`` bitmasks (bit ``q`` set means
-qubit ``q`` is in the set); the public functions take and return
+qubit ``q`` is in the set), as are the arguments of :func:`decide` and
+:func:`connected_supersets`; the other public functions take and return
 ``frozenset`` values.  Completion has two parts:
 
-* an exact **decider** (:func:`can_complete`).  It first grows each
+* an exact **decider** (:func:`decide` on a bitmask state, and
+  :func:`can_complete` on an :class:`Allocation`).  It first grows each
   existing component, in component order, into each distinct open
   request of its trust class that is large enough, and then tiles the
   remaining free qubits with fresh blocks anchored on the lowest free
@@ -27,7 +29,9 @@ qubit ``q`` is in the set); the public functions take and return
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Iterator, Sequence
 
 from .model import (
@@ -184,24 +188,19 @@ def _start(
     groups of the allocation to partition the platform, and every
     component to be connected already.
     """
-    if sizes.total() != graph.vertex_count:
+    n = graph.vertex_count
+    qubit_sets = [allocation.unallocated, *(comp.qubits for comp in allocation.components)]
+    groups = [graph.mask_of(qubits) for qubits in qubit_sets]
+    if sizes.total() != n or None in groups:
         return None
-    adjacency = graph.adjacency_masks
-    free = covered = graph.mask_of(allocation.unallocated)
-    if free is None:
+    # Groups inside the platform partition it iff their sizes and their union both cover it.
+    union = functools.reduce(operator.or_, groups)
+    if sum(g.bit_count() for g in groups) != n or union.bit_count() != n:
         return None
-    pending: list[_Pending] = []
-    for comp in allocation.components:
-        mask = graph.mask_of(comp.qubits)
-        if mask is None or covered & mask:
-            return None
-        if mask_region(mask & -mask, mask, adjacency) != mask:
-            return None
-        covered |= mask
-        pending.append((comp.trust, mask, len(comp.qubits)))
-    if covered.bit_count() != graph.vertex_count:
+    free, *masks = groups
+    if any(mask_region(m & -m, m, graph.adjacency_masks) != m for m in masks):
         return None
-    return free, tuple(pending)
+    return free, tuple((c.trust, m, m.bit_count()) for c, m in zip(allocation.components, masks))
 
 
 def complete_allocation(
@@ -255,10 +254,18 @@ def complete_allocation(
     return completed, assignment
 
 
+def decide(
+    free: int, pending: tuple[_Pending, ...], graph: ConnectivityGraph, sizes: SizeRequests
+) -> bool:
+    """The decider on a bitmask state: can it be completed to exactly ``sizes``?
+
+    ``sizes`` includes the idle request; ``pending`` holds the connected
+    components as ``(trust, mask, size)``, grown in that order.
+    """
+    return _completable(free, pending, _open(request_slots(sizes)), graph.adjacency_masks, set())
+
+
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
     """True when :func:`complete_allocation` would succeed."""
     start = _start(allocation, graph, sizes)
-    if start is None:
-        return False
-    free, pending = start
-    return _completable(free, pending, _open(request_slots(sizes)), graph.adjacency_masks, set())
+    return start is not None and decide(*start, graph, sizes)

@@ -30,6 +30,10 @@ from .model import ConnectivityGraph, CrosstalkRate, SizeRequests
 _RATE_SHAPES = ((1, 1), (2, 1), (2, 2))
 _SCORE_RANGE = (1e-4, 1e-2)
 
+#: Largest ``qubits`` value :func:`load_platform` accepts, checked before
+#: the graph builds any per-qubit table.
+MAX_QUBITS = 4096
+
 
 def composite_score(stochastic: float, hamiltonian: float) -> float:
     """Composite error rate: the sum of the stochastic and hamiltonian rates."""
@@ -57,6 +61,8 @@ def load_platform(path: str | Path) -> ConnectivityGraph:
     edges = data.get("edges", [])
     if not isinstance(qubits, int) or isinstance(qubits, bool):
         raise InputFileError("'qubits' must be an integer", path=str(path))
+    if qubits > MAX_QUBITS:
+        raise InputFileError(f"'qubits' is {qubits}, above the limit of {MAX_QUBITS}", path=str(path))
     if not isinstance(edges, list):
         raise InputFileError("'edges' must be a list of pairs", path=str(path))
     pairs = set()
@@ -79,12 +85,16 @@ def save_platform(graph: ConnectivityGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _size_list(data: dict, key: str, path: str | Path) -> tuple[int, ...]:
-    values = data.get(key, [])
+def integer_list(
+    values, name: str, *, distinct: bool = False, path: str | None = None, record: int | None = None
+) -> tuple[int, ...]:
+    """``values`` as integers, else an error naming ``name``; ``distinct`` refuses repeats."""
     if not isinstance(values, list) or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in values
     ):
-        raise InputFileError(f"'{key}' must be a list of integers", path=str(path))
+        raise InputFileError(f"'{name}' must be a list of integers", path=path, record=record)
+    if distinct and len(set(values)) != len(values):
+        raise InputFileError(f"'{name}' repeats a qubit", path=path, record=record)
     return tuple(values)
 
 
@@ -94,8 +104,8 @@ def load_requests(path: str | Path) -> SizeRequests:
         raise InputFileError("requests file must be an object", path=str(path))
     try:
         return SizeRequests(
-            trusted=_size_list(data, "trusted", path),
-            untrusted=_size_list(data, "untrusted", path),
+            trusted=integer_list(data.get("trusted", []), "trusted", path=str(path)),
+            untrusted=integer_list(data.get("untrusted", []), "untrusted", path=str(path)),
         )
     except ValueError as exc:
         raise InputFileError(str(exc), path=str(path)) from exc
@@ -106,26 +116,12 @@ def save_requests(sizes: SizeRequests, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _qubit_group(record: dict, key: str, index: int | None, path) -> frozenset[int]:
-    values = record.get(key)
-    if not isinstance(values, list) or not all(
-        isinstance(q, int) and not isinstance(q, bool) for q in values
-    ):
-        raise InputFileError(f"'{key}' must be a list of integers", path=path, record=index)
-    group = frozenset(values)
-    if len(group) != len(values):
-        raise InputFileError(f"'{key}' repeats a qubit", path=path, record=index)
-    return group
-
-
-def _finite_non_negative(value) -> bool:
-    # json.loads accepts NaN and Infinity, which must not reach a report.
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value >= 0
-    )
+def finite_number(value, name: str, *, path: str | None = None, record: int | None = None) -> float:
+    """``value`` as a float if finite and non-negative (``json.loads`` lets NaN and Infinity in)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not math.isfinite(value) or value < 0:
+        raise InputFileError(f"'{name}' must be a finite non-negative number", path=path, record=record)
+    return float(value)
 
 
 def _resolve_score(record: dict, index: int | None, path) -> float:
@@ -136,24 +132,14 @@ def _resolve_score(record: dict, index: int | None, path) -> float:
             "give either 'score' or 'stochastic'+'hamiltonian', not both", path=path, record=index
         )
     if has_score:
-        score = record["score"]
-        if not _finite_non_negative(score):
-            raise InputFileError(
-                "'score' must be a finite non-negative number", path=path, record=index
-            )
-        return float(score)
+        return finite_number(record["score"], "score", path=path, record=index)
     if "stochastic" not in record or "hamiltonian" not in record:
         raise InputFileError(
             "record needs 'score' or both 'stochastic' and 'hamiltonian'", path=path, record=index
         )
-    parts = (record["stochastic"], record["hamiltonian"])
-    if not all(_finite_non_negative(p) for p in parts):
-        raise InputFileError(
-            "'stochastic' and 'hamiltonian' must be finite non-negative numbers",
-            path=path,
-            record=index,
-        )
-    return composite_score(float(parts[0]), float(parts[1]))
+    return composite_score(
+        *(finite_number(record[k], k, path=path, record=index) for k in ("stochastic", "hamiltonian"))
+    )
 
 
 def rate_from_record(record, index: int | None = None, path: str | None = None) -> CrosstalkRate:
@@ -163,8 +149,10 @@ def rate_from_record(record, index: int | None = None, path: str | None = None) 
     """
     if not isinstance(record, dict):
         raise InputFileError("record must be an object", path=path, record=index)
-    impacting = _qubit_group(record, "impacting", index, path)
-    impacted = _qubit_group(record, "impacted", index, path)
+    impacting, impacted = (
+        frozenset(integer_list(record.get(key), key, distinct=True, path=path, record=index))
+        for key in ("impacting", "impacted")
+    )
     score = _resolve_score(record, index, path)
     try:
         return CrosstalkRate(score, impacting, impacted)

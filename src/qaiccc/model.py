@@ -245,12 +245,6 @@ class Allocation:
         object.__setattr__(self, "components", ordered)
         object.__setattr__(self, "incidental", tuple(self.incidental))
 
-    def owner_of(self, qubit: int) -> UserComponent | None:
-        for comp in self.components:
-            if qubit in comp.qubits:
-                return comp
-        return None
-
     def components_of(self, trust: Trust) -> tuple[UserComponent, ...]:
         return tuple(c for c in self.components if c.trust is trust)
 
@@ -264,6 +258,33 @@ def canonicalize(allocation: Allocation) -> CanonicalKey:
     return (
         tuple(sorted(allocation.unallocated)),
         tuple((c.trust.value, tuple(sorted(c.qubits))) for c in allocation.components),
+    )
+
+
+#: An allocation's bitmask form in the search: the unallocated mask and one ``(trust, mask,
+#: size)`` per component, by trust and then lowest qubit.  Components are disjoint, so this
+#: is :func:`canonicalize`'s order, and a state is its own structural key.
+SearchState = tuple[int, tuple[tuple[Trust, int, int], ...]]
+
+
+def component_order(component: tuple[Trust, int, int]) -> tuple[Trust, int]:
+    """Sort key of a state component: trust (a ``str``), then its lowest qubit."""
+    trust, mask, _ = component
+    return trust, mask & -mask
+
+
+def state_of(allocation: Allocation) -> SearchState:
+    """The search state of an allocation's structure (attributes are dropped)."""
+    components = [(c.trust, qubit_mask(c.qubits), len(c.qubits)) for c in allocation.components]
+    return qubit_mask(allocation.unallocated), tuple(sorted(components, key=component_order))
+
+
+def allocation_of(state: SearchState) -> Allocation:
+    """The attribute-free allocation of a search state."""
+    free, components = state
+    return Allocation(
+        unallocated=mask_qubits(free),
+        components=tuple(UserComponent(trust, mask_qubits(mask)) for trust, mask, _ in components),
     )
 
 

@@ -26,11 +26,12 @@ from .model import Allocation, ConnectivityGraph, CrosstalkRate, canonicalize, s
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The chosen complete allocation with its request binding and worklist."""
+    """The chosen complete allocation, its request binding and worklist, and the ranking walked."""
 
     allocation: Allocation
     assignment: Mapping[RequestLabel, frozenset[int]]
     worklist: tuple[CrosstalkRate, ...]
+    ranking: tuple[Allocation, ...]
 
 
 def rank(results: Iterable[Allocation]) -> list[Allocation]:
@@ -58,24 +59,19 @@ def noise_worklist(
         except ValueError:
             raise ValueError("last_rate does not appear in the rate list") from None
         sequence += ordered[start:]
-    out: list[CrosstalkRate] = []
-    seen: set[CrosstalkRate] = set()
-    for rate in sequence:
-        if rate not in seen:
-            seen.add(rate)
-            out.append(rate)
-    return tuple(out)
+    return tuple(dict.fromkeys(sequence))
 
 
 def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:
-    """Walk the outcome's ranked allocations and return the first that completes.
+    """Walk the outcome's ranked allocations and return the first that completes, with the ranking.
 
     Completion targets ``outcome.sizes`` (idle request included) and the
     worklist follows ``outcome.rates`` (already sorted).  Raises
     :class:`NoFeasibleAllocationError` when every candidate fails, i.e.
     the platform cannot host the requested circuit sizes at all.
     """
-    for candidate in rank(outcome.allocations):
+    ranking = tuple(rank(outcome.allocations))
+    for candidate in ranking:
         completed = complete_allocation(candidate, graph, outcome.sizes)
         if completed is None:
             continue
@@ -84,6 +80,7 @@ def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionRes
             allocation=allocation,
             assignment=assignment,
             worklist=noise_worklist(candidate, outcome.rates),
+            ranking=ranking,
         )
     raise NoFeasibleAllocationError(
         "no allocation could be completed to the requested circuit sizes"

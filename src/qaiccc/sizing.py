@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .model import Allocation, SizeRequests, Trust
+from .model import Allocation, SearchState, SizeRequests, Trust
 
 
 def assignment_feasible(component_sizes: Sequence[int], request_sizes: Sequence[int]) -> bool:
@@ -26,21 +26,20 @@ def assignment_feasible(component_sizes: Sequence[int], request_sizes: Sequence[
 
 def allocation_feasible(allocation: Allocation, sizes: SizeRequests) -> bool:
     """Size feasibility of a whole allocation, both trust classes."""
-    for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
-        comp_sizes = [len(c.qubits) for c in allocation.components_of(trust)]
-        if not assignment_feasible(comp_sizes, sizes.for_trust(trust)):
-            return False
-    return True
+    return all(
+        assignment_feasible([len(c.qubits) for c in allocation.components_of(t)], sizes.for_trust(t))
+        for t in Trust
+    )
 
 
 def remain(
-    user: frozenset[int],
-    allocation: Allocation,
+    user: int,
+    state: SearchState,
     sizes: SizeRequests,
     *,
     fresh_trust: Trust | None = None,
 ) -> int:
-    """Growth budget of one component under size feasibility.
+    """Growth budget of the component with qubit mask ``user``; reads only ``state``'s sizes.
 
     For an existing component ``user``: the largest ``k >= 0`` such that
     growing it by ``k`` qubits still leaves every component of the
@@ -51,36 +50,31 @@ def remain(
     ``fresh_trust``): the largest size the fresh component may take
     alongside the existing components; -1 when no request is left for it.
     """
+    components = state[1]
     if user:
-        owner = None
-        for comp in allocation.components:
-            if comp.qubits == user:
-                owner = comp
-                break
+        owner = next((c for c in components if c[1] == user), None)
         if owner is None:
-            raise ValueError("user must be an existing component's qubit set")
-        trust = owner.trust
-        others = [len(c.qubits) for c in allocation.components_of(trust) if c is not owner]
-        base = len(user)
+            raise ValueError("user must be an existing component's qubit mask")
+        trust, _, base = owner
     else:
         if fresh_trust is None:
             raise ValueError("fresh_trust is required when user is empty")
-        trust = fresh_trust
-        others = [len(c.qubits) for c in allocation.components_of(trust)]
-        base = 0
+        trust, base = fresh_trust, 0
+    others = [size for t, mask, size in components if t is trust and mask != user]
+    other_sizes = [size for t, _, size in components if t is not trust]
 
     requests = sizes.for_trust(trust)
     other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
-    other_sizes = [len(c.qubits) for c in allocation.components_of(other_trust)]
     if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
         return -1
 
-    limit = max(requests, default=0)
+    # Feasibility only shrinks as the component grows, so the scan stops at
+    # the first size that no longer fits.
     best = -1
-    start = base if user else 1
-    for grown in range(start, limit + 1):
-        if assignment_feasible(others + [grown], requests):
-            best = grown
+    for grown in range(base if user else 1, max(requests, default=0) + 1):
+        if not assignment_feasible(others + [grown], requests):
+            break
+        best = grown
     if best < 0:
         return -1
     return best - base if user else best

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 
@@ -41,8 +42,16 @@ from qaiccc.allocator import (
     update_population,
     update_sizes,
 )
-from qaiccc.model import dedup_allocations
-from qaiccc.sizing import allocation_feasible, remain
+from qaiccc.completion import can_complete, decide
+from qaiccc.model import (
+    allocation_of,
+    component_order,
+    dedup_allocations,
+    mask_qubits,
+    qubit_mask,
+    state_of,
+)
+from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
 CFG = SearchConfig()
 
@@ -62,6 +71,10 @@ def build(n, *components):
 
 def keys(allocations):
     return {canonicalize(a) for a in allocations}
+
+
+def state_keys(states):
+    return keys(allocation_of(state) for state in states)
 
 
 def structure(*component_qubit_lists, trust=Trust.UNTRUSTED, n=5):
@@ -112,44 +125,111 @@ class TestConnect:
     def test_adjacent_qubit_joins_without_connectors(self, demo_graph):
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = connect(allocation, frozenset({2, 3}), frozenset({4}), demo_graph, sizes, CFG)
-        assert keys(results) == {structure([2, 3, 4])}
+        results = connect(
+            state_of(allocation), qubit_mask({2, 3}), qubit_mask({4}), demo_graph, sizes, CFG
+        )
+        assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_unreachable_qubit_yields_nothing(self, demo_graph):
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = connect(allocation, frozenset({0, 1}), frozenset({4}), demo_graph, sizes, CFG)
+        results = connect(
+            state_of(allocation), qubit_mask({0, 1}), qubit_mask({4}), demo_graph, sizes, CFG
+        )
         assert results == []
 
     def test_empty_user_creates_a_fresh_singleton(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            allocation, frozenset(), frozenset({2}), demo_graph, sizes, CFG,
+            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
             fresh_trust=Trust.UNTRUSTED,
         )
-        assert structure([2]) in keys(results)
+        assert structure([2]) in state_keys(results)
 
     def test_negative_budget_yields_nothing(self, demo_graph):
         allocation = build(5, u(2, 3, 4))
         sizes = SizeRequests(untrusted=(2, 3))
         # The component is already at the largest request size.
-        results = connect(allocation, frozenset({2, 3, 4}), frozenset({0}), demo_graph, sizes, CFG)
+        results = connect(
+            state_of(allocation), qubit_mask({2, 3, 4}), qubit_mask({0}), demo_graph, sizes, CFG
+        )
         assert results == []
 
     def test_path_cap_limits_enumeration(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
-            allocation, frozenset(), frozenset({2}), demo_graph, sizes,
+            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes,
             SearchConfig(max_paths_per_connect=1), fresh_trust=Trust.UNTRUSTED,
         )
         uncapped = connect(
-            allocation, frozenset(), frozenset({2}), demo_graph, sizes, CFG,
+            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
             fresh_trust=Trust.UNTRUSTED,
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
+
+
+# Frozen frozenset copies of the search operators as they were before the
+# search moved to bitmask states: every operator builds and canonicalises
+# ``Allocation`` values and asks ``can_complete`` directly.  They are the
+# reference that ``list_reference_allocate`` and ``reference_connect`` run on.
+
+
+def owner_of(allocation, qubit):
+    return next((c for c in allocation.components if qubit in c.qubits), None)
+
+
+def reference_new_alloc(allocation, merged, graph, sizes, *, fresh_trust=None):
+    touching = [c for c in allocation.components if c.qubits & merged]
+    trusts = {c.trust for c in touching}
+    if len(trusts) > 1:
+        return None
+    if touching:
+        trust = touching[0].trust
+    elif fresh_trust is not None:
+        trust = fresh_trust
+    else:
+        return None
+    fused = merged & allocation.unallocated
+    for comp in touching:
+        fused |= comp.qubits
+    kept = tuple(c for c in allocation.components if not (c.qubits & merged))
+    candidate = Allocation(
+        unallocated=allocation.unallocated - merged,
+        components=kept + (UserComponent(trust, fused),),
+    )
+    if not allocation_feasible(candidate, sizes):
+        return None
+    if not can_complete(candidate, graph, sizes):
+        return None
+    return candidate
+
+
+def reference_remain(user, allocation, sizes, *, fresh_trust=None):
+    """``sizing.remain`` as it was, reading an ``Allocation``."""
+    if user:
+        owner = next(c for c in allocation.components if c.qubits == user)
+        trust = owner.trust
+        others = [len(c.qubits) for c in allocation.components_of(trust) if c is not owner]
+        base = len(user)
+    else:
+        trust = fresh_trust
+        others = [len(c.qubits) for c in allocation.components_of(trust)]
+        base = 0
+    requests = sizes.for_trust(trust)
+    other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
+    other_sizes = [len(c.qubits) for c in allocation.components_of(other_trust)]
+    if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
+        return -1
+    best = -1
+    for grown in range(base if user else 1, max(requests, default=0) + 1):
+        if assignment_feasible(others + [grown], requests):
+            best = grown
+    if best < 0:
+        return -1
+    return best - base if user else best
 
 
 def reference_connect(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
@@ -159,7 +239,7 @@ def reference_connect(allocation, user, incoming, graph, sizes, config, *, fresh
     over the sorted pool, smallest first; only connected regions count
     towards the cap.
     """
-    budget = remain(user, allocation, sizes, fresh_trust=fresh_trust)
+    budget = reference_remain(user, allocation, sizes, fresh_trust=fresh_trust)
     max_len = budget - len(incoming - user)
     if max_len < 0:
         return []
@@ -173,12 +253,87 @@ def reference_connect(allocation, user, incoming, graph, sizes, config, *, fresh
             if not graph.is_connected(region):
                 continue
             considered += 1
-            candidate = new_alloc(allocation, region, graph, sizes, fresh_trust=fresh_trust)
+            candidate = reference_new_alloc(
+                allocation, region, graph, sizes, fresh_trust=fresh_trust
+            )
             if candidate is not None:
                 results.append(candidate)
             if considered >= config.max_paths_per_connect:
                 return dedup_allocations(results)
     return dedup_allocations(results)
+
+
+def reference_alloc_unallocated(allocation, impacted, graph, sizes, config):
+    current = [allocation]
+    for qubit in sorted(impacted):
+        staged = []
+        for alloc in current:
+            if qubit not in alloc.unallocated:
+                staged.append(alloc)
+                continue
+            target = frozenset({qubit})
+            for comp in alloc.components:
+                staged += reference_connect(alloc, comp.qubits, target, graph, sizes, config)
+            for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
+                staged += reference_connect(
+                    alloc, frozenset(), target, graph, sizes, config, fresh_trust=trust
+                )
+        current = dedup_allocations(staged)
+    return current
+
+
+def reference_alloc_impacted(candidates, rate, graph, sizes, config):
+    current = list(candidates)
+    for impacted_qubit in sorted(rate.impacted):
+        staged = []
+        for alloc in current:
+            owner = owner_of(alloc, impacted_qubit)
+            for impacting_qubit in sorted(rate.impacting):
+                if impacting_qubit in alloc.unallocated:
+                    target = frozenset({impacting_qubit})
+                else:
+                    target = owner_of(alloc, impacting_qubit).qubits
+                staged += reference_connect(alloc, owner.qubits, target, graph, sizes, config)
+        current = dedup_allocations(staged)
+    return current
+
+
+def reference_improve_alloc(allocation, rate, graph, sizes, config):
+    involved = rate.involved
+    merge_base = frozenset()
+    for qubit in sorted(involved):
+        owner = owner_of(allocation, qubit)
+        if owner is not None:
+            merge_base |= owner.qubits
+    if not merge_base:
+        fresh = []
+        for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
+            candidate = reference_new_alloc(allocation, involved, graph, sizes, fresh_trust=trust)
+            if candidate is not None:
+                fresh.append(candidate)
+        if fresh:
+            return fresh
+        fallback = []
+        for comp in allocation.components:
+            fallback += reference_connect(allocation, comp.qubits, involved, graph, sizes, config)
+        return fallback
+    candidate = reference_new_alloc(allocation, merge_base | involved, graph, sizes)
+    return [candidate] if candidate is not None else []
+
+
+def reference_alloc_trusted(allocation, impacting, graph, sizes, config):
+    free = sorted(impacting & allocation.unallocated)
+    out = []
+    for length in range(1, len(free) + 1):
+        for combo in itertools.combinations(free, length):
+            subset = frozenset(combo)
+            for comp in allocation.components_of(Trust.TRUSTED):
+                if impacting & (comp.qubits | subset):
+                    out += reference_connect(allocation, comp.qubits, subset, graph, sizes, config)
+            out += reference_connect(
+                allocation, frozenset(), subset, graph, sizes, config, fresh_trust=Trust.TRUSTED
+            )
+    return out
 
 
 class TestConnectMatchesTheReference:
@@ -188,11 +343,15 @@ class TestConnectMatchesTheReference:
     def checked_calls(self, monkeypatch):
         calls = []
 
-        def checking(allocation, user, incoming, graph, sizes, config, **kwargs):
-            result = connect(allocation, user, incoming, graph, sizes, config, **kwargs)
-            expected = reference_connect(allocation, user, incoming, graph, sizes, config, **kwargs)
-            assert result == expected
-            calls.append(graph.is_connected(user | incoming))
+        def checking(state, user, incoming, graph, sizes, config, **kwargs):
+            result = connect(state, user, incoming, graph, sizes, config, **kwargs)
+            kwargs.pop("memo")
+            expected = reference_connect(
+                allocation_of(state), mask_qubits(user), mask_qubits(incoming),
+                graph, sizes, config, **kwargs,
+            )
+            assert [allocation_of(candidate) for candidate in result] == expected
+            calls.append(graph.is_connected(mask_qubits(user | incoming)))
             return result
 
         monkeypatch.setattr(allocator_module, "connect", checking)
@@ -224,9 +383,9 @@ class TestImproveAllocHandsOnDistinctStructures:
     def result_lengths(self, monkeypatch):
         lengths = []
 
-        def checking(allocation, rate, graph, sizes, config):
-            result = improve_alloc(allocation, rate, graph, sizes, config)
-            assert len(keys(result)) == len(result)
+        def checking(state, rate, graph, sizes, config, **kwargs):
+            result = improve_alloc(state, rate, graph, sizes, config, **kwargs)
+            assert len(state_keys(result)) == len(result)
             lengths.append(len(result))
             return result
 
@@ -246,8 +405,8 @@ class TestImproveAllocHandsOnDistinctStructures:
     def test_fresh_candidates_of_both_trusts_are_distinct(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
-        results = improve_alloc(build(5), rate, demo_graph, sizes, CFG)
-        assert keys(results) == {
+        results = improve_alloc(state_of(build(5)), rate, demo_graph, sizes, CFG)
+        assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
             structure([3, 4], trust=Trust.UNTRUSTED),
         }
@@ -325,9 +484,12 @@ _PATH6 = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}
 def test_connect_matches_the_reference_on_random_joins(case):
     allocation, user, incoming, graph, sizes, paths, fresh_trust = case
     config = SearchConfig(max_paths_per_connect=paths)
-    args = (allocation, user, incoming, graph, sizes, config)
-    assert connect(*args, fresh_trust=fresh_trust) == reference_connect(
-        *args, fresh_trust=fresh_trust
+    got = connect(
+        state_of(allocation), qubit_mask(user), qubit_mask(incoming), graph, sizes, config,
+        fresh_trust=fresh_trust,
+    )
+    assert [allocation_of(candidate) for candidate in got] == reference_connect(
+        allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
     )
 
 
@@ -336,10 +498,11 @@ class TestNewAlloc:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
-            allocation, frozenset({2, 3, 4}), demo_graph, sizes, fresh_trust=Trust.UNTRUSTED
+            state_of(allocation), qubit_mask({2, 3, 4}), demo_graph, sizes,
+            fresh_trust=Trust.UNTRUSTED,
         )
         assert candidate is not None
-        assert canonicalize(candidate) == structure([2, 3, 4])
+        assert canonicalize(allocation_of(candidate)) == structure([2, 3, 4])
 
     def test_growth_that_strands_the_remaining_qubits_is_rejected(self, demo_graph):
         # {0,2,3} is connected and fits the 3-request, but the leftover
@@ -348,20 +511,24 @@ class TestNewAlloc:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
-            allocation, frozenset({0, 2, 3}), demo_graph, sizes, fresh_trust=Trust.UNTRUSTED
+            state_of(allocation), qubit_mask({0, 2, 3}), demo_graph, sizes,
+            fresh_trust=Trust.UNTRUSTED,
         )
         assert candidate is None
 
     def test_cross_trust_merge_is_rejected(self, demo_graph):
         allocation = build(5, t(0, 1), u(2, 3))
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
-        assert new_alloc(allocation, frozenset({1, 2}), demo_graph, sizes) is None
+        assert new_alloc(state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes) is None
 
     def test_disconnected_merge_is_rejected(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
-            new_alloc(allocation, frozenset({1, 4}), demo_graph, sizes, fresh_trust=Trust.UNTRUSTED)
+            new_alloc(
+                state_of(allocation), qubit_mask({1, 4}), demo_graph, sizes,
+                fresh_trust=Trust.UNTRUSTED,
+            )
             is None
         )
 
@@ -370,22 +537,22 @@ class TestAllocUnallocated:
     def test_fresh_user_branch_reaches_the_bare_impacted_qubit(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
-        results = alloc_unallocated(allocation, frozenset({2}), demo_graph, sizes, CFG)
-        assert structure([2]) in keys(results)
+        results = alloc_unallocated(state_of(allocation), frozenset({2}), demo_graph, sizes, CFG)
+        assert structure([2]) in state_keys(results)
         for result in results:
-            assert 2 not in result.unallocated
+            assert 2 not in allocation_of(result).unallocated
 
     def test_already_owned_impacted_qubit_passes_through(self, demo_graph):
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = alloc_unallocated(allocation, frozenset({2}), demo_graph, sizes, CFG)
-        assert keys(results) == {canonicalize(allocation)}
+        results = alloc_unallocated(state_of(allocation), frozenset({2}), demo_graph, sizes, CFG)
+        assert state_keys(results) == {canonicalize(allocation)}
 
     def test_no_viable_branch_gives_empty_set(self):
         line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        results = alloc_unallocated(allocation, frozenset({3}), line, sizes, CFG)
+        results = alloc_unallocated(state_of(allocation), frozenset({3}), line, sizes, CFG)
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
         # step breaks size feasibility (the lone 2-request is taken).
@@ -406,8 +573,10 @@ class TestAllocUnallocated:
 class TestAllocImpacted:
     def test_owner_gains_each_reachable_impacting_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        results = alloc_impacted([build(5, u(2))], demo_rates[0], demo_graph, sizes, CFG)
-        got = keys(results)
+        results = alloc_impacted(
+            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG
+        )
+        got = state_keys(results)
         assert structure([2, 3]) in got
         assert structure([2, 4]) in got
         # A connector path may also pull in the second impacting qubit;
@@ -417,54 +586,59 @@ class TestAllocImpacted:
     def test_owner_already_in_control_keeps_the_candidate(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
-        results = alloc_impacted([candidate], demo_rates[0], demo_graph, sizes, CFG)
-        assert canonicalize(candidate) in keys(results)
+        results = alloc_impacted([state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG)
+        assert canonicalize(candidate) in state_keys(results)
 
     def test_blocked_instance_yields_nothing(self, demo_graph, demo_rates):
         # Merging the two users overshoots every request and the free
         # impacting qubit is unreachable within the size budget.
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
-        results = alloc_impacted([candidate], demo_rates[2], demo_graph, sizes, CFG)
+        results = alloc_impacted([state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG)
         assert results == []
 
     def test_unallocated_impacted_qubit_is_a_caller_bug(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
-            alloc_impacted([build(5)], demo_rates[0], demo_graph, sizes, CFG)
+            alloc_impacted([state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG)
 
 
 class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        results = improve_alloc(build(5), demo_rates[0], demo_graph, sizes, CFG)
-        assert keys(results) == {structure([2, 3, 4])}
+        results = improve_alloc(state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG)
+        assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_owner_absorbs_the_unallocated_involved_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        results = improve_alloc(build(5, u(2, 3)), demo_rates[0], demo_graph, sizes, CFG)
-        assert keys(results) == {structure([2, 3, 4])}
+        results = improve_alloc(
+            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG
+        )
+        assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_cross_trust_owners_cannot_merge(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
-        assert improve_alloc(allocation, rate, demo_graph, sizes, CFG) == []
+        assert improve_alloc(state_of(allocation), rate, demo_graph, sizes, CFG) == []
 
 
 class TestAllocTrusted:
     def test_no_trusted_components_generate_nothing(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        assert alloc_trusted(build(5), demo_rates[0].impacting, demo_graph, sizes, CFG) == []
+        assert (
+            alloc_trusted(state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG)
+            == []
+        )
 
     def test_branches_over_free_impacting_subsets(self, demo_graph):
         sizes = SizeRequests(trusted=(3,), untrusted=(2,))
         allocation = build(5, t(1))
         impacting = frozenset({2, 4})
-        results = alloc_trusted(allocation, impacting, demo_graph, sizes, CFG)
+        results = alloc_trusted(state_of(allocation), impacting, demo_graph, sizes, CFG)
         for result in results:
-            assert validate_allocation(result, demo_graph) == []
-        assert keys(results) == {
+            assert validate_allocation(allocation_of(result), demo_graph) == []
+        assert state_keys(results) == {
             structure([1, 2], trust=Trust.TRUSTED),
             structure([0, 1, 2], trust=Trust.TRUSTED),
         }
@@ -472,26 +646,30 @@ class TestAllocTrusted:
     def test_fully_allocated_impacting_set_generates_nothing(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
-        assert alloc_trusted(allocation, frozenset({2, 4}), demo_graph, sizes, CFG) == []
+        assert alloc_trusted(state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG) == []
 
 
 class TestUpdatePopulation:
     def test_archived_structure_is_not_readmitted(self, demo_graph, demo_rates):
         ordered = sort_rates(demo_rates)
         member = build(5, u(2, 3))
-        population = {canonicalize(member): member}
+        population = {state_of(member): member}
         archive: dict = {}
         archive_alloc(member, population, archive, ordered[1])
-        admitted = update_population([build(5, u(2, 3))], population, archive, ordered[:1], CFG)
+        admitted = update_population(
+            [state_of(build(5, u(2, 3)))], population, archive, ordered[:1], CFG
+        )
         assert admitted == [] and population == {}
 
     def test_fresh_safe_candidate_is_admitted_with_replayed_attributes(self, demo_rates):
         ordered = sort_rates(demo_rates)
         population: dict = {}
-        admitted = update_population([build(5, u(2, 3))], population, {}, ordered[:1], CFG)
+        admitted = update_population(
+            [state_of(build(5, u(2, 3)))], population, {}, ordered[:1], CFG
+        )
         (member,) = admitted
         assert member.score == 0.0027 and member.penalty == 0.0027
-        assert population == {canonicalize(member): member}
+        assert population == {state_of(member): member}
 
     def test_candidate_unsafe_for_an_earlier_rate_is_rejected(self):
         # The candidate fixes the later rate but leaves the earlier one's
@@ -501,7 +679,7 @@ class TestUpdatePopulation:
         candidate = build(5, u(0, 1), u(2))
         assert replay_attributes(candidate, [early, late]) is None
         population: dict = {}
-        admitted = update_population([candidate], population, {}, [early, late], CFG)
+        admitted = update_population([state_of(candidate)], population, {}, [early, late], CFG)
         assert admitted == [] and population == {}
 
     def test_population_cap_drops_the_worst(self, demo_rates):
@@ -509,7 +687,8 @@ class TestUpdatePopulation:
         cfg = SearchConfig(max_population=1)
         population: dict = {}
         update_population(
-            [build(5, u(2, 3)), build(5, u(2, 3, 4))], population, {}, ordered[:1], cfg
+            [state_of(build(5, u(2, 3))), state_of(build(5, u(2, 3, 4)))],
+            population, {}, ordered[:1], cfg,
         )
         assert len(population) == 1
         # Equal scores; the higher penalty member is the worst.
@@ -520,10 +699,10 @@ class TestUpdatePopulation:
 class TestArchiveAlloc:
     def test_member_moves_with_frozen_attributes(self, demo_rates):
         member = eval_alloc(build(5, u(2, 3)), demo_rates[0])
-        population = {canonicalize(member): member}
+        population = {state_of(member): member}
         archive: dict = {}
         retired = archive_alloc(member, population, archive, demo_rates[1])
-        assert population == {} and archive == {canonicalize(member): retired}
+        assert population == {} and archive == {state_of(member): retired}
         assert retired.last_rate == demo_rates[1]
         assert retired.score == member.score and retired.penalty == member.penalty
 
@@ -536,7 +715,8 @@ def list_reference_allocate(graph, sizes, rates, config):
     """The rate loop over plain lists, kept to pin the keyed store's order.
 
     Members are re-found by recomputing canonical keys and the taken set
-    is rebuilt from population and archive on every admission round.
+    is rebuilt from population and archive on every admission round.  It
+    runs on the frozen frozenset operators above.
     """
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
@@ -579,15 +759,15 @@ def list_reference_allocate(graph, sizes, rates, config):
             candidates = []
             if is_safe(member, rate).safe:
                 if involved_parties(member, rate) >= 2:
-                    candidates = improve_alloc(member, rate, graph, full, config)
+                    candidates = reference_improve_alloc(member, rate, graph, full, config)
                 population[position] = eval_alloc(member, rate)
             else:
-                candidates = alloc_unallocated(member, rate.impacted, graph, full, config)
-                candidates = alloc_impacted(candidates, rate, graph, full, config)
+                candidates = reference_alloc_unallocated(member, rate.impacted, graph, full, config)
+                candidates = reference_alloc_impacted(candidates, rate, graph, full, config)
                 candidates = dedup_allocations(
                     candidates
-                    + improve_alloc(member, rate, graph, full, config)
-                    + alloc_trusted(member, rate.impacting, graph, full, config)
+                    + reference_improve_alloc(member, rate, graph, full, config)
+                    + reference_alloc_trusted(member, rate.impacting, graph, full, config)
                 )
                 retired = replace(population.pop(position), last_rate=rate)
                 archive.append(retired)
@@ -624,6 +804,71 @@ class TestKeyedStore:
                 instance.graph, instance.sizes, instance.rates, config
             )
             assert allocate(instance.graph, instance.sizes, instance.rates, config) == expected
+
+
+@st.composite
+def partitions(draw):
+    """An allocation of at most 8 qubits: each qubit free or held by one of four users."""
+    n = draw(st.integers(1, 8))
+    owners = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    trusts = draw(st.lists(st.sampled_from(list(Trust)), min_size=4, max_size=4))
+    groups = {}
+    for qubit, owner in enumerate(owners):
+        groups.setdefault(owner, set()).add(qubit)
+    free = groups.pop(-1, set())
+    components = tuple(UserComponent(trusts[owner], frozenset(qs)) for owner, qs in groups.items())
+    return Allocation(unallocated=frozenset(free), components=components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions())
+def test_state_round_trips_and_keeps_the_canonical_order(allocation):
+    state = state_of(allocation)
+    assert allocation_of(state) == allocation
+    assert state_of(allocation_of(state)) == state
+    free, components = state
+    assert mask_qubits(free) == allocation.unallocated
+    assert all(size == mask.bit_count() for _, mask, size in components)
+    # Sorting by (trust, lowest qubit) is canonicalize's component order.
+    by_lowest = sorted(allocation.components, key=lambda c: (c.trust.value, min(c.qubits)))
+    assert [canonicalize(build(0, c))[1][0] for c in by_lowest] == list(canonicalize(allocation)[1])
+    assert [(t.value, tuple(sorted(mask_qubits(m)))) for t, m, _ in components] == list(
+        canonicalize(allocation)[1]
+    )
+    assert list(components) == sorted(components, key=component_order)
+
+
+class TestPerRunMemo:
+    """The completion verdicts live as long as one ``allocate`` call."""
+
+    def test_allocator_holds_no_module_level_cache(self):
+        for name, value in vars(allocator_module).items():
+            if not name.startswith("__"):
+                assert not isinstance(value, (dict, functools._lru_cache_wrapper)), name
+
+    def test_two_runs_in_one_process_decide_alike(
+        self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
+    ):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(allocator_module, "decide", counting)
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        for graph, sizes, rates in instances:
+            outcomes, counts = [], []
+            for _ in range(2):
+                before = len(calls)
+                outcomes.append(allocate(graph, sizes, rates))
+                counts.append(len(calls) - before)
+            assert outcomes[0] == outcomes[1]
+            assert counts[0] == counts[1] > 0
+            # Within one run every state is decided once.
+            run = calls[-counts[1]:]
+            assert len({args[:2] for args in run}) == len(run)
 
 
 class TestAllocateEndToEnd:

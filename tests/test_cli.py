@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from qaiccc.cli import (
     EXIT_TOO_LARGE,
     REPORT_SCHEMA,
     RunReport,
+    allocation_from_dict,
     main,
     rate_from_record,
 )
@@ -162,6 +164,100 @@ class TestReportRateRecords:
         data["worklist"] = [record]
         with pytest.raises(InputFileError, match=message):
             RunReport.from_dict(data)
+
+
+@pytest.fixture
+def report_data(files, tmp_path):
+    out = tmp_path / "report.json"
+    assert run_allocate(files, "--no-timings", "--output", str(out)) == EXIT_OK
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+class TestReportReaders:
+    """Each report record kind has one checked reader; errors name the field."""
+
+    def test_collapsing_record_is_refused(self):
+        record = {
+            "unallocated": "01",
+            "score": True,
+            "components": [{"trust": "untrusted", "qubits": [2, 2, 3]}],
+            "penalty": 0.0,
+            "incidental": [],
+            "last_rate": None,
+        }
+        with pytest.raises(InputFileError, match=r"'allocation.components\[0\].qubits' repeats"):
+            allocation_from_dict(record)
+        record["components"][0]["qubits"] = [2, 3]
+        with pytest.raises(InputFileError, match="'allocation.unallocated' must be a list"):
+            allocation_from_dict(record)
+        record["unallocated"] = [0, 1]
+        with pytest.raises(InputFileError, match="'allocation.score' must be a finite"):
+            allocation_from_dict(record)
+        record["score"] = 1.0
+        assert allocation_from_dict(record).components[0].qubits == {2, 3}
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (["unallocated"], [0, 0], r"'ranking\[0\].unallocated' repeats a qubit"),
+            (["components"], {}, r"'ranking\[0\].components' must be a list"),
+            (["components", 0, "trust"], "owner", r"'ranking\[0\].components\[0\].trust' must be one of"),
+            (["components", 0, "qubits"], [], r"'ranking\[0\].components\[0\].qubits' is empty"),
+            (["components", 0, "qubits"], ["1"], r"components\[0\].qubits' must be a list of integers"),
+            (["penalty"], "0", r"'ranking\[0\].penalty' must be a finite"),
+            (["incidental"], [{"score": -1, "impacting": [1], "impacted": [0]}],
+             r"ranking\[0\].incidental: record 0: 'score'"),
+            (["last_rate"], {"score": 0.1, "impacting": [1, 1], "impacted": [0]},
+             r"ranking\[0\].last_rate: 'impacting' repeats"),
+        ],
+    )
+    def test_malformed_ranking_entry_is_refused(self, report_data, path, value, message):
+        target = report_data["ranking"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InputFileError, match=message):
+            RunReport.from_dict(report_data)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("requests", "trusted", "2", "'requests.trusted' must be a list of integers"),
+            ("requests", "untrusted", [0], "request sizes must be positive"),
+            ("requests", "idle", 1.5, "'requests.idle' must be an integer or null"),
+            ("config", "max_paths_per_connect", True, "'config.max_paths_per_connect' must be an integer$"),
+            ("config", "max_paths_per_connect", 0, "max_paths_per_connect must be at least 1"),
+            ("config", "max_population", "3", "'config.max_population' must be an integer or null"),
+        ],
+    )
+    def test_malformed_requests_and_config_are_refused(self, report_data, section, key, value, message):
+        report_data[section][key] = value
+        with pytest.raises(InputFileError, match=message):
+            RunReport.from_dict(report_data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["selected"]["assignment"]["untrusted"].__setitem__(0, [1, 1]),
+             r"'selected.assignment.untrusted\[0\]' repeats a qubit"),
+            (lambda d: d["selected"]["assignment"].__setitem__("idle", "x"),
+             "'selected.assignment.idle' must be a list of integers"),
+            (lambda d: d["selected"]["allocation"].__setitem__("score", float("nan")),
+             "'selected.allocation.score' must be a finite"),
+            (lambda d: d.pop("config"), "'report' must be an object with 'config'"),
+            (lambda d: d.__setitem__("selected", []), "'selected' must be an object with 'allocation'"),
+            (lambda d: d.__setitem__("ranking", {}), "'report.ranking' must be a list"),
+        ],
+    )
+    def test_malformed_report_fields_are_refused(self, report_data, edit, message):
+        edit(report_data)
+        with pytest.raises(InputFileError, match=message):
+            RunReport.from_dict(report_data)
+
+    def test_reader_keeps_the_selected_ranking(self, report_data):
+        report = RunReport.from_dict(copy.deepcopy(report_data))
+        assert report.to_dict() == report_data
+        assert len(report.selected.ranking) == len(report_data["ranking"]) > 1
 
 
 class TestOracleCommand:

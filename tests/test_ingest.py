@@ -17,7 +17,9 @@ from qaiccc import (
     save_rates,
     synth_rates,
 )
-from qaiccc.ingest import save_platform, save_requests
+import qaiccc.ingest as ingest_module
+from qaiccc.cli import EXIT_INPUT, main
+from qaiccc.ingest import MAX_QUBITS, save_platform, save_requests
 
 
 class TestCompositeScore:
@@ -150,6 +152,28 @@ class TestPlatformAndRequests:
             load_platform(write(tmp_path, "b.json", {"qubits": 2, "edges": [[0, 0]]}))
         with pytest.raises(InputFileError):
             load_platform(tmp_path / "missing.json")
+
+    def test_platform_size_is_bounded_at_ingest(self, tmp_path, monkeypatch):
+        at_limit = write(tmp_path, "limit.json", {"qubits": MAX_QUBITS, "edges": [[0, 1]]})
+        assert load_platform(at_limit).vertex_count == MAX_QUBITS
+
+        def no_graph(*args):
+            raise AssertionError("the graph must not be built for a refused platform")
+
+        above = write(tmp_path, "above.json", {"qubits": MAX_QUBITS + 1, "edges": [[0, 1]]})
+        monkeypatch.setattr(ingest_module, "ConnectivityGraph", no_graph)
+        with pytest.raises(InputFileError, match=f"above the limit of {MAX_QUBITS}"):
+            load_platform(above)
+
+    def test_oversized_platform_exits_1(self, tmp_path, capsys):
+        platform = write(tmp_path, "above.json", {"qubits": MAX_QUBITS + 1, "edges": []})
+        requests = write(tmp_path, "q.json", {"untrusted": [1]})
+        rates = write(tmp_path, "r.json", [])
+        code = main(
+            ["allocate", "--platform", str(platform), "--rates", str(rates), "--requests", str(requests)]
+        )
+        assert code == EXIT_INPUT
+        assert "above the limit" in capsys.readouterr().err
 
     def test_requests_parse_errors(self, tmp_path):
         with pytest.raises(InputFileError):

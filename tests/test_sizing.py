@@ -8,6 +8,7 @@ import random
 import pytest
 
 from qaiccc import Allocation, SizeRequests, Trust, UserComponent
+from qaiccc.model import qubit_mask, state_of
 from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
 
@@ -68,28 +69,28 @@ class TestRemain:
     def test_single_component_can_grow_to_the_larger_request(self):
         allocation = build({0, 1, 3, 4}, u(2))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(frozenset({2}), allocation, sizes) == 2
+        assert remain(qubit_mask({2}), state_of(allocation), sizes) == 2
         assert brute_force_remain(frozenset({2}), allocation, sizes) == 2
 
     def test_exactly_filled_requests_leave_no_growth(self):
         allocation = build(set(), u(0, 1), u(2, 3, 4))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(frozenset({0, 1}), allocation, sizes) == 0
+        assert remain(qubit_mask({0, 1}), state_of(allocation), sizes) == 0
 
     def test_fresh_component_without_unclaimed_request_is_infeasible(self):
         allocation = build({2, 3, 4}, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        assert remain(frozenset(), allocation, sizes, fresh_trust=Trust.UNTRUSTED) == -1
+        assert remain(0, state_of(allocation), sizes, fresh_trust=Trust.UNTRUSTED) == -1
 
     def test_fresh_component_budget_is_the_largest_assignable_size(self):
         allocation = build({0, 1, 4}, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(frozenset(), allocation, sizes, fresh_trust=Trust.UNTRUSTED) == 3
+        assert remain(0, state_of(allocation), sizes, fresh_trust=Trust.UNTRUSTED) == 3
 
     def test_oversized_component_is_infeasible(self):
         allocation = build({3, 4}, u(0, 1, 2))
         sizes = SizeRequests(untrusted=(2,))
-        assert remain(frozenset({0, 1, 2}), allocation, sizes) == -1
+        assert remain(qubit_mask({0, 1, 2}), state_of(allocation), sizes) == -1
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(12)
@@ -111,19 +112,19 @@ class TestRemain:
             )
             if comps and rng.random() < 0.7:
                 target = rng.choice(comps)
-                assert remain(target.qubits, allocation, sizes) == brute_force_remain(
-                    target.qubits, allocation, sizes
-                )
+                assert remain(
+                    qubit_mask(target.qubits), state_of(allocation), sizes
+                ) == brute_force_remain(target.qubits, allocation, sizes)
             else:
                 trust = rng.choice([Trust.TRUSTED, Trust.UNTRUSTED])
                 assert remain(
-                    frozenset(), allocation, sizes, fresh_trust=trust
+                    0, state_of(allocation), sizes, fresh_trust=trust
                 ) == brute_force_remain(frozenset(), allocation, sizes, fresh_trust=trust)
 
     def test_requires_an_existing_component(self):
         allocation = build({0, 1, 2})
         with pytest.raises(ValueError):
-            remain(frozenset({0}), allocation, SizeRequests(untrusted=(3,)))
+            remain(qubit_mask({0}), state_of(allocation), SizeRequests(untrusted=(3,)))
 
 
 def test_allocation_feasible_checks_both_classes():
