@@ -113,7 +113,7 @@ def new_alloc(
     sizes: SizeRequests,
     *,
     fresh_trust: Trust | None = None,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> SearchState | None:
     """The state with all of the ``merged`` mask held by a single user, or None.
 
@@ -138,8 +138,6 @@ def new_alloc(
     kept = [c for c in components if not c[1] & merged]
     kept.append((trust, fused, fused.bit_count()))
     candidate = (free & ~merged, tuple(sorted(kept, key=component_order)))
-    if memo is None:
-        memo = {}
     verdict = memo.get(candidate)
     if verdict is None:
         connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
@@ -156,7 +154,7 @@ def connect(
     config: SearchConfig,
     *,
     fresh_trust: Trust | None = None,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> list[SearchState]:
     """Ways of joining the ``incoming`` mask to the ``user`` mask through unallocated connectors.
 
@@ -208,7 +206,7 @@ def alloc_unallocated(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> list[SearchState]:
     """Allocate every unallocated impacted qubit, branching over owners.
 
@@ -243,7 +241,7 @@ def alloc_impacted(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> list[SearchState]:
     """Give every impacted user control of an impacting qubit.
 
@@ -278,7 +276,7 @@ def improve_alloc(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> list[SearchState]:
     """Single-owner variants for the rate's qubits.
 
@@ -314,7 +312,7 @@ def alloc_trusted(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool] | None = None,
+    memo: dict[SearchState, bool],
 ) -> list[SearchState]:
     """Hand unallocated impacting qubits to trusted users.
 

@@ -86,6 +86,14 @@ def _qubits(value, name: str) -> frozenset[int]:
     return frozenset(integer_list(value, name, distinct=True))
 
 
+def _timings(value) -> dict[str, float] | None:
+    if value is None:
+        return None
+    if not isinstance(value, Mapping):
+        raise InputFileError("'report.timings' must be an object or null")
+    return {key: finite_number(v, f"report.timings.{key}") for key, v in value.items()}
+
+
 def allocation_to_dict(allocation: Allocation) -> dict:
     return {
         "unallocated": sorted(allocation.unallocated),
@@ -121,7 +129,9 @@ def allocation_from_dict(data: Mapping, where: str = "allocation") -> Allocation
         incidental=tuple(
             rate_from_record(r, i, f"{where}.incidental") for i, r in enumerate(incidental)
         ),
-        last_rate=rate_from_record(last_rate, path=f"{where}.last_rate") if last_rate else None,
+        last_rate=(
+            None if last_rate is None else rate_from_record(last_rate, path=f"{where}.last_rate")
+        ),
     )
 
 
@@ -210,7 +220,8 @@ class RunReport:
                 for i, a in enumerate(_field(data, "ranking", "report", list))
             ),
         )
-        return cls(sizes=sizes, config=config, selected=selected, timings=data.get("timings"))
+        timings = _timings(data.get("timings"))
+        return cls(sizes=sizes, config=config, selected=selected, timings=timings)
 
 
 def oracle_report_to_dict(report: OracleReport, cap: int) -> dict:
@@ -321,9 +332,13 @@ def _write_output(text: str, output: str | None) -> None:
 
 def cmd_allocate(args: argparse.Namespace) -> int:
     try:
-        config = SearchConfig(max_population=args.max_population, max_paths_per_connect=args.max_paths)
+        config = SearchConfig(
+            max_population=args.max_population,
+            max_paths_per_connect=args.max_paths,
+        )
     except ValueError as exc:
-        raise InputFileError(str(exc)) from exc
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     timer = time.perf_counter
     t0 = timer()
     graph = load_platform(args.platform)
@@ -335,7 +350,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     selected = select(outcome, graph)
     t3 = timer()
 
-    timings = None if args.no_timings else {"ingest_s": t1 - t0, "allocate_s": t2 - t1, "select_s": t3 - t2}
+    timings = None
+    if not args.no_timings:
+        timings = {"ingest_s": t1 - t0, "allocate_s": t2 - t1, "select_s": t3 - t2}
     report = RunReport(
         sizes=outcome.sizes,
         config=config,
@@ -410,14 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
-#: Exit code per error class; the first matching entry wins.
-_EXIT_CODES = (
-    (InsufficientQubitsError, EXIT_INSUFFICIENT_QUBITS),
-    (NoFeasibleAllocationError, EXIT_NO_ALLOCATION),
-    (InstanceTooLargeError, EXIT_TOO_LARGE),
-    (Exception, EXIT_INPUT),
-)
-
 
 def _setup_logging() -> None:
     level = os.environ.get("QAICCC_LOG", "error").lower()
@@ -430,9 +439,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, QaicccError) as exc:
+    except InsufficientQubitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return EXIT_INSUFFICIENT_QUBITS
+    except NoFeasibleAllocationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_ALLOCATION
+    except InstanceTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except QaicccError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

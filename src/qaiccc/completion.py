@@ -29,9 +29,7 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from typing import Iterator, Sequence
 
 from .model import (
@@ -188,19 +186,24 @@ def _start(
     groups of the allocation to partition the platform, and every
     component to be connected already.
     """
-    n = graph.vertex_count
-    qubit_sets = [allocation.unallocated, *(comp.qubits for comp in allocation.components)]
-    groups = [graph.mask_of(qubits) for qubits in qubit_sets]
-    if sizes.total() != n or None in groups:
+    if sizes.total() != graph.vertex_count:
         return None
-    # Groups inside the platform partition it iff their sizes and their union both cover it.
-    union = functools.reduce(operator.or_, groups)
-    if sum(g.bit_count() for g in groups) != n or union.bit_count() != n:
+    adjacency = graph.adjacency_masks
+    free = covered = graph.mask_of(allocation.unallocated)
+    if free is None:
         return None
-    free, *masks = groups
-    if any(mask_region(m & -m, m, graph.adjacency_masks) != m for m in masks):
+    pending: list[_Pending] = []
+    for comp in allocation.components:
+        mask = graph.mask_of(comp.qubits)
+        if mask is None or covered & mask:
+            return None
+        if mask_region(mask & -mask, mask, adjacency) != mask:
+            return None
+        covered |= mask
+        pending.append((comp.trust, mask, len(comp.qubits)))
+    if covered.bit_count() != graph.vertex_count:
         return None
-    return free, tuple((c.trust, m, m.bit_count()) for c, m in zip(allocation.components, masks))
+    return free, tuple(pending)
 
 
 def complete_allocation(

@@ -1,8 +1,8 @@
 """Brute-force validation harness for small platforms.
 
 Everything here re-derives results through routes independent of the
-search: exhaustive enumeration of complete allocations (the test suite
-counts them by a second strategy), attribute replay against an
+search: exhaustive enumeration of complete allocations (two different
+strategies that must agree on the count), attribute replay against an
 allocation's final structure, and a rate-oblivious greedy baseline.  The
 search's branch-and-commit structure carries no optimality proof, so the
 gap between the exhaustive optimum and the algorithm's pick is measured,
@@ -11,6 +11,8 @@ not assumed.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -93,6 +95,36 @@ def enumerate_complete(
 
     rec(graph.qubits, pending, [])
     return tuple(dedup_allocations(out))
+
+
+def count_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> int:
+    """Second counting strategy: ordered slot assignment divided by symmetry.
+
+    Walks the request slots in declared order, summing over every
+    connected block for each slot, then divides by the permutations of
+    equal (trust, size) slots.  Must equal ``len(enumerate_complete(...))``.
+    """
+    full = update_sizes(graph.vertex_count, sizes)
+    slots = [(trust, size) for _, trust, size in request_slots(full)]
+
+    def blocks(remaining: frozenset[int], size: int) -> Iterator[frozenset[int]]:
+        for anchor in sorted(remaining):
+            allowed = frozenset(q for q in remaining if q >= anchor)
+            yield from _anchored_blocks(anchor, size, allowed, graph)
+
+    def rec(index: int, remaining: frozenset[int]) -> int:
+        if index == len(slots):
+            return 1 if not remaining else 0
+        _, size = slots[index]
+        return sum(rec(index + 1, remaining - block) for block in blocks(remaining, size))
+
+    symmetry = 1
+    for repeat in Counter(slots).values():
+        symmetry *= math.factorial(repeat)
+    ordered_total = rec(0, graph.qubits)
+    if ordered_total % symmetry:
+        raise AssertionError("ordered partition count is not divisible by slot symmetry")
+    return ordered_total // symmetry
 
 
 def safe_prefix(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> int:

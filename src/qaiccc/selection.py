@@ -59,7 +59,13 @@ def noise_worklist(
         except ValueError:
             raise ValueError("last_rate does not appear in the rate list") from None
         sequence += ordered[start:]
-    return tuple(dict.fromkeys(sequence))
+    out: list[CrosstalkRate] = []
+    seen: set[CrosstalkRate] = set()
+    for rate in sequence:
+        if rate not in seen:
+            seen.add(rate)
+            out.append(rate)
+    return tuple(out)
 
 
 def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:

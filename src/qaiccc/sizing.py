@@ -26,10 +26,11 @@ def assignment_feasible(component_sizes: Sequence[int], request_sizes: Sequence[
 
 def allocation_feasible(allocation: Allocation, sizes: SizeRequests) -> bool:
     """Size feasibility of a whole allocation, both trust classes."""
-    return all(
-        assignment_feasible([len(c.qubits) for c in allocation.components_of(t)], sizes.for_trust(t))
-        for t in Trust
-    )
+    for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
+        comp_sizes = [len(c.qubits) for c in allocation.components_of(trust)]
+        if not assignment_feasible(comp_sizes, sizes.for_trust(trust)):
+            return False
+    return True
 
 
 def remain(
@@ -68,13 +69,12 @@ def remain(
     if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
         return -1
 
-    # Feasibility only shrinks as the component grows, so the scan stops at
-    # the first size that no longer fits.
+    limit = max(requests, default=0)
     best = -1
-    for grown in range(base if user else 1, max(requests, default=0) + 1):
-        if not assignment_feasible(others + [grown], requests):
-            break
-        best = grown
+    start = base if user else 1
+    for grown in range(start, limit + 1):
+        if assignment_feasible(others + [grown], requests):
+            best = grown
     if best < 0:
         return -1
     return best - base if user else best

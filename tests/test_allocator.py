@@ -126,7 +126,8 @@ class TestConnect:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), qubit_mask({2, 3}), qubit_mask({4}), demo_graph, sizes, CFG
+            state_of(allocation), qubit_mask({2, 3}), qubit_mask({4}), demo_graph, sizes, CFG,
+            memo={},
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -134,7 +135,8 @@ class TestConnect:
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), qubit_mask({0, 1}), qubit_mask({4}), demo_graph, sizes, CFG
+            state_of(allocation), qubit_mask({0, 1}), qubit_mask({4}), demo_graph, sizes, CFG,
+            memo={},
         )
         assert results == []
 
@@ -143,7 +145,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
             state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
-            fresh_trust=Trust.UNTRUSTED,
+            fresh_trust=Trust.UNTRUSTED, memo={},
         )
         assert structure([2]) in state_keys(results)
 
@@ -152,7 +154,8 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         # The component is already at the largest request size.
         results = connect(
-            state_of(allocation), qubit_mask({2, 3, 4}), qubit_mask({0}), demo_graph, sizes, CFG
+            state_of(allocation), qubit_mask({2, 3, 4}), qubit_mask({0}), demo_graph, sizes, CFG,
+            memo={},
         )
         assert results == []
 
@@ -161,11 +164,11 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
             state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes,
-            SearchConfig(max_paths_per_connect=1), fresh_trust=Trust.UNTRUSTED,
+            SearchConfig(max_paths_per_connect=1), fresh_trust=Trust.UNTRUSTED, memo={},
         )
         uncapped = connect(
             state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
-            fresh_trust=Trust.UNTRUSTED,
+            fresh_trust=Trust.UNTRUSTED, memo={},
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
@@ -405,7 +408,7 @@ class TestImproveAllocHandsOnDistinctStructures:
     def test_fresh_candidates_of_both_trusts_are_distinct(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
-        results = improve_alloc(state_of(build(5)), rate, demo_graph, sizes, CFG)
+        results = improve_alloc(state_of(build(5)), rate, demo_graph, sizes, CFG, memo={})
         assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
             structure([3, 4], trust=Trust.UNTRUSTED),
@@ -486,7 +489,7 @@ def test_connect_matches_the_reference_on_random_joins(case):
     config = SearchConfig(max_paths_per_connect=paths)
     got = connect(
         state_of(allocation), qubit_mask(user), qubit_mask(incoming), graph, sizes, config,
-        fresh_trust=fresh_trust,
+        fresh_trust=fresh_trust, memo={},
     )
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
@@ -499,7 +502,7 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({2, 3, 4}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED,
+            fresh_trust=Trust.UNTRUSTED, memo={},
         )
         assert candidate is not None
         assert canonicalize(allocation_of(candidate)) == structure([2, 3, 4])
@@ -512,14 +515,16 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({0, 2, 3}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED,
+            fresh_trust=Trust.UNTRUSTED, memo={},
         )
         assert candidate is None
 
     def test_cross_trust_merge_is_rejected(self, demo_graph):
         allocation = build(5, t(0, 1), u(2, 3))
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
-        assert new_alloc(state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes) is None
+        assert new_alloc(
+            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo={},
+        ) is None
 
     def test_disconnected_merge_is_rejected(self, demo_graph):
         allocation = build(5)
@@ -527,7 +532,7 @@ class TestNewAlloc:
         assert (
             new_alloc(
                 state_of(allocation), qubit_mask({1, 4}), demo_graph, sizes,
-                fresh_trust=Trust.UNTRUSTED,
+                fresh_trust=Trust.UNTRUSTED, memo={},
             )
             is None
         )
@@ -537,7 +542,9 @@ class TestAllocUnallocated:
     def test_fresh_user_branch_reaches_the_bare_impacted_qubit(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
-        results = alloc_unallocated(state_of(allocation), frozenset({2}), demo_graph, sizes, CFG)
+        results = alloc_unallocated(
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo={},
+        )
         assert structure([2]) in state_keys(results)
         for result in results:
             assert 2 not in allocation_of(result).unallocated
@@ -545,14 +552,16 @@ class TestAllocUnallocated:
     def test_already_owned_impacted_qubit_passes_through(self, demo_graph):
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = alloc_unallocated(state_of(allocation), frozenset({2}), demo_graph, sizes, CFG)
+        results = alloc_unallocated(
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo={},
+        )
         assert state_keys(results) == {canonicalize(allocation)}
 
     def test_no_viable_branch_gives_empty_set(self):
         line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        results = alloc_unallocated(state_of(allocation), frozenset({3}), line, sizes, CFG)
+        results = alloc_unallocated(state_of(allocation), frozenset({3}), line, sizes, CFG, memo={})
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
         # step breaks size feasibility (the lone 2-request is taken).
@@ -574,7 +583,7 @@ class TestAllocImpacted:
     def test_owner_gains_each_reachable_impacting_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_impacted(
-            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG
+            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG, memo={}
         )
         got = state_keys(results)
         assert structure([2, 3]) in got
@@ -586,7 +595,9 @@ class TestAllocImpacted:
     def test_owner_already_in_control_keeps_the_candidate(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
-        results = alloc_impacted([state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG)
+        results = alloc_impacted(
+            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo={},
+        )
         assert canonicalize(candidate) in state_keys(results)
 
     def test_blocked_instance_yields_nothing(self, demo_graph, demo_rates):
@@ -594,25 +605,27 @@ class TestAllocImpacted:
         # impacting qubit is unreachable within the size budget.
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
-        results = alloc_impacted([state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG)
+        results = alloc_impacted(
+            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo={},
+        )
         assert results == []
 
     def test_unallocated_impacted_qubit_is_a_caller_bug(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
-            alloc_impacted([state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG)
+            alloc_impacted([state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo={})
 
 
 class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        results = improve_alloc(state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG)
+        results = improve_alloc(state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo={})
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_owner_absorbs_the_unallocated_involved_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG
+            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG, memo={}
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -620,14 +633,16 @@ class TestImproveAlloc:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
-        assert improve_alloc(state_of(allocation), rate, demo_graph, sizes, CFG) == []
+        assert improve_alloc(state_of(allocation), rate, demo_graph, sizes, CFG, memo={}) == []
 
 
 class TestAllocTrusted:
     def test_no_trusted_components_generate_nothing(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
-            alloc_trusted(state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG)
+            alloc_trusted(
+                state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG, memo={},
+            )
             == []
         )
 
@@ -635,7 +650,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(3,), untrusted=(2,))
         allocation = build(5, t(1))
         impacting = frozenset({2, 4})
-        results = alloc_trusted(state_of(allocation), impacting, demo_graph, sizes, CFG)
+        results = alloc_trusted(state_of(allocation), impacting, demo_graph, sizes, CFG, memo={})
         for result in results:
             assert validate_allocation(allocation_of(result), demo_graph) == []
         assert state_keys(results) == {
@@ -646,7 +661,9 @@ class TestAllocTrusted:
     def test_fully_allocated_impacting_set_generates_nothing(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
-        assert alloc_trusted(state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG) == []
+        assert alloc_trusted(
+            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo={},
+        ) == []
 
 
 class TestUpdatePopulation:

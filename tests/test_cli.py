@@ -209,6 +209,8 @@ class TestReportReaders:
              r"ranking\[0\].incidental: record 0: 'score'"),
             (["last_rate"], {"score": 0.1, "impacting": [1, 1], "impacted": [0]},
              r"ranking\[0\].last_rate: 'impacting' repeats"),
+            (["last_rate"], 0, r"ranking\[0\].last_rate: record must be an object"),
+            (["last_rate"], {}, r"ranking\[0\].last_rate: 'impacting' must be a list"),
         ],
     )
     def test_malformed_ranking_entry_is_refused(self, report_data, path, value, message):
@@ -247,6 +249,9 @@ class TestReportReaders:
             (lambda d: d.pop("config"), "'report' must be an object with 'config'"),
             (lambda d: d.__setitem__("selected", []), "'selected' must be an object with 'allocation'"),
             (lambda d: d.__setitem__("ranking", {}), "'report.ranking' must be a list"),
+            (lambda d: d.__setitem__("timings", 5), "'report.timings' must be an object or null"),
+            (lambda d: d.__setitem__("timings", {"ingest_s": "1"}),
+             "'report.timings.ingest_s' must be a finite"),
         ],
     )
     def test_malformed_report_fields_are_refused(self, report_data, edit, message):

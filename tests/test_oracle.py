@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
-from collections import Counter
-from typing import Iterator
 
 import pytest
 
@@ -27,9 +24,7 @@ from qaiccc import (
     sort_rates,
     validate_allocation,
 )
-from qaiccc.allocator import update_sizes
-from qaiccc.completion import request_slots
-from qaiccc.oracle import _anchored_blocks
+from qaiccc.oracle import count_complete
 
 
 def u(*qubits):
@@ -43,37 +38,6 @@ def build(n, *components):
 
 def key_of(*component_lists, n=5):
     return canonicalize(build(n, *(u(*qs) for qs in component_lists)))
-
-
-
-def count_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> int:
-    """Second counting strategy: ordered slot assignment divided by symmetry.
-
-    Walks the request slots in declared order, summing over every
-    connected block for each slot, then divides by the permutations of
-    equal (trust, size) slots.  Must equal ``len(enumerate_complete(...))``.
-    """
-    full = update_sizes(graph.vertex_count, sizes)
-    slots = [(trust, size) for _, trust, size in request_slots(full)]
-
-    def blocks(remaining: frozenset[int], size: int) -> Iterator[frozenset[int]]:
-        for anchor in sorted(remaining):
-            allowed = frozenset(q for q in remaining if q >= anchor)
-            yield from _anchored_blocks(anchor, size, allowed, graph)
-
-    def rec(index: int, remaining: frozenset[int]) -> int:
-        if index == len(slots):
-            return 1 if not remaining else 0
-        _, size = slots[index]
-        return sum(rec(index + 1, remaining - block) for block in blocks(remaining, size))
-
-    symmetry = 1
-    for repeat in Counter(slots).values():
-        symmetry *= math.factorial(repeat)
-    ordered_total = rec(0, graph.qubits)
-    if ordered_total % symmetry:
-        raise AssertionError("ordered partition count is not divisible by slot symmetry")
-    return ordered_total // symmetry
 
 
 class TestEnumerateComplete:

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/compare_reports.py OLD_TREE NEW_TREE [--only NAME ...] [--jobs N]
+    python tools/compare_reports.py OLD_TREE NEW_TREE [--only NAME ...]
 
 Each tree is a checkout holding ``src/qaiccc``.  The behaviour set is the
 benchmark's 42 instances (``bench/workloads.py``, seed 1): every instance
@@ -14,7 +14,7 @@ runs ``oracle``: 376 commands.  ``--only`` keeps the named instances.
 Every command runs in a fresh interpreter against each tree, on the same
 input files.  The script prints one line per command whose stdout (the
 report), stderr or exit code differs, then a summary, and exits 1 when
-anything differed.  Standard library only.
+anything differed.  Two commands run at once.  Standard library only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 CONFIGS = ([], ["--max-paths", "1"], ["--max-paths", "5"], ["--max-population", "3"])
 FORMATS = (["--no-timings"], ["--format", "text", "--verbose", "--no-timings"])
+JOBS = 2
 
 
 def behaviour_set(work: Path, only: set[str] | None) -> list[tuple[str, list[str]]]:
@@ -73,18 +74,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("old", type=Path, help="source tree holding src/qaiccc")
     parser.add_argument("new", type=Path, help="source tree holding src/qaiccc")
     parser.add_argument("--only", nargs="+", help="instance names to keep (e.g. grid16 i07)")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once (default 2)")
     args = parser.parse_args(argv)
     for tree in (args.old, args.new):
         if not (tree / "src" / "qaiccc").is_dir():
             parser.error(f"{tree} holds no src/qaiccc")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
     with tempfile.TemporaryDirectory() as work:
         commands = behaviour_set(Path(work), set(args.only) if args.only else None)
         old, new = args.old.resolve(), args.new.resolve()
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             verdicts = list(pool.map(lambda command: compare(old, new, command[1]), commands))
         differing = 0
         for (name, command), diffs in zip(commands, verdicts):
