@@ -47,6 +47,7 @@ from .model import (  # noqa: F401
     CrosstalkRate,
     SearchState,
     SizeRequests,
+    StateComponent,
     Trust,
     allocation_of,
     canonicalize,
@@ -62,7 +63,8 @@ from .sizing import allocation_feasible, remain  # noqa: F401
 
 log = logging.getLogger("qaiccc.allocator")
 
-_TRUST_ORDER = (Trust.TRUSTED, Trust.UNTRUSTED)
+#: A fresh user of each class, as a :func:`connect` owner, trusted first.
+_FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0, 0), (Trust.UNTRUSTED, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -147,29 +149,30 @@ def new_alloc(
 
 def connect(
     state: SearchState,
-    user: int,
+    owner: StateComponent,
     incoming: int,
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    fresh_trust: Trust | None = None,
     memo: dict[SearchState, bool],
 ) -> list[SearchState]:
-    """Ways of joining the ``incoming`` mask to the ``user`` mask through unallocated connectors.
+    """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
-    The connector budget comes from the user's growth allowance under
-    size feasibility, minus the incoming qubits themselves; a negative
-    budget means no join can fit.  Only connected regions are generated:
-    connected sets that hold ``user | incoming`` plus unallocated
-    connector qubits, fewest connectors first and, among regions with as
-    many connectors, in ascending qubit order (the order of
-    ``itertools.combinations`` over the sorted connector pool).  The
-    first ``config.max_paths_per_connect`` regions in that order are each
-    handed to :func:`new_alloc`.  With ``user`` empty (0) the regions
-    become a fresh component of class ``fresh_trust``.
+    ``owner`` is a component of ``state``, or ``(trust, 0, 0)`` for a fresh
+    user of that class.  The connector budget is the owner's growth
+    allowance (:func:`remain`) minus the incoming qubits themselves; when
+    ``incoming`` is another component, :func:`remain` still counts it
+    among the class's other users although the join fuses it in.  Only
+    connected regions are generated: connected sets that hold the owner's
+    mask and ``incoming`` plus unallocated connector qubits, fewest
+    connectors first and, among regions with as many connectors, in
+    ascending qubit order (the order of ``itertools.combinations`` over
+    the sorted connector pool).  The first ``config.max_paths_per_connect``
+    regions in that order are each handed to :func:`new_alloc`.
     """
-    budget = remain(user, state, sizes, fresh_trust=fresh_trust)
+    trust, user, _ = owner
+    budget = remain(owner, state, sizes)
     max_len = budget - (incoming & ~user).bit_count()
     if max_len < 0:
         return []
@@ -191,7 +194,7 @@ def connect(
         # two regions differ belongs to the earlier one.
         for region in sorted(regions, key=lambda m: f"{m:0{width}b}"[::-1], reverse=True):
             considered += 1
-            candidate = new_alloc(state, region, graph, sizes, fresh_trust=fresh_trust, memo=memo)
+            candidate = new_alloc(state, region, graph, sizes, fresh_trust=trust, memo=memo)
             if candidate is not None:
                 results.append(candidate)
             if considered >= config.max_paths_per_connect:
@@ -224,12 +227,8 @@ def alloc_unallocated(
             if not alloc[0] & target:
                 staged.append(alloc)
                 continue
-            for _, mask, _ in alloc[1]:
-                staged += connect(alloc, mask, target, graph, sizes, config, memo=memo)
-            for trust in _TRUST_ORDER:
-                staged += connect(
-                    alloc, 0, target, graph, sizes, config, fresh_trust=trust, memo=memo
-                )
+            for owner in alloc[1] + _FRESH:
+                staged += connect(alloc, owner, target, graph, sizes, config, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
 
@@ -256,8 +255,8 @@ def alloc_impacted(
         staged: list[SearchState] = []
         for alloc in current:
             free, components = alloc
-            owner = next((m for _, m, _ in components if m >> impacted_qubit & 1), 0)
-            if not owner:
+            owner = next((c for c in components if c[1] >> impacted_qubit & 1), None)
+            if owner is None:
                 raise ValueError(
                     f"impacted qubit {impacted_qubit} is unallocated; "
                     "allocate impacted qubits before assigning control"
@@ -291,14 +290,14 @@ def improve_alloc(
     if not merge_base:
         fresh = [
             candidate
-            for trust in _TRUST_ORDER
+            for trust, _, _ in _FRESH
             if (candidate := new_alloc(state, involved, graph, sizes, fresh_trust=trust, memo=memo))
         ]
         if fresh:
             return fresh
         fallback: list[SearchState] = []
-        for _, mask, _ in state[1]:
-            fallback += connect(state, mask, involved, graph, sizes, config, memo=memo)
+        for owner in state[1]:
+            fallback += connect(state, owner, involved, graph, sizes, config, memo=memo)
         return fallback
 
     candidate = new_alloc(state, merge_base | involved, graph, sizes, memo=memo)
@@ -327,12 +326,9 @@ def alloc_trusted(
     for length in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, length):
             subset = qubit_mask(combo)
-            for trust, mask, _ in components:
-                if trust is Trust.TRUSTED:
-                    out += connect(state, mask, subset, graph, sizes, config, memo=memo)
-            out += connect(
-                state, 0, subset, graph, sizes, config, fresh_trust=Trust.TRUSTED, memo=memo
-            )
+            for owner in components + _FRESH:
+                if owner[0] is Trust.TRUSTED:
+                    out += connect(state, owner, subset, graph, sizes, config, memo=memo)
     return out
 
 
@@ -369,17 +365,16 @@ def replay_attributes(
 
 
 def archive_alloc(
-    member: Allocation,
+    key: SearchState,
     population: dict[SearchState, Allocation],
     archive: dict[SearchState, Allocation],
     rate: CrosstalkRate,
 ) -> Allocation:
-    """Retire ``member``: record the rate it fell at and move it to the archive.
+    """Retire the member at ``key``: record the rate it fell at and move it to the archive.
 
     Only population members are investigated by later iterations, so the
     retired allocation's attributes are frozen from here on.
     """
-    key = state_of(member)
     if key not in population:
         raise ValueError("member is not in the population")
     retired = replace(population.pop(key), last_rate=rate)
@@ -490,7 +485,7 @@ def allocate(
                 candidates = alloc_impacted(candidates, rate, graph, full, config, memo=memo)
                 candidates += improve_alloc(key, rate, graph, full, config, memo=memo)
                 candidates += alloc_trusted(key, rate.impacting, graph, full, config, memo=memo)
-                newly_archived.append(archive_alloc(member, population, archive, rate))
+                newly_archived.append(archive_alloc(key, population, archive, rate))
 
             update_population(candidates, population, archive, processed, config)
 

@@ -35,20 +35,21 @@ from typing import Iterator, Sequence
 from .model import (
     Allocation,
     ConnectivityGraph,
+    SearchState,
     SizeRequests,
+    StateComponent,
     Trust,
     UserComponent,
     mask_neighborhood,
     mask_qubits,
     mask_region,
     qubit_mask,
+    state_of,
+    validate_allocation,
 )
 
 #: ("trusted" | "untrusted" | "idle", position within its class)
 RequestLabel = tuple[str, int]
-
-#: An existing component still to be grown: (trust, qubit mask, size).
-_Pending = tuple[Trust, int, int]
 
 
 def request_slots(sizes: SizeRequests) -> tuple[tuple[RequestLabel, Trust, int], ...]:
@@ -148,7 +149,7 @@ def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], faile
 
 def _completable(
     free: int,
-    pending: tuple[_Pending, ...],
+    pending: tuple[StateComponent, ...],
     slots: tuple[tuple[Trust, int], ...],
     adjacency: Sequence[int],
     failed: set,
@@ -179,31 +180,16 @@ def _open(slots: Sequence[tuple[RequestLabel, Trust, int]]) -> tuple[tuple[Trust
 
 def _start(
     allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests
-) -> tuple[int, tuple[_Pending, ...]] | None:
-    """Free mask and pending components, or None when completion is ruled out up front.
+) -> SearchState | None:
+    """The allocation's search state, or None when completion is ruled out up front.
 
-    Completion needs the request sizes to sum to the platform size, the
-    groups of the allocation to partition the platform, and every
-    component to be connected already.
+    Completion needs the request sizes to sum to the platform size and
+    the allocation to be structurally valid (:func:`validate_allocation`):
+    its groups partition the platform and every component is connected.
     """
-    if sizes.total() != graph.vertex_count:
+    if sizes.total() != graph.vertex_count or validate_allocation(allocation, graph):
         return None
-    adjacency = graph.adjacency_masks
-    free = covered = graph.mask_of(allocation.unallocated)
-    if free is None:
-        return None
-    pending: list[_Pending] = []
-    for comp in allocation.components:
-        mask = graph.mask_of(comp.qubits)
-        if mask is None or covered & mask:
-            return None
-        if mask_region(mask & -mask, mask, adjacency) != mask:
-            return None
-        covered |= mask
-        pending.append((comp.trust, mask, len(comp.qubits)))
-    if covered.bit_count() != graph.vertex_count:
-        return None
-    return free, tuple(pending)
+    return state_of(allocation)
 
 
 def complete_allocation(
@@ -258,7 +244,7 @@ def complete_allocation(
 
 
 def decide(
-    free: int, pending: tuple[_Pending, ...], graph: ConnectivityGraph, sizes: SizeRequests
+    free: int, pending: tuple[StateComponent, ...], graph: ConnectivityGraph, sizes: SizeRequests
 ) -> bool:
     """The decider on a bitmask state: can it be completed to exactly ``sizes``?
 

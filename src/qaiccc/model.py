@@ -109,25 +109,17 @@ class ConnectivityGraph:
     def neighbors(self, qubit: int) -> tuple[int, ...]:
         return self._adjacency[qubit]
 
-    def mask_of(self, qubits: Iterable[int]) -> int | None:
-        """Bitmask of ``qubits``, or None when one lies outside ``0..vertex_count-1``.
-
-        The searches check a qubit group against the platform only here.
-        """
-        mask = 0
-        for q in qubits:
-            if not 0 <= q < self.vertex_count:
-                return None
-            mask |= 1 << q
-        return mask
-
     def is_connected(self, qubits: Iterable[int]) -> bool:
         """True when ``qubits`` induces a connected subgraph (or is empty).
 
         A set naming a qubit outside ``0..vertex_count-1`` is not connected.
         """
-        mask = self.mask_of(qubits)
-        return mask is not None and mask_region(mask & -mask, mask, self.adjacency_masks) == mask
+        mask = 0
+        for q in qubits:
+            if not 0 <= q < self.vertex_count:
+                return False
+            mask |= 1 << q
+        return mask_region(mask & -mask, mask, self.adjacency_masks) == mask
 
 
 @dataclass(frozen=True)
@@ -261,13 +253,17 @@ def canonicalize(allocation: Allocation) -> CanonicalKey:
     )
 
 
-#: An allocation's bitmask form in the search: the unallocated mask and one ``(trust, mask,
-#: size)`` per component, by trust and then lowest qubit.  Components are disjoint, so this
-#: is :func:`canonicalize`'s order, and a state is its own structural key.
-SearchState = tuple[int, tuple[tuple[Trust, int, int], ...]]
+#: One user in the search: ``(trust, qubit mask, size)``.  ``(trust, 0, 0)`` names a
+#: user of that class not yet given any qubit.
+StateComponent = tuple[Trust, int, int]
+
+#: An allocation's bitmask form in the search: the unallocated mask and one component
+#: per user, by trust and then lowest qubit.  Components are disjoint, so this is
+#: :func:`canonicalize`'s order, and a state is its own structural key.
+SearchState = tuple[int, tuple[StateComponent, ...]]
 
 
-def component_order(component: tuple[Trust, int, int]) -> tuple[Trust, int]:
+def component_order(component: StateComponent) -> tuple[Trust, int]:
     """Sort key of a state component: trust (a ``str``), then its lowest qubit."""
     trust, mask, _ = component
     return trust, mask & -mask
@@ -312,21 +308,18 @@ def validate_allocation(allocation: Allocation, graph: ConnectivityGraph) -> lis
     groups: list[tuple[str, frozenset[int]]] = [("unallocated", allocation.unallocated)]
     groups += [(f"component {sorted(c.qubits)}", c.qubits) for c in allocation.components]
 
+    covered: frozenset[int] = frozenset()
     for name, qubits in groups:
         stray = qubits - all_qubits
         if stray:
             violations.append(f"{name} uses unknown qubits {sorted(stray)}")
-
-    covered: set[int] = set()
-    for name, qubits in groups:
         overlap = covered & qubits
         if overlap:
             violations.append(f"{name} overlaps earlier groups on {sorted(overlap)}")
         covered |= qubits
-    if covered != set(all_qubits):
-        missing = set(all_qubits) - covered
-        if missing:
-            violations.append(f"qubits {sorted(missing)} are neither allocated nor unallocated")
+    missing = all_qubits - covered
+    if missing:
+        violations.append(f"qubits {sorted(missing)} are neither allocated nor unallocated")
 
     for comp in allocation.components:
         if not graph.is_connected(comp.qubits):

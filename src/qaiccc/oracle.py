@@ -27,7 +27,6 @@ from .model import (
     SizeRequests,
     UserComponent,
     canonicalize,
-    dedup_allocations,
     sort_rates,
 )
 from .safety import is_safe
@@ -94,7 +93,7 @@ def enumerate_complete(
                 acc.pop()
 
     rec(graph.qubits, pending, [])
-    return tuple(dedup_allocations(out))
+    return tuple(out)
 
 
 def count_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> int:

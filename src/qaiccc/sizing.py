@@ -5,14 +5,16 @@ components can be injectively assigned to requests of that class with
 each component no larger than its request.  Because a component of size
 ``c`` fits exactly the requests of size ``>= c``, the bipartite matching
 degenerates to a sorted comparison: align components and requests in
-decreasing size and require element-wise fit.
+decreasing size and require element-wise fit.  :func:`remain` turns this
+into the growth budget of one user of a search state, named by its
+``(trust, mask, size)`` triple.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .model import Allocation, SearchState, SizeRequests, Trust
+from .model import Allocation, SearchState, SizeRequests, StateComponent, Trust
 
 
 def assignment_feasible(component_sizes: Sequence[int], request_sizes: Sequence[int]) -> bool:
@@ -33,48 +35,23 @@ def allocation_feasible(allocation: Allocation, sizes: SizeRequests) -> bool:
     return True
 
 
-def remain(
-    user: int,
-    state: SearchState,
-    sizes: SizeRequests,
-    *,
-    fresh_trust: Trust | None = None,
-) -> int:
-    """Growth budget of the component with qubit mask ``user``; reads only ``state``'s sizes.
+def remain(owner: StateComponent, state: SearchState, sizes: SizeRequests) -> int:
+    """Growth budget of ``owner``, a component of ``state`` or ``(trust, 0, 0)`` for a fresh user.
 
-    For an existing component ``user``: the largest ``k >= 0`` such that
-    growing it by ``k`` qubits still leaves every component of the
-    allocation assignable to its own request; -1 when the allocation is
-    already infeasible.
-
-    For ``user`` empty (a component about to be created, class
-    ``fresh_trust``): the largest size the fresh component may take
-    alongside the existing components; -1 when no request is left for it.
+    The largest ``k >= 0`` such that growing the owner by ``k`` qubits
+    leaves every component assignable to its own request, or -1.  A
+    component that fits a request still fits when grown to its size, and a
+    larger size never fits where a smaller one does not, so the request
+    sizes are scanned from the largest down and the first that fits wins.
     """
-    components = state[1]
-    if user:
-        owner = next((c for c in components if c[1] == user), None)
-        if owner is None:
-            raise ValueError("user must be an existing component's qubit mask")
-        trust, _, base = owner
-    else:
-        if fresh_trust is None:
-            raise ValueError("fresh_trust is required when user is empty")
-        trust, base = fresh_trust, 0
-    others = [size for t, mask, size in components if t is trust and mask != user]
-    other_sizes = [size for t, _, size in components if t is not trust]
-
-    requests = sizes.for_trust(trust)
+    trust, mask, base = owner
     other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
+    other_sizes = [size for t, _, size in state[1] if t is not trust]
     if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
         return -1
-
-    limit = max(requests, default=0)
-    best = -1
-    start = base if user else 1
-    for grown in range(start, limit + 1):
+    others = [size for t, m, size in state[1] if t is trust and m != mask]
+    requests = sizes.for_trust(trust)
+    for grown in sorted({r for r in requests if r >= base}, reverse=True):
         if assignment_feasible(others + [grown], requests):
-            best = grown
-    if best < 0:
-        return -1
-    return best - base if user else best
+            return grown - base
+    return -1

@@ -69,6 +69,14 @@ def build(n, *components):
     return Allocation(unallocated=frozenset(range(n)) - used, components=components)
 
 
+def owner(component):
+    """A component's ``(trust, mask, size)`` triple, the owner argument of ``connect``."""
+    return component.trust, qubit_mask(component.qubits), len(component.qubits)
+
+
+FRESH_U = (Trust.UNTRUSTED, 0, 0)
+
+
 def keys(allocations):
     return {canonicalize(a) for a in allocations}
 
@@ -126,8 +134,7 @@ class TestConnect:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), qubit_mask({2, 3}), qubit_mask({4}), demo_graph, sizes, CFG,
-            memo={},
+            state_of(allocation), owner(u(2, 3)), qubit_mask({4}), demo_graph, sizes, CFG, memo={}
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -135,8 +142,7 @@ class TestConnect:
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), qubit_mask({0, 1}), qubit_mask({4}), demo_graph, sizes, CFG,
-            memo={},
+            state_of(allocation), owner(u(0, 1)), qubit_mask({4}), demo_graph, sizes, CFG, memo={}
         )
         assert results == []
 
@@ -144,8 +150,7 @@ class TestConnect:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
-            fresh_trust=Trust.UNTRUSTED, memo={},
+            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG, memo={}
         )
         assert structure([2]) in state_keys(results)
 
@@ -154,7 +159,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         # The component is already at the largest request size.
         results = connect(
-            state_of(allocation), qubit_mask({2, 3, 4}), qubit_mask({0}), demo_graph, sizes, CFG,
+            state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}), demo_graph, sizes, CFG,
             memo={},
         )
         assert results == []
@@ -163,12 +168,11 @@ class TestConnect:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
-            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes,
-            SearchConfig(max_paths_per_connect=1), fresh_trust=Trust.UNTRUSTED, memo={},
+            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes,
+            SearchConfig(max_paths_per_connect=1), memo={},
         )
         uncapped = connect(
-            state_of(allocation), 0, qubit_mask({2}), demo_graph, sizes, CFG,
-            fresh_trust=Trust.UNTRUSTED, memo={},
+            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG, memo={}
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
@@ -346,12 +350,12 @@ class TestConnectMatchesTheReference:
     def checked_calls(self, monkeypatch):
         calls = []
 
-        def checking(state, user, incoming, graph, sizes, config, **kwargs):
-            result = connect(state, user, incoming, graph, sizes, config, **kwargs)
-            kwargs.pop("memo")
+        def checking(state, owner, incoming, graph, sizes, config, **kwargs):
+            result = connect(state, owner, incoming, graph, sizes, config, **kwargs)
+            trust, user, _ = owner
             expected = reference_connect(
                 allocation_of(state), mask_qubits(user), mask_qubits(incoming),
-                graph, sizes, config, **kwargs,
+                graph, sizes, config, fresh_trust=None if user else trust,
             )
             assert [allocation_of(candidate) for candidate in result] == expected
             calls.append(graph.is_connected(mask_qubits(user | incoming)))
@@ -487,9 +491,11 @@ _PATH6 = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}
 def test_connect_matches_the_reference_on_random_joins(case):
     allocation, user, incoming, graph, sizes, paths, fresh_trust = case
     config = SearchConfig(max_paths_per_connect=paths)
+    joined = next(
+        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
+    )
     got = connect(
-        state_of(allocation), qubit_mask(user), qubit_mask(incoming), graph, sizes, config,
-        fresh_trust=fresh_trust, memo={},
+        state_of(allocation), joined, qubit_mask(incoming), graph, sizes, config, memo={}
     )
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
@@ -672,7 +678,7 @@ class TestUpdatePopulation:
         member = build(5, u(2, 3))
         population = {state_of(member): member}
         archive: dict = {}
-        archive_alloc(member, population, archive, ordered[1])
+        archive_alloc(state_of(member), population, archive, ordered[1])
         admitted = update_population(
             [state_of(build(5, u(2, 3)))], population, archive, ordered[:1], CFG
         )
@@ -718,14 +724,14 @@ class TestArchiveAlloc:
         member = eval_alloc(build(5, u(2, 3)), demo_rates[0])
         population = {state_of(member): member}
         archive: dict = {}
-        retired = archive_alloc(member, population, archive, demo_rates[1])
+        retired = archive_alloc(state_of(member), population, archive, demo_rates[1])
         assert population == {} and archive == {state_of(member): retired}
         assert retired.last_rate == demo_rates[1]
         assert retired.score == member.score and retired.penalty == member.penalty
 
     def test_non_member_is_rejected(self, demo_rates):
         with pytest.raises(ValueError):
-            archive_alloc(build(5, u(2, 3)), {}, {}, demo_rates[0])
+            archive_alloc(state_of(build(5, u(2, 3))), {}, {}, demo_rates[0])
 
 
 def list_reference_allocate(graph, sizes, rates, config):

@@ -140,6 +140,7 @@ def test_trust_classes_do_not_mix(demo_graph):
 )
 def test_malformed_partials_never_complete(demo_graph, allocation):
     sizes = SizeRequests(untrusted=(2, 3))
+    assert validate_allocation(allocation, demo_graph)
     assert not can_complete(allocation, demo_graph, sizes)
     assert complete_allocation(allocation, demo_graph, sizes) is None
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
-
 from qaiccc import Allocation, SizeRequests, Trust, UserComponent
 from qaiccc.model import qubit_mask, state_of
 from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
@@ -65,32 +63,37 @@ def brute_force_remain(user, allocation, sizes, fresh_trust=None) -> int:
     return best - base if user else best
 
 
+def owner(trust, *qubits):
+    """The ``(trust, mask, size)`` triple of a component; no qubits names a fresh user."""
+    return trust, qubit_mask(qubits), len(qubits)
+
+
 class TestRemain:
     def test_single_component_can_grow_to_the_larger_request(self):
         allocation = build({0, 1, 3, 4}, u(2))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(qubit_mask({2}), state_of(allocation), sizes) == 2
+        assert remain(owner(Trust.UNTRUSTED, 2), state_of(allocation), sizes) == 2
         assert brute_force_remain(frozenset({2}), allocation, sizes) == 2
 
     def test_exactly_filled_requests_leave_no_growth(self):
         allocation = build(set(), u(0, 1), u(2, 3, 4))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(qubit_mask({0, 1}), state_of(allocation), sizes) == 0
+        assert remain(owner(Trust.UNTRUSTED, 0, 1), state_of(allocation), sizes) == 0
 
     def test_fresh_component_without_unclaimed_request_is_infeasible(self):
         allocation = build({2, 3, 4}, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        assert remain(0, state_of(allocation), sizes, fresh_trust=Trust.UNTRUSTED) == -1
+        assert remain(owner(Trust.UNTRUSTED), state_of(allocation), sizes) == -1
 
     def test_fresh_component_budget_is_the_largest_assignable_size(self):
         allocation = build({0, 1, 4}, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        assert remain(0, state_of(allocation), sizes, fresh_trust=Trust.UNTRUSTED) == 3
+        assert remain(owner(Trust.UNTRUSTED), state_of(allocation), sizes) == 3
 
     def test_oversized_component_is_infeasible(self):
         allocation = build({3, 4}, u(0, 1, 2))
         sizes = SizeRequests(untrusted=(2,))
-        assert remain(qubit_mask({0, 1, 2}), state_of(allocation), sizes) == -1
+        assert remain(owner(Trust.UNTRUSTED, 0, 1, 2), state_of(allocation), sizes) == -1
 
     def test_matches_brute_force_on_random_instances(self):
         rng = random.Random(12)
@@ -110,21 +113,17 @@ class TestRemain:
                 trusted=tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2))),
                 untrusted=tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
             )
+            state = state_of(allocation)
             if comps and rng.random() < 0.7:
-                target = rng.choice(comps)
-                assert remain(
-                    qubit_mask(target.qubits), state_of(allocation), sizes
-                ) == brute_force_remain(target.qubits, allocation, sizes)
+                target = rng.choice(state[1])  # the state's own triple
+                assert remain(target, state, sizes) == brute_force_remain(
+                    frozenset(q for q in qubits if target[1] >> q & 1), allocation, sizes
+                )
             else:
                 trust = rng.choice([Trust.TRUSTED, Trust.UNTRUSTED])
-                assert remain(
-                    0, state_of(allocation), sizes, fresh_trust=trust
-                ) == brute_force_remain(frozenset(), allocation, sizes, fresh_trust=trust)
-
-    def test_requires_an_existing_component(self):
-        allocation = build({0, 1, 2})
-        with pytest.raises(ValueError):
-            remain(qubit_mask({0}), state_of(allocation), SizeRequests(untrusted=(3,)))
+                assert remain((trust, 0, 0), state, sizes) == brute_force_remain(
+                    frozenset(), allocation, sizes, fresh_trust=trust
+                )
 
 
 def test_allocation_feasible_checks_both_classes():

@@ -1,19 +1,48 @@
-"""``tools/compare_reports.py`` on one benchmark instance."""
+"""``tools/compare_reports.py`` on one benchmark instance, and the tracer's import sites."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "tools" / "compare_reports.py")
+def load_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tool():
+    return load_file("compare_reports", ROOT / "tools" / "compare_reports.py")
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", ["allocator", "cli"])
+def test_unused_imports_are_tracer_sites(module):
+    # A name bound but never read here is only kept for bench/spans.py,
+    # which wraps collaborators at the import site its callers look in.
+    sites = load_file("spans", ROOT / "bench" / "spans.py").SITES
+    wrapped = {attribute for owner, attribute, _, _ in sites if owner == f"qaiccc.{module}"}
+    unused = unused_imports(ROOT / "src" / "qaiccc" / f"{module}.py")
+    assert unused <= wrapped, sorted(unused - wrapped)
 
 
 def test_same_tree_shows_no_difference(capsys):
