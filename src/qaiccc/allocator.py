@@ -22,8 +22,10 @@ the candidate's own structure.
 
 The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
 each its own structural key.  The repair operators take and return
-states, and :func:`new_alloc` asks the decider about each distinct state
-once, through a memo dict owned by one :func:`allocate` call.  Population
+states and share one :class:`SearchMemo`, which :func:`allocate` creates:
+each distinct state is decided once, each failed sub-state of the
+decider, each :func:`connect` join and each growth budget is remembered
+for the rest of the run, and the memo dies with the run.  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
 the one final deduplicator of candidates.  An :class:`Allocation` is
 built only for a state in neither, right before its admission replay.
@@ -34,12 +36,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
 # longer called here; they stay bound because the benchmark's tracer
 # (bench/spans.py) wraps names at this import site.
 from .completion import can_complete, connected_supersets, decide  # noqa: F401
+from .completion import open_requests, request_slots
 from .errors import InsufficientQubitsError
 from .model import (  # noqa: F401
     Allocation,
@@ -88,6 +91,28 @@ class SearchConfig:
             raise ValueError("max_population must be at least 1 when set")
 
 
+class SearchMemo:
+    """What one :func:`allocate` run has established, so it is worked out once.
+
+    Each table is an exact function of its key, given the run's graph,
+    sizes and config.  ``states`` maps every :func:`new_alloc` candidate to
+    itself when kept and to None otherwise, so equal states are one object;
+    ``failed`` holds the decider's failed sub-states for the run's
+    ``requests``; ``joins`` the states of each :func:`connect` call, by
+    ``(state, owner, incoming)``; ``budgets`` each :func:`remain`, by the
+    owner's trust and size and the state's ``(trust, size)`` sequence.
+    """
+
+    __slots__ = ("states", "requests", "failed", "joins", "budgets")
+
+    def __init__(self, sizes: SizeRequests) -> None:
+        self.states: dict[SearchState, SearchState | None] = {}
+        self.requests = open_requests(request_slots(sizes))
+        self.failed: set = set()
+        self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
+        self.budgets: dict[tuple, int] = {}
+
+
 def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
     """Add the untrusted idle request when some qubits would stay unused.
 
@@ -115,7 +140,7 @@ def new_alloc(
     sizes: SizeRequests,
     *,
     fresh_trust: Trust | None = None,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> SearchState | None:
     """The state with all of the ``merged`` mask held by a single user, or None.
 
@@ -125,8 +150,8 @@ def new_alloc(
     completion decider accepts the state, which also refuses every
     size-infeasible one; whether it is new is the store's call.
     ``fresh_trust`` names the class of the component when ``merged``
-    touches no existing component.  ``memo`` keeps the verdict per state
-    for the rest of one :func:`allocate` call.
+    touches no existing component.  Each distinct candidate is judged
+    once per run, and the ``memo``'s own copy of it is returned.
     """
     free, components = state
     touching = [c for c in components if c[1] & merged]
@@ -140,11 +165,12 @@ def new_alloc(
     kept = [c for c in components if not c[1] & merged]
     kept.append((trust, fused, fused.bit_count()))
     candidate = (free & ~merged, tuple(sorted(kept, key=component_order)))
-    verdict = memo.get(candidate)
-    if verdict is None:
+    known = memo.states.get(candidate, False)
+    if known is False:
         connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
-        verdict = memo[candidate] = connected and decide(*candidate, graph, sizes)
-    return candidate if verdict else None
+        keep = connected and decide(*candidate, graph, memo.requests, memo.failed)
+        known = memo.states[candidate] = candidate if keep else None
+    return known
 
 
 def connect(
@@ -155,7 +181,7 @@ def connect(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> list[SearchState]:
     """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
@@ -169,13 +195,29 @@ def connect(
     connectors first and, among regions with as many connectors, in
     ascending qubit order (the order of ``itertools.combinations`` over
     the sorted connector pool).  The first ``config.max_paths_per_connect``
-    regions in that order are each handed to :func:`new_alloc`.
+    regions in that order are each handed to :func:`new_alloc`.  A join
+    already made in this run is answered from the ``memo``, as a new list.
     """
-    trust, user, _ = owner
-    budget = remain(owner, state, sizes)
+    key = (state, owner, incoming)
+    joined = memo.joins.get(key)
+    if joined is None:
+        joined = memo.joins[key] = tuple(_joins(state, owner, incoming, graph, sizes, config, memo))
+    return list(joined)
+
+
+def _joins(
+    state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
+    sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
+) -> Iterator[SearchState]:
+    """The states :func:`connect` returns, worked out."""
+    trust, user, user_size = owner
+    signature = (trust, user_size, tuple((t, size) for t, _, size in state[1]))
+    budget = memo.budgets.get(signature)
+    if budget is None:
+        budget = memo.budgets[signature] = remain(owner, state, sizes)
     max_len = budget - (incoming & ~user).bit_count()
     if max_len < 0:
-        return []
+        return
 
     adjacency = graph.adjacency_masks
     base = user | incoming
@@ -186,7 +228,6 @@ def connect(
     largest = reach.bit_count() if not base & ~reach else 0
     first = base.bit_count()
     width = graph.vertex_count
-    results: list[SearchState] = []
     considered = 0
     for size in range(first, min(first + max_len, largest) + 1):
         regions = connected_supersets(base, size, available, adjacency)
@@ -196,10 +237,9 @@ def connect(
             considered += 1
             candidate = new_alloc(state, region, graph, sizes, fresh_trust=trust, memo=memo)
             if candidate is not None:
-                results.append(candidate)
+                yield candidate
             if considered >= config.max_paths_per_connect:
-                return results
-    return results
+                return
 
 
 def alloc_unallocated(
@@ -209,7 +249,7 @@ def alloc_unallocated(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> list[SearchState]:
     """Allocate every unallocated impacted qubit, branching over owners.
 
@@ -240,7 +280,7 @@ def alloc_impacted(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> list[SearchState]:
     """Give every impacted user control of an impacting qubit.
 
@@ -275,7 +315,7 @@ def improve_alloc(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> list[SearchState]:
     """Single-owner variants for the rate's qubits.
 
@@ -311,7 +351,7 @@ def alloc_trusted(
     sizes: SizeRequests,
     config: SearchConfig,
     *,
-    memo: dict[SearchState, bool],
+    memo: SearchMemo,
 ) -> list[SearchState]:
     """Hand unallocated impacting qubits to trusted users.
 
@@ -463,7 +503,7 @@ def allocate(
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
     population: dict[SearchState, Allocation] = {state_of(initial): initial}
     archive: dict[SearchState, Allocation] = {}
-    memo: dict[SearchState, bool] = {}
+    memo = SearchMemo(full)
     steps: list[RateStep] = []
     halted = False
 

@@ -367,6 +367,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        print(f"error: --cap must be at least 1, got {args.cap}", file=sys.stderr)
+        return EXIT_INPUT
     graph = load_platform(args.platform)
     rates = load_rates(args.rates, graph)
     sizes = load_requests(args.requests)
@@ -380,7 +383,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     graph = load_platform(args.platform)
-    rates = synth_rates(graph, args.seed, max_rates=args.max_rates)
+    try:
+        rates = synth_rates(graph, args.seed, max_rates=args.max_rates)
+    except ValueError as exc:
+        print(f"error: --max-rates: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.output:
         save_rates(rates, args.output)
     else:

@@ -16,8 +16,9 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   remaining free qubits with fresh blocks anchored on the lowest free
   qubit, branching over distinct sizes only.  A tiling state in which
   some connected free region is smaller than the smallest open request
-  is dropped, and failed states are remembered for the rest of the call.
-  It answers whether *any* completion exists.
+  is dropped, and failed states are remembered for the rest of the run,
+  in a set that :func:`decide` takes.  It answers whether *any*
+  completion exists.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
   request slots in declared order (trusted, then untrusted, idle last),
   offers each slot its existing components before fresh blocks, and
@@ -173,7 +174,9 @@ def _completable(
     return False
 
 
-def _open(slots: Sequence[tuple[RequestLabel, Trust, int]]) -> tuple[tuple[Trust, int], ...]:
+def open_requests(
+    slots: Sequence[tuple[RequestLabel, Trust, int]],
+) -> tuple[tuple[Trust, int], ...]:
     """The open requests of ``slots`` as the decider's sorted multiset."""
     return tuple(sorted((trust, size) for _, trust, size in slots))
 
@@ -209,12 +212,12 @@ def complete_allocation(
     slots = request_slots(sizes)
     adjacency = graph.adjacency_masks
     failed: set = set()
-    if not _completable(free, pending, _open(slots), adjacency, failed):
+    if not _completable(free, pending, open_requests(slots), adjacency, failed):
         return None
 
     chosen: list[int] = []
     for index, (_, trust, size) in enumerate(slots):
-        after = _open(slots[index + 1 :])
+        after = open_requests(slots[index + 1 :])
         grown = (
             (block, pending[:i] + pending[i + 1 :])
             for i, (comp_trust, base, _) in enumerate(pending)
@@ -244,17 +247,21 @@ def complete_allocation(
 
 
 def decide(
-    free: int, pending: tuple[StateComponent, ...], graph: ConnectivityGraph, sizes: SizeRequests
+    free: int, pending: tuple[StateComponent, ...], graph: ConnectivityGraph,
+    requests: tuple[tuple[Trust, int], ...], failed: set,
 ) -> bool:
-    """The decider on a bitmask state: can it be completed to exactly ``sizes``?
+    """The decider on a bitmask state: can it be completed to exactly ``requests``?
 
-    ``sizes`` includes the idle request; ``pending`` holds the connected
-    components as ``(trust, mask, size)``, grown in that order.
+    ``requests`` is :func:`open_requests` of every request, the idle one
+    included; ``pending`` holds the connected components as ``(trust,
+    mask, size)``, grown in that order.  ``failed`` gains every sub-state
+    found not completable, keyed with its open requests, so one set can
+    serve every call on ``graph``.
     """
-    return _completable(free, pending, _open(request_slots(sizes)), graph.adjacency_masks, set())
+    return _completable(free, pending, requests, graph.adjacency_masks, failed)
 
 
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
     """True when :func:`complete_allocation` would succeed."""
     start = _start(allocation, graph, sizes)
-    return start is not None and decide(*start, graph, sizes)
+    return start is not None and decide(*start, graph, open_requests(request_slots(sizes)), set())

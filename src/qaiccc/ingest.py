@@ -220,7 +220,10 @@ def synth_rates(
     2-to-1 over triples, 2-to-2 over quadruples), with the split between
     impacting and impacted qubits and the score drawn from a seeded
     stream.  Identical ``(graph, seed)`` always yields the identical list.
+    A negative ``max_rates`` raises ``ValueError``.
     """
+    if max_rates is not None and max_rates < 0:
+        raise ValueError(f"max_rates must be at least 0, got {max_rates}")
     rng = random.Random(seed)
     rates: list[CrosstalkRate] = []
     for impacting_count, impacted_count in _RATE_SHAPES:

@@ -65,8 +65,10 @@ def enumerate_complete(
     The idle request is added first, so the partitions cover all qubits.
     Anchoring each block on the lowest remaining qubit and branching over
     distinct (trust, size) options yields each allocation exactly once,
-    in deterministic order.
+    in deterministic order.  A ``cap`` below 1 raises ``ValueError``.
     """
+    if cap < 1:
+        raise ValueError(f"enumeration cap must be at least 1, got {cap}")
     if graph.vertex_count > cap:
         raise InstanceTooLargeError(
             f"platform has {graph.vertex_count} qubits, enumeration cap is {cap}"

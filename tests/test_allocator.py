@@ -30,6 +30,7 @@ from qaiccc import (
 )
 from qaiccc.allocator import (
     RateStep,
+    SearchMemo,
     alloc_impacted,
     alloc_trusted,
     alloc_unallocated,
@@ -134,7 +135,8 @@ class TestConnect:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), owner(u(2, 3)), qubit_mask({4}), demo_graph, sizes, CFG, memo={}
+            state_of(allocation), owner(u(2, 3)), qubit_mask({4}), demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -142,7 +144,8 @@ class TestConnect:
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), owner(u(0, 1)), qubit_mask({4}), demo_graph, sizes, CFG, memo={}
+            state_of(allocation), owner(u(0, 1)), qubit_mask({4}), demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         assert results == []
 
@@ -150,7 +153,8 @@ class TestConnect:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG, memo={}
+            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         assert structure([2]) in state_keys(results)
 
@@ -160,7 +164,7 @@ class TestConnect:
         # The component is already at the largest request size.
         results = connect(
             state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}), demo_graph, sizes, CFG,
-            memo={},
+            memo=SearchMemo(sizes),
         )
         assert results == []
 
@@ -169,10 +173,11 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
             state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes,
-            SearchConfig(max_paths_per_connect=1), memo={},
+            SearchConfig(max_paths_per_connect=1), memo=SearchMemo(sizes),
         )
         uncapped = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG, memo={}
+            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
@@ -412,7 +417,9 @@ class TestImproveAllocHandsOnDistinctStructures:
     def test_fresh_candidates_of_both_trusts_are_distinct(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
-        results = improve_alloc(state_of(build(5)), rate, demo_graph, sizes, CFG, memo={})
+        results = improve_alloc(
+            state_of(build(5)), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+        )
         assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
             structure([3, 4], trust=Trust.UNTRUSTED),
@@ -495,7 +502,8 @@ def test_connect_matches_the_reference_on_random_joins(case):
         (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
     )
     got = connect(
-        state_of(allocation), joined, qubit_mask(incoming), graph, sizes, config, memo={}
+        state_of(allocation), joined, qubit_mask(incoming), graph, sizes, config,
+        memo=SearchMemo(sizes)
     )
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
@@ -508,7 +516,7 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({2, 3, 4}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo={},
+            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
         )
         assert candidate is not None
         assert canonicalize(allocation_of(candidate)) == structure([2, 3, 4])
@@ -521,7 +529,7 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({0, 2, 3}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo={},
+            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
         )
         assert candidate is None
 
@@ -529,7 +537,7 @@ class TestNewAlloc:
         allocation = build(5, t(0, 1), u(2, 3))
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         assert new_alloc(
-            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo={},
+            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo=SearchMemo(sizes),
         ) is None
 
     def test_disconnected_merge_is_rejected(self, demo_graph):
@@ -538,7 +546,7 @@ class TestNewAlloc:
         assert (
             new_alloc(
                 state_of(allocation), qubit_mask({1, 4}), demo_graph, sizes,
-                fresh_trust=Trust.UNTRUSTED, memo={},
+                fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
             )
             is None
         )
@@ -549,7 +557,7 @@ class TestAllocUnallocated:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo={},
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
         )
         assert structure([2]) in state_keys(results)
         for result in results:
@@ -559,7 +567,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo={},
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
         )
         assert state_keys(results) == {canonicalize(allocation)}
 
@@ -567,7 +575,9 @@ class TestAllocUnallocated:
         line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        results = alloc_unallocated(state_of(allocation), frozenset({3}), line, sizes, CFG, memo={})
+        results = alloc_unallocated(
+            state_of(allocation), frozenset({3}), line, sizes, CFG, memo=SearchMemo(sizes)
+        )
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
         # step breaks size feasibility (the lone 2-request is taken).
@@ -589,7 +599,8 @@ class TestAllocImpacted:
     def test_owner_gains_each_reachable_impacting_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_impacted(
-            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG, memo={}
+            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         got = state_keys(results)
         assert structure([2, 3]) in got
@@ -602,7 +613,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo={},
+            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes),
         )
         assert canonicalize(candidate) in state_keys(results)
 
@@ -612,26 +623,31 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo={},
+            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo=SearchMemo(sizes),
         )
         assert results == []
 
     def test_unallocated_impacted_qubit_is_a_caller_bug(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
-            alloc_impacted([state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo={})
+            alloc_impacted(
+                [state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+            )
 
 
 class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
-        results = improve_alloc(state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo={})
+        results = improve_alloc(
+            state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+        )
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_owner_absorbs_the_unallocated_involved_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG, memo={}
+            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG,
+            memo=SearchMemo(sizes)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -639,7 +655,9 @@ class TestImproveAlloc:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
-        assert improve_alloc(state_of(allocation), rate, demo_graph, sizes, CFG, memo={}) == []
+        assert improve_alloc(
+            state_of(allocation), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+        ) == []
 
 
 class TestAllocTrusted:
@@ -647,7 +665,8 @@ class TestAllocTrusted:
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
             alloc_trusted(
-                state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG, memo={},
+                state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG,
+                memo=SearchMemo(sizes),
             )
             == []
         )
@@ -656,7 +675,9 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(3,), untrusted=(2,))
         allocation = build(5, t(1))
         impacting = frozenset({2, 4})
-        results = alloc_trusted(state_of(allocation), impacting, demo_graph, sizes, CFG, memo={})
+        results = alloc_trusted(
+            state_of(allocation), impacting, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+        )
         for result in results:
             assert validate_allocation(allocation_of(result), demo_graph) == []
         assert state_keys(results) == {
@@ -668,7 +689,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         assert alloc_trusted(
-            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo={},
+            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
         ) == []
 
 
@@ -892,6 +913,64 @@ class TestPerRunMemo:
             # Within one run every state is decided once.
             run = calls[-counts[1]:]
             assert len({args[:2] for args in run}) == len(run)
+
+    def test_two_runs_in_one_process_budget_and_decide_alike(self, monkeypatch, family):
+        calls = {"remain": [], "decide": []}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name].append(args)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(allocator_module, "remain", counting("remain", remain))
+        monkeypatch.setattr(allocator_module, "decide", counting("decide", decide))
+        for instance in family[:5]:
+            counts = []
+            for _ in range(2):
+                before = {name: len(made) for name, made in calls.items()}
+                allocate(instance.graph, instance.sizes, instance.rates)
+                counts.append({name: len(made) - before[name] for name, made in calls.items()})
+            assert counts[0] == counts[1]
+            assert counts[1]["remain"] > 0
+            # Within one run each growth budget is worked out once.
+            run = calls["remain"][-counts[1]["remain"]:]
+            signatures = {
+                (owner[0], owner[2], tuple((t, size) for t, _, size in state[1]))
+                for owner, state, _ in run
+            }
+            assert len(signatures) == len(run)
+
+
+class TestWarmMemo:
+    """A join answered from the run's memo is the join worked out afresh."""
+
+    def test_connect_gives_the_same_list_warm_as_cold(self, family):
+        for instance in family[:8]:
+            full = update_sizes(instance.graph.vertex_count, instance.sizes)
+            outcome = allocate(instance.graph, instance.sizes, instance.rates)
+            shared = SearchMemo(full)
+            for allocation in outcome.allocations:
+                state = state_of(allocation)
+                for joined in state[1] + ((Trust.TRUSTED, 0, 0), FRESH_U):
+                    for qubit in sorted(allocation.unallocated):
+                        args = (state, joined, 1 << qubit, instance.graph, full, CFG)
+                        cold = connect(*args, memo=SearchMemo(full))
+                        assert connect(*args, memo=shared) == cold
+                        assert connect(*args, memo=shared) == cold
+
+    def test_mutating_a_returned_list_leaves_later_hits_alone(self, demo_graph):
+        sizes = SizeRequests(untrusted=(2, 3))
+        memo = SearchMemo(sizes)
+        args = (state_of(build(5)), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG)
+        first = connect(*args, memo=memo)
+        expected = list(first)
+        assert expected
+        first.append(first[0])
+        first.reverse()
+        assert connect(*args, memo=memo) == expected
+        connect(*args, memo=memo).clear()
+        assert connect(*args, memo=memo) == expected
 
 
 class TestAllocateEndToEnd:

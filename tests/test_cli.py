@@ -292,6 +292,13 @@ class TestOracleCommand:
         assert main(args + ["--cap", "9"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exits_1_and_names_the_flag(self, files, capsys, cap):
+        args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]
+        assert main(args + ["--requests", files["requests"], "--cap", cap]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--cap" in captured.err and captured.out == ""
+
     def test_zero_rates_every_partition_optimal(self, files, tmp_path, capsys):
         rates = tmp_path / "none.json"
         rates.write_text("[]", encoding="utf-8")
@@ -324,3 +331,11 @@ class TestSynthCommand:
         assert main(["synth", "--platform", files["platform"], "--seed", "3", "--max-rates", "10"]) == EXIT_OK
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 10
+
+    def test_negative_max_rates_exits_1_and_names_the_flag(self, files, capsys):
+        args = ["synth", "--platform", files["platform"], "--seed", "3", "--max-rates"]
+        assert main(args + ["-1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--max-rates" in captured.err and captured.out == ""
+        assert main(args + ["0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []

@@ -27,8 +27,11 @@ from qaiccc.completion import (
     complete_allocation,
     connected_subsets,
     connected_supersets,
+    decide,
+    open_requests,
     request_slots,
 )
+from qaiccc.model import state_of
 
 
 def u(*qubits):
@@ -489,3 +492,35 @@ def test_decider_agrees_with_exhaustive_enumeration(case):
             comp.qubits <= assignment[label] and trust is comp.trust
             for label, trust, _ in request_slots(full)
         )
+
+
+@st.composite
+def partial_sequences(draw):
+    """A platform, requests, and a sequence of partial allocations on that platform.
+
+    Each partial keeps a random subset of the components of either the
+    drawn partial or one complete allocation, so the sequence mixes
+    completable and stranded states that share sub-states.
+    """
+    graph, sizes, partial = draw(partial_instances())
+    pool = [partial.components] + [a.components for a in enumerate_complete(graph, sizes)]
+    sequence = []
+    for _ in range(draw(st.integers(1, 6))):
+        kept = tuple(c for c in draw(st.sampled_from(pool)) if draw(st.booleans()))
+        used = frozenset().union(*(c.qubits for c in kept))
+        sequence.append(Allocation(unallocated=graph.qubits - used, components=kept))
+    return graph, sizes, sequence
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(partial_sequences())
+def test_one_shared_table_decides_like_a_fresh_table_per_state(case):
+    graph, sizes, sequence = case
+    requests = open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
+    complete = enumerate_complete(graph, sizes)
+    shared: set = set()
+    for partial in sequence:
+        state = state_of(partial)
+        verdict = decide(*state, graph, requests, shared)
+        assert verdict is decide(*state, graph, requests, set())
+        assert verdict is any(extends(alloc, partial) for alloc in complete)

@@ -207,6 +207,11 @@ class TestSynthRates:
     def test_max_rates_cap(self, demo_graph):
         assert len(synth_rates(demo_graph, 5, max_rates=4)) == 4
 
+    def test_negative_max_rates_is_refused(self, demo_graph):
+        assert synth_rates(demo_graph, 5, max_rates=0) == ()
+        with pytest.raises(ValueError, match="max_rates"):
+            synth_rates(demo_graph, 5, max_rates=-1)
+
     def test_no_duplicate_pairs_and_loader_accepts(self, tmp_path, demo_graph):
         rates = synth_rates(demo_graph, 9)
         pairs = {(tuple(sorted(r.impacting)), tuple(sorted(r.impacted))) for r in rates}

@@ -63,6 +63,11 @@ class TestEnumerateComplete:
             enumerate_complete(big, SizeRequests(untrusted=(9,)))
         assert len(enumerate_complete(big, SizeRequests(untrusted=(9,)), cap=9)) == 1
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_a_bad_input(self, demo_graph, demo_sizes, cap):
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_complete(demo_graph, demo_sizes, cap)
+
     def test_count_self_consistency(self, demo_graph, demo_sizes, family):
         assert count_complete(demo_graph, demo_sizes) == len(
             enumerate_complete(demo_graph, demo_sizes)

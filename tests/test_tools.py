@@ -58,3 +58,10 @@ def test_changed_report_bytes_are_flagged(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "9 commands, 4 with differences"
     assert all(line.startswith("i00: differs in report: allocate ") for line in lines[:-1])
+
+
+def test_device_scale_reports_the_heavy_hex_top_rate_run():
+    tool = load_file("device_scale", ROOT / "tools" / "device_scale.py")
+    run = tool.measure(ROOT, 1)
+    assert (run["population"], run["archive"]) == (1012, 1)
+    assert run["seconds"] > 0

@@ -1,0 +1,95 @@
+"""Time ``allocate`` at device scale: heavy-hex 27, untrusted (5,5,5), no cap.
+
+Usage::
+
+    python tools/device_scale.py [TREE ...] [--k K ...]
+
+Each tree is a checkout holding ``src/qaiccc`` (default: the tree this
+script lives in).  The instance is the IBM Falcon heavy-hex layout of 27
+qubits, three untrusted requests of 5 qubits, and the ``k`` highest-scored
+rates of ``synth_rates(graph, 7)``, searched with the default
+``SearchConfig``.  For every ``k`` given (default 1 and 2; repeat a value
+to measure it again) and every tree, ``allocate`` runs in a fresh
+interpreter; with several trees their order alternates from one ``k`` to
+the next, so a drift of the host does not favour one tree.  One line per
+run gives the seconds ``allocate`` took, the final population and archive
+sizes and the interpreter's peak resident memory (``VmHWM``; blank where
+``/proc`` does not provide it).  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Heavy-hex 27 (IBM Falcon), the layout the ROADMAP measures.
+EDGES = (
+    (0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7), (7, 10), (8, 9),
+    (8, 11), (10, 12), (11, 14), (12, 13), (12, 15), (13, 14), (14, 16), (15, 18),
+    (16, 19), (17, 18), (18, 21), (19, 20), (19, 22), (21, 23), (22, 25), (23, 24),
+    (24, 25), (25, 26),
+)
+
+CHILD = """
+import json, sys, time
+from qaiccc import ConnectivityGraph, SizeRequests, allocate, sort_rates, synth_rates
+
+edges, k = json.loads(sys.argv[1])
+graph = ConnectivityGraph(27, frozenset(map(tuple, edges)))
+rates = sort_rates(synth_rates(graph, 7))[:k]
+start = time.perf_counter()
+outcome = allocate(graph, SizeRequests(untrusted=(5, 5, 5)), rates)
+seconds = time.perf_counter() - start
+peak = None
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    pass
+print(json.dumps({"seconds": seconds, "population": len(outcome.population),
+                  "archive": len(outcome.archive), "peak_rss_mb": peak}))
+"""
+
+
+def measure(tree: Path, k: int) -> dict:
+    """One ``allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps([EDGES, k])],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, help="source trees holding src/qaiccc")
+    parser.add_argument("--k", type=int, nargs="+", default=[1, 2], help="rates kept (default 1 2)")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in args.trees] or [ROOT]
+    for tree in trees:
+        if not (tree / "src" / "qaiccc").is_dir():
+            parser.error(f"{tree} holds no src/qaiccc")
+    if min(args.k) < 1:
+        parser.error("--k must be at least 1")
+
+    for turn, k in enumerate(args.k):
+        for tree in trees[::-1] if turn % 2 else trees:
+            run = measure(tree, k)
+            peak = "" if run["peak_rss_mb"] is None else f"{run['peak_rss_mb']:.1f}"
+            print(
+                f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
+                f"archive {run['archive']} peak_rss_mb {peak} {tree}",
+                flush=True,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
