@@ -23,18 +23,27 @@ the candidate's own structure.
 The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
 each its own structural key.  The repair operators take and return
 states and share one :class:`SearchMemo`, which :func:`allocate` creates:
-each distinct state is decided once, each failed sub-state of the
-decider, each :func:`connect` join and each growth budget is remembered
-for the rest of the run, and the memo dies with the run.  Population
+each distinct state is decided once, the decider's verdict on each
+sub-state (success or failure), each :func:`connect` join and each growth
+budget is remembered for the rest of the run, and the memo dies with the
+run.  A join builds its candidate states in place: its regions hold the
+owner and ``incoming`` and add only unallocated qubits, so the components
+they meet are worked out once per join, and each region's fused
+component is bisected into the kept components, which a state holds in
+component order (:func:`new_alloc` stays for :func:`improve_alloc`).
+Safety is read on masks (:func:`qaiccc.safety.state_verdict`), each
+rate's masks worked out once per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
 the one final deduplicator of candidates.  An :class:`Allocation` is
-built only for a state in neither, right before its admission replay.
+built only for a state in neither, once its admission replay on the state
+(:func:`replay_state`) has found it safe, with its final attributes.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -61,13 +70,18 @@ from .model import (  # noqa: F401
     sort_rates,
     state_of,
 )
-from .safety import involved_parties, is_safe
+# ``is_safe`` and ``involved_parties`` stay bound for the tracer as well; the
+# search reads the rule on masks.
+from .safety import involved_parties, is_safe, state_parties, state_verdict  # noqa: F401
 from .sizing import allocation_feasible, remain  # noqa: F401
 
 log = logging.getLogger("qaiccc.allocator")
 
 #: A fresh user of each class, as a :func:`connect` owner, trusted first.
 _FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0, 0), (Trust.UNTRUSTED, 0, 0))
+
+#: Entry ``b`` is byte ``b`` with its bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -95,20 +109,21 @@ class SearchMemo:
     """What one :func:`allocate` run has established, so it is worked out once.
 
     Each table is an exact function of its key, given the run's graph,
-    sizes and config.  ``states`` maps every :func:`new_alloc` candidate to
-    itself when kept and to None otherwise, so equal states are one object;
-    ``failed`` holds the decider's failed sub-states for the run's
-    ``requests``; ``joins`` the states of each :func:`connect` call, by
-    ``(state, owner, incoming)``; ``budgets`` each :func:`remain`, by the
-    owner's trust and size and the state's ``(trust, size)`` sequence.
+    sizes and config.  ``states`` maps every candidate state to itself when
+    kept and to None otherwise, so equal states are one object;
+    ``verdicts`` holds the decider's verdict, success or failure, on every
+    sub-state it has worked out for the run's ``requests``; ``joins`` the
+    states of each :func:`connect` call, by ``(state, owner, incoming)``;
+    ``budgets`` each :func:`remain`, by the owner's trust and size and the
+    state's ``(trust, size)`` sequence.
     """
 
-    __slots__ = ("states", "requests", "failed", "joins", "budgets")
+    __slots__ = ("states", "requests", "verdicts", "joins", "budgets")
 
     def __init__(self, sizes: SizeRequests) -> None:
         self.states: dict[SearchState, SearchState | None] = {}
         self.requests = open_requests(request_slots(sizes))
-        self.failed: set = set()
+        self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
         self.budgets: dict[tuple, int] = {}
 
@@ -168,7 +183,7 @@ def new_alloc(
     known = memo.states.get(candidate, False)
     if known is False:
         connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
-        keep = connected and decide(*candidate, graph, memo.requests, memo.failed)
+        keep = connected and decide(*candidate, graph, memo.requests, memo.verdicts)
         known = memo.states[candidate] = candidate if keep else None
     return known
 
@@ -195,7 +210,8 @@ def connect(
     connectors first and, among regions with as many connectors, in
     ascending qubit order (the order of ``itertools.combinations`` over
     the sorted connector pool).  The first ``config.max_paths_per_connect``
-    regions in that order are each handed to :func:`new_alloc`.  A join
+    regions in that order each give the state :func:`new_alloc` would give
+    for them, built in place and kept when the decider accepts it.  A join
     already made in this run is answered from the ``memo``, as a new list.
     """
     key = (state, owner, incoming)
@@ -209,7 +225,47 @@ def _joins(
     state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
     sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
 ) -> Iterator[SearchState]:
-    """The states :func:`connect` returns, worked out."""
+    """The states :func:`connect` returns, worked out.
+
+    Every region holds ``user | incoming`` and adds only unallocated
+    qubits, so the components it meets are those meeting ``user |
+    incoming`` (:func:`new_alloc`'s rule: the first one's trust, or the
+    owner's when there is none, and no mixed classes).  Their union joins
+    each region, and the fused component is connected because the region
+    is and meets each of them.  Each region's state is built in place: the
+    fused component goes into the components the join keeps, which are
+    already in :func:`~qaiccc.model.component_order`, at the place its key
+    bisects to.
+    """
+    free, components = state
+    base = owner[1] | incoming
+    touching = [c for c in components if c[1] & base]
+    trust = touching[0][0] if touching else owner[0]
+    if any(c[0] is not trust for c in touching):  # every region would mix classes
+        return
+    touched = 0
+    for _, mask, _ in touching:
+        touched |= mask
+    kept = tuple(c for c in components if not c[1] & base)
+    keys = [component_order(c) for c in kept]
+    states = memo.states
+    for region in _regions(state, owner, incoming, graph, sizes, config, memo):
+        fused = region | touched
+        at = bisect_left(keys, (trust, fused & -fused))
+        candidate = (free & ~region, kept[:at] + ((trust, fused, fused.bit_count()),) + kept[at:])
+        known = states.get(candidate, False)
+        if known is False:
+            keep = decide(*candidate, graph, memo.requests, memo.verdicts)
+            known = states[candidate] = candidate if keep else None
+        if known is not None:
+            yield known
+
+
+def _regions(
+    state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
+    sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
+) -> Iterator[int]:
+    """The first ``config.max_paths_per_connect`` regions of a join, in :func:`connect`'s order."""
     trust, user, user_size = owner
     signature = (trust, user_size, tuple((t, size) for t, _, size in state[1]))
     budget = memo.budgets.get(signature)
@@ -227,17 +283,20 @@ def _joins(
     reach = mask_region(base & -base, base | available, adjacency)
     largest = reach.bit_count() if not base & ~reach else 0
     first = base.bit_count()
-    width = graph.vertex_count
+    width = (graph.vertex_count + 7) // 8
+
+    def lowest_first(mask: int) -> bytes:
+        """The mask's bits with qubit 0 as the most significant one."""
+        return mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+
     considered = 0
     for size in range(first, min(first + max_len, largest) + 1):
         regions = connected_supersets(base, size, available, adjacency)
         # Equal-size sets in combinations order: the lowest qubit in which
-        # two regions differ belongs to the earlier one.
-        for region in sorted(regions, key=lambda m: f"{m:0{width}b}"[::-1], reverse=True):
+        # two regions differ belongs to the earlier one, which reads larger.
+        for region in sorted(regions, key=lowest_first, reverse=True):
+            yield region
             considered += 1
-            candidate = new_alloc(state, region, graph, sizes, fresh_trust=trust, memo=memo)
-            if candidate is not None:
-                yield candidate
             if considered >= config.max_paths_per_connect:
                 return
 
@@ -388,20 +447,47 @@ def eval_alloc(allocation: Allocation, rate: CrosstalkRate) -> Allocation:
     return replace(allocation, score=rate.score, penalty=penalty, incidental=incidental)
 
 
+#: A rate as the search reads it: the rate with its impacting, impacted and involved masks.
+RateMasks = tuple[CrosstalkRate, int, int, int]
+
+
+def rate_masks(rate: CrosstalkRate) -> RateMasks:
+    """The rate with the masks of its impacting, impacted and involved qubits."""
+    return rate, qubit_mask(rate.impacting), qubit_mask(rate.impacted), qubit_mask(rate.involved)
+
+
+def replay_state(state: SearchState, processed: Sequence[RateMasks]) -> Allocation | None:
+    """The admitted allocation of ``state`` after evaluating every rate in ``processed``.
+
+    Returns None when the state is unsafe for any of them.  Otherwise the
+    score is the last rate's, and every rate that leaves an involved qubit
+    unallocated is incidental and adds its score to the penalty, in order:
+    :func:`eval_alloc` over the prefix, applied to one :class:`Allocation`
+    built with its final attributes.
+    """
+    free = state[0]
+    score = penalty = 0.0
+    incidental: list[CrosstalkRate] = []
+    for rate, impacting, impacted, involved in processed:
+        if not state_verdict(state, impacting, impacted).safe:
+            return None
+        score = rate.score
+        if involved & free:
+            penalty += rate.score
+            incidental.append(rate)
+    return allocation_of(state, score, penalty, tuple(incidental))
+
+
 def replay_attributes(
     allocation: Allocation, rates: Sequence[CrosstalkRate]
 ) -> Allocation | None:
     """Attributes for ``allocation`` after evaluating every rate in ``rates``.
 
     Returns None when the structure is unsafe for any of them; this is
-    the admission check plus bookkeeping for new population members.
+    the admission check plus bookkeeping for new population members
+    (:func:`replay_state` on the allocation's state).
     """
-    admitted = replace(allocation, penalty=0.0, incidental=())
-    for rate in rates:
-        if not is_safe(admitted, rate).safe:
-            return None
-        admitted = eval_alloc(admitted, rate)
-    return admitted
+    return replay_state(state_of(allocation), [rate_masks(rate) for rate in rates])
 
 
 def archive_alloc(
@@ -426,24 +512,25 @@ def update_population(
     candidates: Iterable[SearchState],
     population: dict[SearchState, Allocation],
     archive: dict[SearchState, Allocation],
-    processed: Sequence[CrosstalkRate],
+    processed: Sequence[RateMasks],
     config: SearchConfig,
 ) -> list[Allocation]:
     """Admit candidate states into ``population`` (mutated in place).
 
     A candidate enters only when its state is absent from population and
     archive alike (one structure must never carry two attribute sets)
-    and when it is safe for every rate in ``processed``; admission builds
-    its :class:`Allocation` and assigns the attributes by replaying that
-    prefix.  When the population cap is exceeded the worst members by
-    (score, penalty, canonical key) are dropped.  Returns the members
-    actually admitted.
+    and when it is safe for every rate in ``processed`` (the handled
+    rates, each with its :func:`rate_masks`); admission replays that
+    prefix on the state and builds its :class:`Allocation` once, with the
+    replayed attributes (:func:`replay_state`).  When the population cap
+    is exceeded the worst members by (score, penalty, canonical key) are
+    dropped.  Returns the members actually admitted.
     """
     admitted: list[Allocation] = []
     for state in candidates:
         if state in population or state in archive:
             continue
-        member = replay_attributes(allocation_of(state), processed)
+        member = replay_state(state, processed)
         if member is None:
             continue
         population[state] = member
@@ -506,9 +593,10 @@ def allocate(
     memo = SearchMemo(full)
     steps: list[RateStep] = []
     halted = False
+    handled = [rate_masks(rate) for rate in ordered]
 
-    for index, rate in enumerate(ordered):
-        processed = ordered[: index + 1]
+    for index, (rate, impacting, impacted, involved) in enumerate(handled):
+        processed = handled[: index + 1]
         newly_archived: list[Allocation] = []
         for key in list(population):
             member = population.get(key)
@@ -516,8 +604,8 @@ def allocate(
                 continue
 
             candidates: list[SearchState] = []
-            if is_safe(member, rate).safe:
-                if involved_parties(member, rate) >= 2:
+            if state_verdict(key, impacting, impacted).safe:
+                if state_parties(key, involved) >= 2:
                     candidates = improve_alloc(key, rate, graph, full, config, memo=memo)
                 population[key] = eval_alloc(member, rate)
             else:

@@ -331,14 +331,11 @@ def _write_output(text: str, output: str | None) -> None:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    try:
-        config = SearchConfig(
-            max_population=args.max_population,
-            max_paths_per_connect=args.max_paths,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value in (("--max-paths", args.max_paths), ("--max-population", args.max_population)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_INPUT
+    config = SearchConfig(max_population=args.max_population, max_paths_per_connect=args.max_paths)
     timer = time.perf_counter
     t0 = timer()
     graph = load_platform(args.platform)

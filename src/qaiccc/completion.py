@@ -16,16 +16,21 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   remaining free qubits with fresh blocks anchored on the lowest free
   qubit, branching over distinct sizes only.  A tiling state in which
   some connected free region is smaller than the smallest open request
-  is dropped, and failed states are remembered for the rest of the run,
-  in a set that :func:`decide` takes.  It answers whether *any*
-  completion exists.
+  is dropped.  Every sub-state's verdict, success or failure, goes into
+  a table that :func:`decide` takes, keyed with the open requests, so a
+  run can share it across calls: a sub-state reached again, from this
+  state or another, is answered from the table.  The key must hold the
+  open requests, because growth paths that use different request sizes
+  of the same total over the same qubits meet in one ``(free, pending)``.
+  It answers whether *any* completion exists.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
   request slots in declared order (trusted, then untrusted, idle last),
   offers each slot its existing components before fresh blocks, and
   enumerates qubit sets in the fixed order of
   :func:`connected_supersets`.  It enters only the first choice the
   decider accepts, so it never backtracks, and it returns the first
-  completion in that order.
+  completion in that order.  The walk and :func:`can_complete` each keep
+  a private verdict table for their one call.
 """
 
 from __future__ import annotations
@@ -128,13 +133,15 @@ def _regions_fit(free: int, smallest: int, adjacency: Sequence[int]) -> bool:
     return True
 
 
-def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], failed: set) -> bool:
+def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], verdicts: dict) -> bool:
     """Can ``free`` be split into connected blocks with exactly the ``sizes`` (sorted)?"""
     if not free:
         return not sizes
     key = (free, sizes)
-    if key in failed:
-        return False
+    verdict = verdicts.get(key)
+    if verdict is not None:
+        return verdict
+    verdict = False
     if sizes and _regions_fit(free, sizes[0], adjacency):
         anchor = free & -free
         for i, size in enumerate(sizes):
@@ -142,10 +149,13 @@ def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], faile
                 continue
             rest = sizes[:i] + sizes[i + 1 :]
             for block in connected_supersets(anchor, size, free, adjacency):
-                if _tileable(free & ~block, rest, adjacency, failed):
-                    return True
-    failed.add(key)
-    return False
+                if _tileable(free & ~block, rest, adjacency, verdicts):
+                    verdict = True
+                    break
+            if verdict:
+                break
+    verdicts[key] = verdict
+    return verdict
 
 
 def _completable(
@@ -153,14 +163,16 @@ def _completable(
     pending: tuple[StateComponent, ...],
     slots: tuple[tuple[Trust, int], ...],
     adjacency: Sequence[int],
-    failed: set,
+    verdicts: dict,
 ) -> bool:
     """The decider: can ``pending`` plus fresh blocks fill the open ``slots`` (sorted) exactly?"""
     if not pending:
-        return _tileable(free, tuple(sorted(size for _, size in slots)), adjacency, failed)
+        return _tileable(free, tuple(sorted(size for _, size in slots)), adjacency, verdicts)
     key = (free, pending, slots)
-    if key in failed:
-        return False
+    verdict = verdicts.get(key)
+    if verdict is not None:
+        return verdict
+    verdict = False
     trust, base, base_size = pending[0]
     rest = pending[1:]
     for i, (slot_trust, size) in enumerate(slots):
@@ -168,10 +180,13 @@ def _completable(
             continue
         remaining = slots[:i] + slots[i + 1 :]
         for grown in connected_supersets(base, size, free, adjacency):
-            if _completable(free & ~grown, rest, remaining, adjacency, failed):
-                return True
-    failed.add(key)
-    return False
+            if _completable(free & ~grown, rest, remaining, adjacency, verdicts):
+                verdict = True
+                break
+        if verdict:
+            break
+    verdicts[key] = verdict
+    return verdict
 
 
 def open_requests(
@@ -211,8 +226,8 @@ def complete_allocation(
     free, pending = start
     slots = request_slots(sizes)
     adjacency = graph.adjacency_masks
-    failed: set = set()
-    if not _completable(free, pending, open_requests(slots), adjacency, failed):
+    verdicts: dict = {}
+    if not _completable(free, pending, open_requests(slots), adjacency, verdicts):
         return None
 
     chosen: list[int] = []
@@ -226,7 +241,7 @@ def complete_allocation(
         )
         fresh = ((block, pending) for block in _blocks(free, size, adjacency))
         for block, rest in itertools.chain(grown, fresh):
-            if _completable(free & ~block, rest, after, adjacency, failed):
+            if _completable(free & ~block, rest, after, adjacency, verdicts):
                 break
         else:  # pragma: no cover - the decider accepted the state this slot starts from
             raise AssertionError("completion walk found no accepted choice")
@@ -248,20 +263,21 @@ def complete_allocation(
 
 def decide(
     free: int, pending: tuple[StateComponent, ...], graph: ConnectivityGraph,
-    requests: tuple[tuple[Trust, int], ...], failed: set,
+    requests: tuple[tuple[Trust, int], ...], verdicts: dict,
 ) -> bool:
     """The decider on a bitmask state: can it be completed to exactly ``requests``?
 
     ``requests`` is :func:`open_requests` of every request, the idle one
     included; ``pending`` holds the connected components as ``(trust,
-    mask, size)``, grown in that order.  ``failed`` gains every sub-state
-    found not completable, keyed with its open requests, so one set can
-    serve every call on ``graph``.
+    mask, size)``, grown in that order.  ``verdicts`` gains the verdict of
+    every sub-state it works out, keyed with its open requests, and
+    answers the sub-states it already holds, so one table can serve every
+    call on ``graph``.
     """
-    return _completable(free, pending, requests, graph.adjacency_masks, failed)
+    return _completable(free, pending, requests, graph.adjacency_masks, verdicts)
 
 
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
     """True when :func:`complete_allocation` would succeed."""
     start = _start(allocation, graph, sizes)
-    return start is not None and decide(*start, graph, open_requests(request_slots(sizes)), set())
+    return start is not None and decide(*start, graph, open_requests(request_slots(sizes)), {})

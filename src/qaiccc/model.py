@@ -275,12 +275,20 @@ def state_of(allocation: Allocation) -> SearchState:
     return qubit_mask(allocation.unallocated), tuple(sorted(components, key=component_order))
 
 
-def allocation_of(state: SearchState) -> Allocation:
-    """The attribute-free allocation of a search state."""
+def allocation_of(
+    state: SearchState,
+    score: float = 0.0,
+    penalty: float = 0.0,
+    incidental: tuple[CrosstalkRate, ...] = (),
+) -> Allocation:
+    """The allocation of a search state, carrying the given search attributes."""
     free, components = state
     return Allocation(
         unallocated=mask_qubits(free),
         components=tuple(UserComponent(trust, mask_qubits(mask)) for trust, mask, _ in components),
+        score=score,
+        penalty=penalty,
+        incidental=incidental,
     )
 
 

@@ -8,6 +8,14 @@ those users may collude or be the same actor.  An unallocated impacted
 qubit always makes the pattern unsafe, because a future tenant placed
 there would be an unprotected victim; an unallocated impacting qubit
 merely adds a potential extra party.
+
+The rule is written once, on bitmasks: :func:`state_verdict` classifies a
+search state (:data:`qaiccc.model.SearchState`) against the rate's
+impacting and impacted masks, and :func:`state_parties` counts the parties
+on its involved mask.  :func:`is_safe` and :func:`involved_parties` take an
+:class:`Allocation` and a :class:`CrosstalkRate` and delegate to them; the
+search calls the mask functions on its states directly, with each rate's
+masks worked out once.  A verdict is one of four shared constants.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Allocation, CrosstalkRate, Trust
+from .model import Allocation, CrosstalkRate, SearchState, Trust, qubit_mask, state_of
 
 
 class SafetyReason(Enum):
@@ -40,35 +48,47 @@ class SafetyVerdict:
             raise ValueError(f"verdict flag contradicts reason {self.reason}")
 
 
-def is_safe(allocation: Allocation, rate: CrosstalkRate) -> SafetyVerdict:
-    """Classify ``allocation`` against ``rate``.
+_TRUSTED_CONTROLS = SafetyVerdict(True, SafetyReason.TRUSTED_CONTROLS_IMPACTING)
+_ALL_CONTROL = SafetyVerdict(True, SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING)
+_UNALLOCATED = SafetyVerdict(False, SafetyReason.UNALLOCATED_IMPACTED)
+_WITHOUT_IMPACTING = SafetyVerdict(False, SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING)
+
+
+def state_verdict(state: SearchState, impacting: int, impacted: int) -> SafetyVerdict:
+    """Classify ``state`` against a rate with the ``impacting`` and ``impacted`` masks.
 
     The verdict depends only on the owners of the rate's qubits; qubits
-    outside ``rate.involved`` never flip it.
+    outside the two masks never flip it, and neither does the order of
+    the state's components.
     """
-    for comp in allocation.components_of(Trust.TRUSTED):
-        if comp.qubits & rate.impacting:
-            return SafetyVerdict(True, SafetyReason.TRUSTED_CONTROLS_IMPACTING)
+    free, components = state
+    for trust, mask, _ in components:
+        if mask & impacting and trust is Trust.TRUSTED:
+            return _TRUSTED_CONTROLS
+    if impacted & free:
+        return _UNALLOCATED
+    for _, mask, _ in components:
+        if mask & impacted and not mask & impacting:
+            return _WITHOUT_IMPACTING
+    return _ALL_CONTROL
 
-    if rate.impacted & allocation.unallocated:
-        return SafetyVerdict(False, SafetyReason.UNALLOCATED_IMPACTED)
 
-    impacted_owners = {
-        comp for comp in allocation.components if comp.qubits & rate.impacted
-    }
-    if all(comp.qubits & rate.impacting for comp in impacted_owners):
-        return SafetyVerdict(True, SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING)
-    return SafetyVerdict(False, SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING)
+def state_parties(state: SearchState, involved: int) -> int:
+    """Number of distinct parties holding the ``involved`` mask in ``state``.
+
+    Counts the components meeting it, plus one when any involved qubit is
+    still unallocated: that qubit could later be handed to another user.
+    """
+    free, components = state
+    count = sum(1 for _, mask, _ in components if mask & involved)
+    return count + 1 if involved & free else count
+
+
+def is_safe(allocation: Allocation, rate: CrosstalkRate) -> SafetyVerdict:
+    """Classify ``allocation`` against ``rate`` (:func:`state_verdict` on its state)."""
+    return state_verdict(state_of(allocation), qubit_mask(rate.impacting), qubit_mask(rate.impacted))
 
 
 def involved_parties(allocation: Allocation, rate: CrosstalkRate) -> int:
-    """Number of distinct parties holding the rate's qubits.
-
-    Counts the components intersecting the involved set, plus one when
-    any involved qubit is still unallocated: that qubit could later be
-    handed to another user.
-    """
-    count = sum(1 for comp in allocation.components if comp.qubits & rate.involved)
-    if rate.involved & allocation.unallocated:
-        count += 1
-    return count
+    """Number of distinct parties holding the rate's qubits (:func:`state_parties` on its state)."""
+    return state_parties(state_of(allocation), qubit_mask(rate.involved))

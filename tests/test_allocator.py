@@ -7,7 +7,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import qaiccc.allocator as allocator_module
@@ -39,6 +39,7 @@ from qaiccc.allocator import (
     eval_alloc,
     improve_alloc,
     new_alloc,
+    rate_masks,
     replay_attributes,
     update_population,
     update_sizes,
@@ -84,6 +85,11 @@ def keys(allocations):
 
 def state_keys(states):
     return keys(allocation_of(state) for state in states)
+
+
+def masks_of(rates):
+    """The handled rates as ``update_population`` reads them."""
+    return [rate_masks(rate) for rate in rates]
 
 
 def structure(*component_qubit_lists, trust=Trust.UNTRUSTED, n=5):
@@ -510,6 +516,66 @@ def test_connect_matches_the_reference_on_random_joins(case):
     )
 
 
+@st.composite
+def shaped_joins(draw):
+    """A join of :func:`connect_cases` whose ``incoming`` has one of four shapes.
+
+    One free qubit, a subset of the free qubits, a whole component other
+    than the owner, or part of a component.
+    """
+    allocation, user, _, graph, sizes, paths, fresh_trust = draw(connect_cases())
+    free = sorted(allocation.unallocated)
+    others = [sorted(c.qubits) for c in allocation.components if c.qubits != user]
+    splittable = [sorted(c.qubits) for c in allocation.components if len(c.qubits) >= 2]
+    shapes = ["free qubit", "free subset"] if free else []
+    shapes += ["component"] if others else []
+    shapes += ["part of a component"] if splittable else []
+    assume(shapes)
+    shape = draw(st.sampled_from(shapes))
+    if shape == "free qubit":
+        incoming = {draw(st.sampled_from(free))}
+    elif shape == "free subset":
+        incoming = draw(st.sets(st.sampled_from(free), min_size=1))
+    elif shape == "component":
+        incoming = set(draw(st.sampled_from(others)))
+    else:
+        split = draw(st.sampled_from(splittable))
+        incoming = draw(st.sets(st.sampled_from(split), min_size=1, max_size=len(split) - 1))
+    joined = next(
+        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
+    )
+    return allocation, joined, qubit_mask(incoming), graph, sizes, paths
+
+
+_SPLIT = SizeRequests(trusted=(2,), untrusted=(3,), idle_size=1)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shaped_joins())
+@example(  # a fresh trusted owner joined to a whole untrusted component
+    (build(6, u(0, 1)), (Trust.TRUSTED, 0, 0), qubit_mask({0, 1}), _PATH6, _SPLIT, 64)
+)
+@example(  # incoming covers part of a component
+    (build(6, u(1, 2, 3)), FRESH_U, qubit_mask({3}), _PATH6, _SPLIT, 64)
+)
+def test_in_place_join_states_match_new_alloc_per_region(case):
+    allocation, joined, incoming, graph, sizes, paths = case
+    config = SearchConfig(max_paths_per_connect=paths)
+    state = state_of(allocation)
+    memo, generic = SearchMemo(sizes), SearchMemo(sizes)
+    got = connect(state, joined, incoming, graph, sizes, config, memo=memo)
+    regions = allocator_module._regions(state, joined, incoming, graph, sizes, config, generic)
+    expected = [
+        candidate
+        for region in regions
+        if (candidate := new_alloc(
+            state, region, graph, sizes, fresh_trust=joined[0], memo=generic
+        )) is not None
+    ]
+    assert got == expected
+    assert memo.states == generic.states
+
+
 class TestNewAlloc:
     def test_fresh_single_user_over_unallocated_qubits(self, demo_graph):
         allocation = build(5)
@@ -701,7 +767,7 @@ class TestUpdatePopulation:
         archive: dict = {}
         archive_alloc(state_of(member), population, archive, ordered[1])
         admitted = update_population(
-            [state_of(build(5, u(2, 3)))], population, archive, ordered[:1], CFG
+            [state_of(build(5, u(2, 3)))], population, archive, masks_of(ordered[:1]), CFG
         )
         assert admitted == [] and population == {}
 
@@ -709,7 +775,7 @@ class TestUpdatePopulation:
         ordered = sort_rates(demo_rates)
         population: dict = {}
         admitted = update_population(
-            [state_of(build(5, u(2, 3)))], population, {}, ordered[:1], CFG
+            [state_of(build(5, u(2, 3)))], population, {}, masks_of(ordered[:1]), CFG
         )
         (member,) = admitted
         assert member.score == 0.0027 and member.penalty == 0.0027
@@ -723,7 +789,9 @@ class TestUpdatePopulation:
         candidate = build(5, u(0, 1), u(2))
         assert replay_attributes(candidate, [early, late]) is None
         population: dict = {}
-        admitted = update_population([state_of(candidate)], population, {}, [early, late], CFG)
+        admitted = update_population(
+            [state_of(candidate)], population, {}, masks_of([early, late]), CFG
+        )
         assert admitted == [] and population == {}
 
     def test_population_cap_drops_the_worst(self, demo_rates):
@@ -732,7 +800,7 @@ class TestUpdatePopulation:
         population: dict = {}
         update_population(
             [state_of(build(5, u(2, 3))), state_of(build(5, u(2, 3, 4)))],
-            population, {}, ordered[:1], cfg,
+            population, {}, masks_of(ordered[:1]), cfg,
         )
         assert len(population) == 1
         # Equal scores; the higher penalty member is the worst.

@@ -111,6 +111,14 @@ class TestAllocateCommand:
         assert "record 1" in captured.err and "finite non-negative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--max-paths", "--max-population"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_search_bound_below_one_exits_1_and_names_the_flag(self, files, capsys, flag, value):
+        assert run_allocate(files, flag, value) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_exits_1(self, files, capsys):
         files = dict(files, rates=files["rates"] + ".nope")
         assert run_allocate(files) == EXIT_INPUT

@@ -31,7 +31,7 @@ from qaiccc.completion import (
     open_requests,
     request_slots,
 )
-from qaiccc.model import state_of
+from qaiccc.model import qubit_mask, state_of
 
 
 def u(*qubits):
@@ -518,9 +518,51 @@ def test_one_shared_table_decides_like_a_fresh_table_per_state(case):
     graph, sizes, sequence = case
     requests = open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
     complete = enumerate_complete(graph, sizes)
-    shared: set = set()
+    shared: dict = {}
     for partial in sequence:
         state = state_of(partial)
         verdict = decide(*state, graph, requests, shared)
-        assert verdict is decide(*state, graph, requests, set())
+        assert verdict is decide(*state, graph, requests, {})
         assert verdict is any(extends(alloc, partial) for alloc in complete)
+
+
+class TestDeciderKeyCarriesTheOpenRequests:
+    """Two growth paths meet in one ``(free, pending)`` with different open requests.
+
+    The platform is the path 0-1-2-3-4 joined at 4 to the star 5-{6,7,8,9},
+    with untrusted requests (1, 2, 3, 4) and single-qubit users {0}, {3}
+    and {5}.  Growing {0} and {3} into sizes 1 and 4, or into 2 and 3,
+    fills the same qubits 0-4 and leaves {6,7,8,9} free with {5} pending;
+    the open requests are then (2, 3), which the star cannot take, or
+    (1, 4), which it can.  A verdict keyed without the open requests
+    carries one path's answer over to the other.
+    """
+
+    GRAPH = ConnectivityGraph(
+        10, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (5, 9)})
+    )
+    SIZES = SizeRequests(untrusted=(1, 2, 3, 4))
+    REQUESTS = open_requests(request_slots(SIZES))
+
+    def decide(self, allocation, verdicts):
+        return decide(*state_of(allocation), self.GRAPH, self.REQUESTS, verdicts)
+
+    def test_the_shared_sub_state_is_decided_per_open_requests(self):
+        free, pending = qubit_mask({6, 7, 8, 9}), ((Trust.UNTRUSTED, 1 << 5, 1),)
+        for left, expected in (((1, 4), True), ((2, 3), False)):
+            remaining = tuple((Trust.UNTRUSTED, size) for size in left)
+            assert decide(free, pending, self.GRAPH, remaining, {}) is expected
+
+    def test_a_failure_under_one_path_does_not_refuse_the_other(self):
+        # Sizes 1 and 4 are tried first and fail at the star; 2 and 3 complete.
+        partial = build(10, u(0), u(3), u(5))
+        assert self.decide(partial, {}) is True
+        _, assignment = complete_allocation(partial, self.GRAPH, self.SIZES)
+        assert {frozenset({0, 1}), frozenset({2, 3, 4})} <= set(assignment.values())
+
+    def test_a_success_under_one_path_does_not_accept_the_other(self):
+        verdicts: dict = {}
+        assert self.decide(build(10, u(0, 1), u(2, 3, 4), u(5)), verdicts) is True
+        # Only sizes 1 and 4 fit here, so the star is left the requests (2, 3).
+        assert self.decide(build(10, u(0), u(1, 2, 3, 4), u(5)), verdicts) is False
+        assert self.decide(build(10, u(0), u(1, 2, 3, 4), u(5)), {}) is False

@@ -5,15 +5,22 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qaiccc import (
     Allocation,
     CrosstalkRate,
     SafetyReason,
     Trust,
     UserComponent,
+    canonicalize,
     involved_parties,
     is_safe,
 )
+from qaiccc.allocator import rate_masks, replay_attributes, replay_state
+from qaiccc.model import state_of
+from qaiccc.safety import state_parties, state_verdict
 
 RATE = CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2}))
 
@@ -155,3 +162,89 @@ def test_verdict_depends_only_on_involved_qubits():
         checked += 1
         assert is_safe(moved, rate).safe == is_safe(allocation, rate).safe
     assert checked > 50
+
+
+# --- the rule on masks against the rule on frozensets ------------------------
+
+SAFE = {SafetyReason.TRUSTED_CONTROLS_IMPACTING, SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING}
+
+
+def reference_reason(allocation, rate):
+    """The safe-pattern rule as written on frozensets before it moved to masks."""
+    for comp in allocation.components_of(Trust.TRUSTED):
+        if comp.qubits & rate.impacting:
+            return SafetyReason.TRUSTED_CONTROLS_IMPACTING
+    if rate.impacted & allocation.unallocated:
+        return SafetyReason.UNALLOCATED_IMPACTED
+    owners = [comp for comp in allocation.components if comp.qubits & rate.impacted]
+    if all(comp.qubits & rate.impacting for comp in owners):
+        return SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
+    return SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING
+
+
+def reference_parties(allocation, rate):
+    count = sum(1 for comp in allocation.components if comp.qubits & rate.involved)
+    return count + bool(rate.involved & allocation.unallocated)
+
+
+def reference_replay(allocation, rates):
+    """``(score, penalty, incidental)`` after the rates, one ``eval_alloc`` step each, or None."""
+    score, penalty, incidental = allocation.score, 0.0, ()
+    for rate in rates:
+        if reference_reason(allocation, rate) not in SAFE:
+            return None
+        score = rate.score
+        if rate.involved & allocation.unallocated:
+            penalty = penalty + rate.score
+            incidental = incidental + (rate,)
+    return score, penalty, incidental
+
+
+@st.composite
+def safety_cases(draw):
+    """A partial or complete allocation of at most 8 qubits and a few rates on them."""
+    n = draw(st.integers(2, 8))
+    complete = draw(st.booleans())
+    owners = draw(st.lists(st.integers(0 if complete else -1, 3), min_size=n, max_size=n))
+    trusts = draw(st.lists(st.sampled_from(list(Trust)), min_size=4, max_size=4))
+    groups: dict[int, set[int]] = {}
+    for qubit, owner in enumerate(owners):
+        groups.setdefault(owner, set()).add(qubit)
+    allocation = Allocation(
+        unallocated=frozenset(groups.pop(-1, ())),
+        components=tuple(UserComponent(trusts[o], frozenset(q)) for o, q in groups.items()),
+    )
+    rates = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+        if sum(shape) > n:
+            shape = (1, 1)
+        involved = draw(st.permutations(range(n)))[: sum(shape)]
+        score = draw(st.floats(0, 1, allow_nan=False))
+        rates.append(CrosstalkRate(score, frozenset(involved[: shape[0]]), frozenset(involved[shape[0] :])))
+    return allocation, rates
+
+
+@settings(max_examples=300, deadline=None)
+@given(safety_cases())
+def test_the_mask_rule_matches_the_rule_on_allocations(case):
+    allocation, rates = case
+    state = state_of(allocation)
+    for rate in rates:
+        _, impacting, impacted, involved = rate_masks(rate)
+        verdict = state_verdict(state, impacting, impacted)
+        assert verdict == is_safe(allocation, rate)
+        assert verdict.reason is reference_reason(allocation, rate)
+        assert verdict.safe is (verdict.reason in SAFE)
+        parties = state_parties(state, involved)
+        assert parties == involved_parties(allocation, rate) == reference_parties(allocation, rate)
+
+    replayed = replay_state(state, [rate_masks(rate) for rate in rates])
+    via_allocation = replay_attributes(allocation, rates)
+    expected = reference_replay(allocation, rates)
+    assert (replayed is None) == (via_allocation is None) == (expected is None)
+    if replayed is not None:
+        attributes = (replayed.score, replayed.penalty, replayed.incidental)
+        assert attributes == (via_allocation.score, via_allocation.penalty, via_allocation.incidental)
+        assert attributes == expected
+        assert canonicalize(replayed) == canonicalize(allocation)

@@ -60,8 +60,15 @@ def test_changed_report_bytes_are_flagged(tmp_path, capsys):
     assert all(line.startswith("i00: differs in report: allocate ") for line in lines[:-1])
 
 
-def test_device_scale_reports_the_heavy_hex_top_rate_run():
+def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     tool = load_file("device_scale", ROOT / "tools" / "device_scale.py")
-    run = tool.measure(ROOT, 1)
-    assert (run["population"], run["archive"]) == (1012, 1)
-    assert run["seconds"] > 0
+    assert tool.main([str(ROOT), "--k", "1", "--profile", "3"]) == 0
+    run, *top = capsys.readouterr().out.splitlines()
+    fields = run.split()
+    assert fields[0] == "k=1" and float(fields[2]) > 0
+    assert fields[3:7] == ["population", "1012", "archive", "1"]
+    # The profile's rows, by self time, the largest first.
+    assert len(top) == 3
+    self_times = [float(row.split()[1]) for row in top]
+    assert self_times == sorted(self_times, reverse=True)
+    assert all(row.startswith("  self_s ") and " calls " in row for row in top)

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/device_scale.py [TREE ...] [--k K ...]
+    python tools/device_scale.py [TREE ...] [--k K ...] [--profile N]
 
 Each tree is a checkout holding ``src/qaiccc`` (default: the tree this
 script lives in).  The instance is the IBM Falcon heavy-hex layout of 27
@@ -14,7 +14,11 @@ interpreter; with several trees their order alternates from one ``k`` to
 the next, so a drift of the host does not favour one tree.  One line per
 run gives the seconds ``allocate`` took, the final population and archive
 sizes and the interpreter's peak resident memory (``VmHWM``; blank where
-``/proc`` does not provide it).  Standard library only.
+``/proc`` does not provide it).  With ``--profile N`` each run is made
+under the standard library's ``cProfile`` (so its seconds include the
+profiler's overhead) and is followed by the ``N`` functions with the most
+self time: self seconds, cumulative seconds, calls and the function.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -37,15 +41,29 @@ EDGES = (
 )
 
 CHILD = """
-import json, sys, time
+import cProfile, json, pstats, sys, time
+from pathlib import Path
 from qaiccc import ConnectivityGraph, SizeRequests, allocate, sort_rates, synth_rates
 
-edges, k = json.loads(sys.argv[1])
+edges, k, profile = json.loads(sys.argv[1])
 graph = ConnectivityGraph(27, frozenset(map(tuple, edges)))
 rates = sort_rates(synth_rates(graph, 7))[:k]
+profiler = cProfile.Profile() if profile else None
 start = time.perf_counter()
+if profiler is not None:
+    profiler.enable()
 outcome = allocate(graph, SizeRequests(untrusted=(5, 5, 5)), rates)
+if profiler is not None:
+    profiler.disable()
 seconds = time.perf_counter() - start
+top = []
+if profiler is not None:
+    stats = pstats.Stats(profiler).sort_stats("tottime")
+    for function in stats.fcn_list[:profile]:
+        _, calls, self_s, total_s, _ = stats.stats[function]
+        path, line, name = function
+        where = f"{Path(path).name}:{line}({name})" if line else name
+        top.append([self_s, total_s, calls, where])
 peak = None
 try:
     with open("/proc/self/status") as status:
@@ -53,15 +71,20 @@ try:
 except (OSError, StopIteration):
     pass
 print(json.dumps({"seconds": seconds, "population": len(outcome.population),
-                  "archive": len(outcome.archive), "peak_rss_mb": peak}))
+                  "archive": len(outcome.archive), "peak_rss_mb": peak, "profile": top}))
 """
 
 
-def measure(tree: Path, k: int) -> dict:
-    """One ``allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter."""
+def measure(tree: Path, k: int, profile: int = 0) -> dict:
+    """One ``allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter.
+
+    With ``profile`` above 0 the run is profiled, and the result's
+    ``profile`` entry lists that many of its functions with the most self
+    time, each as ``[self_s, total_s, calls, function]``.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([EDGES, k])],
+        [sys.executable, "-c", CHILD, json.dumps([EDGES, k, profile])],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -71,6 +94,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, help="source trees holding src/qaiccc")
     parser.add_argument("--k", type=int, nargs="+", default=[1, 2], help="rates kept (default 1 2)")
+    parser.add_argument(
+        "--profile", type=int, default=0, metavar="N",
+        help="profile each run and print its N functions with the most self time",
+    )
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in args.trees] or [ROOT]
     for tree in trees:
@@ -78,16 +105,20 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} holds no src/qaiccc")
     if min(args.k) < 1:
         parser.error("--k must be at least 1")
+    if args.profile < 0:
+        parser.error("--profile must be at least 0")
 
     for turn, k in enumerate(args.k):
         for tree in trees[::-1] if turn % 2 else trees:
-            run = measure(tree, k)
+            run = measure(tree, k, args.profile)
             peak = "" if run["peak_rss_mb"] is None else f"{run['peak_rss_mb']:.1f}"
             print(
                 f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
                 f"archive {run['archive']} peak_rss_mb {peak} {tree}",
                 flush=True,
             )
+            for self_s, total_s, calls, function in run["profile"]:
+                print(f"  self_s {self_s:7.3f} total_s {total_s:7.3f} calls {calls:>9} {function}")
     return 0
 
 
