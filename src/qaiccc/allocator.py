@@ -24,9 +24,13 @@ The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
 each its own structural key.  The repair operators take and return
 states and share one :class:`SearchMemo`, which :func:`allocate` creates:
 each distinct state is decided once, the decider's verdict on each
-sub-state (success or failure), each :func:`connect` join and each growth
-budget is remembered for the rest of the run, and the memo dies with the
-run.  A join builds its candidate states in place: its regions hold the
+sub-state (success or failure), each :func:`connect` join, each growth
+budget and each join's region list is remembered for the rest of the
+run, and the memo dies with the run.  A region list does not depend on
+the join's state beyond ``base = owner | incoming``, the part of ``base``
+and the free qubits that base's lowest qubit reaches and the largest
+size the owner's budget allows, so joins on many states share one.  A
+join builds its candidate states in place: its regions hold the
 owner and ``incoming`` and add only unallocated qubits, so the components
 they meet are worked out once per join, and each region's fused
 component is bisected into the kept components, which a state holds in
@@ -115,10 +119,12 @@ class SearchMemo:
     sub-state it has worked out for the run's ``requests``; ``joins`` the
     states of each :func:`connect` call, by ``(state, owner, incoming)``;
     ``budgets`` each :func:`remain`, by the owner's trust and size and the
-    state's ``(trust, size)`` sequence.
+    state's ``(trust, size)`` sequence; ``regions`` the regions of every
+    join, by ``(base, reach, top)``: a join's regions depend on nothing
+    else, given the run's ``max_paths_per_connect`` (see :func:`_regions`).
     """
 
-    __slots__ = ("states", "requests", "verdicts", "joins", "budgets")
+    __slots__ = ("states", "requests", "verdicts", "joins", "budgets", "regions")
 
     def __init__(self, sizes: SizeRequests) -> None:
         self.states: dict[SearchState, SearchState | None] = {}
@@ -126,6 +132,7 @@ class SearchMemo:
         self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
         self.budgets: dict[tuple, int] = {}
+        self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
@@ -213,6 +220,9 @@ def connect(
     regions in that order each give the state :func:`new_alloc` would give
     for them, built in place and kept when the decider accepts it.  A join
     already made in this run is answered from the ``memo``, as a new list.
+    The regions themselves depend only on ``owner | incoming``, the free
+    qubits it reaches and the budget, and the ``memo`` enumerates them once
+    for every join that shares those.
     """
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
@@ -227,6 +237,7 @@ def _joins(
 ) -> Iterator[SearchState]:
     """The states :func:`connect` returns, worked out.
 
+    A join without regions ends before anything else is worked out.
     Every region holds ``user | incoming`` and adds only unallocated
     qubits, so the components it meets are those meeting ``user |
     incoming`` (:func:`new_alloc`'s rule: the first one's trust, or the
@@ -237,6 +248,9 @@ def _joins(
     already in :func:`~qaiccc.model.component_order`, at the place its key
     bisects to.
     """
+    regions = _regions(state, owner, incoming, graph, sizes, config, memo)
+    if not regions:
+        return
     free, components = state
     base = owner[1] | incoming
     touching = [c for c in components if c[1] & base]
@@ -249,7 +263,7 @@ def _joins(
     kept = tuple(c for c in components if not c[1] & base)
     keys = [component_order(c) for c in kept]
     states = memo.states
-    for region in _regions(state, owner, incoming, graph, sizes, config, memo):
+    for region in regions:
         fused = region | touched
         at = bisect_left(keys, (trust, fused & -fused))
         candidate = (free & ~region, kept[:at] + ((trust, fused, fused.bit_count()),) + kept[at:])
@@ -264,8 +278,18 @@ def _joins(
 def _regions(
     state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
     sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
-) -> Iterator[int]:
-    """The first ``config.max_paths_per_connect`` regions of a join, in :func:`connect`'s order."""
+) -> tuple[int, ...]:
+    """The first ``config.max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
+
+    Empty when the owner's growth budget (:func:`remain`, remembered by
+    signature) cannot take ``incoming``, or when ``base = user | incoming``
+    is not connected through free qubits.  Otherwise the regions depend on
+    the state only through ``reach``, the part of ``base`` and the free
+    qubits that base's lowest qubit reaches, and through ``top``, the
+    largest region size the budget allows within it; they are enumerated
+    once per run for each ``(base, reach, top)`` and kept in the
+    ``memo`` as one tuple.
+    """
     trust, user, user_size = owner
     signature = (trust, user_size, tuple((t, size) for t, _, size in state[1]))
     budget = memo.budgets.get(signature)
@@ -273,32 +297,40 @@ def _regions(
         budget = memo.budgets[signature] = remain(owner, state, sizes)
     max_len = budget - (incoming & ~user).bit_count()
     if max_len < 0:
-        return
+        return ()
 
-    adjacency = graph.adjacency_masks
     base = user | incoming
-    available = state[0] & ~base
-    # Every region lies in the part of ``base | available`` that base's
-    # lowest qubit reaches, and must hold all of ``base``.
-    reach = mask_region(base & -base, base | available, adjacency)
-    largest = reach.bit_count() if not base & ~reach else 0
-    first = base.bit_count()
+    # Every region lies in the part of ``base`` and the free qubits that
+    # base's lowest qubit reaches, and must hold all of ``base``.
+    reach = mask_region(base & -base, base | state[0], graph.adjacency_masks)
+    if base & ~reach:
+        return ()
+    key = (base, reach, min(base.bit_count() + max_len, reach.bit_count()))
+    regions = memo.regions.get(key)
+    if regions is None:
+        ordered = _grown(*key, graph)
+        regions = memo.regions[key] = tuple(itertools.islice(ordered, config.max_paths_per_connect))
+    return regions
+
+
+def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterator[int]:
+    """Connected regions inside ``reach`` that hold ``base``, up to ``top`` qubits.
+
+    Fewest qubits first and, among regions of one size, in ascending qubit
+    order (the order of ``itertools.combinations`` over the sorted pool).
+    """
+    adjacency = graph.adjacency_masks
     width = (graph.vertex_count + 7) // 8
 
     def lowest_first(mask: int) -> bytes:
         """The mask's bits with qubit 0 as the most significant one."""
         return mask.to_bytes(width, "little").translate(_REVERSED_BITS)
 
-    considered = 0
-    for size in range(first, min(first + max_len, largest) + 1):
-        regions = connected_supersets(base, size, available, adjacency)
+    for size in range(base.bit_count(), top + 1):
+        regions = connected_supersets(base, size, reach & ~base, adjacency)
         # Equal-size sets in combinations order: the lowest qubit in which
         # two regions differ belongs to the earlier one, which reads larger.
-        for region in sorted(regions, key=lowest_first, reverse=True):
-            yield region
-            considered += 1
-            if considered >= config.max_paths_per_connect:
-                return
+        yield from sorted(regions, key=lowest_first, reverse=True)
 
 
 def alloc_unallocated(

@@ -11,6 +11,7 @@ the population after each rate.  The ``QAICCC_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -392,7 +393,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; it holds no run data."""
     parser = argparse.ArgumentParser(
         prog="qaiccc",
         description="Crosstalk-aware qubit allocation for shared quantum platforms.",
@@ -409,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--max-paths", type=int, default=64)
     p_alloc.add_argument("--no-timings", action="store_true", help="omit timings for reproducible output")
     p_alloc.add_argument("--verbose", action="store_true", help="text format: show the population per rate")
-    p_alloc.set_defaults(func=cmd_allocate)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive validation on a small platform")
     p_oracle.add_argument("--platform", required=True)
@@ -418,14 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_oracle.add_argument("--output", help="write the report here instead of stdout")
     p_oracle.add_argument("--format", choices=("json", "text"), default="json")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_synth = sub.add_parser("synth", help="generate a deterministic synthetic rates file")
     p_synth.add_argument("--platform", required=True)
     p_synth.add_argument("--seed", type=int, required=True)
     p_synth.add_argument("--max-rates", type=int, default=None)
     p_synth.add_argument("--output", help="write the rates here instead of stdout")
-    p_synth.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -433,16 +433,23 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 
 
 def _setup_logging() -> None:
+    """Log the package to stderr at the level ``QAICCC_LOG`` names now, on every call.
+
+    ``basicConfig`` adds the handler once per process, so the level is set
+    on the package's logger each time instead.
+    """
     level = os.environ.get("QAICCC_LOG", "error").lower()
-    logging.basicConfig(stream=sys.stderr, level=_LOG_LEVELS.get(level, logging.ERROR))
+    logging.basicConfig(stream=sys.stderr)
+    logging.getLogger("qaiccc").setLevel(_LOG_LEVELS.get(level, logging.ERROR))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a wrapper bound to the module name sees every call.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InsufficientQubitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT_QUBITS

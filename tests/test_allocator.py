@@ -434,13 +434,20 @@ class TestImproveAllocHandsOnDistinctStructures:
 
 
 @st.composite
-def connect_cases(draw):
-    """A connected platform of at most 8 qubits, a partial allocation and one join."""
+def platforms(draw):
+    """A connected platform of 2 to 8 qubits: a random spanning tree plus random edges."""
     n = draw(st.integers(2, 8))
     edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
     edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
-    graph = ConnectivityGraph(n, frozenset(edges))
+    return ConnectivityGraph(n, frozenset(edges))
+
+
+@st.composite
+def connect_cases(draw):
+    """A connected platform of at most 8 qubits, a partial allocation and one join."""
+    graph = draw(platforms())
+    n = graph.vertex_count
 
     free = set(range(n))
     components = []
@@ -574,6 +581,91 @@ def test_in_place_join_states_match_new_alloc_per_region(case):
     ]
     assert got == expected
     assert memo.states == generic.states
+
+
+@st.composite
+def region_join_runs(draw):
+    """A platform of at most 8 qubits, its requests, a path cap and a sequence of joins.
+
+    The joins' states are one partial allocation, whose every component has
+    a request it fits, and copies of it with some components freed, so
+    joins often share ``base`` while their ``reach`` or growth budget
+    differs.
+    """
+    graph = draw(platforms())
+    n = graph.vertex_count
+    owners = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    trusts = draw(st.lists(st.sampled_from(list(Trust)), min_size=3, max_size=3))
+    groups = {}
+    for qubit, holder in enumerate(owners):
+        groups.setdefault(holder, set()).add(qubit)
+    groups.pop(-1, None)
+    components = [UserComponent(trusts[h], frozenset(qs)) for h, qs in groups.items()]
+
+    requests = {Trust.TRUSTED: [], Trust.UNTRUSTED: []}
+    spare = n - sum(len(c.qubits) for c in components)
+    for comp in components:
+        grow = draw(st.integers(0, spare))
+        spare -= grow
+        requests[comp.trust].append(len(comp.qubits) + grow)
+    for trust in draw(st.lists(st.sampled_from(list(Trust)), max_size=2)):
+        if spare:
+            requests[trust].append(draw(st.integers(1, spare)))
+            spare -= requests[trust][-1]
+    sizes = update_sizes(
+        n, SizeRequests(trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED])
+    )
+
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        held = [c for c in components if draw(st.booleans())]
+        used = frozenset().union(*(c.qubits for c in held))
+        states.append(state_of(Allocation(frozenset(range(n)) - used, tuple(held))))
+
+    joins = []
+    for _ in range(draw(st.integers(1, 12))):
+        state = draw(st.sampled_from(states))
+        users = [o for o in state[1] + allocator_module._FRESH if o[1] != (1 << n) - 1]
+        joined = draw(st.sampled_from(users))
+        outside = [q for q in range(n) if not joined[1] >> q & 1]
+        incoming = qubit_mask(draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2)))
+        joins.append((state, joined, incoming))
+    return graph, sizes, draw(st.sampled_from([1, 2, 64])), joins
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(region_join_runs())
+@example(  # one base and reach, two tops: a fresh user of either class
+    (_PATH6, _SPLIT, 64, [(state_of(build(6)), (Trust.TRUSTED, 0, 0), 0b1),
+                          (state_of(build(6)), FRESH_U, 0b1)])
+)
+@example(  # one base, two reaches: qubit 1 held or free
+    (_PATH6, _SPLIT, 64, [(state_of(build(6, u(1))), FRESH_U, 0b1),
+                          (state_of(build(6)), FRESH_U, 0b1)])
+)
+def test_region_memo_answers_like_a_fresh_memo_per_join(case):
+    graph, sizes, paths, joins = case
+    config = SearchConfig(max_paths_per_connect=paths)
+    shared = SearchMemo(sizes)
+    for state, joined, incoming in joins:
+        args = (state, joined, incoming, graph, sizes, config)
+        fresh = allocator_module._regions(*args, SearchMemo(sizes))
+        assert allocator_module._regions(*args, shared) == fresh
+
+
+def test_states_differing_only_outside_reach_share_one_region_tuple():
+    # Qubit 3 walls qubits 0-2 off from 4 and 5, so freeing or holding 5
+    # leaves the reach of base {0} and the budget of a fresh user alike.
+    sizes = SizeRequests(untrusted=(3, 1, 1), idle_size=1)
+    apart = state_of(build(6, u(3)))
+    held = state_of(build(6, u(3), u(5)))
+    memo = SearchMemo(sizes)
+    args = (FRESH_U, qubit_mask({0}), _PATH6, sizes, CFG)
+    regions = allocator_module._regions(apart, *args, memo)
+    assert regions == (0b1, 0b11, 0b111)
+    assert allocator_module._regions(held, *args, memo) is regions
+    assert allocator_module._regions(held, *args, SearchMemo(sizes)) == regions
+    assert len(memo.regions) == 1
 
 
 class TestNewAlloc:
@@ -951,7 +1043,7 @@ def test_state_round_trips_and_keeps_the_canonical_order(allocation):
 
 
 class TestPerRunMemo:
-    """The completion verdicts live as long as one ``allocate`` call."""
+    """The memo's tables live as long as one ``allocate`` call."""
 
     def test_allocator_holds_no_module_level_cache(self):
         for name, value in vars(allocator_module).items():
@@ -1008,6 +1100,32 @@ class TestPerRunMemo:
                 for owner, state, _ in run
             }
             assert len(signatures) == len(run)
+
+    def test_two_runs_in_one_process_enumerate_alike(self, monkeypatch, family):
+        enumerated = []
+
+        def counting(base, reach, top, graph):
+            enumerated.append((base, reach, top))
+            return grown(base, reach, top, graph)
+
+        grown = allocator_module._grown
+        monkeypatch.setattr(allocator_module, "_grown", counting)
+        for instance in family[:5]:
+            counts = []
+            for _ in range(2):
+                before = len(enumerated)
+                allocate(instance.graph, instance.sizes, instance.rates)
+                counts.append(len(enumerated) - before)
+            assert counts[0] == counts[1] > 0
+            # Within one run each (base, reach, top) is enumerated once.
+            run = enumerated[-counts[1]:]
+            assert len(set(run)) == len(run)
+
+    def test_each_memo_owns_its_region_table(self, demo_sizes):
+        first, second = SearchMemo(demo_sizes), SearchMemo(demo_sizes)
+        assert first.regions == {} and first.regions is not second.regions
+        assert "regions" in SearchMemo.__slots__
+        assert not any(isinstance(value, dict) for value in vars(SearchMemo).values())
 
 
 class TestWarmMemo:

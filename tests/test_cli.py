@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qaiccc
+from qaiccc import cli
 from qaiccc.cli import (
     EXIT_INPUT,
     EXIT_INSUFFICIENT_QUBITS,
@@ -347,3 +353,43 @@ class TestSynthCommand:
         assert "--max-rates" in captured.err and captured.out == ""
         assert main(args + ["0"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out) == []
+
+
+class TestRepeatedMainCalls:
+    """``main`` called many times in one process, as a library caller does."""
+
+    def test_a_command_patched_after_the_first_call_is_the_one_run(self, files, monkeypatch, capsys):
+        assert run_allocate(files, "--no-timings") == EXIT_OK
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+
+        def patched(args):
+            seen.append(args.command)
+            return 42
+
+        monkeypatch.setattr(cli, "cmd_allocate", patched)
+        assert run_allocate(files, "--no-timings") == 42
+        assert seen == ["allocate"]
+        capsys.readouterr()
+
+    def test_qaiccc_log_is_read_on_every_call(self, files):
+        script = (
+            "import os, sys\n"
+            "from qaiccc.cli import main\n"
+            "argv = sys.argv[1:]\n"
+            "for level in ('error', 'debug', 'error'):\n"
+            "    os.environ['QAICCC_LOG'] = level\n"
+            "    main(argv)\n"
+            "    print('-- call done', file=sys.stderr, flush=True)\n"
+        )
+        argv = ["allocate", "--platform", files["platform"], "--rates", files["rates"],
+                "--requests", files["requests"], "--no-timings"]
+        env = dict(os.environ, PYTHONPATH=str(Path(qaiccc.__file__).resolve().parents[1]))
+        env.pop("QAICCC_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
+        )
+        calls = proc.stderr.split("-- call done\n")
+        assert len(calls) == 4 and calls[3] == ""
+        assert ["rate 0.0027 -> population" in call for call in calls[:3]] == [False, True, False]

@@ -13,11 +13,13 @@ to measure it again) and every tree, ``allocate`` runs in a fresh
 interpreter; with several trees their order alternates from one ``k`` to
 the next, so a drift of the host does not favour one tree.  One line per
 run gives the seconds ``allocate`` took, the final population and archive
-sizes and the interpreter's peak resident memory (``VmHWM``; blank where
-``/proc`` does not provide it).  With ``--profile N`` each run is made
-under the standard library's ``cProfile`` (so its seconds include the
-profiler's overhead) and is followed by the ``N`` functions with the most
-self time: self seconds, cumulative seconds, calls and the function.
+sizes, the interpreter's peak resident memory (``VmHWM``; blank where
+``/proc`` does not provide it) and the entry count of each table of the
+run's ``allocator.SearchMemo`` when the search ends (``-`` for a table the
+tree does not have).  With ``--profile N`` each run is made under the
+standard library's ``cProfile`` (so its seconds include the profiler's
+overhead) and is followed by the ``N`` functions with the most self
+time: self seconds, cumulative seconds, calls and the function.
 Standard library only.
 """
 
@@ -40,12 +42,24 @@ EDGES = (
     (24, 25), (25, 26),
 )
 
+#: The ``allocator.SearchMemo`` tables whose entry counts a run line gives.
+MEMO_TABLES = ("states", "verdicts", "joins", "budgets", "regions")
+
 CHILD = """
 import cProfile, json, pstats, sys, time
 from pathlib import Path
-from qaiccc import ConnectivityGraph, SizeRequests, allocate, sort_rates, synth_rates
+from qaiccc import ConnectivityGraph, SizeRequests, allocate, allocator, sort_rates, synth_rates
 
-edges, k, profile = json.loads(sys.argv[1])
+edges, k, profile, tables = json.loads(sys.argv[1])
+memos = []
+if hasattr(allocator, "SearchMemo"):
+    record = allocator.SearchMemo.__init__
+
+    def recording(self, *args, **kwargs):
+        record(self, *args, **kwargs)
+        memos.append(self)
+
+    allocator.SearchMemo.__init__ = recording
 graph = ConnectivityGraph(27, frozenset(map(tuple, edges)))
 rates = sort_rates(synth_rates(graph, 7))[:k]
 profiler = cProfile.Profile() if profile else None
@@ -70,8 +84,11 @@ try:
         peak = next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
 except (OSError, StopIteration):
     pass
+memo = memos[-1] if memos else None
+sizes = {name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables}
 print(json.dumps({"seconds": seconds, "population": len(outcome.population),
-                  "archive": len(outcome.archive), "peak_rss_mb": peak, "profile": top}))
+                  "archive": len(outcome.archive), "peak_rss_mb": peak, "profile": top,
+                  "memo": sizes}))
 """
 
 
@@ -84,7 +101,7 @@ def measure(tree: Path, k: int, profile: int = 0) -> dict:
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([EDGES, k, profile])],
+        [sys.executable, "-c", CHILD, json.dumps([EDGES, k, profile, MEMO_TABLES])],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -112,9 +129,12 @@ def main(argv: list[str] | None = None) -> int:
         for tree in trees[::-1] if turn % 2 else trees:
             run = measure(tree, k, args.profile)
             peak = "" if run["peak_rss_mb"] is None else f"{run['peak_rss_mb']:.1f}"
+            tables = " ".join(
+                f"{name} {'-' if size is None else size}" for name, size in run["memo"].items()
+            )
             print(
                 f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
-                f"archive {run['archive']} peak_rss_mb {peak} {tree}",
+                f"archive {run['archive']} peak_rss_mb {peak} memo {tables} {tree}",
                 flush=True,
             )
             for self_s, total_s, calls, function in run["profile"]:
