@@ -23,18 +23,22 @@ the candidate's own structure.
 The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
 each its own structural key.  The repair operators take and return
 states and share one :class:`SearchMemo`, which :func:`allocate` creates:
-each distinct state is decided once, the decider's verdict on each
-sub-state (success or failure), each :func:`connect` join, each growth
-budget and each join's region list is remembered for the rest of the
-run, and the memo dies with the run.  A region list does not depend on
-the join's state beyond ``base = owner | incoming``, the part of ``base``
-and the free qubits that base's lowest qubit reaches and the largest
-size the owner's budget allows, so joins on many states share one.  A
-join builds its candidate states in place: its regions hold the
-owner and ``incoming`` and add only unallocated qubits, so the components
-they meet are worked out once per join, and each region's fused
-component is bisected into the kept components, which a state holds in
-component order (:func:`new_alloc` stays for :func:`improve_alloc`).
+each distinct state is decided once, each :func:`connect` join, each
+growth budget and each join's region list is remembered for the rest of
+the run, and the memo dies with the run.  A state's verdict is read from
+the run's index of every complete structure
+(:func:`qaiccc.completion.completion_index`, built with the memo); when
+the complete set is too large to enumerate, the decider works it out and
+the memo keeps its verdict on each sub-state (success or failure).  A
+region list does not depend on the join's state beyond ``base = owner |
+incoming``, the part of ``base`` and the free qubits that base's lowest
+qubit reaches and the largest size the owner's budget allows, so joins
+on many states share one.  A join builds its candidate states in place:
+its regions hold the owner and ``incoming`` and add only unallocated
+qubits, so the components they meet are worked out once per join, and
+each region's fused component is bisected into the kept components,
+which a state holds in component order (:func:`new_alloc` stays for
+:func:`improve_alloc`).
 Safety is read on masks (:func:`qaiccc.safety.state_verdict`), each
 rate's masks worked out once per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
@@ -54,7 +58,7 @@ from typing import Iterable, Iterator, Sequence
 # ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
 # longer called here; they stay bound because the benchmark's tracer
 # (bench/spans.py) wraps names at this import site.
-from .completion import can_complete, connected_supersets, decide  # noqa: F401
+from .completion import can_complete, completion_index, connected_supersets, decide  # noqa: F401
 from .completion import open_requests, request_slots
 from .errors import InsufficientQubitsError
 from .model import (  # noqa: F401
@@ -114,21 +118,26 @@ class SearchMemo:
 
     Each table is an exact function of its key, given the run's graph,
     sizes and config.  ``states`` maps every candidate state to itself when
-    kept and to None otherwise, so equal states are one object;
-    ``verdicts`` holds the decider's verdict, success or failure, on every
-    sub-state it has worked out for the run's ``requests``; ``joins`` the
-    states of each :func:`connect` call, by ``(state, owner, incoming)``;
-    ``budgets`` each :func:`remain`, by the owner's trust and size and the
-    state's ``(trust, size)`` sequence; ``regions`` the regions of every
-    join, by ``(base, reach, top)``: a join's regions depend on nothing
-    else, given the run's ``max_paths_per_connect`` (see :func:`_regions`).
+    kept and to None otherwise, so equal states are one object; ``index``
+    is the :class:`~qaiccc.completion.CompletionIndex` of the run's
+    ``requests`` on the graph, built here, or None when the complete set is
+    too large to enumerate; only then does ``verdicts`` fill, with the
+    decider's verdict, success or failure, on every sub-state it has
+    worked out for the run's ``requests`` (see :func:`completable`);
+    ``joins`` the states of each :func:`connect` call, by ``(state, owner,
+    incoming)``; ``budgets`` each :func:`remain`, by the owner's trust and
+    size and the state's ``(trust, size)`` sequence; ``regions`` the
+    regions of every join, by ``(base, reach, top)``: a join's regions
+    depend on nothing else, given the run's ``max_paths_per_connect`` (see
+    :func:`_regions`).
     """
 
-    __slots__ = ("states", "requests", "verdicts", "joins", "budgets", "regions")
+    __slots__ = ("states", "requests", "index", "verdicts", "joins", "budgets", "regions")
 
-    def __init__(self, sizes: SizeRequests) -> None:
+    def __init__(self, sizes: SizeRequests, graph: ConnectivityGraph) -> None:
         self.states: dict[SearchState, SearchState | None] = {}
         self.requests = open_requests(request_slots(sizes))
+        self.index = completion_index(self.requests, graph)
         self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
         self.budgets: dict[tuple, int] = {}
@@ -153,6 +162,16 @@ def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
     if sizes.idle_size is not None:
         raise ValueError("idle request already set but requests do not cover the platform")
     return replace(sizes, idle_size=vertex_count - total)
+
+
+def completable(state: SearchState, graph: ConnectivityGraph, memo: SearchMemo) -> bool:
+    """Can ``state`` be completed to the run's requests?  Read from the memo's index.
+
+    Without an index the decider works it out, sharing the memo's verdicts.
+    """
+    if memo.index is not None:
+        return memo.index.admits(state[1])
+    return decide(*state, graph, memo.requests, memo.verdicts)
 
 
 def new_alloc(
@@ -190,7 +209,7 @@ def new_alloc(
     known = memo.states.get(candidate, False)
     if known is False:
         connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
-        keep = connected and decide(*candidate, graph, memo.requests, memo.verdicts)
+        keep = connected and completable(candidate, graph, memo)
         known = memo.states[candidate] = candidate if keep else None
     return known
 
@@ -269,8 +288,7 @@ def _joins(
         candidate = (free & ~region, kept[:at] + ((trust, fused, fused.bit_count()),) + kept[at:])
         known = states.get(candidate, False)
         if known is False:
-            keep = decide(*candidate, graph, memo.requests, memo.verdicts)
-            known = states[candidate] = candidate if keep else None
+            known = states[candidate] = candidate if completable(candidate, graph, memo) else None
         if known is not None:
             yield known
 
@@ -283,8 +301,10 @@ def _regions(
 
     Empty when the owner's growth budget (:func:`remain`, remembered by
     signature) cannot take ``incoming``, or when ``base = user | incoming``
-    is not connected through free qubits.  Otherwise the regions depend on
-    the state only through ``reach``, the part of ``base`` and the free
+    is not connected through free qubits.  A budget with no room for a
+    connector leaves ``base`` itself as the one region, when it is
+    connected, and that needs no enumeration.  Otherwise the regions depend
+    on the state only through ``reach``, the part of ``base`` and the free
     qubits that base's lowest qubit reaches, and through ``top``, the
     largest region size the budget allows within it; they are enumerated
     once per run for each ``(base, reach, top)`` and kept in the
@@ -300,9 +320,12 @@ def _regions(
         return ()
 
     base = user | incoming
+    adjacency = graph.adjacency_masks
+    if not max_len:  # no room for a connector: ``base`` is the one region, when connected
+        return (base,) if mask_region(base & -base, base, adjacency) == base else ()
     # Every region lies in the part of ``base`` and the free qubits that
     # base's lowest qubit reaches, and must hold all of ``base``.
-    reach = mask_region(base & -base, base | state[0], graph.adjacency_masks)
+    reach = mask_region(base & -base, base | state[0], adjacency)
     if base & ~reach:
         return ()
     key = (base, reach, min(base.bit_count() + max_len, reach.bit_count()))
@@ -622,7 +645,7 @@ def allocate(
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
     population: dict[SearchState, Allocation] = {state_of(initial): initial}
     archive: dict[SearchState, Allocation] = {}
-    memo = SearchMemo(full)
+    memo = SearchMemo(full, graph)
     steps: list[RateStep] = []
     halted = False
     handled = [rate_masks(rate) for rate in ordered]

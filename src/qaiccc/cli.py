@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,7 +39,6 @@ from .ingest import (
     load_requests,
     rate_from_record,
     rate_to_record,
-    save_rates,
     synth_rates,
 )
 from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
@@ -243,6 +243,73 @@ def oracle_report_to_dict(report: OracleReport, cap: int) -> dict:
     }
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(value, indent: str, chunks: list[str]) -> None:
+    """Append ``value`` to ``chunks`` as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
+    if not isinstance(value, _CONTAINERS):
+        chunks.append(_scalar(value))
+        return
+    if not value:
+        chunks.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        chunks.append("{\n" + inner)
+        for at, (key, item) in enumerate(value.items()):
+            if at:
+                chunks.append(separator)
+            chunks.append(_scalar(key if isinstance(key, str) else _scalar(key)) + ": ")
+            _emit(item, inner, chunks)
+        chunks.append("\n" + indent + "}")
+        return
+    chunks.append("[\n" + inner)
+    if type(value[0]) is int and all(type(item) is int for item in value):
+        chunks.append(separator.join(map(int.__repr__, value)))
+    else:
+        for at, item in enumerate(value):
+            if at:
+                chunks.append(separator)
+            _emit(item, inner, chunks)
+    chunks.append("\n" + indent + "]")
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, without the standard library's pure-Python encoder.
+
+    Strings go through the C string encoder, numbers through their
+    ``repr``, and a list of ints is joined in one step.
+    """
+    chunks: list[str] = []
+    _emit(value, "", chunks)
+    return "".join(chunks)
+
+
 # ---------------------------------------------------------------------------
 # text rendering
 
@@ -358,7 +425,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         timings=timings,
     )
     if args.format == "json":
-        _write_output(json.dumps(report.to_dict(), indent=2) + "\n", args.output)
+        _write_output(dumps(report.to_dict()) + "\n", args.output)
     else:
         _write_output(render_text(report, outcome, args.verbose), args.output)
     return EXIT_OK
@@ -373,7 +440,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sizes = load_requests(args.requests)
     report = oracle_report(graph, sizes, rates, cap=args.cap)
     if args.format == "json":
-        _write_output(json.dumps(oracle_report_to_dict(report, args.cap), indent=2) + "\n", args.output)
+        _write_output(dumps(oracle_report_to_dict(report, args.cap)) + "\n", args.output)
     else:
         _write_output(render_oracle_text(report, args.cap), args.output)
     return EXIT_OK
@@ -386,10 +453,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max-rates: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.output:
-        save_rates(rates, args.output)
-    else:
-        sys.stdout.write(json.dumps([rate_to_record(r) for r in rates], indent=2) + "\n")
+    _write_output(dumps([rate_to_record(r) for r in rates]) + "\n", args.output)
     return EXIT_OK
 
 

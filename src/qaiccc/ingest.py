@@ -53,10 +53,21 @@ def _read_json(path: str | Path):
         raise InputFileError(f"invalid JSON: {exc}", path=str(path)) from exc
 
 
+def _refuse_unknown_keys(data: dict, known: tuple[str, ...], path: str | Path) -> None:
+    """Refuse a top-level key outside ``known``: a misspelt key must not pass as absent."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise InputFileError(
+            f"unknown key {unknown[0]!r}; expected only {', '.join(map(repr, known))}",
+            path=str(path),
+        )
+
+
 def load_platform(path: str | Path) -> ConnectivityGraph:
     data = _read_json(path)
     if not isinstance(data, dict) or "qubits" not in data:
         raise InputFileError("platform file must be an object with 'qubits'", path=str(path))
+    _refuse_unknown_keys(data, ("qubits", "edges"), path)
     qubits = data["qubits"]
     edges = data.get("edges", [])
     if not isinstance(qubits, int) or isinstance(qubits, bool):
@@ -102,6 +113,7 @@ def load_requests(path: str | Path) -> SizeRequests:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise InputFileError("requests file must be an object", path=str(path))
+    _refuse_unknown_keys(data, ("trusted", "untrusted"), path)
     try:
         return SizeRequests(
             trusted=integer_list(data.get("trusted", []), "trusted", path=str(path)),

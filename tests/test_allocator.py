@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import qaiccc.allocator as allocator_module
+import qaiccc.completion as completion_module
 from qaiccc import (
     Allocation,
     AllocationOutcome,
@@ -44,7 +45,7 @@ from qaiccc.allocator import (
     update_population,
     update_sizes,
 )
-from qaiccc.completion import can_complete, decide
+from qaiccc.completion import can_complete
 from qaiccc.model import (
     allocation_of,
     component_order,
@@ -142,7 +143,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
             state_of(allocation), owner(u(2, 3)), qubit_mask({4}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -151,7 +152,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
             state_of(allocation), owner(u(0, 1)), qubit_mask({4}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         assert results == []
 
@@ -160,7 +161,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
             state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         assert structure([2]) in state_keys(results)
 
@@ -170,7 +171,7 @@ class TestConnect:
         # The component is already at the largest request size.
         results = connect(
             state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes),
+            memo=SearchMemo(sizes, demo_graph),
         )
         assert results == []
 
@@ -179,11 +180,11 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
             state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes,
-            SearchConfig(max_paths_per_connect=1), memo=SearchMemo(sizes),
+            SearchConfig(max_paths_per_connect=1), memo=SearchMemo(sizes, demo_graph),
         )
         uncapped = connect(
             state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
@@ -424,7 +425,7 @@ class TestImproveAllocHandsOnDistinctStructures:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
         results = improve_alloc(
-            state_of(build(5)), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+            state_of(build(5)), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
@@ -516,7 +517,7 @@ def test_connect_matches_the_reference_on_random_joins(case):
     )
     got = connect(
         state_of(allocation), joined, qubit_mask(incoming), graph, sizes, config,
-        memo=SearchMemo(sizes)
+        memo=SearchMemo(sizes, graph)
     )
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
@@ -569,7 +570,7 @@ def test_in_place_join_states_match_new_alloc_per_region(case):
     allocation, joined, incoming, graph, sizes, paths = case
     config = SearchConfig(max_paths_per_connect=paths)
     state = state_of(allocation)
-    memo, generic = SearchMemo(sizes), SearchMemo(sizes)
+    memo, generic = SearchMemo(sizes, graph), SearchMemo(sizes, graph)
     got = connect(state, joined, incoming, graph, sizes, config, memo=memo)
     regions = allocator_module._regions(state, joined, incoming, graph, sizes, config, generic)
     expected = [
@@ -646,11 +647,23 @@ def region_join_runs(draw):
 def test_region_memo_answers_like_a_fresh_memo_per_join(case):
     graph, sizes, paths, joins = case
     config = SearchConfig(max_paths_per_connect=paths)
-    shared = SearchMemo(sizes)
+    shared = SearchMemo(sizes, graph)
     for state, joined, incoming in joins:
         args = (state, joined, incoming, graph, sizes, config)
-        fresh = allocator_module._regions(*args, SearchMemo(sizes))
+        fresh = allocator_module._regions(*args, SearchMemo(sizes, graph))
         assert allocator_module._regions(*args, shared) == fresh
+
+
+@pytest.mark.parametrize("incoming, expected", [({2}, (0b111,)), ({3}, ())])
+def test_a_join_without_room_for_connectors_has_base_as_its_one_region(incoming, expected):
+    # {0, 1} may grow by one qubit, so only an adjacent incoming qubit joins.
+    sizes = SizeRequests(untrusted=(3,), idle_size=1)
+    path = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    state = state_of(build(4, u(0, 1)))
+    args = (state, owner(u(0, 1)), qubit_mask(incoming), path, sizes, CFG)
+    assert allocator_module._regions(*args, SearchMemo(sizes, path)) == expected
+    # Enumerating within the reach gives the same regions.
+    assert tuple(allocator_module._grown(0b11 | qubit_mask(incoming), 0b1111, 3, path)) == expected
 
 
 def test_states_differing_only_outside_reach_share_one_region_tuple():
@@ -659,12 +672,12 @@ def test_states_differing_only_outside_reach_share_one_region_tuple():
     sizes = SizeRequests(untrusted=(3, 1, 1), idle_size=1)
     apart = state_of(build(6, u(3)))
     held = state_of(build(6, u(3), u(5)))
-    memo = SearchMemo(sizes)
+    memo = SearchMemo(sizes, _PATH6)
     args = (FRESH_U, qubit_mask({0}), _PATH6, sizes, CFG)
     regions = allocator_module._regions(apart, *args, memo)
     assert regions == (0b1, 0b11, 0b111)
     assert allocator_module._regions(held, *args, memo) is regions
-    assert allocator_module._regions(held, *args, SearchMemo(sizes)) == regions
+    assert allocator_module._regions(held, *args, SearchMemo(sizes, _PATH6)) == regions
     assert len(memo.regions) == 1
 
 
@@ -674,7 +687,7 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({2, 3, 4}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
+            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
         )
         assert candidate is not None
         assert canonicalize(allocation_of(candidate)) == structure([2, 3, 4])
@@ -687,7 +700,7 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
             state_of(allocation), qubit_mask({0, 2, 3}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
+            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
         )
         assert candidate is None
 
@@ -695,7 +708,7 @@ class TestNewAlloc:
         allocation = build(5, t(0, 1), u(2, 3))
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         assert new_alloc(
-            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo=SearchMemo(sizes),
+            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo=SearchMemo(sizes, demo_graph),
         ) is None
 
     def test_disconnected_merge_is_rejected(self, demo_graph):
@@ -704,7 +717,7 @@ class TestNewAlloc:
         assert (
             new_alloc(
                 state_of(allocation), qubit_mask({1, 4}), demo_graph, sizes,
-                fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes),
+                fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
             )
             is None
         )
@@ -715,7 +728,7 @@ class TestAllocUnallocated:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
         )
         assert structure([2]) in state_keys(results)
         for result in results:
@@ -725,7 +738,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
+            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
         )
         assert state_keys(results) == {canonicalize(allocation)}
 
@@ -734,7 +747,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({3}), line, sizes, CFG, memo=SearchMemo(sizes)
+            state_of(allocation), frozenset({3}), line, sizes, CFG, memo=SearchMemo(sizes, line)
         )
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
@@ -758,7 +771,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_impacted(
             [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         got = state_keys(results)
         assert structure([2, 3]) in got
@@ -771,7 +784,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes),
+            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
         )
         assert canonicalize(candidate) in state_keys(results)
 
@@ -781,7 +794,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo=SearchMemo(sizes),
+            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
         )
         assert results == []
 
@@ -789,7 +802,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
             alloc_impacted(
-                [state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+                [state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
             )
 
 
@@ -797,7 +810,7 @@ class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+            state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -805,7 +818,7 @@ class TestImproveAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
             state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes)
+            memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -814,7 +827,7 @@ class TestImproveAlloc:
         allocation = build(5, t(0, 1), u(2, 3, 4))
         rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
         assert improve_alloc(
-            state_of(allocation), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+            state_of(allocation), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
         ) == []
 
 
@@ -824,7 +837,7 @@ class TestAllocTrusted:
         assert (
             alloc_trusted(
                 state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG,
-                memo=SearchMemo(sizes),
+                memo=SearchMemo(sizes, demo_graph),
             )
             == []
         )
@@ -834,7 +847,7 @@ class TestAllocTrusted:
         allocation = build(5, t(1))
         impacting = frozenset({2, 4})
         results = alloc_trusted(
-            state_of(allocation), impacting, demo_graph, sizes, CFG, memo=SearchMemo(sizes)
+            state_of(allocation), impacting, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
         )
         for result in results:
             assert validate_allocation(allocation_of(result), demo_graph) == []
@@ -847,7 +860,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         assert alloc_trusted(
-            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo=SearchMemo(sizes),
+            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
         ) == []
 
 
@@ -1054,12 +1067,13 @@ class TestPerRunMemo:
         self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
     ):
         calls = []
+        completable = allocator_module.completable
 
-        def counting(*args):
-            calls.append(args)
-            return decide(*args)
+        def counting(state, graph, memo):
+            calls.append(state)
+            return completable(state, graph, memo)
 
-        monkeypatch.setattr(allocator_module, "decide", counting)
+        monkeypatch.setattr(allocator_module, "completable", counting)
         instances = [(demo_graph, demo_sizes, demo_rates)]
         instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
         for graph, sizes, rates in instances:
@@ -1072,10 +1086,25 @@ class TestPerRunMemo:
             assert counts[0] == counts[1] > 0
             # Within one run every state is decided once.
             run = calls[-counts[1]:]
-            assert len({args[:2] for args in run}) == len(run)
+            assert len(set(run)) == len(run)
+
+    def test_one_index_build_per_run(self, monkeypatch, family):
+        builds = []
+        completion_index = allocator_module.completion_index
+
+        def counting(requests, graph):
+            builds.append(requests)
+            return completion_index(requests, graph)
+
+        monkeypatch.setattr(allocator_module, "completion_index", counting)
+        for instance in family[:5]:
+            for run in (1, 2):
+                allocate(instance.graph, instance.sizes, instance.rates)
+                assert len(builds) == run
+            builds.clear()
 
     def test_two_runs_in_one_process_budget_and_decide_alike(self, monkeypatch, family):
-        calls = {"remain": [], "decide": []}
+        calls = {"remain": [], "completable": []}
 
         def counting(name, function):
             def wrapper(*args):
@@ -1084,7 +1113,8 @@ class TestPerRunMemo:
             return wrapper
 
         monkeypatch.setattr(allocator_module, "remain", counting("remain", remain))
-        monkeypatch.setattr(allocator_module, "decide", counting("decide", decide))
+        completable = allocator_module.completable
+        monkeypatch.setattr(allocator_module, "completable", counting("completable", completable))
         for instance in family[:5]:
             counts = []
             for _ in range(2):
@@ -1121,11 +1151,37 @@ class TestPerRunMemo:
             run = enumerated[-counts[1]:]
             assert len(set(run)) == len(run)
 
-    def test_each_memo_owns_its_region_table(self, demo_sizes):
-        first, second = SearchMemo(demo_sizes), SearchMemo(demo_sizes)
+    def test_each_memo_owns_its_region_table(self, demo_graph, demo_sizes):
+        first, second = SearchMemo(demo_sizes, demo_graph), SearchMemo(demo_sizes, demo_graph)
         assert first.regions == {} and first.regions is not second.regions
         assert "regions" in SearchMemo.__slots__
         assert not any(isinstance(value, dict) for value in vars(SearchMemo).values())
+
+
+class TestIndexFallback:
+    """A run whose complete set is past the index's budget asks the decider instead."""
+
+    def test_a_budget_of_one_gives_the_indexed_outcome(
+        self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
+    ):
+        memos = []
+
+        class Recording(SearchMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(allocator_module, "SearchMemo", Recording)
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        for graph, sizes, rates in instances:
+            indexed = allocate(graph, sizes, rates)
+            assert memos[-1].index is not None and memos[-1].verdicts == {}
+            with monkeypatch.context() as budget:
+                budget.setattr(completion_module, "INDEX_BUDGET", 1)
+                fallback = allocate(graph, sizes, rates)
+            assert memos[-1].index is None and memos[-1].verdicts
+            assert fallback == indexed
 
 
 class TestWarmMemo:
@@ -1135,19 +1191,19 @@ class TestWarmMemo:
         for instance in family[:8]:
             full = update_sizes(instance.graph.vertex_count, instance.sizes)
             outcome = allocate(instance.graph, instance.sizes, instance.rates)
-            shared = SearchMemo(full)
+            shared = SearchMemo(full, instance.graph)
             for allocation in outcome.allocations:
                 state = state_of(allocation)
                 for joined in state[1] + ((Trust.TRUSTED, 0, 0), FRESH_U):
                     for qubit in sorted(allocation.unallocated):
                         args = (state, joined, 1 << qubit, instance.graph, full, CFG)
-                        cold = connect(*args, memo=SearchMemo(full))
+                        cold = connect(*args, memo=SearchMemo(full, instance.graph))
                         assert connect(*args, memo=shared) == cold
                         assert connect(*args, memo=shared) == cold
 
     def test_mutating_a_returned_list_leaves_later_hits_alone(self, demo_graph):
         sizes = SizeRequests(untrusted=(2, 3))
-        memo = SearchMemo(sizes)
+        memo = SearchMemo(sizes, demo_graph)
         args = (state_of(build(5)), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG)
         first = connect(*args, memo=memo)
         expected = list(first)

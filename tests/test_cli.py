@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qaiccc
 from qaiccc import cli
@@ -22,6 +24,7 @@ from qaiccc.cli import (
     REPORT_SCHEMA,
     RunReport,
     allocation_from_dict,
+    dumps,
     main,
     rate_from_record,
 )
@@ -56,6 +59,32 @@ def run_allocate(files, *extra):
             *extra,
         ]
     )
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, 0.1 + 0.2])
+    | st.text()
+)
+_KEYS = st.text() | st.sampled_from(["score", "é", "\u2603", "\ud83d\ude00", "a\nb\"c"]) | _SCALARS
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+@example([-0.0, 1e-300, 1e300, "qubit \u00e9 \U0001f600"])
+@example({"empty": [], "nested": [[], {}, [[]], {"a": {}}], "": {}})
+@example([True, 1, False, 0, [1, True], [1, 2, 3], [0, -1]])
+@example({1: "int key", 2.5: "float key", True: "bool key", None: "null key"})
+def test_dumps_writes_what_the_standard_library_writes(value):
+    assert dumps(value) == json.dumps(value, indent=2)
 
 
 class TestAllocateCommand:
@@ -123,6 +152,21 @@ class TestAllocateCommand:
         assert run_allocate(files, flag, value) == EXIT_INPUT
         captured = capsys.readouterr()
         assert f"error: {flag} must be at least 1, got {value}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, payload, key",
+        [
+            ("requests", {"untrused": [2]}, "untrused"),
+            ("platform", {"qubits": 5, "edgez": PLATFORM["edges"]}, "edgez"),
+        ],
+    )
+    def test_misspelt_key_exits_1_and_names_it(self, files, tmp_path, capsys, name, payload, key):
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_allocate(dict(files, **{name: str(path)}), "--no-timings") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"unknown key '{key}'" in captured.err and "misspelt.json" in captured.err
         assert captured.out == ""
 
     def test_missing_file_exits_1(self, files, capsys):

@@ -21,10 +21,12 @@ from qaiccc import (
     enumerate_complete,
     validate_allocation,
 )
+import qaiccc.completion as completion_module
 from qaiccc.allocator import update_sizes
 from qaiccc.completion import (
     can_complete,
     complete_allocation,
+    completion_index,
     connected_subsets,
     connected_supersets,
     decide,
@@ -32,6 +34,8 @@ from qaiccc.completion import (
     request_slots,
 )
 from qaiccc.model import qubit_mask, state_of
+
+from conftest import instance_family
 
 
 def u(*qubits):
@@ -524,6 +528,66 @@ def test_one_shared_table_decides_like_a_fresh_table_per_state(case):
         verdict = decide(*state, graph, requests, shared)
         assert verdict is decide(*state, graph, requests, {})
         assert verdict is any(extends(alloc, partial) for alloc in complete)
+
+
+# --- the index of the complete set against the decider ----------------------
+
+
+def requests_of(graph, sizes):
+    return open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(partial_sequences())
+def test_the_index_decides_like_the_decider(case):
+    graph, sizes, sequence = case
+    requests = requests_of(graph, sizes)
+    index = completion_index(requests, graph)
+    for partial in sequence:
+        free, pending = state_of(partial)
+        assert index.admits(pending) is decide(free, pending, graph, requests, {})
+
+
+def t(*qubits):
+    return UserComponent(Trust.TRUSTED, frozenset(qubits))
+
+
+_PATH3 = ConnectivityGraph(3, frozenset({(0, 1), (1, 2)}))
+_PATH4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+
+
+@pytest.mark.parametrize(
+    "graph, sizes, partial, expected",
+    [
+        # The only blocks holding {1} are trusted: {0, 1, 2} and {1, 2, 3}.
+        (_PATH4, SizeRequests(trusted=(3,), untrusted=(1,)), build(4, u(1)), False),
+        (_PATH4, SizeRequests(trusted=(3,), untrusted=(1,)), build(4, t(1)), True),
+        # Both users fit the one block, but not one each.
+        (_PATH3, SizeRequests(untrusted=(3,)), build(3, u(0), u(2)), False),
+        (_PATH3, SizeRequests(untrusted=(3,)), build(3, u(0, 1)), True),
+        (_PATH4, SizeRequests(untrusted=(2, 2)), build(4, u(0), u(3)), True),
+        (_PATH4, SizeRequests(untrusted=(2, 2)), build(4, u(0), u(1)), False),
+    ],
+)
+def test_the_index_reads_trust_and_keeps_users_apart(graph, sizes, partial, expected):
+    requests = requests_of(graph, sizes)
+    free, pending = state_of(partial)
+    assert decide(free, pending, graph, requests, {}) is expected
+    assert completion_index(requests, graph).admits(pending) is expected
+
+
+def test_the_index_counts_the_oracles_complete_set():
+    for instance in instance_family(60):
+        index = completion_index(requests_of(instance.graph, instance.sizes), instance.graph)
+        assert index.count == len(enumerate_complete(instance.graph, instance.sizes))
+
+
+def test_the_index_gives_up_past_its_budget(monkeypatch):
+    graph = ConnectivityGraph(6, frozenset((q, q + 1) for q in range(5)))
+    requests = requests_of(graph, SizeRequests(untrusted=(2, 2)))
+    assert completion_index(requests, graph).count == 1
+    monkeypatch.setattr(completion_module, "INDEX_BUDGET", 1)
+    assert completion_index(requests, graph) is None
 
 
 class TestDeciderKeyCarriesTheOpenRequests:

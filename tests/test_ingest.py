@@ -175,6 +175,19 @@ class TestPlatformAndRequests:
         assert code == EXIT_INPUT
         assert "above the limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "load, payload, key",
+        [
+            (load_requests, {"untrused": [2]}, "untrused"),
+            (load_requests, {"trusted": [1], "untrusted": [2], "idle": 1}, "idle"),
+            (load_platform, {"qubits": 2, "edgez": [[0, 1]]}, "edgez"),
+            (load_platform, {"qubits": 2, "edges": [[0, 1]], "name": "line"}, "name"),
+        ],
+    )
+    def test_an_unknown_top_level_key_is_refused_and_named(self, tmp_path, load, payload, key):
+        with pytest.raises(InputFileError, match=f"unknown key '{key}'"):
+            load(write(tmp_path, "f.json", payload))
+
     def test_requests_parse_errors(self, tmp_path):
         with pytest.raises(InputFileError):
             load_requests(write(tmp_path, "a.json", {"untrusted": [0]}))

@@ -67,10 +67,15 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     fields = run.split()
     assert fields[0] == "k=1" and float(fields[2]) > 0
     assert fields[3:7] == ["population", "1012", "archive", "1"]
-    # Each memo table's entry count, in the tool's order, each above 0.
-    tables = fields[fields.index("memo") + 1:-1]
+    # Each memo table's entry count, in the tool's order, then the index's
+    # structure count.  The index answers every verdict, so the decider's
+    # table stays empty and every other table fills.
+    tables = fields[fields.index("memo") + 1:fields.index("index")]
     assert tables[::2] == ["states", "verdicts", "joins", "budgets", "regions"]
-    assert all(int(size) > 0 for size in tables[1::2])
+    sizes = dict(zip(tables[::2], map(int, tables[1::2])))
+    assert sizes.pop("verdicts") == 0
+    assert all(size > 0 for size in sizes.values())
+    assert fields[fields.index("index") + 1] == "28"
     # The profile's rows, by self time, the largest first.
     assert len(top) == 3
     self_times = [float(row.split()[1]) for row in top]

@@ -16,7 +16,9 @@ run gives the seconds ``allocate`` took, the final population and archive
 sizes, the interpreter's peak resident memory (``VmHWM``; blank where
 ``/proc`` does not provide it) and the entry count of each table of the
 run's ``allocator.SearchMemo`` when the search ends (``-`` for a table the
-tree does not have).  With ``--profile N`` each run is made under the
+tree does not have), then the number of complete structures in the memo's
+completion index (``-`` when the run fell back to the decider, or the
+tree has no index).  With ``--profile N`` each run is made under the
 standard library's ``cProfile`` (so its seconds include the profiler's
 overhead) and is followed by the ``N`` functions with the most self
 time: self seconds, cumulative seconds, calls and the function.
@@ -86,9 +88,10 @@ except (OSError, StopIteration):
     pass
 memo = memos[-1] if memos else None
 sizes = {name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables}
+index = getattr(memo, "index", None)
 print(json.dumps({"seconds": seconds, "population": len(outcome.population),
                   "archive": len(outcome.archive), "peak_rss_mb": peak, "profile": top,
-                  "memo": sizes}))
+                  "memo": sizes, "index": None if index is None else index.count}))
 """
 
 
@@ -132,9 +135,10 @@ def main(argv: list[str] | None = None) -> int:
             tables = " ".join(
                 f"{name} {'-' if size is None else size}" for name, size in run["memo"].items()
             )
+            index = "-" if run["index"] is None else run["index"]
             print(
                 f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
-                f"archive {run['archive']} peak_rss_mb {peak} memo {tables} {tree}",
+                f"archive {run['archive']} peak_rss_mb {peak} memo {tables} index {index} {tree}",
                 flush=True,
             )
             for self_s, total_s, calls, function in run["profile"]:
