@@ -22,23 +22,25 @@ the candidate's own structure.
 
 The search runs on bitmask states (:data:`qaiccc.model.SearchState`),
 each its own structural key.  The repair operators take and return
-states and share one :class:`SearchMemo`, which :func:`allocate` creates:
-each distinct state is decided once, each :func:`connect` join, each
-growth budget and each join's region list is remembered for the rest of
-the run, and the memo dies with the run.  A state's verdict is read from
-the run's index of every complete structure
+states and share one :class:`SearchMemo`, which :func:`allocate` creates
+from the run's graph, sizes and config; the operators read those three
+from the memo, so its tables are only ever read for the run they were
+worked out for.  Each distinct state is decided once, each
+:func:`connect` join, each growth budget and each join's region list is
+remembered for the rest of the run, and the memo dies with the run.  A
+state's verdict is read from the run's index of every complete structure
 (:func:`qaiccc.completion.completion_index`, built with the memo); when
 the complete set is too large to enumerate, the decider works it out and
 the memo keeps its verdict on each sub-state (success or failure).  A
 region list does not depend on the join's state beyond ``base = owner |
 incoming``, the part of ``base`` and the free qubits that base's lowest
 qubit reaches and the largest size the owner's budget allows, so joins
-on many states share one.  A join builds its candidate states in place:
-its regions hold the owner and ``incoming`` and add only unallocated
-qubits, so the components they meet are worked out once per join, and
-each region's fused component is bisected into the kept components,
-which a state holds in component order (:func:`new_alloc` stays for
-:func:`improve_alloc`).
+on many states share one.  One builder (:func:`_fused`) assembles every
+fused candidate, for a join's regions and for :func:`new_alloc`'s merge
+alike: each region holds its base and adds only unallocated qubits, so
+the components it meets are worked out once per call, and each region's
+fused component is bisected into the kept components, which a state
+holds in component order.
 Safety is read on masks (:func:`qaiccc.safety.state_verdict`), each
 rate's masks worked out once per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
@@ -114,27 +116,36 @@ class SearchConfig:
 
 
 class SearchMemo:
-    """What one :func:`allocate` run has established, so it is worked out once.
+    """One :func:`allocate` run: its graph, sizes and config, and what it has established.
 
-    Each table is an exact function of its key, given the run's graph,
-    sizes and config.  ``states`` maps every candidate state to itself when
-    kept and to None otherwise, so equal states are one object; ``index``
-    is the :class:`~qaiccc.completion.CompletionIndex` of the run's
-    ``requests`` on the graph, built here, or None when the complete set is
-    too large to enumerate; only then does ``verdicts`` fill, with the
-    decider's verdict, success or failure, on every sub-state it has
-    worked out for the run's ``requests`` (see :func:`completable`);
-    ``joins`` the states of each :func:`connect` call, by ``(state, owner,
-    incoming)``; ``budgets`` each :func:`remain`, by the owner's trust and
-    size and the state's ``(trust, size)`` sequence; ``regions`` the
-    regions of every join, by ``(base, reach, top)``: a join's regions
-    depend on nothing else, given the run's ``max_paths_per_connect`` (see
+    The operators read ``graph``, ``sizes`` and ``config`` from here, and
+    each table is an exact function of its key given those three.
+    ``states`` maps every candidate state to itself when kept and to None
+    otherwise, so equal states are one object; ``index`` is the
+    :class:`~qaiccc.completion.CompletionIndex` of the run's ``requests``
+    on the graph, built here, or None when the complete set is too large to
+    enumerate; only then does ``verdicts`` fill, with the decider's
+    verdict, success or failure, on every sub-state it has worked out for
+    the run's ``requests`` (see :func:`completable`); ``joins`` the states
+    of each :func:`connect` call, by ``(state, owner, incoming)``;
+    ``budgets`` each :func:`remain`, by the owner's trust and size and the
+    state's ``(trust, size)`` sequence; ``regions`` the regions of every
+    join, by ``(base, reach, top)``: a join's regions depend on nothing
+    else, given the config's ``max_paths_per_connect`` (see
     :func:`_regions`).
     """
 
-    __slots__ = ("states", "requests", "index", "verdicts", "joins", "budgets", "regions")
+    __slots__ = (
+        "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "budgets",
+        "regions",
+    )
 
-    def __init__(self, sizes: SizeRequests, graph: ConnectivityGraph) -> None:
+    def __init__(
+        self, sizes: SizeRequests, graph: ConnectivityGraph, config: SearchConfig = SearchConfig()
+    ) -> None:
+        self.sizes = sizes
+        self.graph = graph
+        self.config = config
         self.states: dict[SearchState, SearchState | None] = {}
         self.requests = open_requests(request_slots(sizes))
         self.index = completion_index(self.requests, graph)
@@ -164,65 +175,41 @@ def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
     return replace(sizes, idle_size=vertex_count - total)
 
 
-def completable(state: SearchState, graph: ConnectivityGraph, memo: SearchMemo) -> bool:
+def completable(state: SearchState, memo: SearchMemo) -> bool:
     """Can ``state`` be completed to the run's requests?  Read from the memo's index.
 
     Without an index the decider works it out, sharing the memo's verdicts.
     """
     if memo.index is not None:
         return memo.index.admits(state[1])
-    return decide(*state, graph, memo.requests, memo.verdicts)
+    return decide(*state, memo.graph, memo.requests, memo.verdicts)
 
 
 def new_alloc(
-    state: SearchState,
-    merged: int,
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    *,
-    fresh_trust: Trust | None = None,
-    memo: SearchMemo,
+    state: SearchState, owner: StateComponent, merged: int, *, memo: SearchMemo
 ) -> SearchState | None:
     """The state with all of the ``merged`` mask held by a single user, or None.
 
     Components intersecting ``merged`` are fused together with the
-    unallocated qubits of ``merged``.  The result is kept only when no
-    trust classes were mixed, the fused component is connected and the
+    unallocated qubits of ``merged``.  ``owner`` is one of them, or
+    ``(trust, 0, 0)`` naming the class of a fresh user when ``merged``
+    touches no component.  The result is kept only when the fused
+    component is connected, no trust classes were mixed and the
     completion decider accepts the state, which also refuses every
-    size-infeasible one; whether it is new is the store's call.
-    ``fresh_trust`` names the class of the component when ``merged``
-    touches no existing component.  Each distinct candidate is judged
-    once per run, and the ``memo``'s own copy of it is returned.
+    size-infeasible one; whether it is new is the store's call.  It is
+    :func:`_fused`'s state for the one region ``merged``.
     """
-    free, components = state
-    touching = [c for c in components if c[1] & merged]
-    trust = touching[0][0] if touching else fresh_trust
-    if trust is None or any(c[0] is not trust for c in touching):
+    fused = merged
+    for _, mask, _ in state[1]:
+        if mask & merged:
+            fused |= mask
+    if mask_region(fused & -fused, fused, memo.graph.adjacency_masks) != fused:
         return None
-
-    fused = merged & free
-    for _, mask, _ in touching:
-        fused |= mask
-    kept = [c for c in components if not c[1] & merged]
-    kept.append((trust, fused, fused.bit_count()))
-    candidate = (free & ~merged, tuple(sorted(kept, key=component_order)))
-    known = memo.states.get(candidate, False)
-    if known is False:
-        connected = mask_region(fused & -fused, fused, graph.adjacency_masks) == fused
-        keep = connected and completable(candidate, graph, memo)
-        known = memo.states[candidate] = candidate if keep else None
-    return known
+    return next(_fused(state, owner, merged, (merged,), memo), None)
 
 
 def connect(
-    state: SearchState,
-    owner: StateComponent,
-    incoming: int,
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    config: SearchConfig,
-    *,
-    memo: SearchMemo,
+    state: SearchState, owner: StateComponent, incoming: int, *, memo: SearchMemo
 ) -> list[SearchState]:
     """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
@@ -235,43 +222,41 @@ def connect(
     mask and ``incoming`` plus unallocated connector qubits, fewest
     connectors first and, among regions with as many connectors, in
     ascending qubit order (the order of ``itertools.combinations`` over
-    the sorted connector pool).  The first ``config.max_paths_per_connect``
-    regions in that order each give the state :func:`new_alloc` would give
-    for them, built in place and kept when the decider accepts it.  A join
-    already made in this run is answered from the ``memo``, as a new list.
-    The regions themselves depend only on ``owner | incoming``, the free
-    qubits it reaches and the budget, and the ``memo`` enumerates them once
-    for every join that shares those.
+    the sorted connector pool).  The first ``max_paths_per_connect``
+    regions of the memo's config in that order each give, through
+    :func:`_fused`, the state :func:`new_alloc` would give for them, kept
+    when the decider accepts it; a region is connected and holds ``owner |
+    incoming``, so its fused component is connected too.  A join already
+    made in this run is answered from the ``memo``, as a new list.  The
+    regions themselves depend only on ``owner | incoming``, the free
+    qubits it reaches and the budget, and the ``memo`` enumerates them
+    once for every join that shares those.
     """
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
     if joined is None:
-        joined = memo.joins[key] = tuple(_joins(state, owner, incoming, graph, sizes, config, memo))
+        # A join without regions ends before its components are looked at.
+        regions = _regions(state, owner, incoming, memo)
+        base = owner[1] | incoming
+        joined = memo.joins[key] = tuple(_fused(state, owner, base, regions, memo)) if regions else ()
     return list(joined)
 
 
-def _joins(
-    state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
-    sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
+def _fused(
+    state: SearchState, owner: StateComponent, base: int, regions: Iterable[int], memo: SearchMemo
 ) -> Iterator[SearchState]:
-    """The states :func:`connect` returns, worked out.
+    """The kept states that give each region, a superset of ``base``, to one user.
 
-    A join without regions ends before anything else is worked out.
-    Every region holds ``user | incoming`` and adds only unallocated
-    qubits, so the components it meets are those meeting ``user |
-    incoming`` (:func:`new_alloc`'s rule: the first one's trust, or the
-    owner's when there is none, and no mixed classes).  Their union joins
-    each region, and the fused component is connected because the region
-    is and meets each of them.  Each region's state is built in place: the
-    fused component goes into the components the join keeps, which are
-    already in :func:`~qaiccc.model.component_order`, at the place its key
-    bisects to.
+    Every region adds only unallocated qubits to ``base``, so the
+    components it meets are those meeting ``base``: the fused user takes
+    the first one's trust, or the owner's when there is none, and no
+    region is kept when they mix classes.  Their union joins each region.
+    Each region's state is built in place: the fused component goes into
+    the components the call keeps, which are already in
+    :func:`~qaiccc.model.component_order`, at the place its key bisects
+    to.  A state the run has not seen goes to :func:`completable`.
     """
-    regions = _regions(state, owner, incoming, graph, sizes, config, memo)
-    if not regions:
-        return
     free, components = state
-    base = owner[1] | incoming
     touching = [c for c in components if c[1] & base]
     trust = touching[0][0] if touching else owner[0]
     if any(c[0] is not trust for c in touching):  # every region would mix classes
@@ -288,16 +273,15 @@ def _joins(
         candidate = (free & ~region, kept[:at] + ((trust, fused, fused.bit_count()),) + kept[at:])
         known = states.get(candidate, False)
         if known is False:
-            known = states[candidate] = candidate if completable(candidate, graph, memo) else None
+            known = states[candidate] = candidate if completable(candidate, memo) else None
         if known is not None:
             yield known
 
 
 def _regions(
-    state: SearchState, owner: StateComponent, incoming: int, graph: ConnectivityGraph,
-    sizes: SizeRequests, config: SearchConfig, memo: SearchMemo,
+    state: SearchState, owner: StateComponent, incoming: int, memo: SearchMemo
 ) -> tuple[int, ...]:
-    """The first ``config.max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
+    """The first ``max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
 
     Empty when the owner's growth budget (:func:`remain`, remembered by
     signature) cannot take ``incoming``, or when ``base = user | incoming``
@@ -314,13 +298,13 @@ def _regions(
     signature = (trust, user_size, tuple((t, size) for t, _, size in state[1]))
     budget = memo.budgets.get(signature)
     if budget is None:
-        budget = memo.budgets[signature] = remain(owner, state, sizes)
+        budget = memo.budgets[signature] = remain(owner, state, memo.sizes)
     max_len = budget - (incoming & ~user).bit_count()
     if max_len < 0:
         return ()
 
     base = user | incoming
-    adjacency = graph.adjacency_masks
+    adjacency = memo.graph.adjacency_masks
     if not max_len:  # no room for a connector: ``base`` is the one region, when connected
         return (base,) if mask_region(base & -base, base, adjacency) == base else ()
     # Every region lies in the part of ``base`` and the free qubits that
@@ -331,8 +315,10 @@ def _regions(
     key = (base, reach, min(base.bit_count() + max_len, reach.bit_count()))
     regions = memo.regions.get(key)
     if regions is None:
-        ordered = _grown(*key, graph)
-        regions = memo.regions[key] = tuple(itertools.islice(ordered, config.max_paths_per_connect))
+        ordered = _grown(*key, memo.graph)
+        regions = memo.regions[key] = tuple(
+            itertools.islice(ordered, memo.config.max_paths_per_connect)
+        )
     return regions
 
 
@@ -357,13 +343,7 @@ def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterato
 
 
 def alloc_unallocated(
-    state: SearchState,
-    impacted: frozenset[int],
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    config: SearchConfig,
-    *,
-    memo: SearchMemo,
+    state: SearchState, impacted: frozenset[int], *, memo: SearchMemo
 ) -> list[SearchState]:
     """Allocate every unallocated impacted qubit, branching over owners.
 
@@ -382,19 +362,13 @@ def alloc_unallocated(
                 staged.append(alloc)
                 continue
             for owner in alloc[1] + _FRESH:
-                staged += connect(alloc, owner, target, graph, sizes, config, memo=memo)
+                staged += connect(alloc, owner, target, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
 
 
 def alloc_impacted(
-    candidates: Iterable[SearchState],
-    rate: CrosstalkRate,
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    config: SearchConfig,
-    *,
-    memo: SearchMemo,
+    candidates: Iterable[SearchState], rate: CrosstalkRate, *, memo: SearchMemo
 ) -> list[SearchState]:
     """Give every impacted user control of an impacting qubit.
 
@@ -417,19 +391,13 @@ def alloc_impacted(
                 )
             for pick in picks:
                 target = pick if free & pick else next(m for _, m, _ in components if m & pick)
-                staged += connect(alloc, owner, target, graph, sizes, config, memo=memo)
+                staged += connect(alloc, owner, target, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
 
 
 def improve_alloc(
-    state: SearchState,
-    rate: CrosstalkRate,
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    config: SearchConfig,
-    *,
-    memo: SearchMemo,
+    state: SearchState, rate: CrosstalkRate, *, memo: SearchMemo
 ) -> list[SearchState]:
     """Single-owner variants for the rate's qubits.
 
@@ -439,33 +407,24 @@ def improve_alloc(
     are merged into one component together with the involved qubits.
     """
     involved = qubit_mask(rate.involved)
-    merge_base = sum(mask for _, mask, _ in state[1] if mask & involved)  # disjoint masks
+    owner = next((c for c in state[1] if c[1] & involved), None)
+    if owner is not None:
+        candidate = new_alloc(state, owner, involved, memo=memo)
+        return [candidate] if candidate is not None else []
 
-    if not merge_base:
-        fresh = [
-            candidate
-            for trust, _, _ in _FRESH
-            if (candidate := new_alloc(state, involved, graph, sizes, fresh_trust=trust, memo=memo))
-        ]
-        if fresh:
-            return fresh
-        fallback: list[SearchState] = []
-        for owner in state[1]:
-            fallback += connect(state, owner, involved, graph, sizes, config, memo=memo)
-        return fallback
-
-    candidate = new_alloc(state, merge_base | involved, graph, sizes, memo=memo)
-    return [candidate] if candidate is not None else []
+    fresh = [
+        candidate for owner in _FRESH if (candidate := new_alloc(state, owner, involved, memo=memo))
+    ]
+    if fresh:
+        return fresh
+    fallback: list[SearchState] = []
+    for owner in state[1]:
+        fallback += connect(state, owner, involved, memo=memo)
+    return fallback
 
 
 def alloc_trusted(
-    state: SearchState,
-    impacting: frozenset[int],
-    graph: ConnectivityGraph,
-    sizes: SizeRequests,
-    config: SearchConfig,
-    *,
-    memo: SearchMemo,
+    state: SearchState, impacting: frozenset[int], *, memo: SearchMemo
 ) -> list[SearchState]:
     """Hand unallocated impacting qubits to trusted users.
 
@@ -482,7 +441,7 @@ def alloc_trusted(
             subset = qubit_mask(combo)
             for owner in components + _FRESH:
                 if owner[0] is Trust.TRUSTED:
-                    out += connect(state, owner, subset, graph, sizes, config, memo=memo)
+                    out += connect(state, owner, subset, memo=memo)
     return out
 
 
@@ -635,9 +594,17 @@ def allocate(
     """Run the full allocation search.
 
     Raises :class:`InsufficientQubitsError` when the requests outgrow the
-    platform.  The returned outcome carries the final population and
-    archive plus per-rate snapshots; it is a pure function of its inputs.
+    platform, and ValueError when a rate's qubits are not a connected group
+    of the platform's qubits.  The returned outcome carries the final
+    population and archive plus per-rate snapshots; it is a pure function
+    of its inputs.
     """
+    for rate in rates:
+        if not graph.is_connected(rate.involved):
+            raise ValueError(
+                f"rate {sorted(rate.impacting)} -> {sorted(rate.impacted)} (score {rate.score:g}) "
+                "is not a connected group of the platform's qubits"
+            )
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
     initial_score = (max((r.score for r in ordered), default=0.0)) + 1.0
@@ -645,7 +612,7 @@ def allocate(
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
     population: dict[SearchState, Allocation] = {state_of(initial): initial}
     archive: dict[SearchState, Allocation] = {}
-    memo = SearchMemo(full, graph)
+    memo = SearchMemo(full, graph, config)
     steps: list[RateStep] = []
     halted = False
     handled = [rate_masks(rate) for rate in ordered]
@@ -661,13 +628,13 @@ def allocate(
             candidates: list[SearchState] = []
             if state_verdict(key, impacting, impacted).safe:
                 if state_parties(key, involved) >= 2:
-                    candidates = improve_alloc(key, rate, graph, full, config, memo=memo)
+                    candidates = improve_alloc(key, rate, memo=memo)
                 population[key] = eval_alloc(member, rate)
             else:
-                candidates = alloc_unallocated(key, rate.impacted, graph, full, config, memo=memo)
-                candidates = alloc_impacted(candidates, rate, graph, full, config, memo=memo)
-                candidates += improve_alloc(key, rate, graph, full, config, memo=memo)
-                candidates += alloc_trusted(key, rate.impacting, graph, full, config, memo=memo)
+                candidates = alloc_unallocated(key, rate.impacted, memo=memo)
+                candidates = alloc_impacted(candidates, rate, memo=memo)
+                candidates += improve_alloc(key, rate, memo=memo)
+                candidates += alloc_trusted(key, rate.impacting, memo=memo)
                 newly_archived.append(archive_alloc(key, population, archive, rate))
 
             update_population(candidates, population, archive, processed, config)

@@ -65,23 +65,33 @@ class Trust(str, Enum):
         return self.value
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """Undirected coupling map of the platform.
 
-    ``edges`` holds normalized pairs ``(a, b)`` with ``a < b``; self loops
-    and out-of-range endpoints are rejected at construction.
+    ``edges`` holds normalized pairs ``(a, b)`` with ``a < b``; a
+    ``vertex_count`` or endpoint that is not an ``int`` (``bool`` counts as
+    not one), self loops and out-of-range endpoints are rejected at
+    construction.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.vertex_count):
+            raise TypeError(f"vertex_count must be an int, not {self.vertex_count!r}")
         if self.vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         normalized = set()
         for edge in self.edges:
             a, b = edge
+            if not (_is_int(a) and _is_int(b)):
+                raise TypeError(f"edge {edge} has an endpoint that is not an int")
             if a == b:
                 raise ValueError(f"self loop on qubit {a}")
             if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -142,7 +143,7 @@ class TestConnect:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), owner(u(2, 3)), qubit_mask({4}), demo_graph, sizes, CFG,
+            state_of(allocation), owner(u(2, 3)), qubit_mask({4}),
             memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
@@ -151,7 +152,7 @@ class TestConnect:
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), owner(u(0, 1)), qubit_mask({4}), demo_graph, sizes, CFG,
+            state_of(allocation), owner(u(0, 1)), qubit_mask({4}),
             memo=SearchMemo(sizes, demo_graph)
         )
         assert results == []
@@ -160,8 +161,7 @@ class TestConnect:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes, demo_graph)
+            state_of(allocation), FRESH_U, qubit_mask({2}), memo=SearchMemo(sizes, demo_graph)
         )
         assert structure([2]) in state_keys(results)
 
@@ -170,7 +170,7 @@ class TestConnect:
         sizes = SizeRequests(untrusted=(2, 3))
         # The component is already at the largest request size.
         results = connect(
-            state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}), demo_graph, sizes, CFG,
+            state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}),
             memo=SearchMemo(sizes, demo_graph),
         )
         assert results == []
@@ -179,12 +179,11 @@ class TestConnect:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(5,))
         capped = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes,
-            SearchConfig(max_paths_per_connect=1), memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), FRESH_U, qubit_mask({2}),
+            memo=SearchMemo(sizes, demo_graph, SearchConfig(max_paths_per_connect=1)),
         )
         uncapped = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes, demo_graph)
+            state_of(allocation), FRESH_U, qubit_mask({2}), memo=SearchMemo(sizes, demo_graph)
         )
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
@@ -362,12 +361,13 @@ class TestConnectMatchesTheReference:
     def checked_calls(self, monkeypatch):
         calls = []
 
-        def checking(state, owner, incoming, graph, sizes, config, **kwargs):
-            result = connect(state, owner, incoming, graph, sizes, config, **kwargs)
+        def checking(state, owner, incoming, *, memo):
+            result = connect(state, owner, incoming, memo=memo)
             trust, user, _ = owner
+            graph = memo.graph
             expected = reference_connect(
                 allocation_of(state), mask_qubits(user), mask_qubits(incoming),
-                graph, sizes, config, fresh_trust=None if user else trust,
+                graph, memo.sizes, memo.config, fresh_trust=None if user else trust,
             )
             assert [allocation_of(candidate) for candidate in result] == expected
             calls.append(graph.is_connected(mask_qubits(user | incoming)))
@@ -402,8 +402,8 @@ class TestImproveAllocHandsOnDistinctStructures:
     def result_lengths(self, monkeypatch):
         lengths = []
 
-        def checking(state, rate, graph, sizes, config, **kwargs):
-            result = improve_alloc(state, rate, graph, sizes, config, **kwargs)
+        def checking(state, rate, *, memo):
+            result = improve_alloc(state, rate, memo=memo)
             assert len(state_keys(result)) == len(result)
             lengths.append(len(result))
             return result
@@ -425,7 +425,7 @@ class TestImproveAllocHandsOnDistinctStructures:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
         results = improve_alloc(
-            state_of(build(5)), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5)), rate, memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
@@ -516,8 +516,7 @@ def test_connect_matches_the_reference_on_random_joins(case):
         (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
     )
     got = connect(
-        state_of(allocation), joined, qubit_mask(incoming), graph, sizes, config,
-        memo=SearchMemo(sizes, graph)
+        state_of(allocation), joined, qubit_mask(incoming), memo=SearchMemo(sizes, graph, config)
     )
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
@@ -566,22 +565,25 @@ _SPLIT = SizeRequests(trusted=(2,), untrusted=(3,), idle_size=1)
 @example(  # incoming covers part of a component
     (build(6, u(1, 2, 3)), FRESH_U, qubit_mask({3}), _PATH6, _SPLIT, 64)
 )
-def test_in_place_join_states_match_new_alloc_per_region(case):
+def test_in_place_join_states_match_the_reference_per_region(case):
     allocation, joined, incoming, graph, sizes, paths = case
     config = SearchConfig(max_paths_per_connect=paths)
     state = state_of(allocation)
-    memo, generic = SearchMemo(sizes, graph), SearchMemo(sizes, graph)
-    got = connect(state, joined, incoming, graph, sizes, config, memo=memo)
-    regions = allocator_module._regions(state, joined, incoming, graph, sizes, config, generic)
+    memo = SearchMemo(sizes, graph, config)
+    got = connect(state, joined, incoming, memo=memo)
+    regions = allocator_module._regions(state, joined, incoming, SearchMemo(sizes, graph, config))
     expected = [
         candidate
         for region in regions
-        if (candidate := new_alloc(
-            state, region, graph, sizes, fresh_trust=joined[0], memo=generic
+        if (candidate := reference_new_alloc(
+            allocation, mask_qubits(region), graph, sizes, fresh_trust=joined[0]
         )) is not None
     ]
-    assert got == expected
-    assert memo.states == generic.states
+    assert [allocation_of(candidate) for candidate in got] == expected
+    # Each state is built in component order, so it is its own canonical key.
+    assert all(state_of(allocation_of(candidate)) == candidate for candidate in got)
+    # The memo judged each region's state once and kept exactly these.
+    assert [kept for kept in memo.states.values() if kept is not None] == got
 
 
 @st.composite
@@ -647,10 +649,10 @@ def region_join_runs(draw):
 def test_region_memo_answers_like_a_fresh_memo_per_join(case):
     graph, sizes, paths, joins = case
     config = SearchConfig(max_paths_per_connect=paths)
-    shared = SearchMemo(sizes, graph)
+    shared = SearchMemo(sizes, graph, config)
     for state, joined, incoming in joins:
-        args = (state, joined, incoming, graph, sizes, config)
-        fresh = allocator_module._regions(*args, SearchMemo(sizes, graph))
+        args = (state, joined, incoming)
+        fresh = allocator_module._regions(*args, SearchMemo(sizes, graph, config))
         assert allocator_module._regions(*args, shared) == fresh
 
 
@@ -660,7 +662,7 @@ def test_a_join_without_room_for_connectors_has_base_as_its_one_region(incoming,
     sizes = SizeRequests(untrusted=(3,), idle_size=1)
     path = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
     state = state_of(build(4, u(0, 1)))
-    args = (state, owner(u(0, 1)), qubit_mask(incoming), path, sizes, CFG)
+    args = (state, owner(u(0, 1)), qubit_mask(incoming))
     assert allocator_module._regions(*args, SearchMemo(sizes, path)) == expected
     # Enumerating within the reach gives the same regions.
     assert tuple(allocator_module._grown(0b11 | qubit_mask(incoming), 0b1111, 3, path)) == expected
@@ -673,7 +675,7 @@ def test_states_differing_only_outside_reach_share_one_region_tuple():
     apart = state_of(build(6, u(3)))
     held = state_of(build(6, u(3), u(5)))
     memo = SearchMemo(sizes, _PATH6)
-    args = (FRESH_U, qubit_mask({0}), _PATH6, sizes, CFG)
+    args = (FRESH_U, qubit_mask({0}))
     regions = allocator_module._regions(apart, *args, memo)
     assert regions == (0b1, 0b11, 0b111)
     assert allocator_module._regions(held, *args, memo) is regions
@@ -686,8 +688,8 @@ class TestNewAlloc:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
-            state_of(allocation), qubit_mask({2, 3, 4}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), FRESH_U, qubit_mask({2, 3, 4}),
+            memo=SearchMemo(sizes, demo_graph),
         )
         assert candidate is not None
         assert canonicalize(allocation_of(candidate)) == structure([2, 3, 4])
@@ -699,8 +701,8 @@ class TestNewAlloc:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = new_alloc(
-            state_of(allocation), qubit_mask({0, 2, 3}), demo_graph, sizes,
-            fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), FRESH_U, qubit_mask({0, 2, 3}),
+            memo=SearchMemo(sizes, demo_graph),
         )
         assert candidate is None
 
@@ -708,7 +710,8 @@ class TestNewAlloc:
         allocation = build(5, t(0, 1), u(2, 3))
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         assert new_alloc(
-            state_of(allocation), qubit_mask({1, 2}), demo_graph, sizes, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), owner(t(0, 1)), qubit_mask({1, 2}),
+            memo=SearchMemo(sizes, demo_graph),
         ) is None
 
     def test_disconnected_merge_is_rejected(self, demo_graph):
@@ -716,11 +719,20 @@ class TestNewAlloc:
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
             new_alloc(
-                state_of(allocation), qubit_mask({1, 4}), demo_graph, sizes,
-                fresh_trust=Trust.UNTRUSTED, memo=SearchMemo(sizes, demo_graph),
+                state_of(allocation), FRESH_U, qubit_mask({1, 4}),
+                memo=SearchMemo(sizes, demo_graph),
             )
             is None
         )
+        # On a line {0, 2} is disconnected although the complete structure
+        # {0, 1, 2}, {3, 4} holds it, so only the connectivity test refuses
+        # it; fused with a held {0, 1} it is connected and kept.
+        line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+        memo = SearchMemo(SizeRequests(untrusted=(3, 2)), line)
+        merged = qubit_mask({0, 2})
+        assert new_alloc(state_of(allocation), FRESH_U, merged, memo=memo) is None
+        held = state_of(build(5, u(0, 1)))
+        assert new_alloc(held, owner(u(0, 1)), merged, memo=memo) == state_of(build(5, u(0, 1, 2)))
 
 
 class TestAllocUnallocated:
@@ -728,7 +740,7 @@ class TestAllocUnallocated:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), frozenset({2}), memo=SearchMemo(sizes, demo_graph),
         )
         assert structure([2]) in state_keys(results)
         for result in results:
@@ -738,7 +750,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), frozenset({2}), memo=SearchMemo(sizes, demo_graph),
         )
         assert state_keys(results) == {canonicalize(allocation)}
 
@@ -747,7 +759,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({3}), line, sizes, CFG, memo=SearchMemo(sizes, line)
+            state_of(allocation), frozenset({3}), memo=SearchMemo(sizes, line)
         )
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
@@ -770,8 +782,7 @@ class TestAllocImpacted:
     def test_owner_gains_each_reachable_impacting_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_impacted(
-            [state_of(build(5, u(2)))], demo_rates[0], demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes, demo_graph)
+            [state_of(build(5, u(2)))], demo_rates[0], memo=SearchMemo(sizes, demo_graph)
         )
         got = state_keys(results)
         assert structure([2, 3]) in got
@@ -784,7 +795,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
+            [state_of(candidate)], demo_rates[0], memo=SearchMemo(sizes, demo_graph),
         )
         assert canonicalize(candidate) in state_keys(results)
 
@@ -794,7 +805,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[2], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
+            [state_of(candidate)], demo_rates[2], memo=SearchMemo(sizes, demo_graph),
         )
         assert results == []
 
@@ -802,7 +813,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
             alloc_impacted(
-                [state_of(build(5))], demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
+                [state_of(build(5))], demo_rates[0], memo=SearchMemo(sizes, demo_graph)
             )
 
 
@@ -810,15 +821,14 @@ class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5)), demo_rates[0], demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5)), demo_rates[0], memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_owner_absorbs_the_unallocated_involved_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5, u(2, 3))), demo_rates[0], demo_graph, sizes, CFG,
-            memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5, u(2, 3))), demo_rates[0], memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
@@ -827,7 +837,7 @@ class TestImproveAlloc:
         allocation = build(5, t(0, 1), u(2, 3, 4))
         rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
         assert improve_alloc(
-            state_of(allocation), rate, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
+            state_of(allocation), rate, memo=SearchMemo(sizes, demo_graph)
         ) == []
 
 
@@ -836,8 +846,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
             alloc_trusted(
-                state_of(build(5)), demo_rates[0].impacting, demo_graph, sizes, CFG,
-                memo=SearchMemo(sizes, demo_graph),
+                state_of(build(5)), demo_rates[0].impacting, memo=SearchMemo(sizes, demo_graph),
             )
             == []
         )
@@ -847,7 +856,7 @@ class TestAllocTrusted:
         allocation = build(5, t(1))
         impacting = frozenset({2, 4})
         results = alloc_trusted(
-            state_of(allocation), impacting, demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph)
+            state_of(allocation), impacting, memo=SearchMemo(sizes, demo_graph)
         )
         for result in results:
             assert validate_allocation(allocation_of(result), demo_graph) == []
@@ -860,7 +869,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         assert alloc_trusted(
-            state_of(allocation), frozenset({2, 4}), demo_graph, sizes, CFG, memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), frozenset({2, 4}), memo=SearchMemo(sizes, demo_graph),
         ) == []
 
 
@@ -1069,9 +1078,9 @@ class TestPerRunMemo:
         calls = []
         completable = allocator_module.completable
 
-        def counting(state, graph, memo):
+        def counting(state, memo):
             calls.append(state)
-            return completable(state, graph, memo)
+            return completable(state, memo)
 
         monkeypatch.setattr(allocator_module, "completable", counting)
         instances = [(demo_graph, demo_sizes, demo_rates)]
@@ -1196,7 +1205,7 @@ class TestWarmMemo:
                 state = state_of(allocation)
                 for joined in state[1] + ((Trust.TRUSTED, 0, 0), FRESH_U):
                     for qubit in sorted(allocation.unallocated):
-                        args = (state, joined, 1 << qubit, instance.graph, full, CFG)
+                        args = (state, joined, 1 << qubit)
                         cold = connect(*args, memo=SearchMemo(full, instance.graph))
                         assert connect(*args, memo=shared) == cold
                         assert connect(*args, memo=shared) == cold
@@ -1204,7 +1213,7 @@ class TestWarmMemo:
     def test_mutating_a_returned_list_leaves_later_hits_alone(self, demo_graph):
         sizes = SizeRequests(untrusted=(2, 3))
         memo = SearchMemo(sizes, demo_graph)
-        args = (state_of(build(5)), FRESH_U, qubit_mask({2}), demo_graph, sizes, CFG)
+        args = (state_of(build(5)), FRESH_U, qubit_mask({2}))
         first = connect(*args, memo=memo)
         expected = list(first)
         assert expected
@@ -1213,6 +1222,34 @@ class TestWarmMemo:
         assert connect(*args, memo=memo) == expected
         connect(*args, memo=memo).clear()
         assert connect(*args, memo=memo) == expected
+
+
+class TestMemoCarriesTheRun:
+    """A memo reads the graph, sizes and config it was built from, and no others."""
+
+    def test_a_memo_built_with_a_path_cap_caps_every_join_made_through_it(
+        self, monkeypatch, demo_graph, family
+    ):
+        sizes = SizeRequests(untrusted=(5,))
+        args = (state_of(build(5)), FRESH_U, qubit_mask({2}))
+        capped = SearchMemo(sizes, demo_graph, SearchConfig(max_paths_per_connect=1))
+        assert len(connect(*args, memo=SearchMemo(sizes, demo_graph))) > 1
+        assert len(connect(*args, memo=capped)) == 1
+
+        regions = {1: [], 64: []}
+
+        def checking(state, owner, incoming, *, memo):
+            made = allocator_module._regions(state, owner, incoming, memo)
+            regions[memo.config.max_paths_per_connect].append(len(made))
+            return connect(state, owner, incoming, memo=memo)
+
+        monkeypatch.setattr(allocator_module, "connect", checking)
+        for paths in regions:
+            config = SearchConfig(max_paths_per_connect=paths)
+            for instance in family[:5]:
+                allocate(instance.graph, instance.sizes, instance.rates, config)
+        assert max(regions[1]) == 1
+        assert max(regions[64]) > 1
 
 
 class TestAllocateEndToEnd:
@@ -1255,6 +1292,19 @@ class TestAllocateEndToEnd:
     def test_insufficient_qubits(self, demo_graph):
         with pytest.raises(InsufficientQubitsError):
             allocate(demo_graph, SizeRequests(untrusted=(6,)), [])
+
+    @pytest.mark.parametrize(
+        "impacting, impacted",
+        # Qubits 98 and 99 do not exist, -1 is no qubit, and 1 and 4 are not adjacent.
+        [({99}, {98}), ({-1}, {0}), ({1}, {4})],
+    )
+    def test_a_rate_that_is_not_a_connected_group_is_refused(
+        self, demo_graph, demo_sizes, demo_rates, impacting, impacted
+    ):
+        rate = CrosstalkRate(0.5, frozenset(impacting), frozenset(impacted))
+        named = re.escape(f"rate {sorted(impacting)} -> {sorted(impacted)} (score 0.5) is not")
+        with pytest.raises(ValueError, match=named):
+            allocate(demo_graph, demo_sizes, [*demo_rates, rate])
 
     def test_zero_rates_returns_only_the_initial_allocation(self, demo_graph, demo_sizes):
         outcome = allocate(demo_graph, demo_sizes, [])

@@ -123,6 +123,16 @@ class TestGraph:
         with pytest.raises(ValueError):
             ConnectivityGraph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize("vertex_count, edges", [
+        (3.0, frozenset()),
+        (True, frozenset()),
+        (3, frozenset({(0.5, 1)})),
+        (3, frozenset({(0, True)})),
+    ])
+    def test_rejects_a_count_or_endpoint_that_is_not_an_int(self, vertex_count, edges):
+        with pytest.raises(TypeError, match="int"):
+            ConnectivityGraph(vertex_count, edges)
+
     def test_edge_normalization_deduplicates(self):
         g = ConnectivityGraph(3, frozenset({(1, 0), (0, 1)}))
         assert g.edges == frozenset({(0, 1)})

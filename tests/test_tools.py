@@ -45,6 +45,23 @@ def test_unused_imports_are_tracer_sites(module):
     assert unused <= wrapped, sorted(unused - wrapped)
 
 
+def test_no_allocator_function_takes_the_memo_and_what_it_carries():
+    # A run's graph, sizes and config are read from its SearchMemo, so a
+    # function taking the memo takes none of them beside it.
+    tree = ast.parse((ROOT / "src" / "qaiccc" / "allocator.py").read_text())
+    taking_memo, doubled = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            names = {argument.arg for argument in arguments}
+            if "memo" in names:
+                taking_memo.add(node.name)
+                if names & {"graph", "sizes", "config"}:
+                    doubled.add(node.name)
+    assert {"connect", "new_alloc", "improve_alloc"} <= taking_memo
+    assert doubled == set()
+
+
 def test_same_tree_shows_no_difference(capsys):
     assert load_tool().main([str(ROOT), str(ROOT), "--only", "i00"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "9 commands, 0 with differences"
