@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -607,7 +608,9 @@ def allocate(
             )
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
-    initial_score = (max((r.score for r in ordered), default=0.0)) + 1.0
+    # Strictly above the top rate: past 2**53, adding 1.0 leaves a score unchanged.
+    top = max((r.score for r in ordered), default=0.0)
+    initial_score = max(top + 1.0, math.nextafter(top, math.inf))
 
     initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
     population: dict[SearchState, Allocation] = {state_of(initial): initial}

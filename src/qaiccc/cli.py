@@ -58,6 +58,14 @@ EXIT_INSUFFICIENT_QUBITS = 2
 EXIT_NO_ALLOCATION = 3
 EXIT_TOO_LARGE = 4
 
+#: The exit code of each error class :func:`main` reports, tried in
+#: order; any other error, an unreadable file included, gives EXIT_INPUT.
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (InsufficientQubitsError, EXIT_INSUFFICIENT_QUBITS),
+    (NoFeasibleAllocationError, EXIT_NO_ALLOCATION),
+    (InstanceTooLargeError, EXIT_TOO_LARGE),
+)
+
 
 # ---------------------------------------------------------------------------
 # serialization.  Each record kind has one checked reader (rate records:
@@ -514,21 +522,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except InsufficientQubitsError as exc:
+    except (OSError, QaicccError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_QUBITS
-    except NoFeasibleAllocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ALLOCATION
-    except InstanceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QaicccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), EXIT_INPUT)
 
 
 if __name__ == "__main__":  # pragma: no cover

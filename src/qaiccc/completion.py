@@ -27,10 +27,11 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   enumerates every complete structure of a set of requests, anchoring
   each block on the lowest free qubit and branching over distinct
   ``(trust, size)`` requests, and gives up past :data:`INDEX_BUDGET`
-  candidate blocks.  A state can be completed exactly when one structure
-  holds each of its components inside a block of its own, of the same
-  trust, so :meth:`CompletionIndex.admits` gives the decider's verdict
-  from bitsets over the structures.
+  candidate blocks.  It files each structure's blocks as it finds them,
+  into one table of the blocks at each qubit.  A state can be completed
+  exactly when one structure holds each of its components inside a block
+  of its own, of the same trust, so :meth:`CompletionIndex.admits` gives
+  the decider's verdict from bitsets over the structures.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
   request slots in declared order (trusted, then untrusted, idle last),
   offers each slot its existing components before fresh blocks, and
@@ -201,98 +202,37 @@ def _completable(
 #: about 5 microseconds each, running out takes about 0.05 s.
 INDEX_BUDGET = 10_000
 
-#: A complete structure: its blocks, each with the trust of its request.
-Structure = tuple[tuple[Trust, int], ...]
-
-
-def _structures(
-    requests: tuple[tuple[Trust, int], ...], graph: ConnectivityGraph
-) -> list[Structure] | None:
-    """Every complete structure for the sorted ``requests``, or None past the budget.
-
-    Each block is anchored on the lowest free qubit, and a partial state
-    branches over the distinct ``(trust, size)`` requests still open, so
-    each structure is found once.  A candidate block that leaves a
-    connected free region smaller than every open request is dropped; the
-    candidates tried, dropped or not, count against :data:`INDEX_BUDGET`.
-    """
-    adjacency = graph.adjacency_masks
-    budget = INDEX_BUDGET
-    found: list[Structure] = []
-    stack: list[tuple[int, tuple[tuple[Trust, int], ...], Structure]] = [
-        ((1 << graph.vertex_count) - 1, requests, ())
-    ]
-    while stack:
-        free, left, blocks = stack.pop()
-        if not free:
-            if not left:
-                found.append(blocks)
-            continue
-        anchor = free & -free
-        for i, (trust, size) in enumerate(left):
-            if i and left[i - 1] == left[i]:
-                continue
-            rest = left[:i] + left[i + 1 :]
-            smallest = min(size for _, size in rest) if rest else 0
-            for block in connected_supersets(anchor, size, free, adjacency):
-                budget -= 1
-                if budget < 0:
-                    return None
-                remaining = free & ~block
-                if _regions_fit(remaining, smallest, adjacency):
-                    stack.append((remaining, rest, blocks + ((trust, block),)))
-    return found
-
-
 class CompletionIndex:
     """The complete structures of one set of requests, as bitsets over them.
 
-    Bit ``i`` of every bitset stands for structure ``i``.  ``trusts[trust][q]``
-    holds the structures whose block at qubit ``q`` has that trust;
-    ``pairs``, keyed by the mask of two qubits, the structures that put
-    both in one block, worked out from ``blocks[q]`` (each block holding
-    ``q``, with its structures) when first asked for, so the index stays
-    linear in the blocks' sizes; ``fits`` caches, per component, the
-    structures with a block of its trust that holds all of it.
+    Bit ``i`` of every bitset stands for structure ``i``.  The one table,
+    ``blocks[q]``, lists each block that holds qubit ``q`` as ``(trust,
+    block, structures)``, so the index stays linear in the blocks' sizes.
+    :meth:`_holding` reads it, and two caches keep its answers: ``fits``,
+    per component, the structures with a block of its trust that holds all
+    of it, and ``pairs``, keyed by the mask of two qubits, the structures
+    that put both in one block.
     """
 
-    __slots__ = ("count", "blocks", "trusts", "pairs", "fits")
+    __slots__ = ("count", "blocks", "pairs", "fits")
 
-    def __init__(self, structures: Sequence[Structure], vertex_count: int) -> None:
-        holders: dict[tuple[Trust, int], int] = {}
-        for i, structure in enumerate(structures):
-            for block in structure:
-                holders[block] = holders.get(block, 0) | 1 << i
-        self.count = len(structures)
-        self.blocks: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-        self.trusts = {trust: [0] * vertex_count for trust in Trust}
-        for (trust, block), bits in holders.items():
+    def __init__(
+        self, count: int, holders: dict[tuple[Trust, int], int], vertex_count: int
+    ) -> None:
+        self.count = count
+        self.blocks: list[list[tuple[Trust, int, int]]] = [[] for _ in range(vertex_count)]
+        for (trust, block), structures in holders.items():
             for q in mask_qubits(block):
-                self.trusts[trust][q] |= bits
-                self.blocks[q].append((block, bits))
+                self.blocks[q].append((trust, block, structures))
         self.pairs: dict[int, int] = {}
         self.fits: dict[StateComponent, int] = {}
 
-    def _together(self, pair: int) -> int:
-        """The structures with one block holding both qubits of the mask ``pair``."""
-        bits = self.pairs.get(pair)
-        if bits is None:
-            bits = 0
-            for block, held in self.blocks[(pair & -pair).bit_length() - 1]:
-                if block & pair == pair:
-                    bits |= held
-            self.pairs[pair] = bits
-        return bits
-
-    def _fit(self, component: StateComponent) -> int:
-        trust, mask, _ = component
-        low = mask & -mask
-        bits = self.trusts[trust][low.bit_length() - 1]
-        rest = mask ^ low
-        while rest and bits:
-            q = rest & -rest
-            bits &= self._together(low | q)
-            rest ^= q
+    def _holding(self, mask: int, trust: Trust | None = None) -> int:
+        """The structures with one block holding all of ``mask``, of ``trust`` when given."""
+        bits = 0
+        for block_trust, block, structures in self.blocks[(mask & -mask).bit_length() - 1]:
+            if block & mask == mask and (trust is None or block_trust is trust):
+                bits |= structures
         return bits
 
     def admits(self, pending: Sequence[StateComponent]) -> bool:
@@ -308,15 +248,16 @@ class CompletionIndex:
         fits, pairs = self.fits, self.pairs
         lows: list[int] = []
         for component in pending:
+            trust, mask, _ = component
             fit = fits.get(component)
             if fit is None:
-                fit = fits[component] = self._fit(component)
+                fit = fits[component] = self._holding(mask, trust)
             common &= fit
-            low = component[1] & -component[1]
+            low = mask & -mask
             for other in lows:
                 shared = pairs.get(low | other)
                 if shared is None:
-                    shared = self._together(low | other)
+                    shared = pairs[low | other] = self._holding(low | other)
                 common &= ~shared
             if not common:
                 return False
@@ -330,11 +271,42 @@ def completion_index(
     """The index of every complete structure for ``requests`` on ``graph``.
 
     ``requests`` is :func:`open_requests` of every request, the idle one
-    included.  None when enumerating the structures runs past
-    :data:`INDEX_BUDGET` candidate blocks; :func:`decide` then answers.
+    included.  Each block is anchored on the lowest free qubit, and a
+    partial state branches over the distinct ``(trust, size)`` requests
+    still open, so each structure is found once.  A candidate block that
+    leaves a connected free region smaller than every open request is
+    dropped.  When structure ``i`` completes, bit ``i`` joins the
+    structures of each of its ``(trust, block)`` pairs.  None when the
+    candidates tried, dropped or not, run past :data:`INDEX_BUDGET`;
+    :func:`decide` then answers.
     """
-    structures = _structures(requests, graph)
-    return None if structures is None else CompletionIndex(structures, graph.vertex_count)
+    adjacency = graph.adjacency_masks
+    budget = INDEX_BUDGET
+    count = 0
+    holders: dict[tuple[Trust, int], int] = {}
+    stack: list[tuple[int, tuple, tuple]] = [((1 << graph.vertex_count) - 1, requests, ())]
+    while stack:
+        free, left, blocks = stack.pop()
+        if not free:
+            if not left:
+                for block in blocks:
+                    holders[block] = holders.get(block, 0) | 1 << count
+                count += 1
+            continue
+        anchor = free & -free
+        for i, (trust, size) in enumerate(left):
+            if i and left[i - 1] == left[i]:
+                continue
+            rest = left[:i] + left[i + 1 :]
+            smallest = min(size for _, size in rest) if rest else 0
+            for block in connected_supersets(anchor, size, free, adjacency):
+                budget -= 1
+                if budget < 0:
+                    return None
+                remaining = free & ~block
+                if _regions_fit(remaining, smallest, adjacency):
+                    stack.append((remaining, rest, blocks + ((trust, block),)))
+    return CompletionIndex(count, holders, graph.vertex_count)
 
 
 def open_requests(

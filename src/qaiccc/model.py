@@ -136,7 +136,9 @@ class ConnectivityGraph:
 class CrosstalkRate:
     """One crosstalk measurement: ``impacting`` qubits perturb ``impacted`` ones.
 
-    The composite ``score`` is dimensionless, finite, and non-negative.
+    The composite ``score`` is dimensionless, finite, and non-negative,
+    an ``int`` or a ``float``; the qubits are ``int`` values.  A ``bool``
+    counts as neither, and a value of the wrong type raises TypeError.
     Only the 1-to-1, 2-to-1, and 2-to-2 shapes occur; the union of the two
     qubit groups must additionally induce a connected subgraph of the
     platform, which is checked where a graph is in scope (see
@@ -150,6 +152,11 @@ class CrosstalkRate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "impacting", frozenset(self.impacting))
         object.__setattr__(self, "impacted", frozenset(self.impacted))
+        for q in (*self.impacting, *self.impacted):
+            if not _is_int(q):
+                raise TypeError(f"rate qubit must be an int, not {q!r}")
+        if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
+            raise TypeError(f"rate score must be a number, not {self.score!r}")
         if not math.isfinite(self.score) or self.score < 0:
             raise ValueError("rate score must be a finite non-negative number")
         shape = (len(self.impacting), len(self.impacted))
@@ -188,6 +195,8 @@ class SizeRequests:
     """Requested circuit sizes per trust class.
 
     Requests are ordered multisets: two users may ask for equal sizes.
+    Every size is a positive ``int`` (a ``bool`` counts as not one, and
+    raises TypeError).
     ``idle_size``, when set, is the synthetic untrusted request absorbing
     the otherwise unused qubits (see :func:`qaiccc.allocator.update_sizes`).
     """
@@ -200,10 +209,15 @@ class SizeRequests:
         object.__setattr__(self, "trusted", tuple(self.trusted))
         object.__setattr__(self, "untrusted", tuple(self.untrusted))
         for size in (*self.trusted, *self.untrusted):
+            if not _is_int(size):
+                raise TypeError(f"request size must be an int, not {size!r}")
             if size <= 0:
                 raise ValueError("request sizes must be positive")
-        if self.idle_size is not None and self.idle_size <= 0:
-            raise ValueError("idle size must be positive")
+        if self.idle_size is not None:
+            if not _is_int(self.idle_size):
+                raise TypeError(f"idle size must be an int, not {self.idle_size!r}")
+            if self.idle_size <= 0:
+                raise ValueError("idle size must be positive")
 
     def for_trust(self, trust: Trust) -> tuple[int, ...]:
         """Request sizes of one class; the idle request counts as untrusted."""

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import replace
 
 import pytest
+from conftest import make_instance
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,8 @@ from qaiccc import (
     canonicalize,
     involved_parties,
     is_safe,
+    safe_prefix,
+    select,
     sort_rates,
     validate_allocation,
 )
@@ -946,7 +950,8 @@ def list_reference_allocate(graph, sizes, rates, config):
     """
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
-    initial_score = max((r.score for r in ordered), default=0.0) + 1.0
+    top = max((r.score for r in ordered), default=0.0)
+    initial_score = max(top + 1.0, math.nextafter(top, math.inf))
     population = [Allocation(unallocated=graph.qubits, components=(), score=initial_score)]
     archive = []
     steps = []
@@ -1320,6 +1325,21 @@ class TestAllocateEndToEnd:
     def test_initial_score_sits_above_every_rate(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
         assert outcome.initial_score > max(r.score for r in demo_rates)
+
+    def test_initial_score_sits_above_a_top_rate_past_two_to_the_53(self):
+        # Seed 1037 with every score times 2**70: the top score is past 2**53,
+        # where adding 1.0 leaves it unchanged, so a start scored top + 1.0
+        # tied with the members safe for the top rate alone and ranked first.
+        instance = make_instance(1037)
+        scaled = [
+            CrosstalkRate(math.ldexp(r.score, 70), r.impacting, r.impacted) for r in instance.rates
+        ]
+        plain = select(allocate(instance.graph, instance.sizes, instance.rates), instance.graph)
+        outcome = allocate(instance.graph, instance.sizes, scaled)
+        assert outcome.initial_score > max(r.score for r in scaled)
+        chosen = select(outcome, instance.graph)
+        assert canonicalize(chosen.allocation) == canonicalize(plain.allocation)
+        assert safe_prefix(chosen.allocation, outcome.rates) == 1
 
     def test_population_cap_keeps_the_search_running(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_population=2))

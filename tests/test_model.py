@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -190,6 +191,21 @@ class TestRates:
         with pytest.raises(ValueError, match="finite"):
             CrosstalkRate(score, frozenset({0}), frozenset({1}))
 
+    @pytest.mark.parametrize("impacting, impacted, named", [
+        ({True, 2}, {0}, "True"),
+        ({1}, {0.5}, "0.5"),
+    ])
+    def test_rejects_a_qubit_that_is_not_an_int(self, impacting, impacted, named):
+        with pytest.raises(TypeError, match=f"rate qubit must be an int, not {named}"):
+            CrosstalkRate(0.1, frozenset(impacting), frozenset(impacted))
+
+    def test_rejects_a_bool_score(self):
+        with pytest.raises(TypeError, match="rate score must be a number, not True"):
+            CrosstalkRate(True, frozenset({0}), frozenset({1}))
+
+    def test_accepts_an_int_score(self):
+        assert CrosstalkRate(2, frozenset({0}), frozenset({1})).score == 2
+
     def test_sort_rates_descending_with_tiebreak(self):
         a = CrosstalkRate(0.002, frozenset({1}), frozenset({0}))
         b = CrosstalkRate(0.002, frozenset({0}), frozenset({1}))
@@ -206,6 +222,17 @@ class TestSizeRequests:
             SizeRequests(untrusted=(0,))
         with pytest.raises(ValueError):
             SizeRequests(trusted=(-2,))
+
+    @pytest.mark.parametrize("sizes, name, value", [
+        (dict(untrusted=(True, 3)), "request size", True),
+        (dict(untrusted=(2.5, 2)), "request size", 2.5),
+        (dict(trusted=(2.0,)), "request size", 2.0),
+        (dict(untrusted=(2,), idle_size=True), "idle size", True),
+        (dict(untrusted=(2,), idle_size=3.0), "idle size", 3.0),
+    ])
+    def test_rejects_a_size_that_is_not_an_int(self, sizes, name, value):
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an int, not {value!r}")):
+            SizeRequests(**sizes)
 
     def test_idle_counts_as_untrusted(self):
         sizes = SizeRequests(trusted=(2,), untrusted=(1,), idle_size=3)

@@ -8,9 +8,14 @@ invariants on every one of them.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
+from conftest import instance_family
 
 from qaiccc import (
+    CrosstalkRate,
     allocate,
     baseline_naive,
     canonicalize,
@@ -22,8 +27,10 @@ from qaiccc import (
     select,
     validate_allocation,
 )
+from qaiccc.cli import EXIT_OK, main
 from qaiccc.completion import complete_allocation
 from qaiccc.errors import BaselineInfeasibleError
+from qaiccc.ingest import save_platform, save_rates, save_requests
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +152,50 @@ def test_completion_preserves_the_safe_prefix(runs):
 def test_instance_feasibility_precheck_holds(family):
     for instance in family:
         assert enumerate_complete(instance.graph, instance.sizes)
+
+
+def test_shuffling_the_rates_file_keeps_the_report(family, tmp_path):
+    # The search sorts the rates itself, so the order of the file is not an input.
+    rng = random.Random(0)
+    for instance in family:
+        save_platform(instance.graph, tmp_path / "platform.json")
+        save_requests(instance.sizes, tmp_path / "requests.json")
+        shuffled = rng.sample(instance.rates, len(instance.rates))
+        assert shuffled != list(instance.rates)
+        reports = []
+        for name, rates in (("sorted", instance.rates), ("shuffled", shuffled)):
+            save_rates(rates, tmp_path / f"{name}.json")
+            out = tmp_path / f"{name}-report.json"
+            argv = [
+                "allocate", "--no-timings", "--output", str(out),
+                "--platform", str(tmp_path / "platform.json"),
+                "--requests", str(tmp_path / "requests.json"),
+                "--rates", str(tmp_path / f"{name}.json"),
+            ]
+            assert main(argv) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], f"seed {instance.seed}"
+
+
+def _selection(instance, rates):
+    result = select(allocate(instance.graph, instance.sizes, rates), instance.graph)
+    pairs = [(sorted(rate.impacting), sorted(rate.impacted)) for rate in result.worklist]
+    return canonicalize(result.allocation), pairs
+
+
+@pytest.fixture(scope="module")
+def unscaled():
+    return [(instance, _selection(instance, instance.rates)) for instance in instance_family(60)]
+
+
+@pytest.mark.parametrize("power", [-900, -60, 70, 900])
+def test_scaling_every_score_keeps_the_selection_and_worklist(unscaled, power):
+    # Only the order of scores and of penalty sums matters, and a power of
+    # two scales these scores, and the sums of them, exactly.
+    for instance, expected in unscaled:
+        rates = [
+            CrosstalkRate(math.ldexp(rate.score, power), rate.impacting, rate.impacted)
+            for rate in instance.rates
+        ]
+        assert all(math.ldexp(r.score, -power) == s.score for r, s in zip(rates, instance.rates))
+        assert _selection(instance, rates) == expected, f"seed {instance.seed}, 2**{power}"
