@@ -74,6 +74,7 @@ from .model import (  # noqa: F401
     Trust,
     allocation_of,
     canonicalize,
+    check_score_total,
     component_order,
     dedup_allocations,
     mask_region,
@@ -89,7 +90,7 @@ from .sizing import allocation_feasible, remain  # noqa: F401
 log = logging.getLogger("qaiccc.allocator")
 
 #: A fresh user of each class, as a :func:`connect` owner, trusted first.
-_FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0, 0), (Trust.UNTRUSTED, 0, 0))
+_FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0), (Trust.UNTRUSTED, 0))
 
 #: Entry ``b`` is byte ``b`` with its bits in reverse order.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -193,7 +194,7 @@ def new_alloc(
 
     Components intersecting ``merged`` are fused together with the
     unallocated qubits of ``merged``.  ``owner`` is one of them, or
-    ``(trust, 0, 0)`` naming the class of a fresh user when ``merged``
+    ``(trust, 0)`` naming the class of a fresh user when ``merged``
     touches no component.  The result is kept only when the fused
     component is connected, no trust classes were mixed and the
     completion decider accepts the state, which also refuses every
@@ -201,7 +202,7 @@ def new_alloc(
     :func:`_fused`'s state for the one region ``merged``.
     """
     fused = merged
-    for _, mask, _ in state[1]:
+    for _, mask in state[1]:
         if mask & merged:
             fused |= mask
     if mask_region(fused & -fused, fused, memo.graph.adjacency_masks) != fused:
@@ -214,7 +215,7 @@ def connect(
 ) -> list[SearchState]:
     """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
-    ``owner`` is a component of ``state``, or ``(trust, 0, 0)`` for a fresh
+    ``owner`` is a component of ``state``, or ``(trust, 0)`` for a fresh
     user of that class.  The connector budget is the owner's growth
     allowance (:func:`remain`) minus the incoming qubits themselves; when
     ``incoming`` is another component, :func:`remain` still counts it
@@ -263,7 +264,7 @@ def _fused(
     if any(c[0] is not trust for c in touching):  # every region would mix classes
         return
     touched = 0
-    for _, mask, _ in touching:
+    for _, mask in touching:
         touched |= mask
     kept = tuple(c for c in components if not c[1] & base)
     keys = [component_order(c) for c in kept]
@@ -271,7 +272,7 @@ def _fused(
     for region in regions:
         fused = region | touched
         at = bisect_left(keys, (trust, fused & -fused))
-        candidate = (free & ~region, kept[:at] + ((trust, fused, fused.bit_count()),) + kept[at:])
+        candidate = (free & ~region, kept[:at] + ((trust, fused),) + kept[at:])
         known = states.get(candidate, False)
         if known is False:
             known = states[candidate] = candidate if completable(candidate, memo) else None
@@ -295,8 +296,8 @@ def _regions(
     once per run for each ``(base, reach, top)`` and kept in the
     ``memo`` as one tuple.
     """
-    trust, user, user_size = owner
-    signature = (trust, user_size, tuple((t, size) for t, _, size in state[1]))
+    trust, user = owner
+    signature = (trust, user.bit_count(), tuple((t, m.bit_count()) for t, m in state[1]))
     budget = memo.budgets.get(signature)
     if budget is None:
         budget = memo.budgets[signature] = remain(owner, state, memo.sizes)
@@ -391,7 +392,7 @@ def alloc_impacted(
                     "allocate impacted qubits before assigning control"
                 )
             for pick in picks:
-                target = pick if free & pick else next(m for _, m, _ in components if m & pick)
+                target = pick if free & pick else next(m for _, m in components if m & pick)
                 staged += connect(alloc, owner, target, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
@@ -596,9 +597,10 @@ def allocate(
 
     Raises :class:`InsufficientQubitsError` when the requests outgrow the
     platform, and ValueError when a rate's qubits are not a connected group
-    of the platform's qubits.  The returned outcome carries the final
-    population and archive plus per-rate snapshots; it is a pure function
-    of its inputs.
+    of the platform's qubits, or when the scores sum to the largest float
+    or more (:func:`~qaiccc.model.check_score_total`).  The returned
+    outcome carries the final population and archive plus per-rate
+    snapshots; it is a pure function of its inputs.
     """
     for rate in rates:
         if not graph.is_connected(rate.involved):
@@ -608,6 +610,7 @@ def allocate(
             )
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
+    check_score_total(ordered)
     # Strictly above the top rate: past 2**53, adding 1.0 leaves a score unchanged.
     top = max((r.score for r in ordered), default=0.0)
     initial_score = max(top + 1.0, math.nextafter(top, math.inf))

@@ -41,7 +41,7 @@ from .ingest import (
     rate_to_record,
     synth_rates,
 )
-from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
+from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent, is_int
 from .oracle import DEFAULT_ENUMERATION_CAP, OracleReport, oracle_report
 # ``rank`` is not called here (``select`` returns its ranking); it stays
 # bound because the benchmark's tracer (bench/spans.py) wraps it here.
@@ -86,7 +86,7 @@ def _field(data, key: str, where: str, kind: type | None = None):
 
 def _integer(data, key: str, where: str, *, optional: bool = False) -> int | None:
     value = _field(data, key, where)
-    if (value is not None or not optional) and type(value) is not int:
+    if (value is not None or not optional) and not is_int(value):
         raise InputFileError(f"'{where}.{key}' must be an integer{' or null' if optional else ''}")
     return value
 

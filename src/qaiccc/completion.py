@@ -182,7 +182,8 @@ def _completable(
     if verdict is not None:
         return verdict
     verdict = False
-    trust, base, base_size = pending[0]
+    trust, base = pending[0]
+    base_size = base.bit_count()
     rest = pending[1:]
     for i, (slot_trust, size) in enumerate(slots):
         if slot_trust is not trust or size < base_size or (i and slots[i - 1] == slots[i]):
@@ -248,7 +249,7 @@ class CompletionIndex:
         fits, pairs = self.fits, self.pairs
         lows: list[int] = []
         for component in pending:
-            trust, mask, _ = component
+            trust, mask = component
             fit = fits.get(component)
             if fit is None:
                 fit = fits[component] = self._holding(mask, trust)
@@ -355,7 +356,7 @@ def complete_allocation(
         after = open_requests(slots[index + 1 :])
         grown = (
             (block, pending[:i] + pending[i + 1 :])
-            for i, (comp_trust, base, _) in enumerate(pending)
+            for i, (comp_trust, base) in enumerate(pending)
             if comp_trust is trust
             for block in connected_supersets(base, size, free, adjacency)
         )
@@ -389,7 +390,7 @@ def decide(
 
     ``requests`` is :func:`open_requests` of every request, the idle one
     included; ``pending`` holds the connected components as ``(trust,
-    mask, size)``, grown in that order.  ``verdicts`` gains the verdict of
+    mask)``, grown in that order.  ``verdicts`` gains the verdict of
     every sub-state it works out, keyed with its open requests, and
     answers the sub-states it already holds, so one table can serve every
     call on ``graph``.

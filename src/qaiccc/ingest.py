@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .completion import connected_subsets
 from .errors import InputFileError
-from .model import ConnectivityGraph, CrosstalkRate, SizeRequests
+from .model import ConnectivityGraph, CrosstalkRate, SizeRequests, check_score_total, is_int
 
 _RATE_SHAPES = ((1, 1), (2, 1), (2, 2))
 _SCORE_RANGE = (1e-4, 1e-2)
@@ -70,7 +70,7 @@ def load_platform(path: str | Path) -> ConnectivityGraph:
     _refuse_unknown_keys(data, ("qubits", "edges"), path)
     qubits = data["qubits"]
     edges = data.get("edges", [])
-    if not isinstance(qubits, int) or isinstance(qubits, bool):
+    if not is_int(qubits):
         raise InputFileError("'qubits' must be an integer", path=str(path))
     if qubits > MAX_QUBITS:
         raise InputFileError(f"'qubits' is {qubits}, above the limit of {MAX_QUBITS}", path=str(path))
@@ -78,11 +78,7 @@ def load_platform(path: str | Path) -> ConnectivityGraph:
         raise InputFileError("'edges' must be a list of pairs", path=str(path))
     pairs = set()
     for i, edge in enumerate(edges):
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or not all(isinstance(q, int) and not isinstance(q, bool) for q in edge)
-        ):
+        if not isinstance(edge, list) or len(edge) != 2 or not all(is_int(q) for q in edge):
             raise InputFileError(f"edge {i} must be a pair of integers", path=str(path))
         pairs.add((edge[0], edge[1]))
     try:
@@ -100,9 +96,7 @@ def integer_list(
     values, name: str, *, distinct: bool = False, path: str | None = None, record: int | None = None
 ) -> tuple[int, ...]:
     """``values`` as integers, else an error naming ``name``; ``distinct`` refuses repeats."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list) or not all(is_int(v) for v in values):
         raise InputFileError(f"'{name}' must be a list of integers", path=path, record=record)
     if distinct and len(set(values)) != len(values):
         raise InputFileError(f"'{name}' repeats a qubit", path=path, record=record)
@@ -178,6 +172,8 @@ def load_rates(path: str | Path, graph: ConnectivityGraph) -> tuple[CrosstalkRat
     Every record passes :func:`rate_from_record` and is then checked
     against the platform: known qubits, a connected qubit group, and no
     duplicate (impacting, impacted) pair.  Errors carry the record index.
+    The scores, summed in processing order, must stay below the largest
+    float (:func:`~qaiccc.model.check_score_total`).
     """
     data = _read_json(path)
     if not isinstance(data, list):
@@ -207,6 +203,10 @@ def load_rates(path: str | Path, graph: ConnectivityGraph) -> tuple[CrosstalkRat
             )
         seen_pairs[pair] = index
         rates.append(rate)
+    try:
+        check_score_total(rates)
+    except ValueError as exc:
+        raise InputFileError(str(exc), path=str(path)) from exc
     return tuple(rates)
 
 
@@ -254,6 +254,4 @@ def synth_rates(
             impacting, impacted = rng.choice(splits)
             score = rng.uniform(*_SCORE_RANGE)
             rates.append(CrosstalkRate(score, impacting, impacted))
-    if max_rates is not None:
-        return tuple(rates[:max_rates])
     return tuple(rates)

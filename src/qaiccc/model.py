@@ -12,6 +12,7 @@ here, next to :attr:`ConnectivityGraph.adjacency_masks`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -65,7 +66,8 @@ class Trust(str, Enum):
         return self.value
 
 
-def _is_int(value: object) -> bool:
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -83,14 +85,14 @@ class ConnectivityGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.vertex_count):
+        if not is_int(self.vertex_count):
             raise TypeError(f"vertex_count must be an int, not {self.vertex_count!r}")
         if self.vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         normalized = set()
         for edge in self.edges:
             a, b = edge
-            if not (_is_int(a) and _is_int(b)):
+            if not (is_int(a) and is_int(b)):
                 raise TypeError(f"edge {edge} has an endpoint that is not an int")
             if a == b:
                 raise ValueError(f"self loop on qubit {a}")
@@ -153,7 +155,7 @@ class CrosstalkRate:
         object.__setattr__(self, "impacting", frozenset(self.impacting))
         object.__setattr__(self, "impacted", frozenset(self.impacted))
         for q in (*self.impacting, *self.impacted):
-            if not _is_int(q):
+            if not is_int(q):
                 raise TypeError(f"rate qubit must be an int, not {q!r}")
         if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
             raise TypeError(f"rate score must be a number, not {self.score!r}")
@@ -209,12 +211,12 @@ class SizeRequests:
         object.__setattr__(self, "trusted", tuple(self.trusted))
         object.__setattr__(self, "untrusted", tuple(self.untrusted))
         for size in (*self.trusted, *self.untrusted):
-            if not _is_int(size):
+            if not is_int(size):
                 raise TypeError(f"request size must be an int, not {size!r}")
             if size <= 0:
                 raise ValueError("request sizes must be positive")
         if self.idle_size is not None:
-            if not _is_int(self.idle_size):
+            if not is_int(self.idle_size):
                 raise TypeError(f"idle size must be an int, not {self.idle_size!r}")
             if self.idle_size <= 0:
                 raise ValueError("idle size must be positive")
@@ -277,9 +279,9 @@ def canonicalize(allocation: Allocation) -> CanonicalKey:
     )
 
 
-#: One user in the search: ``(trust, qubit mask, size)``.  ``(trust, 0, 0)`` names a
-#: user of that class not yet given any qubit.
-StateComponent = tuple[Trust, int, int]
+#: One user in the search: ``(trust, qubit mask)``; its size is the mask's bit count.
+#: ``(trust, 0)`` names a user of that class not yet given any qubit.
+StateComponent = tuple[Trust, int]
 
 #: An allocation's bitmask form in the search: the unallocated mask and one component
 #: per user, by trust and then lowest qubit.  Components are disjoint, so this is
@@ -289,13 +291,13 @@ SearchState = tuple[int, tuple[StateComponent, ...]]
 
 def component_order(component: StateComponent) -> tuple[Trust, int]:
     """Sort key of a state component: trust (a ``str``), then its lowest qubit."""
-    trust, mask, _ = component
+    trust, mask = component
     return trust, mask & -mask
 
 
 def state_of(allocation: Allocation) -> SearchState:
     """The search state of an allocation's structure (attributes are dropped)."""
-    components = [(c.trust, qubit_mask(c.qubits), len(c.qubits)) for c in allocation.components]
+    components = [(c.trust, qubit_mask(c.qubits)) for c in allocation.components]
     return qubit_mask(allocation.unallocated), tuple(sorted(components, key=component_order))
 
 
@@ -309,7 +311,7 @@ def allocation_of(
     free, components = state
     return Allocation(
         unallocated=mask_qubits(free),
-        components=tuple(UserComponent(trust, mask_qubits(mask)) for trust, mask, _ in components),
+        components=tuple(UserComponent(trust, mask_qubits(mask)) for trust, mask in components),
         score=score,
         penalty=penalty,
         incidental=incidental,
@@ -363,3 +365,22 @@ def validate_allocation(allocation: Allocation, graph: ConnectivityGraph) -> lis
 def sort_rates(rates: Sequence[CrosstalkRate]) -> tuple[CrosstalkRate, ...]:
     """Processing order: decreasing score, ties by qubit-set lexicographic order."""
     return tuple(sorted(rates, key=CrosstalkRate.sort_key))
+
+
+def check_score_total(rates: Sequence[CrosstalkRate]) -> None:
+    """Refuse rates whose scores, summed in processing order, reach ``sys.float_info.max``.
+
+    Every penalty is the float sum of some of these scores, taken in the
+    same order, so it is no larger than this total; and the start score,
+    just above the top rate, is finite while the top rate is below the
+    maximum.  Below it, no score or penalty overflows to ``inf``.
+    Raises ValueError naming the total.
+    """
+    total = 0.0
+    for rate in sort_rates(rates):
+        total += rate.score
+    if not total < sys.float_info.max:
+        raise ValueError(
+            f"the rate scores sum to {total:g} in processing order, "
+            f"which is not below the largest float {sys.float_info.max:g}"
+        )

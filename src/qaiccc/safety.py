@@ -62,12 +62,12 @@ def state_verdict(state: SearchState, impacting: int, impacted: int) -> SafetyVe
     the state's components.
     """
     free, components = state
-    for trust, mask, _ in components:
+    for trust, mask in components:
         if mask & impacting and trust is Trust.TRUSTED:
             return _TRUSTED_CONTROLS
     if impacted & free:
         return _UNALLOCATED
-    for _, mask, _ in components:
+    for _, mask in components:
         if mask & impacted and not mask & impacting:
             return _WITHOUT_IMPACTING
     return _ALL_CONTROL
@@ -80,7 +80,7 @@ def state_parties(state: SearchState, involved: int) -> int:
     still unallocated: that qubit could later be handed to another user.
     """
     free, components = state
-    count = sum(1 for _, mask, _ in components if mask & involved)
+    count = sum(1 for _, mask in components if mask & involved)
     return count + 1 if involved & free else count
 
 

@@ -7,7 +7,7 @@ each component no larger than its request.  Because a component of size
 degenerates to a sorted comparison: align components and requests in
 decreasing size and require element-wise fit.  :func:`remain` turns this
 into the growth budget of one user of a search state, named by its
-``(trust, mask, size)`` triple.
+``(trust, mask)`` pair.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def allocation_feasible(allocation: Allocation, sizes: SizeRequests) -> bool:
 
 
 def remain(owner: StateComponent, state: SearchState, sizes: SizeRequests) -> int:
-    """Growth budget of ``owner``, a component of ``state`` or ``(trust, 0, 0)`` for a fresh user.
+    """Growth budget of ``owner``, a component of ``state`` or ``(trust, 0)`` for a fresh user.
 
     The largest ``k >= 0`` such that growing the owner by ``k`` qubits
     leaves every component assignable to its own request, or -1.  A
@@ -44,12 +44,13 @@ def remain(owner: StateComponent, state: SearchState, sizes: SizeRequests) -> in
     larger size never fits where a smaller one does not, so the request
     sizes are scanned from the largest down and the first that fits wins.
     """
-    trust, mask, base = owner
+    trust, mask = owner
+    base = mask.bit_count()
     other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
-    other_sizes = [size for t, _, size in state[1] if t is not trust]
+    other_sizes = [m.bit_count() for t, m in state[1] if t is not trust]
     if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
         return -1
-    others = [size for t, m, size in state[1] if t is trust and m != mask]
+    others = [m.bit_count() for t, m in state[1] if t is trust and m != mask]
     requests = sizes.for_trust(trust)
     for grown in sorted({r for r in requests if r >= base}, reverse=True):
         if assignment_feasible(others + [grown], requests):

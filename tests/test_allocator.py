@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -78,11 +79,11 @@ def build(n, *components):
 
 
 def owner(component):
-    """A component's ``(trust, mask, size)`` triple, the owner argument of ``connect``."""
-    return component.trust, qubit_mask(component.qubits), len(component.qubits)
+    """A component's ``(trust, mask)`` pair, the owner argument of ``connect``."""
+    return component.trust, qubit_mask(component.qubits)
 
 
-FRESH_U = (Trust.UNTRUSTED, 0, 0)
+FRESH_U = (Trust.UNTRUSTED, 0)
 
 
 def keys(allocations):
@@ -367,7 +368,7 @@ class TestConnectMatchesTheReference:
 
         def checking(state, owner, incoming, *, memo):
             result = connect(state, owner, incoming, memo=memo)
-            trust, user, _ = owner
+            trust, user = owner
             graph = memo.graph
             expected = reference_connect(
                 allocation_of(state), mask_qubits(user), mask_qubits(incoming),
@@ -517,7 +518,7 @@ def test_connect_matches_the_reference_on_random_joins(case):
     allocation, user, incoming, graph, sizes, paths, fresh_trust = case
     config = SearchConfig(max_paths_per_connect=paths)
     joined = next(
-        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
+        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0)
     )
     got = connect(
         state_of(allocation), joined, qubit_mask(incoming), memo=SearchMemo(sizes, graph, config)
@@ -553,7 +554,7 @@ def shaped_joins(draw):
         split = draw(st.sampled_from(splittable))
         incoming = draw(st.sets(st.sampled_from(split), min_size=1, max_size=len(split) - 1))
     joined = next(
-        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0, 0)
+        (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0)
     )
     return allocation, joined, qubit_mask(incoming), graph, sizes, paths
 
@@ -564,7 +565,7 @@ _SPLIT = SizeRequests(trusted=(2,), untrusted=(3,), idle_size=1)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(shaped_joins())
 @example(  # a fresh trusted owner joined to a whole untrusted component
-    (build(6, u(0, 1)), (Trust.TRUSTED, 0, 0), qubit_mask({0, 1}), _PATH6, _SPLIT, 64)
+    (build(6, u(0, 1)), (Trust.TRUSTED, 0), qubit_mask({0, 1}), _PATH6, _SPLIT, 64)
 )
 @example(  # incoming covers part of a component
     (build(6, u(1, 2, 3)), FRESH_U, qubit_mask({3}), _PATH6, _SPLIT, 64)
@@ -643,7 +644,7 @@ def region_join_runs(draw):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(region_join_runs())
 @example(  # one base and reach, two tops: a fresh user of either class
-    (_PATH6, _SPLIT, 64, [(state_of(build(6)), (Trust.TRUSTED, 0, 0), 0b1),
+    (_PATH6, _SPLIT, 64, [(state_of(build(6)), (Trust.TRUSTED, 0), 0b1),
                           (state_of(build(6)), FRESH_U, 0b1)])
 )
 @example(  # one base, two reaches: qubit 1 held or free
@@ -1059,11 +1060,13 @@ def test_state_round_trips_and_keeps_the_canonical_order(allocation):
     assert state_of(allocation_of(state)) == state
     free, components = state
     assert mask_qubits(free) == allocation.unallocated
-    assert all(size == mask.bit_count() for _, mask, size in components)
+    assert all(
+        len(c) == 2 and isinstance(c[0], Trust) and type(c[1]) is int for c in components
+    )
     # Sorting by (trust, lowest qubit) is canonicalize's component order.
     by_lowest = sorted(allocation.components, key=lambda c: (c.trust.value, min(c.qubits)))
     assert [canonicalize(build(0, c))[1][0] for c in by_lowest] == list(canonicalize(allocation)[1])
-    assert [(t.value, tuple(sorted(mask_qubits(m)))) for t, m, _ in components] == list(
+    assert [(t.value, tuple(sorted(mask_qubits(m)))) for t, m in components] == list(
         canonicalize(allocation)[1]
     )
     assert list(components) == sorted(components, key=component_order)
@@ -1140,7 +1143,7 @@ class TestPerRunMemo:
             # Within one run each growth budget is worked out once.
             run = calls["remain"][-counts[1]["remain"]:]
             signatures = {
-                (owner[0], owner[2], tuple((t, size) for t, _, size in state[1]))
+                (owner[0], owner[1].bit_count(), tuple((t, m.bit_count()) for t, m in state[1]))
                 for owner, state, _ in run
             }
             assert len(signatures) == len(run)
@@ -1208,7 +1211,7 @@ class TestWarmMemo:
             shared = SearchMemo(full, instance.graph)
             for allocation in outcome.allocations:
                 state = state_of(allocation)
-                for joined in state[1] + ((Trust.TRUSTED, 0, 0), FRESH_U):
+                for joined in state[1] + ((Trust.TRUSTED, 0), FRESH_U):
                     for qubit in sorted(allocation.unallocated):
                         args = (state, joined, 1 << qubit)
                         cold = connect(*args, memo=SearchMemo(full, instance.graph))
@@ -1310,6 +1313,24 @@ class TestAllocateEndToEnd:
         named = re.escape(f"rate {sorted(impacting)} -> {sorted(impacted)} (score 0.5) is not")
         with pytest.raises(ValueError, match=named):
             allocate(demo_graph, demo_sizes, [*demo_rates, rate])
+
+    def test_scores_summing_past_the_largest_float_are_refused(
+        self, demo_graph, demo_sizes, demo_rates
+    ):
+        rates = [replace(rate, score=1e308) for rate in demo_rates]
+        with pytest.raises(ValueError, match=r"the rate scores sum to inf in processing order"):
+            allocate(demo_graph, demo_sizes, rates)
+
+    def test_scores_summing_below_the_largest_float_stay_finite(
+        self, demo_graph, demo_sizes, demo_rates
+    ):
+        quarter = sys.float_info.max / 4
+        rates = [replace(rate, score=quarter) for rate in demo_rates[:2]]
+        outcome = allocate(demo_graph, demo_sizes, rates)
+        assert math.isfinite(outcome.initial_score) and outcome.initial_score > quarter
+        assert all(
+            math.isfinite(a.score) and math.isfinite(a.penalty) for a in outcome.allocations
+        )
 
     def test_zero_rates_returns_only_the_initial_allocation(self, demo_graph, demo_sizes):
         outcome = allocate(demo_graph, demo_sizes, [])

@@ -146,6 +146,22 @@ class TestAllocateCommand:
         assert "record 1" in captured.err and "finite non-negative" in captured.err
         assert captured.out == ""
 
+    def test_scores_summing_past_the_largest_float_exit_1(self, files, tmp_path, capsys):
+        # Four rates at the largest float: the start score, one step above the
+        # top rate, and the summed penalties would be written as Infinity.
+        pairs = (([3, 4], [2]), ([1, 2], [0]), ([2, 4], [0]), ([0], [1]))
+        rates = tmp_path / "huge.json"
+        rates.write_text(
+            json.dumps([
+                {"score": sys.float_info.max, "impacting": a, "impacted": b} for a, b in pairs
+            ]),
+            encoding="utf-8",
+        )
+        assert run_allocate(dict(files, rates=str(rates)), "--no-timings") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "huge.json" in captured.err and "sum to inf" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--max-paths", "--max-population"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_search_bound_below_one_exits_1_and_names_the_flag(self, files, capsys, flag, value):

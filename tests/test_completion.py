@@ -612,7 +612,7 @@ class TestDeciderKeyCarriesTheOpenRequests:
         return decide(*state_of(allocation), self.GRAPH, self.REQUESTS, verdicts)
 
     def test_the_shared_sub_state_is_decided_per_open_requests(self):
-        free, pending = qubit_mask({6, 7, 8, 9}), ((Trust.UNTRUSTED, 1 << 5, 1),)
+        free, pending = qubit_mask({6, 7, 8, 9}), ((Trust.UNTRUSTED, 1 << 5),)
         for left, expected in (((1, 4), True), ((2, 3), False)):
             remaining = tuple((Trust.UNTRUSTED, size) for size in left)
             assert decide(free, pending, self.GRAPH, remaining, {}) is expected

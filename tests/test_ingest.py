@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -119,6 +120,25 @@ class TestLoadRates:
             load_rates(path, demo_graph)
         assert "duplicate" in str(err.value)
         assert err.value.record == 1
+
+    def test_scores_summing_past_the_largest_float_are_refused(self, tmp_path, demo_graph):
+        # Each score is finite, but 1e308 + 1e308 overflows to inf.
+        pairs = (([3, 4], [2]), ([1, 2], [0]), ([2, 4], [0]))
+        records = [{"score": 1e308, "impacting": a, "impacted": b} for a, b in pairs]
+        path = write(tmp_path, "r.json", records)
+        with pytest.raises(InputFileError, match="sum to inf") as err:
+            load_rates(path, demo_graph)
+        assert err.value.path == str(path) and err.value.record is None
+
+    def test_scores_summing_below_the_largest_float_are_accepted(self, tmp_path, demo_graph):
+        quarter = sys.float_info.max / 4
+        records = [
+            {"score": quarter, "impacting": [3, 4], "impacted": [2]},
+            {"score": quarter, "impacting": [1, 2], "impacted": [0]},
+        ]
+        assert [r.score for r in load_rates(write(tmp_path, "r.json", records), demo_graph)] == [
+            quarter, quarter,
+        ]
 
     def test_non_array_file_rejected(self, tmp_path, demo_graph):
         path = write(tmp_path, "r.json", {"rates": []})

@@ -1,9 +1,11 @@
-"""Cross-module invariants over the seeded instance family.
+"""Cross-module invariants over the seeded instance family and generated instances.
 
-Each instance is a random connected 5-to-7-qubit platform with requests
-summing below the platform size (so the idle user always appears) and a
-deterministic synthetic rate list.  The whole pipeline must hold its
-invariants on every one of them.
+Each family instance is a random connected 5-to-7-qubit platform with
+requests summing below the platform size (so the idle user always
+appears) and a deterministic synthetic rate list.  The whole pipeline
+must hold its invariants on every one of them, and on the instances
+``hypothesis`` generates: connected platforms of at most 8 qubits with
+random trusted and untrusted requests and random rates.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ import random
 
 import pytest
 from conftest import instance_family
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qaiccc import (
+    ConnectivityGraph,
     CrosstalkRate,
+    SizeRequests,
     allocate,
     baseline_naive,
     canonicalize,
@@ -28,8 +34,8 @@ from qaiccc import (
     validate_allocation,
 )
 from qaiccc.cli import EXIT_OK, main
-from qaiccc.completion import complete_allocation
-from qaiccc.errors import BaselineInfeasibleError
+from qaiccc.completion import complete_allocation, request_slots
+from qaiccc.errors import BaselineInfeasibleError, NoFeasibleAllocationError
 from qaiccc.ingest import save_platform, save_rates, save_requests
 
 
@@ -199,3 +205,101 @@ def test_scaling_every_score_keeps_the_selection_and_worklist(unscaled, power):
         ]
         assert all(math.ldexp(r.score, -power) == s.score for r, s in zip(rates, instance.rates))
         assert _selection(instance, rates) == expected, f"seed {instance.seed}, 2**{power}"
+
+
+_SHAPES = ((1, 1), (2, 1), (2, 2))
+
+
+@st.composite
+def pipeline_instances(draw):
+    """A connected platform of at most 8 qubits, requests fitting it, and rates on it."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    graph = ConnectivityGraph(n, frozenset(edges))
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=4))
+    kept: list[int] = []
+    for size in sizes:
+        if sum(kept) + size <= n:
+            kept.append(size)
+    trusted = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
+    requests = SizeRequests(
+        trusted=tuple(size for size, t in zip(kept, trusted) if t),
+        untrusted=tuple(size for size, t in zip(kept, trusted) if not t),
+    )
+    rates: dict[tuple, CrosstalkRate] = {}
+    for _ in range(draw(st.integers(0, 8))):
+        impacting_count, impacted_count = draw(st.sampled_from(_SHAPES))
+        group = [draw(st.integers(0, n - 1))]
+        while len(group) < impacting_count + impacted_count:
+            frontier = sorted({m for q in group for m in graph.neighbors(q)} - set(group))
+            if not frontier:
+                break
+            group.append(draw(st.sampled_from(frontier)))
+        if len(group) < impacting_count + impacted_count:
+            continue
+        group = draw(st.permutations(group))
+        impacting, impacted = frozenset(group[:impacting_count]), frozenset(group[impacting_count:])
+        score = draw(st.floats(1e-4, 1e-2) | st.sampled_from([0.0, 1e-3]))
+        rates[(impacting, impacted)] = CrosstalkRate(score, impacting, impacted)
+    return graph, requests, tuple(rates.values())
+
+
+def _extends(structure, allocation):
+    """Does the complete ``structure`` hold each component in a block of its own, of its trust?"""
+    blocks = [
+        next(b for b in structure.components if min(c.qubits) in b.qubits)
+        for c in allocation.components
+    ]
+    return len(set(blocks)) == len(blocks) and all(
+        b.trust is c.trust and c.qubits <= b.qubits for b, c in zip(blocks, allocation.components)
+    )
+
+
+_STAR = ConnectivityGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+_LINE = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_instances())
+@example(  # infeasible: every 2-block of the star holds its centre
+    (_STAR, SizeRequests(untrusted=(2, 2)), (CrosstalkRate(0.5, frozenset({1}), frozenset({0})),))
+)
+@example(  # trusted requests only; the idle user takes the last qubit
+    (
+        _LINE,
+        SizeRequests(trusted=(1, 2)),
+        (
+            CrosstalkRate(0.5, frozenset({1, 2}), frozenset({3})),
+            CrosstalkRate(0.25, frozenset({0}), frozenset({1})),
+        ),
+    )
+)
+def test_generated_instances_hold_every_pipeline_invariant(instance):
+    graph, requests, rates = instance
+    outcome = allocate(graph, requests, rates)
+    assert allocate(graph, requests, rates) == outcome
+    structures = enumerate_complete(graph, requests)
+    if not structures:
+        with pytest.raises(NoFeasibleAllocationError):
+            select(outcome, graph)
+        return
+    result = select(outcome, graph)
+    assert select(outcome, graph) == result
+    selected = result.allocation
+    assert validate_allocation(selected, graph) == []
+    assert not selected.unallocated
+    for label, trust, size in request_slots(outcome.sizes):
+        qubits = result.assignment[label]
+        assert len(qubits) == size and graph.is_connected(qubits)
+        assert any(c.trust is trust and c.qubits == qubits for c in selected.components)
+    # The candidate select completed is the first ranked one the oracle's
+    # complete set extends.
+    candidate = next(c for c in result.ranking if any(_extends(s, c) for s in structures))
+    completed = complete_allocation(candidate, graph, outcome.sizes)
+    assert completed is not None and canonicalize(completed[0]) == canonicalize(selected)
+    assert safe_prefix(selected, outcome.rates) >= safe_prefix(candidate, outcome.rates)
+    for ranked in result.ranking:
+        report = replay_check(ranked, outcome.rates)
+        assert report.ok, report.mismatches

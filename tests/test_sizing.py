@@ -64,8 +64,8 @@ def brute_force_remain(user, allocation, sizes, fresh_trust=None) -> int:
 
 
 def owner(trust, *qubits):
-    """The ``(trust, mask, size)`` triple of a component; no qubits names a fresh user."""
-    return trust, qubit_mask(qubits), len(qubits)
+    """The ``(trust, mask)`` pair of a component; no qubits names a fresh user."""
+    return trust, qubit_mask(qubits)
 
 
 class TestRemain:
@@ -121,7 +121,7 @@ class TestRemain:
                 )
             else:
                 trust = rng.choice([Trust.TRUSTED, Trust.UNTRUSTED])
-                assert remain((trust, 0, 0), state, sizes) == brute_force_remain(
+                assert remain((trust, 0), state, sizes) == brute_force_remain(
                     frozenset(), allocation, sizes, fresh_trust=trust
                 )
 

@@ -98,3 +98,19 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     self_times = [float(row.split()[1]) for row in top]
     assert self_times == sorted(self_times, reverse=True)
     assert all(row.startswith("  self_s ") and " calls " in row for row in top)
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    tool = load_file("code_lines", ROOT / "tools" / "code_lines.py")
+    source = '"""A module docstring\nover two lines."""\n\n# a comment\nx = 1\ny = [\n    2]\n'
+    assert tool.code_lines(source) == 3
+
+
+def test_code_lines_total_is_the_sum_of_the_module_lines(capsys):
+    tool = load_file("code_lines", ROOT / "tools" / "code_lines.py")
+    assert tool.main([str(ROOT)]) == 0
+    tree, *modules, total = capsys.readouterr().out.splitlines()
+    assert tree == str(ROOT)
+    counts = dict(line.split() for line in modules)
+    assert set(counts) == {path.name for path in (ROOT / "src" / "qaiccc").glob("*.py")}
+    assert total.split() == ["total", str(sum(map(int, counts.values())))]
