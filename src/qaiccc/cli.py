@@ -1,11 +1,12 @@
 """Command-line front end: allocate, oracle, and synth subcommands.
 
 Exit codes are stable API: 0 success, 1 I/O or parse error, 2 not enough
-qubits for the requests, 3 no feasible allocation, 4 instance too large
-for exhaustive enumeration.  Reports are versioned JSON by default; the
-text format mirrors the search narrative and, under ``--verbose``, shows
-the population after each rate.  The ``QAICCC_LOG`` environment variable
-(error, info, debug) controls diagnostic logging on stderr.
+qubits for the requests, 3 no feasible allocation, 4 exhaustive
+enumeration passed its work budget.  Reports are versioned JSON by
+default; the text format mirrors the search narrative and, under
+``--verbose``, shows the population after each rate.  The
+``QAICCC_LOG`` environment variable (error, info, debug) controls
+diagnostic logging on stderr.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,6 +31,7 @@ from .errors import (
     QaicccError,
 )
 from .ingest import (
+    dumps,
     finite_number,
     integer_list,
     load_platform,
@@ -42,7 +42,7 @@ from .ingest import (
     synth_rates,
 )
 from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent, is_int
-from .oracle import DEFAULT_ENUMERATION_CAP, OracleReport, oracle_report
+from .oracle import OracleReport, oracle_report
 # ``rank`` is not called here (``select`` returns its ranking); it stays
 # bound because the benchmark's tracer (bench/spans.py) wraps it here.
 from .selection import SelectionResult, rank, select  # noqa: F401
@@ -50,7 +50,7 @@ from .selection import SelectionResult, rank, select  # noqa: F401
 log = logging.getLogger("qaiccc.cli")
 
 REPORT_SCHEMA = "qaiccc-report/1"
-ORACLE_SCHEMA = "qaiccc-oracle/1"
+ORACLE_SCHEMA = "qaiccc-oracle/2"
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -233,10 +233,9 @@ class RunReport:
         return cls(sizes=sizes, config=config, selected=selected, timings=timings)
 
 
-def oracle_report_to_dict(report: OracleReport, cap: int) -> dict:
+def oracle_report_to_dict(report: OracleReport) -> dict:
     return {
         "schema": ORACLE_SCHEMA,
-        "cap": cap,
         "complete_allocations": report.complete_count,
         "optimum_safe_prefix": report.optimum_safe_prefix,
         "optimum_allocations": [
@@ -249,73 +248,6 @@ def oracle_report_to_dict(report: OracleReport, cap: int) -> dict:
         "algorithm_safe_prefix": report.algorithm_safe_prefix,
         "gap": report.gap,
     }
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _scalar(value) -> str:
-    """A JSON scalar as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit(value, indent: str, chunks: list[str]) -> None:
-    """Append ``value`` to ``chunks`` as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
-    if not isinstance(value, _CONTAINERS):
-        chunks.append(_scalar(value))
-        return
-    if not value:
-        chunks.append("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = indent + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        chunks.append("{\n" + inner)
-        for at, (key, item) in enumerate(value.items()):
-            if at:
-                chunks.append(separator)
-            chunks.append(_scalar(key if isinstance(key, str) else _scalar(key)) + ": ")
-            _emit(item, inner, chunks)
-        chunks.append("\n" + indent + "}")
-        return
-    chunks.append("[\n" + inner)
-    if type(value[0]) is int and all(type(item) is int for item in value):
-        chunks.append(separator.join(map(int.__repr__, value)))
-    else:
-        for at, item in enumerate(value):
-            if at:
-                chunks.append(separator)
-            _emit(item, inner, chunks)
-    chunks.append("\n" + indent + "]")
-
-
-def dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, without the standard library's pure-Python encoder.
-
-    Strings go through the C string encoder, numbers through their
-    ``repr``, and a list of ints is joined in one step.
-    """
-    chunks: list[str] = []
-    _emit(value, "", chunks)
-    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +317,9 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     return "\n".join(lines) + "\n"
 
 
-def render_oracle_text(report: OracleReport, cap: int) -> str:
+def render_oracle_text(report: OracleReport) -> str:
     lines = [
-        f"complete allocations: {report.complete_count} (cap {cap})",
+        f"complete allocations: {report.complete_count}",
         f"optimum safe prefix: {report.optimum_safe_prefix}",
         f"algorithm safe prefix: {report.algorithm_safe_prefix}",
         f"gap: {report.gap}",
@@ -440,17 +372,14 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.cap < 1:
-        print(f"error: --cap must be at least 1, got {args.cap}", file=sys.stderr)
-        return EXIT_INPUT
     graph = load_platform(args.platform)
     rates = load_rates(args.rates, graph)
     sizes = load_requests(args.requests)
-    report = oracle_report(graph, sizes, rates, cap=args.cap)
+    report = oracle_report(graph, sizes, rates)
     if args.format == "json":
-        _write_output(dumps(oracle_report_to_dict(report, args.cap)) + "\n", args.output)
+        _write_output(dumps(oracle_report_to_dict(report)) + "\n", args.output)
     else:
-        _write_output(render_oracle_text(report, args.cap), args.output)
+        _write_output(render_oracle_text(report), args.output)
     return EXIT_OK
 
 
@@ -489,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--platform", required=True)
     p_oracle.add_argument("--rates", required=True)
     p_oracle.add_argument("--requests", required=True)
-    p_oracle.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_oracle.add_argument("--output", help="write the report here instead of stdout")
     p_oracle.add_argument("--format", choices=("json", "text"), default="json")
 

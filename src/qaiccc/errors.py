@@ -32,7 +32,7 @@ class NoFeasibleAllocationError(QaicccError):
 
 
 class InstanceTooLargeError(QaicccError):
-    """The platform exceeds the exhaustive-enumeration cap."""
+    """Exhaustive enumeration passed its work budget (``oracle.ENUMERATION_BUDGET``)."""
 
 
 class BaselineInfeasibleError(QaicccError):

@@ -8,10 +8,11 @@ All files are UTF-8 JSON:
   and ``impacted`` plus either a precomputed ``score`` or the pair
   ``stochastic`` + ``hamiltonian`` whose sum is the composite score.
 
-Rates keep their file order here; sorting in decreasing score order is
-the allocator's job.  A deterministic synthetic generator stands in for
-the physical crosstalk measurement so the allocator can be exercised
-without lab data.
+Files and the CLI's reports are written by :func:`dumps`, which lays
+JSON out as ``json.dumps(..., indent=2)`` does.  Rates keep their file
+order here; sorting in decreasing score order is the allocator's job.
+A deterministic synthetic generator stands in for the physical crosstalk
+measurement so the allocator can be exercised without lab data.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import json
 import math
 import random
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -51,6 +53,73 @@ def _read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFileError(f"invalid JSON: {exc}", path=str(path)) from exc
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(value, indent: str, chunks: list[str]) -> None:
+    """Append ``value`` to ``chunks`` as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
+    if not isinstance(value, _CONTAINERS):
+        chunks.append(_scalar(value))
+        return
+    if not value:
+        chunks.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if isinstance(value, dict):
+        chunks.append("{\n" + inner)
+        for at, (key, item) in enumerate(value.items()):
+            if at:
+                chunks.append(separator)
+            chunks.append(_scalar(key if isinstance(key, str) else _scalar(key)) + ": ")
+            _emit(item, inner, chunks)
+        chunks.append("\n" + indent + "}")
+        return
+    chunks.append("[\n" + inner)
+    if type(value[0]) is int and all(type(item) is int for item in value):
+        chunks.append(separator.join(map(int.__repr__, value)))
+    else:
+        for at, item in enumerate(value):
+            if at:
+                chunks.append(separator)
+            _emit(item, inner, chunks)
+    chunks.append("\n" + indent + "]")
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, without the standard library's pure-Python encoder.
+
+    Strings go through the C string encoder, numbers through their
+    ``repr``, and a list of ints is joined in one step.
+    """
+    chunks: list[str] = []
+    _emit(value, "", chunks)
+    return "".join(chunks)
 
 
 def _refuse_unknown_keys(data: dict, known: tuple[str, ...], path: str | Path) -> None:
@@ -89,7 +158,7 @@ def load_platform(path: str | Path) -> ConnectivityGraph:
 
 def save_platform(graph: ConnectivityGraph, path: str | Path) -> None:
     payload = {"qubits": graph.vertex_count, "edges": [list(e) for e in sorted(graph.edges)]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
 
 
 def integer_list(
@@ -119,7 +188,7 @@ def load_requests(path: str | Path) -> SizeRequests:
 
 def save_requests(sizes: SizeRequests, path: str | Path) -> None:
     payload = {"trusted": list(sizes.trusted), "untrusted": list(sizes.untrusted)}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
 
 
 def finite_number(value, name: str, *, path: str | None = None, record: int | None = None) -> float:
@@ -220,7 +289,7 @@ def rate_to_record(rate: CrosstalkRate) -> dict:
 
 def save_rates(rates: Iterable[CrosstalkRate], path: str | Path) -> None:
     payload = [rate_to_record(rate) for rate in rates]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
 
 
 def synth_rates(

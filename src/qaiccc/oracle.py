@@ -1,4 +1,4 @@
-"""Brute-force validation harness for small platforms.
+"""Brute-force validation harness, bounded by its own work.
 
 Everything here re-derives results through routes independent of the
 search: exhaustive enumeration of complete allocations (two different
@@ -6,7 +6,9 @@ strategies that must agree on the count), attribute replay against an
 allocation's final structure, and a rate-oblivious greedy baseline.  The
 search's branch-and-commit structure carries no optimality proof, so the
 gap between the exhaustive optimum and the algorithm's pick is measured,
-not assumed.
+not assumed.  The enumeration is refused by the work it does
+(:data:`ENUMERATION_BUDGET` partial states), not by the platform's size:
+every platform of at most 8 qubits fits, and so does heavy-hex 27.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .model import (
 from .safety import is_safe
 from .selection import select
 
-#: Default vertex-count cap: connected-partition counts explode past desk scale.
-DEFAULT_ENUMERATION_CAP = 8
+#: Partial states :func:`enumerate_complete`'s recursion may enter; past
+#: it the enumeration raises :class:`InstanceTooLargeError`.
+ENUMERATION_BUDGET = 100_000
 
 
 def _anchored_blocks(
@@ -57,28 +60,29 @@ def _anchored_blocks(
     yield from rec(frozenset({anchor}), available - {anchor})
 
 
-def enumerate_complete(
-    graph: ConnectivityGraph, sizes: SizeRequests, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Allocation, ...]:
+def enumerate_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> tuple[Allocation, ...]:
     """Every partition of the platform into connected components matching the requests.
 
     The idle request is added first, so the partitions cover all qubits.
     Anchoring each block on the lowest remaining qubit and branching over
     distinct (trust, size) options yields each allocation exactly once,
-    in deterministic order.  A ``cap`` below 1 raises ``ValueError``.
+    in deterministic order.  Entering more than :data:`ENUMERATION_BUDGET`
+    partial states raises :class:`InstanceTooLargeError`.
     """
-    if cap < 1:
-        raise ValueError(f"enumeration cap must be at least 1, got {cap}")
-    if graph.vertex_count > cap:
-        raise InstanceTooLargeError(
-            f"platform has {graph.vertex_count} qubits, enumeration cap is {cap}"
-        )
     full = update_sizes(graph.vertex_count, sizes)
     pending = tuple(sorted((trust, size) for _, trust, size in request_slots(full)))
+    budget = ENUMERATION_BUDGET
+    entered = 0
 
     out: list[Allocation] = []
 
     def rec(remaining: frozenset[int], left: tuple, acc: list[UserComponent]) -> None:
+        nonlocal entered
+        entered += 1
+        if entered > budget:
+            raise InstanceTooLargeError(
+                f"exhaustive enumeration passed its work budget of {budget} partial states"
+            )
         if not remaining:
             if not left:
                 out.append(Allocation(unallocated=frozenset(), components=tuple(acc)))
@@ -252,12 +256,11 @@ def oracle_report(
     graph: ConnectivityGraph,
     sizes: SizeRequests,
     rates: Sequence[CrosstalkRate],
-    cap: int = DEFAULT_ENUMERATION_CAP,
     config: SearchConfig = SearchConfig(),
 ) -> OracleReport:
     """Compare the search pipeline against exhaustive enumeration."""
     ordered = sort_rates(rates)
-    complete_allocs = enumerate_complete(graph, sizes, cap)
+    complete_allocs = enumerate_complete(graph, sizes)
     prefixes = [(safe_prefix(alloc, ordered), alloc) for alloc in complete_allocs]
     optimum = max((prefix for prefix, _ in prefixes), default=0)
     witnesses = tuple(

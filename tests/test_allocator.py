@@ -719,6 +719,18 @@ class TestNewAlloc:
             memo=SearchMemo(sizes, demo_graph),
         ) is None
 
+    def test_cross_trust_merge_is_rejected_where_the_mixed_state_would_complete(self):
+        # desk8-oracle instance i22 (seed 1): fusing the trusted {1} with
+        # the untrusted {0, 2} gives a state that completes as one trusted
+        # {0, 1, 2}, so only the mixed-trust guard refuses the merge.
+        edges = "0-2 0-4 0-5 0-6 1-2 1-4 1-7 2-3 2-6 3-5 3-7 4-6 5-6"
+        graph = ConnectivityGraph(8, frozenset(tuple(map(int, e.split("-"))) for e in edges.split()))
+        memo = SearchMemo(update_sizes(8, SizeRequests(trusted=(3,), untrusted=(4,))), graph)
+        state = (0b11111000, ((Trust.TRUSTED, 0b10), (Trust.UNTRUSTED, 0b101)))
+        mixed = (0b11111000, ((Trust.TRUSTED, 0b111),))
+        assert allocator_module.completable(mixed, memo)
+        assert new_alloc(state, (Trust.TRUSTED, 0b10), 0b111, memo=memo) is None
+
     def test_disconnected_merge_is_rejected(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))

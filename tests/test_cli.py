@@ -14,21 +14,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qaiccc
-from qaiccc import cli
+from qaiccc import cli, oracle
 from qaiccc.cli import (
     EXIT_INPUT,
     EXIT_INSUFFICIENT_QUBITS,
     EXIT_NO_ALLOCATION,
     EXIT_OK,
     EXIT_TOO_LARGE,
+    ORACLE_SCHEMA,
     REPORT_SCHEMA,
     RunReport,
     allocation_from_dict,
-    dumps,
     main,
     rate_from_record,
 )
 from qaiccc.errors import InputFileError
+from qaiccc.ingest import dumps
 
 PLATFORM = {"qubits": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}
 REQUESTS = {"trusted": [], "untrusted": [2, 3]}
@@ -351,7 +352,7 @@ class TestOracleCommand:
         assert report["algorithm_safe_prefix"] == 2
         assert report["gap"] == 0
 
-    def test_large_platform_exits_4_without_cap_override(self, files, tmp_path, capsys):
+    def test_a_nine_qubit_line_is_enumerated(self, tmp_path, capsys):
         platform = tmp_path / "nine.json"
         platform.write_text(
             json.dumps({"qubits": 9, "edges": [[i, i + 1] for i in range(8)]}), encoding="utf-8"
@@ -361,17 +362,27 @@ class TestOracleCommand:
         rates = tmp_path / "none.json"
         rates.write_text("[]", encoding="utf-8")
         args = ["oracle", "--platform", str(platform), "--rates", str(rates), "--requests", str(requests)]
-        assert main(args) == EXIT_TOO_LARGE
-        capsys.readouterr()
-        assert main(args + ["--cap", "9"]) == EXIT_OK
-        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["schema"] == ORACLE_SCHEMA == "qaiccc-oracle/2"
+        assert report["complete_allocations"] == 1 and "cap" not in report
+        # Requests that outgrow the platform are refused before any enumeration.
+        requests.write_text(json.dumps({"trusted": [], "untrusted": [5, 5]}), encoding="utf-8")
+        assert main(args) == EXIT_INSUFFICIENT_QUBITS
+        assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("cap", ["0", "-1"])
-    def test_cap_below_one_exits_1_and_names_the_flag(self, files, capsys, cap):
+    def test_passing_the_work_budget_exits_4_and_names_it(self, files, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 7)
         args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]
-        assert main(args + ["--requests", files["requests"], "--cap", cap]) == EXIT_INPUT
+        assert main(args + ["--requests", files["requests"]]) == EXIT_TOO_LARGE
         captured = capsys.readouterr()
-        assert "--cap" in captured.err and captured.out == ""
+        assert "work budget of 7 partial states" in captured.err and captured.out == ""
+
+    def test_the_cap_flag_is_gone(self, files, capsys):
+        args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]
+        with pytest.raises(SystemExit):
+            main(args + ["--requests", files["requests"], "--cap", "9"])
+        assert "--cap" in capsys.readouterr().err
 
     def test_zero_rates_every_partition_optimal(self, files, tmp_path, capsys):
         rates = tmp_path / "none.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -11,6 +12,7 @@ from qaiccc import (
     BaselineInfeasibleError,
     ConnectivityGraph,
     InstanceTooLargeError,
+    InsufficientQubitsError,
     SizeRequests,
     Trust,
     UserComponent,
@@ -24,7 +26,14 @@ from qaiccc import (
     sort_rates,
     validate_allocation,
 )
+from qaiccc import oracle
 from qaiccc.oracle import count_complete
+
+# Heavy-hex 27, the IBM Falcon layout.
+HEAVY_HEX_27 = (
+    "0-1 1-2 1-4 2-3 3-5 4-7 5-8 6-7 7-10 8-9 8-11 10-12 11-14 12-13 12-15 "
+    "13-14 14-16 15-18 16-19 17-18 18-21 19-20 19-22 21-23 22-25 23-24 24-25 25-26"
+)
 
 
 def u(*qubits):
@@ -57,16 +66,37 @@ class TestEnumerateComplete:
         allocations = enumerate_complete(path, SizeRequests(untrusted=(3,)))
         assert [canonicalize(a) for a in allocations] == [key_of([0, 1, 2], n=3)]
 
-    def test_cap_is_enforced(self):
-        big = ConnectivityGraph(9, frozenset((i, i + 1) for i in range(8)))
-        with pytest.raises(InstanceTooLargeError):
-            enumerate_complete(big, SizeRequests(untrusted=(9,)))
-        assert len(enumerate_complete(big, SizeRequests(untrusted=(9,)), cap=9)) == 1
+    def test_the_worst_mix_on_eight_qubits_fits_the_budget(self):
+        # K8 with trusted (2,1,1) and untrusted (1,1) enters 7,079 partial
+        # states, the most of any request mix on K1-K8; every platform of
+        # at most 8 qubits is a subgraph of its Kn and enters no more.
+        k8 = ConnectivityGraph(8, frozenset(itertools.combinations(range(8), 2)))
+        sizes = SizeRequests(trusted=(2, 1, 1), untrusted=(1, 1))
+        assert len(enumerate_complete(k8, sizes)) == 2520
 
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_is_a_bad_input(self, demo_graph, demo_sizes, cap):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_complete(demo_graph, demo_sizes, cap)
+    @pytest.mark.parametrize(
+        "untrusted, count", [((5, 5, 5), 28), ((4, 4, 4, 4), 33), ((3, 3, 3), 74)]
+    )
+    def test_heavy_hex_27_is_enumerated(self, untrusted, count):
+        heavy_hex = ConnectivityGraph(
+            27, frozenset(tuple(map(int, e.split("-"))) for e in HEAVY_HEX_27.split())
+        )
+        allocations = enumerate_complete(heavy_hex, SizeRequests(untrusted=untrusted))
+        assert len(allocations) == count
+        assert all(validate_allocation(a, heavy_hex) == [] for a in allocations)
+
+    def test_passing_the_budget_raises_and_names_it(self, demo_graph, demo_sizes, monkeypatch):
+        # The demo instance enters 8 partial states: 8 is enough, 7 is not.
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 8)
+        assert len(enumerate_complete(demo_graph, demo_sizes)) == 2
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 7)
+        with pytest.raises(InstanceTooLargeError, match="work budget of 7 partial states"):
+            enumerate_complete(demo_graph, demo_sizes)
+
+    def test_requests_are_sized_before_the_enumeration(self):
+        line = ConnectivityGraph(9, frozenset((i, i + 1) for i in range(8)))
+        with pytest.raises(InsufficientQubitsError):
+            enumerate_complete(line, SizeRequests(untrusted=(5, 5)))
 
     def test_count_self_consistency(self, demo_graph, demo_sizes, family):
         assert count_complete(demo_graph, demo_sizes) == len(

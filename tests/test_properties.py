@@ -294,9 +294,12 @@ def test_generated_instances_hold_every_pipeline_invariant(instance):
         qubits = result.assignment[label]
         assert len(qubits) == size and graph.is_connected(qubits)
         assert any(c.trust is trust and c.qubits == qubits for c in selected.components)
-    # The candidate select completed is the first ranked one the oracle's
-    # complete set extends.
-    candidate = next(c for c in result.ranking if any(_extends(s, c) for s in structures))
+    # Every state the search keeps passed its completability check, so the
+    # oracle's complete set extends every ranked entry, and the candidate
+    # select completed is the first one.
+    for ranked in result.ranking:
+        assert any(_extends(s, ranked) for s in structures), ranked
+    candidate = result.ranking[0]
     completed = complete_allocation(candidate, graph, outcome.sizes)
     assert completed is not None and canonicalize(completed[0]) == canonicalize(selected)
     assert safe_prefix(selected, outcome.rates) >= safe_prefix(candidate, outcome.rates)
