@@ -7,8 +7,9 @@ allocation's final structure, and a rate-oblivious greedy baseline.  The
 search's branch-and-commit structure carries no optimality proof, so the
 gap between the exhaustive optimum and the algorithm's pick is measured,
 not assumed.  The enumeration is refused by the work it does
-(:data:`ENUMERATION_BUDGET` partial states), not by the platform's size:
-every platform of at most 8 qubits fits, and so does heavy-hex 27.
+(:data:`ENUMERATION_BUDGET` steps), not by the platform's size: every
+platform of at most 8 qubits fits, and so do heavy-hex 27 and grid 5x5
+with four 5-qubit users.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .allocator import SearchConfig, allocate, update_sizes
 from .completion import request_slots
@@ -28,36 +29,44 @@ from .model import (
     CrosstalkRate,
     SizeRequests,
     UserComponent,
+    allocation_of,
     canonicalize,
     sort_rates,
 )
 from .safety import is_safe
 from .selection import select
 
-#: Partial states :func:`enumerate_complete`'s recursion may enter; past
-#: it the enumeration raises :class:`InstanceTooLargeError`.
-ENUMERATION_BUDGET = 100_000
+#: Steps :func:`enumerate_complete` may take: one per partial partition
+#: it enters, one per node of each block walk and one per qubit of each
+#: complete partition it builds.  Past it the enumeration raises
+#: :class:`InstanceTooLargeError`.
+ENUMERATION_BUDGET = 1_000_000
 
 
 def _anchored_blocks(
-    anchor: int, size: int, available: frozenset[int], graph: ConnectivityGraph
-) -> Iterator[frozenset[int]]:
-    """Connected ``size``-subsets of ``available`` containing ``anchor``."""
+    anchor: int, size: int, available: int, adjacency: Sequence[int], step: Callable[[], None]
+) -> Iterator[int]:
+    """Connected ``size``-subsets of the ``available`` mask containing ``anchor``, as masks.
 
-    def rec(current: frozenset[int], allowed: frozenset[int]) -> Iterator[frozenset[int]]:
-        if len(current) == size:
+    An include/exclude walk that always decides the lowest qubit next to
+    the block so far; ``step`` is called once per node.  The walk keeps
+    its own stack and the block's frontier, so no block is too large to
+    reach and a node costs a few mask operations.
+    """
+    stack = [(1 << anchor, 0, adjacency[anchor] & available)]
+    while stack:
+        current, excluded, frontier = stack.pop()
+        step()
+        if current.bit_count() == size:
             yield current
-            return
-        if len(current) + len(allowed) < size:
-            return
-        frontier = [q for q in allowed if any(n in current for n in graph.neighbors(q))]
-        if not frontier:
-            return
-        pick = min(frontier)
-        yield from rec(current | {pick}, allowed - {pick})
-        yield from rec(current, allowed - {pick})
-
-    yield from rec(frozenset({anchor}), available - {anchor})
+            continue
+        if (available & ~excluded).bit_count() < size or not frontier:
+            continue
+        low = frontier & -frontier
+        rest = frontier ^ low
+        grown = (rest | adjacency[low.bit_length() - 1]) & available & ~(current | excluded | low)
+        stack.append((current, excluded | low, rest))
+        stack.append((current | low, excluded, grown))
 
 
 def enumerate_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> tuple[Allocation, ...]:
@@ -66,39 +75,50 @@ def enumerate_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> tuple[A
     The idle request is added first, so the partitions cover all qubits.
     Anchoring each block on the lowest remaining qubit and branching over
     distinct (trust, size) options yields each allocation exactly once,
-    in deterministic order.  Entering more than :data:`ENUMERATION_BUDGET`
-    partial states raises :class:`InstanceTooLargeError`.
+    in deterministic order.  Taking more than :data:`ENUMERATION_BUDGET`
+    steps raises :class:`InstanceTooLargeError`.
     """
     full = update_sizes(graph.vertex_count, sizes)
-    pending = tuple(sorted((trust, size) for _, trust, size in request_slots(full)))
+    counts = Counter((trust, size) for _, trust, size in request_slots(full))
+    adjacency = graph.adjacency_masks
     budget = ENUMERATION_BUDGET
-    entered = 0
+    steps = 0
 
-    out: list[Allocation] = []
-
-    def rec(remaining: frozenset[int], left: tuple, acc: list[UserComponent]) -> None:
-        nonlocal entered
-        entered += 1
-        if entered > budget:
+    def step(work: int = 1) -> None:
+        nonlocal steps
+        steps += work
+        if steps > budget:
             raise InstanceTooLargeError(
-                f"exhaustive enumeration passed its work budget of {budget} partial states"
+                f"exhaustive enumeration passed its work budget of {budget} steps"
             )
-        if not remaining:
-            if not left:
-                out.append(Allocation(unallocated=frozenset(), components=tuple(acc)))
-            return
-        anchor = min(remaining)
-        tried: set[tuple] = set()
-        for i, (trust, size) in enumerate(left):
-            if (trust, size) in tried:
-                continue
-            tried.add((trust, size))
-            for block in _anchored_blocks(anchor, size, remaining, graph):
-                acc.append(UserComponent(trust, block))
-                rec(remaining - block, left[:i] + left[i + 1 :], acc)
-                acc.pop()
 
-    rec(graph.qubits, pending, [])
+    def branches(remaining: int, left: tuple) -> Iterator[tuple]:
+        anchor = (remaining & -remaining).bit_length() - 1
+        for i, ((trust, size), count) in enumerate(left):
+            fewer = (((trust, size), count - 1),) if count > 1 else ()
+            rest = left[:i] + fewer + left[i + 1 :]
+            for block in _anchored_blocks(anchor, size, remaining, adjacency, step):
+                yield (trust, block), remaining ^ block, rest
+
+    # An explicit stack in place of recursion, since a platform of thousands
+    # of qubits may need thousands of blocks.  Each entry holds a partial
+    # partition's branches and the block that led to it.
+    step()
+    stack = [(branches((1 << graph.vertex_count) - 1, tuple(sorted(counts.items()))), None)]
+    out: list[Allocation] = []
+    while stack:
+        child = next(stack[-1][0], None)
+        if child is None:
+            stack.pop()
+            continue
+        component, remaining, left = child
+        step()
+        if remaining:
+            stack.append((branches(remaining, left), component))
+        elif not left:
+            step(graph.vertex_count)
+            path = tuple(led_by for _, led_by in stack[1:]) + (component,)
+            out.append(allocation_of((0, path)))
     return tuple(out)
 
 
@@ -111,22 +131,22 @@ def count_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> int:
     """
     full = update_sizes(graph.vertex_count, sizes)
     slots = [(trust, size) for _, trust, size in request_slots(full)]
+    adjacency = graph.adjacency_masks
 
-    def blocks(remaining: frozenset[int], size: int) -> Iterator[frozenset[int]]:
-        for anchor in sorted(remaining):
-            allowed = frozenset(q for q in remaining if q >= anchor)
-            yield from _anchored_blocks(anchor, size, allowed, graph)
+    def blocks(remaining: int, size: int) -> Iterator[int]:
+        while remaining:
+            anchor = (remaining & -remaining).bit_length() - 1
+            yield from _anchored_blocks(anchor, size, remaining, adjacency, lambda: None)
+            remaining &= remaining - 1
 
-    def rec(index: int, remaining: frozenset[int]) -> int:
+    def rec(index: int, remaining: int) -> int:
         if index == len(slots):
             return 1 if not remaining else 0
         _, size = slots[index]
-        return sum(rec(index + 1, remaining - block) for block in blocks(remaining, size))
+        return sum(rec(index + 1, remaining ^ block) for block in blocks(remaining, size))
 
-    symmetry = 1
-    for repeat in Counter(slots).values():
-        symmetry *= math.factorial(repeat)
-    ordered_total = rec(0, graph.qubits)
+    symmetry = math.prod(math.factorial(repeat) for repeat in Counter(slots).values())
+    ordered_total = rec(0, (1 << graph.vertex_count) - 1)
     if ordered_total % symmetry:
         raise AssertionError("ordered partition count is not divisible by slot symmetry")
     return ordered_total // symmetry
@@ -139,12 +159,8 @@ def safe_prefix(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> int:
     allocation is normally complete, so the prefix measures how many of
     the worst rates it neutralizes.
     """
-    count = 0
-    for rate in rates:
-        if not is_safe(allocation, rate).safe:
-            break
-        count += 1
-    return count
+    unsafe = (i for i, rate in enumerate(rates) if not is_safe(allocation, rate).safe)
+    return next(unsafe, len(rates))
 
 
 @dataclass(frozen=True)
@@ -217,21 +233,19 @@ def baseline_naive(graph: ConnectivityGraph, sizes: SizeRequests) -> Allocation:
         if not free:
             raise BaselineInfeasibleError("no qubits left for a pending request")
         start = min(free)
-        visited: list[int] = []
-        queue = [start]
-        seen = {start}
-        while queue and len(visited) < size:
-            qubit = queue.pop(0)
-            visited.append(qubit)
+        reached, seen = [start], {start}
+        for qubit in reached:
+            if len(reached) >= size:
+                break
             for neighbor in graph.neighbors(qubit):
                 if neighbor in free and neighbor not in seen:
                     seen.add(neighbor)
-                    queue.append(neighbor)
-        if len(visited) < size:
+                    reached.append(neighbor)
+        if len(reached) < size:
             raise BaselineInfeasibleError(
-                f"greedy fill reached only {len(visited)} of {size} qubits from {start}"
+                f"greedy fill reached only {len(reached)} of {size} qubits from {start}"
             )
-        block = frozenset(visited)
+        block = frozenset(reached[:size])
         components.append(UserComponent(trust, block))
         free -= block
     return Allocation(unallocated=frozenset(free), components=tuple(components))
@@ -263,9 +277,7 @@ def oracle_report(
     complete_allocs = enumerate_complete(graph, sizes)
     prefixes = [(safe_prefix(alloc, ordered), alloc) for alloc in complete_allocs]
     optimum = max((prefix for prefix, _ in prefixes), default=0)
-    witnesses = tuple(
-        canonicalize(alloc) for prefix, alloc in prefixes if prefix == optimum
-    )
+    witnesses = tuple(canonicalize(alloc) for prefix, alloc in prefixes if prefix == optimum)
 
     outcome = allocate(graph, sizes, rates, config)
     selected = select(outcome, graph)

@@ -372,11 +372,11 @@ class TestOracleCommand:
         assert capsys.readouterr().out == ""
 
     def test_passing_the_work_budget_exits_4_and_names_it(self, files, monkeypatch, capsys):
-        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 7)
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 44)
         args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]
         assert main(args + ["--requests", files["requests"]]) == EXIT_TOO_LARGE
         captured = capsys.readouterr()
-        assert "work budget of 7 partial states" in captured.err and captured.out == ""
+        assert "work budget of 44 steps" in captured.err and captured.out == ""
 
     def test_the_cap_flag_is_gone(self, files, capsys):
         args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]

@@ -67,11 +67,12 @@ class TestEnumerateComplete:
         assert [canonicalize(a) for a in allocations] == [key_of([0, 1, 2], n=3)]
 
     def test_the_worst_mix_on_eight_qubits_fits_the_budget(self):
-        # K8 with trusted (2,1,1) and untrusted (1,1) enters 7,079 partial
-        # states, the most of any request mix on K1-K8; every platform of
-        # at most 8 qubits is a subgraph of its Kn and enters no more.
+        # K8 with trusted (2,1) and untrusted (2,1) takes 37,103 steps, the
+        # most of any request mix on K1-K8.  A platform of at most 8 qubits
+        # is a subgraph of its Kn: it enters no partial partition Kn does
+        # not, and no block walk of it has a node Kn's walk lacks.
         k8 = ConnectivityGraph(8, frozenset(itertools.combinations(range(8), 2)))
-        sizes = SizeRequests(trusted=(2, 1, 1), untrusted=(1, 1))
+        sizes = SizeRequests(trusted=(2, 1), untrusted=(2, 1))
         assert len(enumerate_complete(k8, sizes)) == 2520
 
     @pytest.mark.parametrize(
@@ -86,12 +87,31 @@ class TestEnumerateComplete:
         assert all(validate_allocation(a, heavy_hex) == [] for a in allocations)
 
     def test_passing_the_budget_raises_and_names_it(self, demo_graph, demo_sizes, monkeypatch):
-        # The demo instance enters 8 partial states: 8 is enough, 7 is not.
-        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 8)
+        # The demo instance takes 45 steps: 45 is enough, 44 is not.
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 45)
         assert len(enumerate_complete(demo_graph, demo_sizes)) == 2
-        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 7)
-        with pytest.raises(InstanceTooLargeError, match="work budget of 7 partial states"):
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 44)
+        with pytest.raises(InstanceTooLargeError, match="work budget of 44 steps"):
             enumerate_complete(demo_graph, demo_sizes)
+
+    def test_block_walks_count_against_the_budget(self, monkeypatch):
+        # K8 plus four isolated qubits cannot hold a 9-block.  The
+        # enumeration enters 22 partial partitions, but its block walks
+        # take 465 steps in all, so a budget of 100 is passed.
+        graph = ConnectivityGraph(12, frozenset(itertools.combinations(range(8), 2)))
+        sizes = SizeRequests(untrusted=(9,))
+        assert enumerate_complete(graph, sizes) == ()
+        monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 100)
+        with pytest.raises(InstanceTooLargeError, match="work budget of 100 steps"):
+            enumerate_complete(graph, sizes)
+
+    @pytest.mark.parametrize("untrusted, count", [((1,) * 1200, 1), ((2,), 2)])
+    def test_a_long_line_is_enumerated_without_recursion(self, untrusted, count):
+        # 1,200 one-qubit blocks, or an idle block of 1,198 qubits: either
+        # is deeper than the interpreter's recursion limit.
+        line = ConnectivityGraph(1200, frozenset((i, i + 1) for i in range(1199)))
+        sizes = SizeRequests(untrusted=untrusted)
+        assert len(enumerate_complete(line, sizes)) == count
 
     def test_requests_are_sized_before_the_enumeration(self):
         line = ConnectivityGraph(9, frozenset((i, i + 1) for i in range(8)))
