@@ -125,11 +125,12 @@ class SearchMemo:
     ``states`` maps every candidate state to itself when kept and to None
     otherwise, so equal states are one object; ``index`` is the
     :class:`~qaiccc.completion.CompletionIndex` of the run's ``requests``
-    on the graph, built here, or None when the complete set is too large to
-    enumerate; only then does ``verdicts`` fill, with the decider's
-    verdict, success or failure, on every sub-state it has worked out for
-    the run's ``requests`` (see :func:`completable`); ``joins`` the states
-    of each :func:`connect` call, by ``(state, owner, incoming)``;
+    on the graph, built here and only read after, or None when the complete
+    set is too large to enumerate; only then does ``verdicts`` fill, with
+    the decider's verdict, success or failure, on every sub-state it has
+    worked out for the run's ``requests`` (see :func:`completable`);
+    ``joins`` the states of each :func:`connect` call, by ``(state, owner,
+    incoming)``;
     ``budgets`` each :func:`remain`, by the owner's trust and size and the
     state's ``(trust, size)`` sequence; ``regions`` the regions of every
     join, by ``(base, reach, top)``: a join's regions depend on nothing

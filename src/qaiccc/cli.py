@@ -41,7 +41,7 @@ from .ingest import (
     rate_to_record,
     synth_rates,
 )
-from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent, is_int
+from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
 from .oracle import OracleReport, oracle_report
 # ``rank`` is not called here (``select`` returns its ranking); it stays
 # bound because the benchmark's tracer (bench/spans.py) wraps it here.
@@ -68,9 +68,10 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# serialization.  Each record kind has one checked reader (rate records:
-# ``ingest.rate_from_record``); a malformed field raises InputFileError
-# naming it, e.g. ``'ranking[3].components[0].qubits' repeats a qubit``.
+# serialization.  A report allocation has one checked reader,
+# ``allocation_from_dict`` (its rate records: ``ingest.rate_from_record``);
+# a malformed field raises InputFileError naming it, e.g.
+# ``'ranking[3].components[0].qubits' repeats a qubit``.
 
 _TRUST_VALUES = tuple(t.value for t in Trust)
 
@@ -84,23 +85,8 @@ def _field(data, key: str, where: str, kind: type | None = None):
     return data[key]
 
 
-def _integer(data, key: str, where: str, *, optional: bool = False) -> int | None:
-    value = _field(data, key, where)
-    if (value is not None or not optional) and not is_int(value):
-        raise InputFileError(f"'{where}.{key}' must be an integer{' or null' if optional else ''}")
-    return value
-
-
 def _qubits(value, name: str) -> frozenset[int]:
     return frozenset(integer_list(value, name, distinct=True))
-
-
-def _timings(value) -> dict[str, float] | None:
-    if value is None:
-        return None
-    if not isinstance(value, Mapping):
-        raise InputFileError("'report.timings' must be an object or null")
-    return {key: finite_number(v, f"report.timings.{key}") for key, v in value.items()}
 
 
 def allocation_to_dict(allocation: Allocation) -> dict:
@@ -154,16 +140,6 @@ def _assignment_to_dict(
     }
 
 
-def _assignment_from_dict(data: Mapping, where: str) -> dict[RequestLabel, frozenset[int]]:
-    out: dict[RequestLabel, frozenset[int]] = {}
-    for kind in ("trusted", "untrusted"):
-        for i, qubits in enumerate(_field(data, kind, where, list)):
-            out[(kind, i)] = _qubits(qubits, f"{where}.{kind}[{i}]")
-    if data.get("idle") is not None:
-        out[("idle", 0)] = _qubits(data["idle"], f"{where}.idle")
-    return out
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Machine-readable result of one allocate run; the ranking rides on ``selected``."""
@@ -195,42 +171,6 @@ class RunReport:
         if self.timings is not None:
             payload["timings"] = dict(self.timings)
         return payload
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunReport":
-        if data.get("schema") != REPORT_SCHEMA:
-            raise ValueError(f"unsupported report schema {data.get('schema')!r}")
-        requests, config, selected = (
-            _field(data, key, "report") for key in ("requests", "config", "selected")
-        )
-        try:
-            sizes = SizeRequests(
-                trusted=integer_list(_field(requests, "trusted", "requests"), "requests.trusted"),
-                untrusted=integer_list(_field(requests, "untrusted", "requests"), "requests.untrusted"),
-                idle_size=_integer(requests, "idle", "requests", optional=True),
-            )
-            config = SearchConfig(
-                max_population=_integer(config, "max_population", "config", optional=True),
-                max_paths_per_connect=_integer(config, "max_paths_per_connect", "config"),
-            )
-        except ValueError as exc:
-            raise InputFileError(str(exc)) from exc
-        worklist = _field(data, "worklist", "report", list)
-        selected = SelectionResult(
-            allocation=allocation_from_dict(
-                _field(selected, "allocation", "selected"), "selected.allocation"
-            ),
-            assignment=_assignment_from_dict(
-                _field(selected, "assignment", "selected"), "selected.assignment"
-            ),
-            worklist=tuple(rate_from_record(r, i, "worklist") for i, r in enumerate(worklist)),
-            ranking=tuple(
-                allocation_from_dict(a, f"ranking[{i}]")
-                for i, a in enumerate(_field(data, "ranking", "report", list))
-            ),
-        )
-        timings = _timings(data.get("timings"))
-        return cls(sizes=sizes, config=config, selected=selected, timings=timings)
 
 
 def oracle_report_to_dict(report: OracleReport) -> dict:

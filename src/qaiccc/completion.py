@@ -27,11 +27,13 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   enumerates every complete structure of a set of requests, anchoring
   each block on the lowest free qubit and branching over distinct
   ``(trust, size)`` requests, and gives up past :data:`INDEX_BUDGET`
-  candidate blocks.  It files each structure's blocks as it finds them,
-  into one table of the blocks at each qubit.  A state can be completed
-  exactly when one structure holds each of its components inside a block
-  of its own, of the same trust, so :meth:`CompletionIndex.admits` gives
-  the decider's verdict from bitsets over the structures.
+  candidate blocks.  It files the structures into two tables: per pair of
+  qubits, those that put both in one block, and per qubit and trust,
+  those that give the qubit a block of that trust.  A state can be
+  completed exactly when one structure holds each of its components
+  inside a block of its own, of the same trust, so
+  :meth:`CompletionIndex.admits` gives the decider's verdict from bitsets
+  over the structures.  The tables are only read once built.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
   request slots in declared order (trusted, then untrusted, idle last),
   offers each slot its existing components before fresh blocks, and
@@ -199,67 +201,62 @@ def _completable(
     return verdict
 
 
-#: Candidate blocks :func:`completion_index` tries before it gives up; at
-#: about 5 microseconds each, running out takes about 0.05 s.
+#: Candidate blocks :func:`completion_index` tries before it gives up.
+#: Running out was measured at 0.04-0.27 s on untrusted (5,5,5) grids of
+#: 8x8 to 64x64 qubits (2-core x86_64, Python 3.11, shared host).
 INDEX_BUDGET = 10_000
 
 class CompletionIndex:
     """The complete structures of one set of requests, as bitsets over them.
 
-    Bit ``i`` of every bitset stands for structure ``i``.  The one table,
-    ``blocks[q]``, lists each block that holds qubit ``q`` as ``(trust,
-    block, structures)``, so the index stays linear in the blocks' sizes.
-    :meth:`_holding` reads it, and two caches keep its answers: ``fits``,
-    per component, the structures with a block of its trust that holds all
-    of it, and ``pairs``, keyed by the mask of two qubits, the structures
-    that put both in one block.
+    Bit ``i`` of every bitset stands for structure ``i``.  Two tables,
+    filled once and only read after: ``together[p]`` maps each qubit ``q >
+    p`` to the structures that put ``p`` and ``q`` in one block, and
+    ``trust_at[q]`` maps each trust to the structures that give ``q`` a
+    block of that trust.
     """
 
-    __slots__ = ("count", "blocks", "pairs", "fits")
+    __slots__ = ("count", "together", "trust_at")
 
     def __init__(
         self, count: int, holders: dict[tuple[Trust, int], int], vertex_count: int
     ) -> None:
         self.count = count
-        self.blocks: list[list[tuple[Trust, int, int]]] = [[] for _ in range(vertex_count)]
+        self.together: list[dict[int, int]] = [{} for _ in range(vertex_count)]
+        self.trust_at: list[dict[Trust, int]] = [{} for _ in range(vertex_count)]
         for (trust, block), structures in holders.items():
-            for q in mask_qubits(block):
-                self.blocks[q].append((trust, block, structures))
-        self.pairs: dict[int, int] = {}
-        self.fits: dict[StateComponent, int] = {}
-
-    def _holding(self, mask: int, trust: Trust | None = None) -> int:
-        """The structures with one block holding all of ``mask``, of ``trust`` when given."""
-        bits = 0
-        for block_trust, block, structures in self.blocks[(mask & -mask).bit_length() - 1]:
-            if block & mask == mask and (trust is None or block_trust is trust):
-                bits |= structures
-        return bits
+            qubits = sorted(mask_qubits(block))
+            for i, p in enumerate(qubits):
+                trusts, pairs = self.trust_at[p], self.together[p]
+                trusts[trust] = trusts.get(trust, 0) | structures
+                for q in qubits[i + 1 :]:
+                    pairs[q] = pairs.get(q, 0) | structures
 
     def admits(self, pending: Sequence[StateComponent]) -> bool:
         """The decider's verdict on a state whose components are ``pending``.
 
         True when some structure holds every component in a block of its
-        own, of the component's trust: the AND of the components' fits,
-        less the structures in which two components' lowest qubits share a
-        block.  The free qubits are the rest of the platform, so they need
-        no test.
+        own, of the component's trust.  A component fits the structures
+        that give its lowest qubit a block of its trust and put each of its
+        other qubits in that block; the state's structures are the AND of
+        its components' fits, less those in which two components' lowest
+        qubits share a block.  The free qubits are the rest of the
+        platform, so they need no test.
         """
+        together = self.together
         common = (1 << self.count) - 1
-        fits, pairs = self.fits, self.pairs
         lows: list[int] = []
-        for component in pending:
-            trust, mask = component
-            fit = fits.get(component)
-            if fit is None:
-                fit = fits[component] = self._holding(mask, trust)
-            common &= fit
-            low = mask & -mask
+        for trust, mask in pending:
+            low = (mask & -mask).bit_length() - 1
+            pairs = together[low]
+            common &= self.trust_at[low].get(trust, 0)
+            rest = mask & (mask - 1)
+            while rest and common:
+                bit = rest & -rest
+                common &= pairs.get(bit.bit_length() - 1, 0)
+                rest ^= bit
             for other in lows:
-                shared = pairs.get(low | other)
-                if shared is None:
-                    shared = pairs[low | other] = self._holding(low | other)
-                common &= ~shared
+                common &= ~(pairs.get(other, 0) if low < other else together[other].get(low, 0))
             if not common:
                 return False
             lows.append(low)

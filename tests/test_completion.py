@@ -33,6 +33,7 @@ from qaiccc.completion import (
     open_requests,
     request_slots,
 )
+from qaiccc.ingest import MAX_QUBITS
 from qaiccc.model import qubit_mask, state_of
 
 from conftest import instance_family
@@ -588,6 +589,63 @@ def test_the_index_gives_up_past_its_budget(monkeypatch):
     assert completion_index(requests, graph).count == 1
     monkeypatch.setattr(completion_module, "INDEX_BUDGET", 1)
     assert completion_index(requests, graph) is None
+
+
+_COMPLETE7 = ConnectivityGraph(7, frozenset(itertools.combinations(range(7), 2)))
+_STAR8 = ConnectivityGraph(8, frozenset((0, q) for q in range(1, 8)))
+
+
+@pytest.mark.parametrize(
+    "graph, sizes",
+    [
+        (_COMPLETE7, SizeRequests(trusted=(2,), untrusted=(2,))),
+        (_STAR8, SizeRequests(trusted=(1,), untrusted=(1, 1))),
+    ],
+)
+def test_the_index_decides_like_the_decider_where_many_blocks_meet(graph, sizes):
+    """Every qubit of a complete graph, and a star's centre, lies in most blocks."""
+    requests = requests_of(graph, sizes)
+    index = completion_index(requests, graph)
+    assert index is not None
+    qubits = frozenset(range(graph.vertex_count))
+    users = [
+        UserComponent(trust, block)
+        for size in range(1, graph.vertex_count + 1)
+        for block in connected_subsets(qubits, size, graph)
+        for trust in Trust
+    ]
+    partials = [build(graph.vertex_count, user) for user in users] + [
+        build(graph.vertex_count, first, second)
+        for first, second in itertools.combinations(users, 2)
+        if not first.qubits & second.qubits
+    ]
+    verdicts = set()
+    for partial in partials:
+        free, pending = state_of(partial)
+        verdict = decide(free, pending, graph, requests, {})
+        assert index.admits(pending) is verdict
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_the_budget_bounds_the_index_at_platform_scale(monkeypatch):
+    side = 64
+    assert side * side == MAX_QUBITS
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
+    graph = ConnectivityGraph(MAX_QUBITS, frozenset(edges))
+    drawn = 0
+    supersets = completion_module.connected_supersets
+
+    def counting(*args):
+        nonlocal drawn
+        for block in supersets(*args):
+            drawn += 1
+            yield block
+
+    monkeypatch.setattr(completion_module, "connected_supersets", counting)
+    assert completion_index(requests_of(graph, SizeRequests(untrusted=(5, 5, 5))), graph) is None
+    assert drawn == completion_module.INDEX_BUDGET + 1
 
 
 class TestDeciderKeyCarriesTheOpenRequests:
