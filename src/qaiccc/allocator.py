@@ -30,11 +30,11 @@ worked out for.  Each distinct state is decided once, each
 remembered for the rest of the run, and the memo dies with the run.  A
 state's verdict is read from the run's index of every complete structure
 (:func:`qaiccc.completion.completion_index`, built with the memo); when
-the complete set is too large to enumerate, the decider works it out and
-the memo keeps its verdict on each sub-state (success or failure).  A
-region list does not depend on the join's state beyond ``base = owner |
-incoming``, the part of ``base`` and the free qubits that base's lowest
-qubit reaches and the largest size the owner's budget allows, so joins
+the complete set is too large to enumerate or to file, the decider works
+it out and the memo keeps its verdict on each sub-state (success or
+failure).  A region list does not depend on the join's state beyond
+``base = owner | incoming``, the part of ``base`` and the free qubits
+that base's lowest qubit reaches and the largest size the owner's budget allows, so joins
 on many states share one.  One builder (:func:`_fused`) assembles every
 fused candidate, for a join's regions and for :func:`new_alloc`'s merge
 alike: each region holds its base and adds only unallocated qubits, so
@@ -126,9 +126,10 @@ class SearchMemo:
     otherwise, so equal states are one object; ``index`` is the
     :class:`~qaiccc.completion.CompletionIndex` of the run's ``requests``
     on the graph, built here and only read after, or None when the complete
-    set is too large to enumerate; only then does ``verdicts`` fill, with
-    the decider's verdict, success or failure, on every sub-state it has
-    worked out for the run's ``requests`` (see :func:`completable`);
+    set is too large to enumerate or to file; only then does ``verdicts``
+    fill, with the decider's verdict, success or failure, on every
+    sub-state it has worked out for the run's ``requests`` (see
+    :func:`completable`);
     ``joins`` the states of each :func:`connect` call, by ``(state, owner,
     incoming)``;
     ``budgets`` each :func:`remain`, by the owner's trust and size and the

@@ -27,11 +27,12 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   enumerates every complete structure of a set of requests, anchoring
   each block on the lowest free qubit and branching over distinct
   ``(trust, size)`` requests, and gives up past :data:`INDEX_BUDGET`
-  candidate blocks.  It files the structures into two tables: per pair of
-  qubits, those that put both in one block, and per qubit and trust,
-  those that give the qubit a block of that trust.  A state can be
-  completed exactly when one structure holds each of its components
-  inside a block of its own, of the same trust, so
+  candidate blocks, or when the structures' blocks hold more than
+  :data:`INDEX_BUDGET` pairs of qubits.  It files the structures into two
+  tables: per pair of qubits, those that put both in one block, and per
+  qubit and trust, those that give the qubit a block of that trust.  A
+  state can be completed exactly when one structure holds each of its
+  components inside a block of its own, of the same trust, so
   :meth:`CompletionIndex.admits` gives the decider's verdict from bitsets
   over the structures.  The tables are only read once built.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
@@ -47,6 +48,7 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Sequence
 
 from .model import (
@@ -203,7 +205,10 @@ def _completable(
 
 #: Candidate blocks :func:`completion_index` tries before it gives up.
 #: Running out was measured at 0.04-0.27 s on untrusted (5,5,5) grids of
-#: 8x8 to 64x64 qubits (2-core x86_64, Python 3.11, shared host).
+#: 8x8 to 64x64 qubits (2-core x86_64, Python 3.11, shared host).  The
+#: pair table is held to as many entries: a block of ``b`` qubits fills
+#: ``b * (b - 1) / 2`` of them, so one idle block of a 4,096-qubit line
+#: would otherwise file 8.4 million.
 INDEX_BUDGET = 10_000
 
 class CompletionIndex:
@@ -275,8 +280,9 @@ def completion_index(
     leaves a connected free region smaller than every open request is
     dropped.  When structure ``i`` completes, bit ``i`` joins the
     structures of each of its ``(trust, block)`` pairs.  None when the
-    candidates tried, dropped or not, run past :data:`INDEX_BUDGET`;
-    :func:`decide` then answers.
+    candidates tried, dropped or not, run past :data:`INDEX_BUDGET`, or
+    when the distinct blocks hold more pairs of qubits than that, so the
+    tables would file more entries; :func:`decide` then answers.
     """
     adjacency = graph.adjacency_masks
     budget = INDEX_BUDGET
@@ -304,6 +310,8 @@ def completion_index(
                 remaining = free & ~block
                 if _regions_fit(remaining, smallest, adjacency):
                     stack.append((remaining, rest, blocks + ((trust, block),)))
+    if sum(math.comb(block.bit_count(), 2) for _, block in holders) > INDEX_BUDGET:
+        return None
     return CompletionIndex(count, holders, graph.vertex_count)
 
 

@@ -648,6 +648,30 @@ def test_the_budget_bounds_the_index_at_platform_scale(monkeypatch):
     assert drawn == completion_module.INDEX_BUDGET + 1
 
 
+def test_the_budget_bounds_the_pair_table(monkeypatch):
+    """A line with untrusted (5,) has two structures, each with one idle block of all but 5 qubits.
+
+    On 100 qubits the blocks hold 8,950 pairs, within the budget; on
+    ``MAX_QUBITS`` they would hold 16.7 million, so the index is refused
+    before its tables are filled.
+    """
+
+    def line(length):
+        return ConnectivityGraph(length, frozenset((q, q + 1) for q in range(length - 1)))
+
+    short = line(100)
+    index = completion_index(requests_of(short, SizeRequests(untrusted=(5,))), short)
+    assert index.count == 2
+    assert sum(map(len, index.together)) <= completion_module.INDEX_BUDGET
+
+    def unfilled(*args):
+        raise AssertionError("the tables were filled past the budget")
+
+    monkeypatch.setattr(completion_module, "CompletionIndex", unfilled)
+    long = line(MAX_QUBITS)
+    assert completion_index(requests_of(long, SizeRequests(untrusted=(5,))), long) is None
+
+
 class TestDeciderKeyCarriesTheOpenRequests:
     """Two growth paths meet in one ``(free, pending)`` with different open requests.
 
