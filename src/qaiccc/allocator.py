@@ -25,9 +25,10 @@ each its own structural key.  The repair operators take and return
 states and share one :class:`SearchMemo`, which :func:`allocate` creates
 from the run's graph, sizes and config; the operators read those three
 from the memo, so its tables are only ever read for the run they were
-worked out for.  Each distinct state is decided once, each
-:func:`connect` join, each growth budget and each join's region list is
-remembered for the rest of the run, and the memo dies with the run.  A
+worked out for.  Each distinct state is decided once, each growth budget,
+each :func:`connect` join that passes its owner's budget and each join's
+region list is remembered for the rest of the run, and the memo dies with
+the run; a join the budget refuses is answered at once, with no key kept.  A
 state's verdict is read from the run's index of every complete structure
 (:func:`qaiccc.completion.completion_index`, built with the memo); when
 the complete set is too large to enumerate or to file, the decider works
@@ -38,15 +39,17 @@ that base's lowest qubit reaches and the largest size the owner's budget allows,
 on many states share one.  One builder (:func:`_fused`) assembles every
 fused candidate, for a join's regions and for :func:`new_alloc`'s merge
 alike: each region holds its base and adds only unallocated qubits, so
-the components it meets are worked out once per call, and each region's
-fused component is bisected into the kept components, which a state
-holds in component order.
+the components it meets, the kept ones and their order keys are worked
+out in one pass per call, and each region's fused component is bisected
+into the kept components, which a state holds in component order.
 Safety is read on masks (:func:`qaiccc.safety.state_verdict`), each
 rate's masks worked out once per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
 the one final deduplicator of candidates.  An :class:`Allocation` is
 built only for a state in neither, once its admission replay on the state
-(:func:`replay_state`) has found it safe, with its final attributes.
+(:func:`replay_state`) has found it safe, with its final attributes; a
+member's later attribute updates (:func:`eval_alloc`,
+:func:`archive_alloc`) share its structure rather than normalise it again.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from .model import (  # noqa: F401
     allocation_of,
     canonicalize,
     check_score_total,
-    component_order,
     dedup_allocations,
     mask_region,
     qubit_mask,
@@ -130,18 +132,20 @@ class SearchMemo:
     fill, with the decider's verdict, success or failure, on every
     sub-state it has worked out for the run's ``requests`` (see
     :func:`completable`);
-    ``joins`` the states of each :func:`connect` call, by ``(state, owner,
-    incoming)``;
-    ``budgets`` each :func:`remain`, by the owner's trust and size and the
-    state's ``(trust, size)`` sequence; ``regions`` the regions of every
+    ``joins`` the states of each :func:`connect` call whose join passed the
+    owner's growth budget, by ``(state, owner, incoming)``: a join refused
+    on budget is answered before any key is built;
+    ``shapes`` the ``(trust, size)`` shape of each component tuple (see
+    :func:`_budget`); ``budgets`` each :func:`remain`, by the owner's trust
+    and size and the state's shape; ``regions`` the regions of every
     join, by ``(base, reach, top)``: a join's regions depend on nothing
     else, given the config's ``max_paths_per_connect`` (see
     :func:`_regions`).
     """
 
     __slots__ = (
-        "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "budgets",
-        "regions",
+        "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "shapes",
+        "budgets", "regions",
     )
 
     def __init__(
@@ -155,6 +159,7 @@ class SearchMemo:
         self.index = completion_index(self.requests, graph)
         self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
+        self.shapes: dict[tuple[StateComponent, ...], tuple[int, ...]] = {}
         self.budgets: dict[tuple, int] = {}
         self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
@@ -230,12 +235,16 @@ def connect(
     regions of the memo's config in that order each give, through
     :func:`_fused`, the state :func:`new_alloc` would give for them, kept
     when the decider accepts it; a region is connected and holds ``owner |
-    incoming``, so its fused component is connected too.  A join already
-    made in this run is answered from the ``memo``, as a new list.  The
+    incoming``, so its fused component is connected too.  A join whose
+    incoming qubits the budget cannot take is refused first, with an empty
+    list and no memo key; any other join already made in this run is
+    answered from the ``memo``, as a new list.  The
     regions themselves depend only on ``owner | incoming``, the free
     qubits it reaches and the budget, and the ``memo`` enumerates them
     once for every join that shares those.
     """
+    if _budget(state, owner, memo) < (incoming & ~owner[1]).bit_count():
+        return []  # refused on budget: no join key is built or kept
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
     if joined is None:
@@ -261,15 +270,24 @@ def _fused(
     to.  A state the run has not seen goes to :func:`completable`.
     """
     free, components = state
-    touching = [c for c in components if c[1] & base]
-    trust = touching[0][0] if touching else owner[0]
-    if any(c[0] is not trust for c in touching):  # every region would mix classes
-        return
+    trust = None
     touched = 0
-    for _, mask in touching:
-        touched |= mask
-    kept = tuple(c for c in components if not c[1] & base)
-    keys = [component_order(c) for c in kept]
+    others: list[StateComponent] = []
+    keys: list[tuple[Trust, int]] = []
+    for component in components:
+        kind, mask = component
+        if mask & base:
+            if trust is None:
+                trust = kind
+            elif kind is not trust:  # every region would mix classes
+                return
+            touched |= mask
+        else:
+            others.append(component)
+            keys.append((kind, mask & -mask))
+    if trust is None:
+        trust = owner[0]
+    kept = tuple(others)
     states = memo.states
     for region in regions:
         fused = region | touched
@@ -282,13 +300,34 @@ def _fused(
             yield known
 
 
+def _budget(state: SearchState, owner: StateComponent, memo: SearchMemo) -> int:
+    """The growth budget of ``owner`` in ``state`` (:func:`remain`), remembered by signature.
+
+    A budget depends on the state only through the ``(trust, size)`` shape
+    of its components, which the ``memo`` works out once per component
+    tuple, each component as one small int: twice its size, plus one when
+    it is trusted.
+    """
+    components = state[1]
+    shape = memo.shapes.get(components)
+    if shape is None:
+        shape = memo.shapes[components] = tuple(
+            m.bit_count() << 1 | (t is Trust.TRUSTED) for t, m in components
+        )
+    signature = (owner[0], owner[1].bit_count(), shape)
+    budget = memo.budgets.get(signature)
+    if budget is None:
+        budget = memo.budgets[signature] = remain(owner, state, memo.sizes)
+    return budget
+
+
 def _regions(
     state: SearchState, owner: StateComponent, incoming: int, memo: SearchMemo
 ) -> tuple[int, ...]:
     """The first ``max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
 
-    Empty when the owner's growth budget (:func:`remain`, remembered by
-    signature) cannot take ``incoming``, or when ``base = user | incoming``
+    Empty when the owner's growth budget (:func:`_budget`) cannot take
+    ``incoming``, or when ``base = user | incoming``
     is not connected through free qubits.  A budget with no room for a
     connector leaves ``base`` itself as the one region, when it is
     connected, and that needs no enumeration.  Otherwise the regions depend
@@ -298,12 +337,8 @@ def _regions(
     once per run for each ``(base, reach, top)`` and kept in the
     ``memo`` as one tuple.
     """
-    trust, user = owner
-    signature = (trust, user.bit_count(), tuple((t, m.bit_count()) for t, m in state[1]))
-    budget = memo.budgets.get(signature)
-    if budget is None:
-        budget = memo.budgets[signature] = remain(owner, state, memo.sizes)
-    max_len = budget - (incoming & ~user).bit_count()
+    user = owner[1]
+    max_len = _budget(state, owner, memo) - (incoming & ~user).bit_count()
     if max_len < 0:
         return ()
 
@@ -462,7 +497,7 @@ def eval_alloc(allocation: Allocation, rate: CrosstalkRate) -> Allocation:
     if rate.involved & allocation.unallocated:
         penalty = penalty + rate.score
         incidental = incidental + (rate,)
-    return replace(allocation, score=rate.score, penalty=penalty, incidental=incidental)
+    return allocation.with_attributes(score=rate.score, penalty=penalty, incidental=incidental)
 
 
 #: A rate as the search reads it: the rate with its impacting, impacted and involved masks.
@@ -521,7 +556,7 @@ def archive_alloc(
     """
     if key not in population:
         raise ValueError("member is not in the population")
-    retired = replace(population.pop(key), last_rate=rate)
+    retired = population.pop(key).with_attributes(last_rate=rate)
     archive[key] = retired
     return retired
 

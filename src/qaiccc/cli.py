@@ -19,10 +19,10 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .allocator import AllocationOutcome, SearchConfig, allocate
-from .completion import RequestLabel, request_slots
+from .completion import request_slots
 from .errors import (
     InputFileError,
     InstanceTooLargeError,
@@ -34,6 +34,7 @@ from .ingest import (
     dumps,
     finite_number,
     integer_list,
+    json_scalar,
     load_platform,
     load_rates,
     load_requests,
@@ -68,7 +69,9 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# serialization.  A report allocation has one checked reader,
+# serialization.  The allocate report is written by ``RunReport.to_json``
+# and the oracle report by ``ingest.dumps``.  A report allocation has one
+# checked reader,
 # ``allocation_from_dict`` (its rate records: ``ingest.rate_from_record``);
 # a malformed field raises InputFileError naming it, e.g.
 # ``'ranking[3].components[0].qubits' repeats a qubit``.
@@ -87,20 +90,6 @@ def _field(data, key: str, where: str, kind: type | None = None):
 
 def _qubits(value, name: str) -> frozenset[int]:
     return frozenset(integer_list(value, name, distinct=True))
-
-
-def allocation_to_dict(allocation: Allocation) -> dict:
-    return {
-        "unallocated": sorted(allocation.unallocated),
-        "components": [
-            {"trust": comp.trust.value, "qubits": sorted(comp.qubits)}
-            for comp in allocation.components
-        ],
-        "score": allocation.score,
-        "penalty": allocation.penalty,
-        "incidental": [rate_to_record(r) for r in allocation.incidental],
-        "last_rate": rate_to_record(allocation.last_rate) if allocation.last_rate else None,
-    }
 
 
 def allocation_from_dict(data: Mapping, where: str = "allocation") -> Allocation:
@@ -130,14 +119,24 @@ def allocation_from_dict(data: Mapping, where: str = "allocation") -> Allocation
     )
 
 
-def _assignment_to_dict(
-    assignment: Mapping[RequestLabel, frozenset[int]], sizes: SizeRequests
-) -> dict:
-    return {
-        "trusted": [sorted(assignment[("trusted", i)]) for i in range(len(sizes.trusted))],
-        "untrusted": [sorted(assignment[("untrusted", i)]) for i in range(len(sizes.untrusted))],
-        "idle": sorted(assignment[("idle", 0)]) if sizes.idle_size is not None else None,
-    }
+def _list(texts: Sequence[str], indent: str) -> str:
+    """A JSON list of written items, laid out at ``indent`` as ``json.dumps(..., indent=2)`` does."""
+    if not texts:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + indent + "]"
+
+
+def _ints(values: Iterable[int], indent: str) -> str:
+    """A JSON list of ints, laid out at ``indent``."""
+    return _list([*map(int.__repr__, values)], indent)
+
+
+def _object(fields: Iterable[tuple[str, str]], indent: str) -> str:
+    """A JSON object of ``(key, written value)`` fields, laid out at ``indent``."""
+    inner = "\n" + indent + "  "
+    texts = [json_scalar(key) + ": " + text for key, text in fields]
+    return "{" + inner + ("," + inner).join(texts) + "\n" + indent + "}" if texts else "{}"
 
 
 @dataclass(frozen=True)
@@ -149,28 +148,97 @@ class RunReport:
     selected: SelectionResult
     timings: Mapping[str, float] | None
 
-    def to_dict(self) -> dict:
-        payload = {
-            "schema": REPORT_SCHEMA,
-            "requests": {
-                "trusted": list(self.sizes.trusted),
-                "untrusted": list(self.sizes.untrusted),
-                "idle": self.sizes.idle_size,
-            },
-            "config": {
-                "max_population": self.config.max_population,
-                "max_paths_per_connect": self.config.max_paths_per_connect,
-            },
-            "selected": {
-                "allocation": allocation_to_dict(self.selected.allocation),
-                "assignment": _assignment_to_dict(self.selected.assignment, self.sizes),
-            },
-            "worklist": [rate_to_record(r) for r in self.selected.worklist],
-            "ranking": [allocation_to_dict(a) for a in self.selected.ranking],
-        }
+    def to_json(self) -> str:
+        """The report in the ``REPORT_SCHEMA`` layout, as ``json.dumps(..., indent=2)`` writes it.
+
+        The fixed schema is written straight from the report, with no dict
+        tree in between.  Within one report the text of each distinct rate
+        record and component, at its indent, is written once: the ranking
+        repeats the same few rates on hundreds of entries.
+        """
+        rates: dict[tuple[CrosstalkRate, str], str] = {}
+        components: dict[tuple[Trust, frozenset[int]], str] = {}
+
+        def rate(record: CrosstalkRate, indent: str) -> str:
+            text = rates.get((record, indent))
+            if text is None:
+                inner = indent + "  "
+                text = rates[record, indent] = _object(
+                    (
+                        ("score", json_scalar(record.score)),
+                        ("impacting", _ints(sorted(record.impacting), inner)),
+                        ("impacted", _ints(sorted(record.impacted), inner)),
+                    ),
+                    indent,
+                )
+            return text
+
+        def component(comp: UserComponent) -> str:
+            """A component at the one indent every component of the report sits at."""
+            key = (comp.trust, comp.qubits)
+            text = components.get(key)
+            if text is None:
+                qubits = _ints(sorted(comp.qubits), " " * 10)
+                text = components[key] = _object(
+                    (("trust", json_scalar(comp.trust.value)), ("qubits", qubits)), " " * 8
+                )
+            return text
+
+        def allocation(alloc: Allocation) -> str:
+            """An allocation at the one indent every allocation of the report sits at."""
+            held = _list([component(c) for c in alloc.components], " " * 6)
+            incidental = _list([rate(r, " " * 8) for r in alloc.incidental], " " * 6)
+            last = "null" if alloc.last_rate is None else rate(alloc.last_rate, " " * 6)
+            return (
+                f'{{\n      "unallocated": {_ints(sorted(alloc.unallocated), " " * 6)},'
+                f'\n      "components": {held},'
+                f'\n      "score": {json_scalar(alloc.score)},'
+                f'\n      "penalty": {json_scalar(alloc.penalty)},'
+                f'\n      "incidental": {incidental},'
+                f'\n      "last_rate": {last}\n    }}'
+            )
+
+        sizes, selected = self.sizes, self.selected
+        bound = selected.assignment
+        counts = (("trusted", len(sizes.trusted)), ("untrusted", len(sizes.untrusted)))
+        assignment = [
+            (kind, _list([_ints(sorted(bound[kind, i]), " " * 8) for i in range(count)], " " * 6))
+            for kind, count in counts
+        ]
+        idle = "null" if sizes.idle_size is None else _ints(sorted(bound["idle", 0]), " " * 6)
+        assignment.append(("idle", idle))
+        fields = [
+            ("schema", json_scalar(REPORT_SCHEMA)),
+            ("requests", _object(
+                (
+                    ("trusted", _ints(sizes.trusted, "    ")),
+                    ("untrusted", _ints(sizes.untrusted, "    ")),
+                    ("idle", json_scalar(sizes.idle_size)),
+                ),
+                "  ",
+            )),
+            ("config", _object(
+                (
+                    ("max_population", json_scalar(self.config.max_population)),
+                    ("max_paths_per_connect", json_scalar(self.config.max_paths_per_connect)),
+                ),
+                "  ",
+            )),
+            ("selected", _object(
+                (
+                    ("allocation", allocation(selected.allocation)),
+                    ("assignment", _object(assignment, "    ")),
+                ),
+                "  ",
+            )),
+            ("worklist", _list([rate(r, "    ") for r in selected.worklist], "  ")),
+            ("ranking", _list([allocation(a) for a in selected.ranking], "  ")),
+        ]
         if self.timings is not None:
-            payload["timings"] = dict(self.timings)
-        return payload
+            fields.append(
+                ("timings", _object([(k, json_scalar(v)) for k, v in self.timings.items()], "  "))
+            )
+        return _object(fields, "")
 
 
 def oracle_report_to_dict(report: OracleReport) -> dict:
@@ -305,7 +373,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         timings=timings,
     )
     if args.format == "json":
-        _write_output(dumps(report.to_dict()) + "\n", args.output)
+        _write_output(report.to_json() + "\n", args.output)
     else:
         _write_output(render_text(report, outcome, args.verbose), args.output)
     return EXIT_OK

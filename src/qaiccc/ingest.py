@@ -8,8 +8,10 @@ All files are UTF-8 JSON:
   and ``impacted`` plus either a precomputed ``score`` or the pair
   ``stochastic`` + ``hamiltonian`` whose sum is the composite score.
 
-Files and the CLI's reports are written by :func:`dumps`, which lays
-JSON out as ``json.dumps(..., indent=2)`` does.  Rates keep their file
+Files and the oracle report are written by :func:`dumps`, which lays
+JSON out as ``json.dumps(..., indent=2)`` does; the allocate report's
+writer (:meth:`qaiccc.cli.RunReport.to_json`) lays out its fixed schema
+the same way, with the scalars of :func:`json_scalar`.  Rates keep their file
 order here; sorting in decreasing score order is the allocator's job.
 A deterministic synthetic generator stands in for the physical crosstalk
 measurement so the allocator can be exercised without lab data.
@@ -58,18 +60,16 @@ def _read_json(path: str | Path):
 _CONTAINERS = (dict, list, tuple)
 
 
-def _scalar(value) -> str:
+def json_scalar(value) -> str:
     """A JSON scalar as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     if isinstance(value, float):
+        if value - value == 0:  # finite
+            return float.__repr__(value)
         if value != value:
             return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if value is True:
         return "true"
     if value is False:
@@ -84,7 +84,7 @@ def _scalar(value) -> str:
 def _emit(value, indent: str, chunks: list[str]) -> None:
     """Append ``value`` to ``chunks`` as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
     if not isinstance(value, _CONTAINERS):
-        chunks.append(_scalar(value))
+        chunks.append(json_scalar(value))
         return
     if not value:
         chunks.append("{}" if isinstance(value, dict) else "[]")
@@ -96,7 +96,7 @@ def _emit(value, indent: str, chunks: list[str]) -> None:
         for at, (key, item) in enumerate(value.items()):
             if at:
                 chunks.append(separator)
-            chunks.append(_scalar(key if isinstance(key, str) else _scalar(key)) + ": ")
+            chunks.append(json_scalar(key if isinstance(key, str) else json_scalar(key)) + ": ")
             _emit(item, inner, chunks)
         chunks.append("\n" + indent + "}")
         return

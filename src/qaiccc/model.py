@@ -266,6 +266,23 @@ class Allocation:
     def components_of(self, trust: Trust) -> tuple[UserComponent, ...]:
         return tuple(c for c in self.components if c.trust is trust)
 
+    def with_attributes(self, **attributes) -> Allocation:
+        """This allocation with some search attributes replaced, sharing its structure.
+
+        Unlike ``dataclasses.replace`` it does not run ``__post_init__``
+        again: the structure is already normalised, and only ``score``,
+        ``penalty``, ``incidental`` (a tuple) and ``last_rate`` may be given.
+        """
+        if not attributes.keys() <= _ATTRIBUTES:
+            raise TypeError(f"not search attributes: {sorted(attributes.keys() - _ATTRIBUTES)}")
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **attributes)
+        return copy
+
+
+#: The fields of an :class:`Allocation` that never enter its canonical key.
+_ATTRIBUTES = frozenset({"score", "penalty", "incidental", "last_rate"})
+
 
 def canonicalize(allocation: Allocation) -> CanonicalKey:
     """Total-order normal form of an allocation's structure.

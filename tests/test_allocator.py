@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 import sys
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 
 import pytest
@@ -141,6 +142,69 @@ class TestEvalAlloc:
         twice = eval_alloc(eval_alloc(allocation, demo_rates[0]), demo_rates[0])
         assert twice.penalty == pytest.approx(2 * 0.0027, abs=1e-15)
         assert len(twice.incidental) == 2
+
+
+def _reference_eval_alloc(allocation, rate):
+    """``eval_alloc`` as it was written with ``dataclasses.replace``."""
+    penalty, incidental = allocation.penalty, allocation.incidental
+    if rate.involved & allocation.unallocated:
+        penalty, incidental = penalty + rate.score, incidental + (rate,)
+    return replace(allocation, score=rate.score, penalty=penalty, incidental=incidental)
+
+
+_MEMBER_RATES = st.sampled_from([
+    CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2})),
+    CrosstalkRate(0.0017, frozenset({1, 2}), frozenset({0})),
+    CrosstalkRate(0.0013, frozenset({2, 4}), frozenset({0})),
+    CrosstalkRate(0.0, frozenset({5}), frozenset({6})),
+])
+
+
+@st.composite
+def members(draw):
+    """An allocation of 0..7 with components in any order, and its search attributes."""
+    owners = draw(st.lists(st.integers(-1, 3), min_size=8, max_size=8))
+    trusts = draw(st.lists(st.sampled_from(list(Trust)), min_size=4, max_size=4))
+    groups = [frozenset(q for q, o in enumerate(owners) if o == k) for k in range(4)]
+    components = [UserComponent(trusts[k], g) for k, g in enumerate(groups) if g]
+    return Allocation(
+        unallocated=frozenset(q for q, o in enumerate(owners) if o < 0),
+        components=tuple(draw(st.permutations(components))),
+        score=draw(st.floats(0, 1)),
+        penalty=draw(st.floats(0, 1)),
+        incidental=tuple(draw(st.lists(_MEMBER_RATES, max_size=3))),
+        last_rate=draw(st.none() | _MEMBER_RATES),
+    )
+
+
+def same_fields(left, right):
+    names = [field.name for field in dataclass_fields(Allocation)]
+    return all(getattr(left, name) == getattr(right, name) for name in names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members(), _MEMBER_RATES, _MEMBER_RATES)
+def test_member_updates_equal_the_replace_results(member, rate, fall):
+    before = dict(vars(member))
+    evaluated = eval_alloc(member, rate)
+    assert same_fields(evaluated, _reference_eval_alloc(member, rate))
+    key = state_of(member)
+    population, archive = {key: member}, {}
+    retired = archive_alloc(key, population, archive, fall)
+    assert same_fields(retired, replace(member, last_rate=fall))
+    assert population == {} and archive[key] is retired
+    for copy in (evaluated, retired):
+        assert copy == replace(copy) and hash(copy) == hash(replace(copy))
+        assert copy.components == tuple(sorted(copy.components, key=UserComponent.sort_key))
+        assert type(copy.unallocated) is frozenset and type(copy.incidental) is tuple
+    assert vars(member) == before
+
+
+def test_only_search_attributes_are_replaced_in_place(demo_rates):
+    member = build(5, u(2, 3))
+    with pytest.raises(TypeError, match="components"):
+        member.with_attributes(components=(u(3, 2),))
+    assert member.with_attributes(last_rate=demo_rates[0]).components is member.components
 
 
 class TestConnect:
@@ -1229,6 +1293,30 @@ class TestWarmMemo:
                         cold = connect(*args, memo=SearchMemo(full, instance.graph))
                         assert connect(*args, memo=shared) == cold
                         assert connect(*args, memo=shared) == cold
+
+    def test_a_join_refused_on_budget_is_empty_and_keeps_no_key(self, family):
+        refused = 0
+        for instance in family:
+            full = update_sizes(instance.graph.vertex_count, instance.sizes)
+            outcome = allocate(instance.graph, instance.sizes, instance.rates)
+            shared = SearchMemo(full, instance.graph)
+            for allocation in outcome.allocations:
+                state = state_of(allocation)
+                free = [1 << q for q in sorted(allocation.unallocated)]
+                incoming = free + [mask for _, mask in state[1]] + [state[0]]
+                for joined in state[1] + ((Trust.TRUSTED, 0), FRESH_U):
+                    for target in filter(None, incoming):
+                        args = (state, joined, target)
+                        cold = connect(*args, memo=SearchMemo(full, instance.graph))
+                        keys_before = len(shared.joins)
+                        warm = connect(*args, memo=shared)
+                        assert warm == cold
+                        if remain(joined, state, full) < (target & ~joined[1]).bit_count():
+                            refused += 1
+                            assert warm == [] and len(shared.joins) == keys_before
+                        else:
+                            assert args in shared.joins
+        assert refused > 100
 
     def test_mutating_a_returned_list_leaves_later_hits_alone(self, demo_graph):
         sizes = SizeRequests(untrusted=(2, 3))

@@ -27,7 +27,7 @@ from qaiccc.cli import (
     rate_from_record,
 )
 from qaiccc.errors import InputFileError
-from qaiccc.ingest import dumps
+from qaiccc.ingest import dumps, save_platform, save_rates, save_requests
 
 PLATFORM = {"qubits": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}
 REQUESTS = {"trusted": [], "untrusted": [2, 3]}
@@ -406,3 +406,177 @@ class TestRepeatedMainCalls:
         calls = proc.stderr.split("-- call done\n")
         assert len(calls) == 4 and calls[3] == ""
         assert ["rate 0.0027 -> population" in call for call in calls[:3]] == [False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# the allocate report's writer against a frozen copy of the dict it replaced
+
+
+def _reference_rate(rate):
+    return {
+        "score": rate.score, "impacting": sorted(rate.impacting), "impacted": sorted(rate.impacted)
+    }
+
+
+def _reference_allocation(allocation):
+    return {
+        "unallocated": sorted(allocation.unallocated),
+        "components": [
+            {"trust": comp.trust.value, "qubits": sorted(comp.qubits)}
+            for comp in allocation.components
+        ],
+        "score": allocation.score,
+        "penalty": allocation.penalty,
+        "incidental": [_reference_rate(r) for r in allocation.incidental],
+        "last_rate": _reference_rate(allocation.last_rate) if allocation.last_rate else None,
+    }
+
+
+def reference(report):
+    """The report's dict as ``RunReport.to_dict`` built it before the writer replaced it."""
+    sizes, selected = report.sizes, report.selected
+    assignment = selected.assignment
+    payload = {
+        "schema": REPORT_SCHEMA,
+        "requests": {
+            "trusted": list(sizes.trusted),
+            "untrusted": list(sizes.untrusted),
+            "idle": sizes.idle_size,
+        },
+        "config": {
+            "max_population": report.config.max_population,
+            "max_paths_per_connect": report.config.max_paths_per_connect,
+        },
+        "selected": {
+            "allocation": _reference_allocation(selected.allocation),
+            "assignment": {
+                "trusted": [sorted(assignment[("trusted", i)]) for i in range(len(sizes.trusted))],
+                "untrusted": [
+                    sorted(assignment[("untrusted", i)]) for i in range(len(sizes.untrusted))
+                ],
+                "idle": sorted(assignment[("idle", 0)]) if sizes.idle_size is not None else None,
+            },
+        },
+        "worklist": [_reference_rate(r) for r in selected.worklist],
+        "ranking": [_reference_allocation(a) for a in selected.ranking],
+    }
+    if report.timings is not None:
+        payload["timings"] = dict(report.timings)
+    return payload
+
+
+_QUBITS = st.frozensets(st.integers(0, 40), max_size=6)
+_SCORES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e-300, 1e300]
+)
+
+
+@st.composite
+def _rates(draw):
+    impacting, impacted = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+    qubits = draw(st.lists(st.integers(0, 40), min_size=4, max_size=4, unique=True))
+    return qaiccc.CrosstalkRate(
+        draw(_SCORES), frozenset(qubits[:impacting]), frozenset(qubits[2:2 + impacted])
+    )
+
+
+@st.composite
+def _allocations(draw, rates):
+    components = draw(st.lists(
+        st.builds(qaiccc.UserComponent, st.sampled_from(list(qaiccc.Trust)), _QUBITS.filter(bool)),
+        max_size=4,
+    ))
+    return qaiccc.Allocation(
+        unallocated=draw(_QUBITS),
+        components=tuple(components),
+        score=draw(_SCORES),
+        penalty=draw(_SCORES),
+        incidental=tuple(draw(st.lists(st.sampled_from(rates), max_size=4))),
+        last_rate=draw(st.none() | st.sampled_from(rates)),
+    )
+
+
+@st.composite
+def _reports(draw):
+    sizes = qaiccc.SizeRequests(
+        trusted=tuple(draw(st.lists(st.integers(1, 50), max_size=3))),
+        untrusted=tuple(draw(st.lists(st.integers(1, 50), max_size=3))),
+        idle_size=draw(st.none() | st.integers(1, 50)),
+    )
+    config = qaiccc.SearchConfig(
+        max_population=draw(st.none() | st.integers(1, 10**6)),
+        max_paths_per_connect=draw(st.integers(1, 10**6)),
+    )
+    labels = [("trusted", i) for i in range(len(sizes.trusted))]
+    labels += [("untrusted", i) for i in range(len(sizes.untrusted))]
+    labels += [("idle", 0)] if sizes.idle_size is not None else []
+    rates = draw(st.lists(_rates(), min_size=1, max_size=5))
+    ranking = tuple(draw(st.lists(_allocations(rates), min_size=1, max_size=6)))
+    selected = qaiccc.SelectionResult(
+        allocation=draw(st.sampled_from(ranking)),
+        assignment={label: draw(_QUBITS) for label in labels},
+        worklist=tuple(draw(st.lists(st.sampled_from(rates), max_size=5))),
+        ranking=ranking,
+    )
+    timings = draw(
+        st.none() | st.dictionaries(st.text(max_size=8), _SCORES | st.floats(), max_size=3)
+    )
+    return cli.RunReport(sizes, config, selected, timings)
+
+
+_RATE = qaiccc.CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2}))
+_OTHER = qaiccc.CrosstalkRate(1e300, frozenset({0}), frozenset({1}))
+
+
+def _example(*, trusted=(), idle=None, worklist=(), incidental=(), last_rate=None, timings=None):
+    sizes = qaiccc.SizeRequests(trusted=trusted, untrusted=(), idle_size=idle)
+    member = qaiccc.Allocation(
+        unallocated=frozenset({0, 1}),
+        components=(qaiccc.UserComponent(qaiccc.Trust.TRUSTED, frozenset({2, 3, 4})),),
+        score=0.0027,
+        penalty=0.0,
+        incidental=incidental,
+        last_rate=last_rate,
+    )
+    assignment = {("trusted", i): frozenset({i}) for i in range(len(trusted))}
+    if idle is not None:
+        assignment["idle", 0] = frozenset({5, 6})
+    selected = qaiccc.SelectionResult(member, assignment, worklist, (member, member))
+    return cli.RunReport(sizes, qaiccc.SearchConfig(), selected, timings)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reports())
+@example(_example())  # empty worklist, no incidental, no last rate, idle null, no timings
+@example(_example(trusted=(3, 2), worklist=(_RATE, _OTHER), last_rate=_RATE))
+@example(_example(incidental=(_RATE, _OTHER, _RATE), last_rate=_OTHER, idle=2))
+@example(_example(trusted=(1,), timings={"ingest_s": 0.0, "allocate_s": 1e-300, "select_s": 1e300}))
+@example(_example(timings={}))
+def test_report_writer_writes_what_the_standard_library_writes(report):
+    assert report.to_json() == json.dumps(reference(report), indent=2)
+
+
+def test_family_reports_through_the_command_are_the_reference_bytes(family, tmp_path, capsys):
+    for instance in family:
+        paths = {}
+        for name, save, value in (
+            ("platform", save_platform, instance.graph),
+            ("requests", save_requests, instance.sizes),
+            ("rates", save_rates, instance.rates),
+        ):
+            paths[name] = str(tmp_path / f"{instance.seed}.{name}.json")
+            save(value, paths[name])
+        outcome = qaiccc.allocate(instance.graph, instance.sizes, instance.rates)
+        selected = qaiccc.select(outcome, instance.graph)
+        expected = cli.RunReport(outcome.sizes, qaiccc.SearchConfig(), selected, None)
+        assert run_allocate(paths, "--no-timings") == EXIT_OK
+        bare = capsys.readouterr().out
+        assert bare == json.dumps(reference(expected), indent=2) + "\n"
+        assert run_allocate(paths) == EXIT_OK
+        timed = capsys.readouterr().out
+        # The timings differ from run to run: the rest is the bare report,
+        # and the whole is laid out as the standard library lays it out.
+        data = json.loads(timed)
+        assert set(data.pop("timings")) == {"ingest_s", "allocate_s", "select_s"}
+        assert data == json.loads(bare)
+        assert timed == json.dumps(json.loads(timed), indent=2) + "\n"

@@ -88,16 +88,37 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     # structure count.  The index answers every verdict, so the decider's
     # table stays empty and every other table fills.
     tables = fields[fields.index("memo") + 1:fields.index("index")]
-    assert tables[::2] == ["states", "verdicts", "joins", "budgets", "regions"]
+    assert tables[::2] == ["states", "verdicts", "joins", "shapes", "budgets", "regions"]
     sizes = dict(zip(tables[::2], map(int, tables[1::2])))
     assert sizes.pop("verdicts") == 0
     assert all(size > 0 for size in sizes.values())
+    # Every state's component tuple has one shape, and equal tuples are one
+    # entry, so there are no more shapes than states.
+    assert sizes["shapes"] <= sizes["states"]
     assert fields[fields.index("index") + 1] == "28"
     # The profile's rows, by self time, the largest first.
     assert len(top) == 3
     self_times = [float(row.split()[1]) for row in top]
     assert self_times == sorted(self_times, reverse=True)
     assert all(row.startswith("  self_s ") and " calls " in row for row in top)
+
+
+def test_comparing_and_timing_trees_leave_no_bytecode_in_them(tmp_path, capsys, monkeypatch):
+    # A ``__pycache__`` left in one tree would make its later children skip
+    # compiling the package, and skew a timing pair against the other tree.
+    # The tools keep bytecode out even where the caller's environment allows it.
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    trees = [tmp_path / "old", tmp_path / "new"]
+    for tree in trees:
+        shutil.copytree(
+            ROOT / "src" / "qaiccc", tree / "src" / "qaiccc",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+    assert load_tool().main([str(trees[0]), str(trees[1]), "--only", "i00"]) == 0
+    scale = load_file("device_scale", ROOT / "tools" / "device_scale.py")
+    assert scale.main([str(trees[1]), "--k", "1"]) == 0
+    capsys.readouterr()
+    assert [path for tree in trees for path in (tree / "src").rglob("__pycache__")] == []
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blank_lines():

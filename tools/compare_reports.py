@@ -12,7 +12,9 @@ and as text ``--verbose --no-timings``, and every oracle instance also
 runs ``oracle``: 376 commands.  ``--only`` keeps the named instances.
 
 Every command runs in a fresh interpreter against each tree, on the same
-input files.  The script prints one line per command whose stdout (the
+input files, with ``PYTHONDONTWRITEBYTECODE=1``: a comparison leaves no
+``__pycache__`` in either tree to skew later timings of one against the
+other.  The script prints one line per command whose stdout (the
 report), stderr or exit code differs, then a summary, and exits 1 when
 anything differed.  Two commands run at once.  Standard library only.
 """
@@ -55,7 +57,7 @@ def behaviour_set(work: Path, only: set[str] | None) -> list[tuple[str, list[str
 
 
 def run(tree: Path, args: list[str]) -> tuple[int, bytes, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-m", "qaiccc.cli", *args],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=600,

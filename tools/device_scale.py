@@ -18,7 +18,9 @@ sizes, the interpreter's peak resident memory (``VmHWM``; blank where
 run's ``allocator.SearchMemo`` when the search ends (``-`` for a table the
 tree does not have), then the number of complete structures in the memo's
 completion index (``-`` when the run fell back to the decider, or the
-tree has no index).  With ``--profile N`` each run is made under the
+tree has no index).  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so
+no run leaves a ``__pycache__`` in a tree to speed up the next one.  With
+``--profile N`` each run is made under the
 standard library's ``cProfile`` (so its seconds include the profiler's
 overhead) and is followed by the ``N`` functions with the most self
 time: self seconds, cumulative seconds, calls and the function.
@@ -45,7 +47,7 @@ EDGES = (
 )
 
 #: The ``allocator.SearchMemo`` tables whose entry counts a run line gives.
-MEMO_TABLES = ("states", "verdicts", "joins", "budgets", "regions")
+MEMO_TABLES = ("states", "verdicts", "joins", "shapes", "budgets", "regions")
 
 CHILD = """
 import cProfile, json, pstats, sys, time
@@ -102,7 +104,7 @@ def measure(tree: Path, k: int, profile: int = 0) -> dict:
     ``profile`` entry lists that many of its functions with the most self
     time, each as ``[self_s, total_s, calls, function]``.
     """
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps([EDGES, k, profile, MEMO_TABLES])],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
