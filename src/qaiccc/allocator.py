@@ -243,14 +243,15 @@ def connect(
     qubits it reaches and the budget, and the ``memo`` enumerates them
     once for every join that shares those.
     """
-    if _budget(state, owner, memo) < (incoming & ~owner[1]).bit_count():
+    room = _budget(state, owner, memo) - (incoming & ~owner[1]).bit_count()
+    if room < 0:
         return []  # refused on budget: no join key is built or kept
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
     if joined is None:
         # A join without regions ends before its components are looked at.
-        regions = _regions(state, owner, incoming, memo)
         base = owner[1] | incoming
+        regions = _regions(base, state[0], room, memo)
         joined = memo.joins[key] = tuple(_fused(state, owner, base, regions, memo)) if regions else ()
     return list(joined)
 
@@ -321,37 +322,31 @@ def _budget(state: SearchState, owner: StateComponent, memo: SearchMemo) -> int:
     return budget
 
 
-def _regions(
-    state: SearchState, owner: StateComponent, incoming: int, memo: SearchMemo
-) -> tuple[int, ...]:
+def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ...]:
     """The first ``max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
 
-    Empty when the owner's growth budget (:func:`_budget`) cannot take
-    ``incoming``, or when ``base = user | incoming``
-    is not connected through free qubits.  A budget with no room for a
-    connector leaves ``base`` itself as the one region, when it is
-    connected, and that needs no enumeration.  Otherwise the regions depend
-    on the state only through ``reach``, the part of ``base`` and the free
-    qubits that base's lowest qubit reaches, and through ``top``, the
-    largest region size the budget allows within it; they are enumerated
-    once per run for each ``(base, reach, top)`` and kept in the
-    ``memo`` as one tuple.
+    ``base`` is the owner's mask with the incoming qubits, ``free`` the
+    state's unallocated qubits, and ``room`` the connectors the owner's
+    growth budget still allows, never negative: :func:`connect` refuses a
+    join its budget cannot take.  Empty when ``base`` is not connected
+    through free qubits.  No room for a connector leaves ``base`` itself
+    as the one region, when it is connected, and that needs no
+    enumeration.  Otherwise the regions
+    depend on ``free`` only through ``reach``, the part of ``base`` and the
+    free qubits that base's lowest qubit reaches, and through ``top``, the
+    largest region size the room allows within it; they are enumerated
+    once per run for each ``(base, reach, top)`` and kept in the ``memo``
+    as one tuple.
     """
-    user = owner[1]
-    max_len = _budget(state, owner, memo) - (incoming & ~user).bit_count()
-    if max_len < 0:
-        return ()
-
-    base = user | incoming
     adjacency = memo.graph.adjacency_masks
-    if not max_len:  # no room for a connector: ``base`` is the one region, when connected
+    if not room:  # no room for a connector: ``base`` is the one region, when connected
         return (base,) if mask_region(base & -base, base, adjacency) == base else ()
     # Every region lies in the part of ``base`` and the free qubits that
     # base's lowest qubit reaches, and must hold all of ``base``.
-    reach = mask_region(base & -base, base | state[0], adjacency)
+    reach = mask_region(base & -base, base | free, adjacency)
     if base & ~reach:
         return ()
-    key = (base, reach, min(base.bit_count() + max_len, reach.bit_count()))
+    key = (base, reach, min(base.bit_count() + room, reach.bit_count()))
     regions = memo.regions.get(key)
     if regions is None:
         ordered = _grown(*key, memo.graph)

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import logging
 import os
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -31,10 +33,8 @@ from .errors import (
     QaicccError,
 )
 from .ingest import (
-    dumps,
     finite_number,
     integer_list,
-    json_scalar,
     load_platform,
     load_rates,
     load_requests,
@@ -69,10 +69,10 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# serialization.  The allocate report is written by ``RunReport.to_json``
-# and the oracle report by ``ingest.dumps``.  A report allocation has one
-# checked reader,
-# ``allocation_from_dict`` (its rate records: ``ingest.rate_from_record``);
+# serialization.  The allocate report is written by ``RunReport.to_json``,
+# the one JSON layout written by hand; the oracle report and ``synth``
+# output go through ``json.dumps``.  A report allocation has one checked
+# reader, ``allocation_from_dict`` (its rate records: ``ingest.rate_from_record``);
 # a malformed field raises InputFileError naming it, e.g.
 # ``'ranking[3].components[0].qubits' repeats a qubit``.
 
@@ -117,6 +117,27 @@ def allocation_from_dict(data: Mapping, where: str = "allocation") -> Allocation
             None if last_rate is None else rate_from_record(last_rate, path=f"{where}.last_rate")
         ),
     )
+
+
+def json_scalar(value) -> str:
+    """A JSON scalar as ``json.dumps`` writes it."""
+    if isinstance(value, float):
+        if value - value == 0:  # finite
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _list(texts: Sequence[str], indent: str) -> str:
@@ -385,7 +406,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sizes = load_requests(args.requests)
     report = oracle_report(graph, sizes, rates)
     if args.format == "json":
-        _write_output(dumps(oracle_report_to_dict(report)) + "\n", args.output)
+        _write_output(json.dumps(oracle_report_to_dict(report), indent=2) + "\n", args.output)
     else:
         _write_output(render_oracle_text(report), args.output)
     return EXIT_OK
@@ -398,7 +419,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max-rates: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_output(dumps([rate_to_record(r) for r in rates]) + "\n", args.output)
+    _write_output(json.dumps([rate_to_record(r) for r in rates], indent=2) + "\n", args.output)
     return EXIT_OK
 
 

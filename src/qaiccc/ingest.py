@@ -8,11 +8,11 @@ All files are UTF-8 JSON:
   and ``impacted`` plus either a precomputed ``score`` or the pair
   ``stochastic`` + ``hamiltonian`` whose sum is the composite score.
 
-Files and the oracle report are written by :func:`dumps`, which lays
-JSON out as ``json.dumps(..., indent=2)`` does; the allocate report's
-writer (:meth:`qaiccc.cli.RunReport.to_json`) lays out its fixed schema
-the same way, with the scalars of :func:`json_scalar`.  Rates keep their file
-order here; sorting in decreasing score order is the allocator's job.
+Saved files are written by ``json.dumps(..., indent=2)``.  Reading is
+strict: a file that is not UTF-8, not JSON, or nested too deeply to
+parse is an :class:`~qaiccc.errors.InputFileError` naming the file.
+Rates keep their file order here; sorting in decreasing score order is
+the allocator's job.
 A deterministic synthetic generator stands in for the physical crosstalk
 measurement so the allocator can be exercised without lab data.
 """
@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import random
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -51,75 +50,14 @@ def _read_json(path: str | Path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputFileError(str(exc), path=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"not UTF-8: {exc}", path=str(path)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFileError(f"invalid JSON: {exc}", path=str(path)) from exc
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def json_scalar(value) -> str:
-    """A JSON scalar as ``json.dumps`` writes it."""
-    if isinstance(value, float):
-        if value - value == 0:  # finite
-            return float.__repr__(value)
-        if value != value:
-            return "NaN"
-        return "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit(value, indent: str, chunks: list[str]) -> None:
-    """Append ``value`` to ``chunks`` as ``json.dumps(..., indent=2)`` lays it out at ``indent``."""
-    if not isinstance(value, _CONTAINERS):
-        chunks.append(json_scalar(value))
-        return
-    if not value:
-        chunks.append("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = indent + "  "
-    separator = ",\n" + inner
-    if isinstance(value, dict):
-        chunks.append("{\n" + inner)
-        for at, (key, item) in enumerate(value.items()):
-            if at:
-                chunks.append(separator)
-            chunks.append(json_scalar(key if isinstance(key, str) else json_scalar(key)) + ": ")
-            _emit(item, inner, chunks)
-        chunks.append("\n" + indent + "}")
-        return
-    chunks.append("[\n" + inner)
-    if type(value[0]) is int and all(type(item) is int for item in value):
-        chunks.append(separator.join(map(int.__repr__, value)))
-    else:
-        for at, item in enumerate(value):
-            if at:
-                chunks.append(separator)
-            _emit(item, inner, chunks)
-    chunks.append("\n" + indent + "]")
-
-
-def dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, without the standard library's pure-Python encoder.
-
-    Strings go through the C string encoder, numbers through their
-    ``repr``, and a list of ints is joined in one step.
-    """
-    chunks: list[str] = []
-    _emit(value, "", chunks)
-    return "".join(chunks)
+    except RecursionError as exc:
+        raise InputFileError("invalid JSON: nested too deeply to parse", path=str(path)) from exc
 
 
 def _refuse_unknown_keys(data: dict, known: tuple[str, ...], path: str | Path) -> None:
@@ -158,7 +96,7 @@ def load_platform(path: str | Path) -> ConnectivityGraph:
 
 def save_platform(graph: ConnectivityGraph, path: str | Path) -> None:
     payload = {"qubits": graph.vertex_count, "edges": [list(e) for e in sorted(graph.edges)]}
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def integer_list(
@@ -188,7 +126,7 @@ def load_requests(path: str | Path) -> SizeRequests:
 
 def save_requests(sizes: SizeRequests, path: str | Path) -> None:
     payload = {"trusted": list(sizes.trusted), "untrusted": list(sizes.untrusted)}
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def finite_number(value, name: str, *, path: str | None = None, record: int | None = None) -> float:
@@ -289,7 +227,7 @@ def rate_to_record(rate: CrosstalkRate) -> dict:
 
 def save_rates(rates: Iterable[CrosstalkRate], path: str | Path) -> None:
     payload = [rate_to_record(rate) for rate in rates]
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def synth_rates(

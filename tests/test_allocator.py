@@ -87,6 +87,17 @@ def owner(component):
 FRESH_U = (Trust.UNTRUSTED, 0)
 
 
+def join_regions(state, joined, incoming, memo):
+    """``_regions`` of one join, with the connector room worked out as ``connect`` does.
+
+    A join whose budget cannot take ``incoming`` has no regions.
+    """
+    room = allocator_module._budget(state, joined, memo) - (incoming & ~joined[1]).bit_count()
+    if room < 0:
+        return ()
+    return allocator_module._regions(joined[1] | incoming, state[0], room, memo)
+
+
 def keys(allocations):
     return {canonicalize(a) for a in allocations}
 
@@ -640,7 +651,7 @@ def test_in_place_join_states_match_the_reference_per_region(case):
     state = state_of(allocation)
     memo = SearchMemo(sizes, graph, config)
     got = connect(state, joined, incoming, memo=memo)
-    regions = allocator_module._regions(state, joined, incoming, SearchMemo(sizes, graph, config))
+    regions = join_regions(state, joined, incoming, SearchMemo(sizes, graph, config))
     expected = [
         candidate
         for region in regions
@@ -721,8 +732,8 @@ def test_region_memo_answers_like_a_fresh_memo_per_join(case):
     shared = SearchMemo(sizes, graph, config)
     for state, joined, incoming in joins:
         args = (state, joined, incoming)
-        fresh = allocator_module._regions(*args, SearchMemo(sizes, graph, config))
-        assert allocator_module._regions(*args, shared) == fresh
+        fresh = join_regions(*args, SearchMemo(sizes, graph, config))
+        assert join_regions(*args, shared) == fresh
 
 
 @pytest.mark.parametrize("incoming, expected", [({2}, (0b111,)), ({3}, ())])
@@ -732,7 +743,7 @@ def test_a_join_without_room_for_connectors_has_base_as_its_one_region(incoming,
     path = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
     state = state_of(build(4, u(0, 1)))
     args = (state, owner(u(0, 1)), qubit_mask(incoming))
-    assert allocator_module._regions(*args, SearchMemo(sizes, path)) == expected
+    assert join_regions(*args, SearchMemo(sizes, path)) == expected
     # Enumerating within the reach gives the same regions.
     assert tuple(allocator_module._grown(0b11 | qubit_mask(incoming), 0b1111, 3, path)) == expected
 
@@ -745,10 +756,10 @@ def test_states_differing_only_outside_reach_share_one_region_tuple():
     held = state_of(build(6, u(3), u(5)))
     memo = SearchMemo(sizes, _PATH6)
     args = (FRESH_U, qubit_mask({0}))
-    regions = allocator_module._regions(apart, *args, memo)
+    regions = join_regions(apart, *args, memo)
     assert regions == (0b1, 0b11, 0b111)
-    assert allocator_module._regions(held, *args, memo) is regions
-    assert allocator_module._regions(held, *args, SearchMemo(sizes, _PATH6)) == regions
+    assert join_regions(held, *args, memo) is regions
+    assert join_regions(held, *args, SearchMemo(sizes, _PATH6)) == regions
     assert len(memo.regions) == 1
 
 
@@ -1347,7 +1358,7 @@ class TestMemoCarriesTheRun:
         regions = {1: [], 64: []}
 
         def checking(state, owner, incoming, *, memo):
-            made = allocator_module._regions(state, owner, incoming, memo)
+            made = join_regions(state, owner, incoming, memo)
             regions[memo.config.max_paths_per_connect].append(len(made))
             return connect(state, owner, incoming, memo=memo)
 

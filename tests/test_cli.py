@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,11 +24,12 @@ from qaiccc.cli import (
     ORACLE_SCHEMA,
     REPORT_SCHEMA,
     allocation_from_dict,
+    json_scalar,
     main,
     rate_from_record,
 )
 from qaiccc.errors import InputFileError
-from qaiccc.ingest import dumps, save_platform, save_rates, save_requests
+from qaiccc.ingest import save_platform, save_rates, save_requests
 
 PLATFORM = {"qubits": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}
 REQUESTS = {"trusted": [], "untrusted": [2, 3]}
@@ -68,22 +70,27 @@ _SCALARS = (
     | st.sampled_from([-0.0, 1e-300, 1e300, 5e-324, 0.1 + 0.2])
     | st.text()
 )
-_KEYS = st.text() | st.sampled_from(["score", "é", "\u2603", "\ud83d\ude00", "a\nb\"c"]) | _SCALARS
-_JSON = st.recursive(
-    _SCALARS,
-    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(_KEYS, inner),
-    max_leaves=20,
-)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_JSON)
-@example([-0.0, 1e-300, 1e300, "qubit \u00e9 \U0001f600"])
-@example({"empty": [], "nested": [[], {}, [[]], {"a": {}}], "": {}})
-@example([True, 1, False, 0, [1, True], [1, 2, 3], [0, -1]])
-@example({1: "int key", 2.5: "float key", True: "bool key", None: "null key"})
-def test_dumps_writes_what_the_standard_library_writes(value):
-    assert dumps(value) == json.dumps(value, indent=2)
+@settings(max_examples=300, deadline=None)
+@given(_SCALARS)
+@example(-0.0)
+@example(1e-300)
+@example(1e300)
+@example(5e-324)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example("\ud800 lone surrogate")
+@example("pair \ud83d\ude00 and \U0001f600")
+@example("é \u2603 a\nb\"c \x00")
+@example(True)
+@example(1)
+@example(False)
+@example(0)
+@example(None)
+def test_json_scalar_writes_what_the_standard_library_writes(value):
+    assert json_scalar(value) == json.dumps(value)
 
 
 class TestAllocateCommand:
@@ -182,6 +189,22 @@ class TestAllocateCommand:
         assert run_allocate(dict(files, **{name: str(path)}), "--no-timings") == EXIT_INPUT
         captured = capsys.readouterr()
         assert f"unknown key '{key}'" in captured.err and "misspelt.json" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["platform", "requests", "rates"])
+    @pytest.mark.parametrize(
+        "content, error",
+        [(b"\xff\xfe{}", "not UTF-8"), (b"[" * 100_000, "nested too deeply")],
+        ids=["not-utf8", "too-deep"],
+    )
+    def test_unparseable_file_exits_1_and_names_it(
+        self, files, tmp_path, capsys, name, content, error
+    ):
+        path = tmp_path / "unparseable.json"
+        path.write_bytes(content)
+        assert run_allocate(dict(files, **{name: str(path)}), "--no-timings") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "unparseable.json" in captured.err and error in captured.err
         assert captured.out == ""
 
     def test_missing_file_exits_1(self, files, capsys):

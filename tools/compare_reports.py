@@ -8,8 +8,9 @@ Each tree is a checkout holding ``src/qaiccc``.  The behaviour set is the
 benchmark's 42 instances (``bench/workloads.py``, seed 1): every instance
 runs ``allocate`` under four configurations (default, ``--max-paths 1``,
 ``--max-paths 5``, ``--max-population 3``), each as JSON ``--no-timings``
-and as text ``--verbose --no-timings``, and every oracle instance also
-runs ``oracle``: 376 commands.  ``--only`` keeps the named instances.
+and as text ``--verbose --no-timings``; every oracle instance also runs
+``oracle``, and every instance runs ``synth --seed 7`` on its platform:
+418 commands.  ``--only`` keeps the named instances.
 
 Every command runs in a fresh interpreter against each tree, on the same
 input files, with ``PYTHONDONTWRITEBYTECODE=1``: a comparison leaves no
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
+SYNTH_SEED = 7
 CONFIGS = ([], ["--max-paths", "1"], ["--max-paths", "5"], ["--max-population", "3"])
 FORMATS = (["--no-timings"], ["--format", "text", "--verbose", "--no-timings"])
 JOBS = 2
@@ -53,6 +55,7 @@ def behaviour_set(work: Path, only: set[str] | None) -> list[tuple[str, list[str
                     commands.append((instance.name, ["allocate", *inputs, *config, *fmt]))
             if instance.oracle:
                 commands.append((instance.name, ["oracle", *inputs]))
+            commands.append((instance.name, ["synth", inputs[0], "--seed", str(SYNTH_SEED)]))
     return commands
 
 
