@@ -47,7 +47,9 @@ rate's masks worked out once per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
 the one final deduplicator of candidates.  An :class:`Allocation` is
 built only for a state in neither, once its admission replay on the state
-(:func:`replay_state`) has found it safe, with its final attributes; a
+(:func:`replay_state`) has found it safe, with its final attributes and
+its components read from the memo's ``users`` table, so each distinct
+``(trust, mask)`` has one :class:`UserComponent` for the whole run; a
 member's later attribute updates (:func:`eval_alloc`,
 :func:`archive_alloc`) share its structure rather than normalise it again.
 """
@@ -75,10 +77,11 @@ from .model import (  # noqa: F401
     SizeRequests,
     StateComponent,
     Trust,
-    allocation_of,
+    UserComponent,
     canonicalize,
     check_score_total,
     dedup_allocations,
+    mask_qubits,
     mask_region,
     qubit_mask,
     sort_rates,
@@ -140,12 +143,14 @@ class SearchMemo:
     and size and the state's shape; ``regions`` the regions of every
     join, by ``(base, reach, top)``: a join's regions depend on nothing
     else, given the config's ``max_paths_per_connect`` (see
-    :func:`_regions`).
+    :func:`_regions`); ``users`` the one :class:`UserComponent`, with its
+    one frozenset, of every ``(trust, mask)`` an admitted member holds (see
+    :func:`replay_state`), which the run's allocations share.
     """
 
     __slots__ = (
         "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "shapes",
-        "budgets", "regions",
+        "budgets", "regions", "users",
     )
 
     def __init__(
@@ -162,6 +167,7 @@ class SearchMemo:
         self.shapes: dict[tuple[StateComponent, ...], tuple[int, ...]] = {}
         self.budgets: dict[tuple, int] = {}
         self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self.users: dict[StateComponent, UserComponent] = {}
 
 
 def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
@@ -504,16 +510,21 @@ def rate_masks(rate: CrosstalkRate) -> RateMasks:
     return rate, qubit_mask(rate.impacting), qubit_mask(rate.impacted), qubit_mask(rate.involved)
 
 
-def replay_state(state: SearchState, processed: Sequence[RateMasks]) -> Allocation | None:
+def replay_state(
+    state: SearchState, processed: Sequence[RateMasks], users: dict[StateComponent, UserComponent]
+) -> Allocation | None:
     """The admitted allocation of ``state`` after evaluating every rate in ``processed``.
 
     Returns None when the state is unsafe for any of them.  Otherwise the
     score is the last rate's, and every rate that leaves an involved qubit
     unallocated is incidental and adds its score to the penalty, in order:
     :func:`eval_alloc` over the prefix, applied to one :class:`Allocation`
-    built with its final attributes.
+    built with its final attributes.  Its components are read from
+    ``users``, the run's table of one :class:`UserComponent` per ``(trust,
+    mask)`` (:attr:`SearchMemo.users`), and a component not in it yet is
+    built and added.
     """
-    free = state[0]
+    free, components = state
     score = penalty = 0.0
     incidental: list[CrosstalkRate] = []
     for rate, impacting, impacted, involved in processed:
@@ -523,7 +534,13 @@ def replay_state(state: SearchState, processed: Sequence[RateMasks]) -> Allocati
         if involved & free:
             penalty += rate.score
             incidental.append(rate)
-    return allocation_of(state, score, penalty, tuple(incidental))
+    held = []
+    for component in components:
+        user = users.get(component)
+        if user is None:
+            user = users[component] = UserComponent(component[0], mask_qubits(component[1]))
+        held.append(user)
+    return Allocation(mask_qubits(free), tuple(held), score, penalty, tuple(incidental))
 
 
 def replay_attributes(
@@ -535,7 +552,7 @@ def replay_attributes(
     the admission check plus bookkeeping for new population members
     (:func:`replay_state` on the allocation's state).
     """
-    return replay_state(state_of(allocation), [rate_masks(rate) for rate in rates])
+    return replay_state(state_of(allocation), [rate_masks(rate) for rate in rates], {})
 
 
 def archive_alloc(
@@ -561,7 +578,7 @@ def update_population(
     population: dict[SearchState, Allocation],
     archive: dict[SearchState, Allocation],
     processed: Sequence[RateMasks],
-    config: SearchConfig,
+    memo: SearchMemo,
 ) -> list[Allocation]:
     """Admit candidate states into ``population`` (mutated in place).
 
@@ -570,15 +587,17 @@ def update_population(
     and when it is safe for every rate in ``processed`` (the handled
     rates, each with its :func:`rate_masks`); admission replays that
     prefix on the state and builds its :class:`Allocation` once, with the
-    replayed attributes (:func:`replay_state`).  When the population cap
+    replayed attributes and the run's components (:func:`replay_state`
+    on the ``memo``'s ``users``).  When the cap of the ``memo``'s config
     is exceeded the worst members by (score, penalty, canonical key) are
     dropped.  Returns the members actually admitted.
     """
     admitted: list[Allocation] = []
+    config = memo.config
     for state in candidates:
         if state in population or state in archive:
             continue
-        member = replay_state(state, processed)
+        member = replay_state(state, processed, memo.users)
         if member is None:
             continue
         population[state] = member
@@ -675,7 +694,7 @@ def allocate(
                 candidates += alloc_trusted(key, rate.impacting, memo=memo)
                 newly_archived.append(archive_alloc(key, population, archive, rate))
 
-            update_population(candidates, population, archive, processed, config)
+            update_population(candidates, population, archive, processed, memo)
 
         log.debug(
             "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import logging
 import os
@@ -20,8 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .allocator import AllocationOutcome, SearchConfig, allocate
 from .completion import request_slots
@@ -69,12 +69,15 @@ EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# serialization.  The allocate report is written by ``RunReport.to_json``,
-# the one JSON layout written by hand; the oracle report and ``synth``
-# output go through ``json.dumps``.  A report allocation has one checked
-# reader, ``allocation_from_dict`` (its rate records: ``ingest.rate_from_record``);
-# a malformed field raises InputFileError naming it, e.g.
-# ``'ranking[3].components[0].qubits' repeats a qubit``.
+# serialization.  The allocate report is laid out by ``RunReport.json_chunks``,
+# the one JSON layout written by hand, in pieces that ``_write_output``
+# writes as they come: no piece holds more than one ranking entry, so the
+# report is never held whole.  The oracle report and ``synth`` output go
+# through ``json.dumps``.  Every command writes through ``_write_output``.
+# A report allocation has one checked reader, ``allocation_from_dict`` (its
+# rate records: ``ingest.rate_from_record``); a malformed field raises
+# InputFileError naming it, e.g. ``'ranking[3].components[0].qubits' repeats
+# a qubit``.
 
 _TRUST_VALUES = tuple(t.value for t in Trust)
 
@@ -162,18 +165,28 @@ def _object(fields: Iterable[tuple[str, str]], indent: str) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-readable result of one allocate run; the ranking rides on ``selected``."""
+    """Machine-readable result of one allocate run; the ranking rides on ``selected``.
+
+    :meth:`json_chunks` lays it out in pieces, which the command writes as
+    they come (:func:`_write_output`), so the report's text is never held
+    whole; its largest piece is one ranking entry or the part before the
+    ranking.
+    """
 
     sizes: SizeRequests
     config: SearchConfig
     selected: SelectionResult
     timings: Mapping[str, float] | None
 
-    def to_json(self) -> str:
-        """The report in the ``REPORT_SCHEMA`` layout, as ``json.dumps(..., indent=2)`` writes it.
+    def json_chunks(self) -> Iterator[str]:
+        """The report, in pieces, in the ``REPORT_SCHEMA`` layout ``json.dumps(..., indent=2)`` writes.
 
         The fixed schema is written straight from the report, with no dict
-        tree in between.  Within one report the text of each distinct rate
+        tree in between, and handed on in the order it is laid out:
+        everything before the ranking, then each ranking entry, then the
+        tail.  Joined, the pieces are the report; written one by one
+        (:func:`_write_output`), they never hold more than one ranking
+        entry at a time.  Within one report the text of each distinct rate
         record and component, at its indent, is written once: the ranking
         repeats the same few rates on hundreds of entries.
         """
@@ -253,13 +266,19 @@ class RunReport:
                 "  ",
             )),
             ("worklist", _list([rate(r, "    ") for r in selected.worklist], "  ")),
-            ("ranking", _list([allocation(a) for a in selected.ranking], "  ")),
         ]
+        # ``_object(fields, "")`` up to the ranking, whose list is laid out as ``_list`` does.
+        head = "".join(json_scalar(key) + ": " + text + ",\n  " for key, text in fields)
+        yield "{\n  " + head + '"ranking": '
+        separator = "[\n    "
+        for alloc in selected.ranking:
+            yield separator + allocation(alloc)
+            separator = ",\n    "
+        yield "[]" if not selected.ranking else "\n  ]"
         if self.timings is not None:
-            fields.append(
-                ("timings", _object([(k, json_scalar(v)) for k, v in self.timings.items()], "  "))
-            )
-        return _object(fields, "")
+            timings = _object([(k, json_scalar(v)) for k, v in self.timings.items()], "  ")
+            yield ',\n  "timings": ' + timings
+        yield "\n}"
 
 
 def oracle_report_to_dict(report: OracleReport) -> dict:
@@ -299,72 +318,76 @@ def format_structure(allocation: Allocation) -> str:
     return " ".join(parts) if parts else "(empty)"
 
 
-def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) -> str:
-    lines: list[str] = []
+def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) -> Iterator[str]:
+    """The text view of an allocate run, one line (ending in a newline) at a time."""
     sizes = report.sizes
-    lines.append(
+    yield (
         f"requests: trusted={list(sizes.trusted)} untrusted={list(sizes.untrusted)} "
-        f"idle={sizes.idle_size if sizes.idle_size is not None else '-'}"
+        f"idle={sizes.idle_size if sizes.idle_size is not None else '-'}\n"
     )
-    lines.append(f"rates: {len(outcome.rates)} (processed in decreasing score order)")
+    yield f"rates: {len(outcome.rates)} (processed in decreasing score order)\n"
     if verbose:
         for step_index, step in enumerate(outcome.steps, start=1):
-            lines.append(f"rate {step_index}/{len(outcome.rates)}: {format_rate(step.rate)}")
+            yield f"rate {step_index}/{len(outcome.rates)}: {format_rate(step.rate)}\n"
             for archived in step.archived:
-                lines.append(f"  archived: {format_structure(archived)}")
-            lines.append(f"  population ({len(step.population)}):")
+                yield f"  archived: {format_structure(archived)}\n"
+            yield f"  population ({len(step.population)}):\n"
             for member in step.population:
-                lines.append(
+                yield (
                     f"    {format_structure(member)} "
-                    f"score={member.score!r} penalty={member.penalty!r}"
+                    f"score={member.score!r} penalty={member.penalty!r}\n"
                 )
         if outcome.halted:
-            lines.append("population empty: search stopped")
+            yield "population empty: search stopped\n"
     selected = report.selected
-    lines.append(
+    yield (
         f"selected: {format_structure(selected.allocation)} "
-        f"score={selected.allocation.score!r} penalty={selected.allocation.penalty!r}"
+        f"score={selected.allocation.score!r} penalty={selected.allocation.penalty!r}\n"
     )
-    lines.append("assignment:")
+    yield "assignment:\n"
     for label, trust, size in request_slots(sizes):
         kind, position = label
         qubits = sorted(selected.assignment[label])
-        lines.append(f"  {kind}[{position}] (size {size}, {trust.value}): {qubits}")
-    lines.append(f"noise worklist ({len(selected.worklist)}):")
+        yield f"  {kind}[{position}] (size {size}, {trust.value}): {qubits}\n"
+    yield f"noise worklist ({len(selected.worklist)}):\n"
     for rate in selected.worklist:
-        lines.append(f"  {format_rate(rate)}")
-    lines.append(f"ranking ({len(selected.ranking)}):")
+        yield f"  {format_rate(rate)}\n"
+    yield f"ranking ({len(selected.ranking)}):\n"
     for position, allocation in enumerate(selected.ranking, start=1):
         last = f"last={allocation.last_rate.score!r}" if allocation.last_rate else "last=-"
-        lines.append(
+        yield (
             f"  {position}. {format_structure(allocation)} "
-            f"score={allocation.score!r} penalty={allocation.penalty!r} {last}"
+            f"score={allocation.score!r} penalty={allocation.penalty!r} {last}\n"
         )
     if report.timings is not None:
         for stage, seconds in report.timings.items():
-            lines.append(f"timing {stage}: {seconds:.6f}s")
-    return "\n".join(lines) + "\n"
+            yield f"timing {stage}: {seconds:.6f}s\n"
 
 
-def render_oracle_text(report: OracleReport) -> str:
-    lines = [
-        f"complete allocations: {report.complete_count}",
-        f"optimum safe prefix: {report.optimum_safe_prefix}",
-        f"algorithm safe prefix: {report.algorithm_safe_prefix}",
-        f"gap: {report.gap}",
-        f"optimum witnesses: {len(report.optimum_allocations)}",
-    ]
-    return "\n".join(lines) + "\n"
+def render_oracle_text(report: OracleReport) -> Iterator[str]:
+    """The text view of an oracle report, one line (ending in a newline) at a time."""
+    yield f"complete allocations: {report.complete_count}\n"
+    yield f"optimum safe prefix: {report.optimum_safe_prefix}\n"
+    yield f"algorithm safe prefix: {report.algorithm_safe_prefix}\n"
+    yield f"gap: {report.gap}\n"
+    yield f"optimum witnesses: {len(report.optimum_allocations)}\n"
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_output(chunks: Iterable[str], output: str | None) -> None:
+    """Write ``chunks`` in order to the file ``output``, or to stdout, each as it comes.
+
+    No chunk is joined to another first, so a report is never held whole.
+    The file is opened here, after the command's work has succeeded: a
+    failing command leaves no file.
+    """
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    with open(output, "w", encoding="utf-8") as out:
+        out.writelines(chunks)
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
@@ -394,9 +417,10 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         timings=timings,
     )
     if args.format == "json":
-        _write_output(report.to_json() + "\n", args.output)
+        chunks = itertools.chain(report.json_chunks(), ("\n",))
     else:
-        _write_output(render_text(report, outcome, args.verbose), args.output)
+        chunks = render_text(report, outcome, args.verbose)
+    _write_output(chunks, args.output)
     return EXIT_OK
 
 
@@ -406,7 +430,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     sizes = load_requests(args.requests)
     report = oracle_report(graph, sizes, rates)
     if args.format == "json":
-        _write_output(json.dumps(oracle_report_to_dict(report), indent=2) + "\n", args.output)
+        _write_output((json.dumps(oracle_report_to_dict(report), indent=2), "\n"), args.output)
     else:
         _write_output(render_oracle_text(report), args.output)
     return EXIT_OK
@@ -419,7 +443,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max-rates: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write_output(json.dumps([rate_to_record(r) for r in rates], indent=2) + "\n", args.output)
+    _write_output((json.dumps([rate_to_record(r) for r in rates], indent=2), "\n"), args.output)
     return EXIT_OK
 
 

@@ -966,6 +966,10 @@ class TestAllocTrusted:
 
 
 class TestUpdatePopulation:
+    @staticmethod
+    def memo(graph, config=CFG):
+        return SearchMemo(SizeRequests(untrusted=(2, 3)), graph, config)
+
     def test_archived_structure_is_not_readmitted(self, demo_graph, demo_rates):
         ordered = sort_rates(demo_rates)
         member = build(5, u(2, 3))
@@ -973,21 +977,25 @@ class TestUpdatePopulation:
         archive: dict = {}
         archive_alloc(state_of(member), population, archive, ordered[1])
         admitted = update_population(
-            [state_of(build(5, u(2, 3)))], population, archive, masks_of(ordered[:1]), CFG
+            [state_of(build(5, u(2, 3)))], population, archive, masks_of(ordered[:1]),
+            self.memo(demo_graph),
         )
         assert admitted == [] and population == {}
 
-    def test_fresh_safe_candidate_is_admitted_with_replayed_attributes(self, demo_rates):
+    def test_fresh_safe_candidate_is_admitted_with_replayed_attributes(
+        self, demo_graph, demo_rates
+    ):
         ordered = sort_rates(demo_rates)
         population: dict = {}
         admitted = update_population(
-            [state_of(build(5, u(2, 3)))], population, {}, masks_of(ordered[:1]), CFG
+            [state_of(build(5, u(2, 3)))], population, {}, masks_of(ordered[:1]),
+            self.memo(demo_graph),
         )
         (member,) = admitted
         assert member.score == 0.0027 and member.penalty == 0.0027
         assert population == {state_of(member): member}
 
-    def test_candidate_unsafe_for_an_earlier_rate_is_rejected(self):
+    def test_candidate_unsafe_for_an_earlier_rate_is_rejected(self, demo_graph):
         # The candidate fixes the later rate but leaves the earlier one's
         # impacted qubit exposed to its unprotected owner.
         early = CrosstalkRate(0.009, frozenset({3, 4}), frozenset({2}))
@@ -996,17 +1004,17 @@ class TestUpdatePopulation:
         assert replay_attributes(candidate, [early, late]) is None
         population: dict = {}
         admitted = update_population(
-            [state_of(candidate)], population, {}, masks_of([early, late]), CFG
+            [state_of(candidate)], population, {}, masks_of([early, late]), self.memo(demo_graph)
         )
         assert admitted == [] and population == {}
 
-    def test_population_cap_drops_the_worst(self, demo_rates):
+    def test_population_cap_drops_the_worst(self, demo_graph, demo_rates):
         ordered = sort_rates(demo_rates)
         cfg = SearchConfig(max_population=1)
         population: dict = {}
         update_population(
             [state_of(build(5, u(2, 3))), state_of(build(5, u(2, 3, 4)))],
-            population, {}, masks_of(ordered[:1]), cfg,
+            population, {}, masks_of(ordered[:1]), self.memo(demo_graph, cfg),
         )
         assert len(population) == 1
         # Equal scores; the higher penalty member is the worst.
@@ -1254,6 +1262,29 @@ class TestPerRunMemo:
             # Within one run each (base, reach, top) is enumerated once.
             run = enumerated[-counts[1]:]
             assert len(set(run)) == len(run)
+
+    def test_one_run_holds_one_component_per_trust_and_qubits(
+        self, family, demo_graph, demo_sizes, demo_rates
+    ):
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        held = distinct = 0
+        for graph, sizes, rates in instances:
+            outcomes, runs = [], []
+            for _ in range(2):
+                outcome = allocate(graph, sizes, rates)
+                outcomes.append(outcome)
+                members = [*outcome.allocations]
+                members += [m for step in outcome.steps for m in step.population + step.archived]
+                components = [c for member in members for c in member.components]
+                one = {}
+                for c in components:
+                    assert one.setdefault((c.trust, c.qubits), c) is c
+                held, distinct = held + len(components), distinct + len(one)
+                runs.append({id(c) for c in one.values()} | {id(c.qubits) for c in one.values()})
+            # Both outcomes are alive, so an object the runs shared would show here.
+            assert not runs[0] & runs[1]
+        assert held > 2 * distinct
 
     def test_each_memo_owns_its_region_table(self, demo_graph, demo_sizes):
         first, second = SearchMemo(demo_sizes, demo_graph), SearchMemo(demo_sizes, demo_graph)

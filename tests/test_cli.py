@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,52 @@ class TestAllocateCommand:
         assert "untrusted{2,3,4} free{0,1} score=0.0027 penalty=0.0" in text
         assert "population empty: search stopped" in text
         assert "selected: untrusted{0,1} untrusted{2,3,4} score=0.0017 penalty=0.0" in text
+
+    @pytest.mark.parametrize(
+        "inputs, code",
+        [
+            ({"rates": [{"score": 0.1, "impacting": [1]}]}, EXIT_INPUT),
+            ({"requests": {"trusted": [], "untrusted": [6]}}, EXIT_INSUFFICIENT_QUBITS),
+            (
+                {
+                    "platform": {"qubits": 4, "edges": [[0, 1], [2, 3]]},
+                    "requests": {"trusted": [], "untrusted": [3]},
+                    "rates": [],
+                },
+                EXIT_NO_ALLOCATION,
+            ),
+        ],
+        ids=["malformed-rates", "oversubscribed", "two-cliques"],
+    )
+    @pytest.mark.parametrize("existing", [None, "kept\n"], ids=["absent", "present"])
+    def test_a_failing_run_leaves_the_output_file_as_it_was(
+        self, files, tmp_path, capsys, inputs, code, existing
+    ):
+        # The report file is opened only once ``select`` has succeeded.
+        for name, payload in inputs.items():
+            path = tmp_path / f"failing.{name}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            files = dict(files, **{name: str(path)})
+        output = tmp_path / "report.json"
+        if existing is not None:
+            output.write_text(existing, encoding="utf-8")
+        assert run_allocate(files, "--output", str(output)) == code
+        assert capsys.readouterr().out == ""
+        if existing is None:
+            assert not output.exists()
+        else:
+            assert output.read_text(encoding="utf-8") == existing
+
+    @pytest.mark.parametrize(
+        "view", [["--format", "json"], ["--format", "text"], ["--format", "text", "--verbose"]]
+    )
+    def test_the_output_file_holds_the_stdout_bytes(self, files, tmp_path, capsysbinary, view):
+        output = tmp_path / "report"
+        assert run_allocate(files, "--no-timings", *view) == EXIT_OK
+        printed = capsysbinary.readouterr().out
+        assert run_allocate(files, "--no-timings", *view, "--output", str(output)) == EXIT_OK
+        assert capsysbinary.readouterr().out == b""
+        assert output.read_bytes() == printed and printed.count(b"\n") > 10
 
     def test_schema_field_is_always_present(self, files, capsys):
         assert run_allocate(files) == EXIT_OK
@@ -551,7 +598,9 @@ _RATE = qaiccc.CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2}))
 _OTHER = qaiccc.CrosstalkRate(1e300, frozenset({0}), frozenset({1}))
 
 
-def _example(*, trusted=(), idle=None, worklist=(), incidental=(), last_rate=None, timings=None):
+def _example(
+    *, trusted=(), idle=None, worklist=(), incidental=(), last_rate=None, timings=None, ranking=None
+):
     sizes = qaiccc.SizeRequests(trusted=trusted, untrusted=(), idle_size=idle)
     member = qaiccc.Allocation(
         unallocated=frozenset({0, 1}),
@@ -564,7 +613,8 @@ def _example(*, trusted=(), idle=None, worklist=(), incidental=(), last_rate=Non
     assignment = {("trusted", i): frozenset({i}) for i in range(len(trusted))}
     if idle is not None:
         assignment["idle", 0] = frozenset({5, 6})
-    selected = qaiccc.SelectionResult(member, assignment, worklist, (member, member))
+    ranking = (member, member) if ranking is None else ranking
+    selected = qaiccc.SelectionResult(member, assignment, worklist, ranking)
     return cli.RunReport(sizes, qaiccc.SearchConfig(), selected, timings)
 
 
@@ -575,8 +625,36 @@ def _example(*, trusted=(), idle=None, worklist=(), incidental=(), last_rate=Non
 @example(_example(incidental=(_RATE, _OTHER, _RATE), last_rate=_OTHER, idle=2))
 @example(_example(trusted=(1,), timings={"ingest_s": 0.0, "allocate_s": 1e-300, "select_s": 1e300}))
 @example(_example(timings={}))
+@example(_example(ranking=(), timings={"select_s": 0.5}))  # an empty ranking between its neighbours
 def test_report_writer_writes_what_the_standard_library_writes(report):
-    assert report.to_json() == json.dumps(reference(report), indent=2)
+    assert "".join(report.json_chunks()) == json.dumps(reference(report), indent=2)
+
+
+#: The first 16 qubits of the IBM Falcon heavy-hex layout, a connected subgraph.
+HEAVY_HEX_16 = frozenset({
+    (0, 1), (1, 2), (1, 4), (2, 3), (3, 5), (4, 7), (5, 8), (6, 7), (7, 10), (8, 9),
+    (8, 11), (10, 12), (11, 14), (12, 13), (12, 15), (13, 14),
+})
+
+
+def test_writing_a_report_never_holds_it_whole():
+    # Heavy-hex 16, untrusted (4,4), the top 10 rates: a ranking of hundreds
+    # of entries.  Written through the command's writer into a file that
+    # discards its input, the report's pieces never add up to a quarter of it.
+    graph = qaiccc.ConnectivityGraph(16, HEAVY_HEX_16)
+    rates = qaiccc.sort_rates(qaiccc.synth_rates(graph, 7))[:10]
+    outcome = qaiccc.allocate(graph, qaiccc.SizeRequests(untrusted=(4, 4)), rates)
+    selected = qaiccc.select(outcome, graph)
+    report = cli.RunReport(outcome.sizes, qaiccc.SearchConfig(), selected, None)
+    length = sum(map(len, report.json_chunks()))
+    assert len(selected.ranking) > 500 and length > 300_000
+    tracemalloc.start()
+    try:
+        cli._write_output(report.json_chunks(), os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < length / 4
 
 
 def test_family_reports_through_the_command_are_the_reference_bytes(family, tmp_path, capsys):

@@ -239,7 +239,7 @@ def test_the_mask_rule_matches_the_rule_on_allocations(case):
         parties = state_parties(state, involved)
         assert parties == involved_parties(allocation, rate) == reference_parties(allocation, rate)
 
-    replayed = replay_state(state, [rate_masks(rate) for rate in rates])
+    replayed = replay_state(state, [rate_masks(rate) for rate in rates], {})
     via_allocation = replay_attributes(allocation, rates)
     expected = reference_replay(allocation, rates)
     assert (replayed is None) == (via_allocation is None) == (expected is None)

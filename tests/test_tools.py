@@ -97,11 +97,16 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     fields = run.split()
     assert fields[0] == "k=1" and float(fields[2]) > 0
     assert fields[3:7] == ["population", "1012", "archive", "1"]
+    # The whole command ran: the peak after ``allocate``, the seconds the
+    # report took to write after ``select``, and the peak at the end.
+    names = ["peak_rss_mb", "report_s", "report_peak_rss_mb", "memo"]
+    assert [fields.index(name) for name in names] == sorted(fields.index(name) for name in names)
+    assert float(fields[fields.index("report_s") + 1]) >= 0
     # Each memo table's entry count, in the tool's order, then the index's
     # structure count.  The index answers every verdict, so the decider's
     # table stays empty and every other table fills.
     tables = fields[fields.index("memo") + 1:fields.index("index")]
-    assert tables[::2] == ["states", "verdicts", "joins", "shapes", "budgets", "regions"]
+    assert tables[::2] == ["states", "verdicts", "joins", "shapes", "budgets", "regions", "users"]
     sizes = dict(zip(tables[::2], map(int, tables[1::2])))
     assert sizes.pop("verdicts") == 0
     assert all(size > 0 for size in sizes.values())

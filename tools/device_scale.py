@@ -1,4 +1,4 @@
-"""Time ``allocate`` at device scale: heavy-hex 27, untrusted (5,5,5), no cap.
+"""Time ``qaiccc allocate`` at device scale: heavy-hex 27, untrusted (5,5,5), no cap.
 
 Usage::
 
@@ -9,22 +9,29 @@ script lives in).  The instance is the IBM Falcon heavy-hex layout of 27
 qubits, three untrusted requests of 5 qubits, and the ``k`` highest-scored
 rates of ``synth_rates(graph, 7)``, searched with the default
 ``SearchConfig``.  For every ``k`` given (default 1 and 2; repeat a value
-to measure it again) and every tree, ``allocate`` runs in a fresh
-interpreter; with several trees their order alternates from one ``k`` to
-the next, so a drift of the host does not favour one tree.  One line per
-run gives the seconds ``allocate`` took, the final population and archive
-sizes, the interpreter's peak resident memory (``VmHWM``; blank where
-``/proc`` does not provide it) and the entry count of each table of the
-run's ``allocator.SearchMemo`` when the search ends (``-`` for a table the
-tree does not have), then the number of complete structures in the memo's
-completion index (``-`` when the run fell back to the decider, or the
-tree has no index).  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so
-no run leaves a ``__pycache__`` in a tree to speed up the next one.  With
-``--profile N`` each run is made under the
-standard library's ``cProfile`` (so its seconds include the profiler's
-overhead) and is followed by the ``N`` functions with the most self
-time: self seconds, cumulative seconds, calls and the function.
-Standard library only.
+to measure it again) and every tree, a fresh interpreter writes the
+instance's files to a temporary directory and runs the whole command
+through ``qaiccc.cli.main``: ``allocate``, then ``select``, then the JSON
+report streamed to a temporary file (``--output``, ``--no-timings``).
+With several trees their order alternates from one ``k`` to the next, so
+a drift of the host does not favour one tree.  One line per run gives
+the seconds ``allocate`` took, the final population and archive sizes,
+the interpreter's peak resident memory (``VmHWM``; blank where ``/proc``
+does not provide it) once ``allocate`` has returned (``peak_rss_mb``),
+the seconds from ``select``'s return to the end of the command, which
+writes the report (``report_s``), the peak resident memory at the end of
+the command (``report_peak_rss_mb``), and the entry count of each table
+of the run's ``allocator.SearchMemo`` when the search ends (``-`` for a
+table the tree does not have), then the number of complete structures in
+the memo's completion index (``-`` when the run fell back to the
+decider, or the tree has no index).  The memo is only counted, not kept:
+it dies with the search, as it does in the command.  Children run with
+``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a ``__pycache__`` in a
+tree to speed up the next one.  With ``--profile N`` the ``allocate``
+call of each run is made under the standard library's ``cProfile`` (so
+its seconds include the profiler's overhead) and is followed by the
+``N`` functions with the most self time: self seconds, cumulative
+seconds, calls and the function.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,14 +54,25 @@ EDGES = (
 )
 
 #: The ``allocator.SearchMemo`` tables whose entry counts a run line gives.
-MEMO_TABLES = ("states", "verdicts", "joins", "shapes", "budgets", "regions")
+MEMO_TABLES = ("states", "verdicts", "joins", "shapes", "budgets", "regions", "users")
 
 CHILD = """
-import cProfile, json, pstats, sys, time
+import cProfile, json, os, pstats, sys, tempfile, time
 from pathlib import Path
-from qaiccc import ConnectivityGraph, SizeRequests, allocate, allocator, sort_rates, synth_rates
+from qaiccc import ConnectivityGraph, SizeRequests, allocator, cli, sort_rates, synth_rates
+from qaiccc.ingest import save_platform, save_rates, save_requests
 
 edges, k, profile, tables = json.loads(sys.argv[1])
+
+
+def peak_mb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
 memos = []
 if hasattr(allocator, "SearchMemo"):
     record = allocator.SearchMemo.__init__
@@ -64,16 +82,53 @@ if hasattr(allocator, "SearchMemo"):
         memos.append(self)
 
     allocator.SearchMemo.__init__ = recording
-graph = ConnectivityGraph(27, frozenset(map(tuple, edges)))
-rates = sort_rates(synth_rates(graph, 7))[:k]
 profiler = cProfile.Profile() if profile else None
-start = time.perf_counter()
-if profiler is not None:
-    profiler.enable()
-outcome = allocate(graph, SizeRequests(untrusted=(5, 5, 5)), rates)
-if profiler is not None:
-    profiler.disable()
-seconds = time.perf_counter() - start
+run = {}
+allocate, select = cli.allocate, cli.select
+
+
+def measured_allocate(*args):
+    start = time.perf_counter()
+    if profiler is not None:
+        profiler.enable()
+    outcome = allocate(*args)
+    if profiler is not None:
+        profiler.disable()
+    run["seconds"] = time.perf_counter() - start
+    run["peak_rss_mb"] = peak_mb()
+    run["population"], run["archive"] = len(outcome.population), len(outcome.archive)
+    memo = memos[-1] if memos else None
+    run["memo"] = {
+        name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables
+    }
+    index = getattr(memo, "index", None)
+    run["index"] = None if index is None else index.count
+    memos.clear()  # the memo dies with the search, as in the command
+    return outcome
+
+
+def measured_select(*args):
+    selected = select(*args)
+    run["selected"] = time.perf_counter()
+    return selected
+
+
+cli.allocate, cli.select = measured_allocate, measured_select
+graph = ConnectivityGraph(27, frozenset(map(tuple, edges)))
+with tempfile.TemporaryDirectory() as work:
+    names = ("platform", "rates", "requests", "report")
+    paths = {name: os.path.join(work, f"{name}.json") for name in names}
+    save_platform(graph, paths["platform"])
+    save_rates(sort_rates(synth_rates(graph, 7))[:k], paths["rates"])
+    save_requests(SizeRequests(untrusted=(5, 5, 5)), paths["requests"])
+    argv = ["allocate", "--no-timings", "--output", paths["report"]]
+    for name in ("platform", "rates", "requests"):
+        argv += [f"--{name}", paths[name]]
+    code = cli.main(argv)
+    run["report_s"] = time.perf_counter() - run.pop("selected")
+    run["report_peak_rss_mb"] = peak_mb()
+if code != 0:
+    sys.exit(f"allocate exited {code}")
 top = []
 if profiler is not None:
     stats = pstats.Stats(profiler).sort_stats("tottime")
@@ -82,23 +137,13 @@ if profiler is not None:
         path, line, name = function
         where = f"{Path(path).name}:{line}({name})" if line else name
         top.append([self_s, total_s, calls, where])
-peak = None
-try:
-    with open("/proc/self/status") as status:
-        peak = next(int(line.split()[1]) / 1024 for line in status if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    pass
-memo = memos[-1] if memos else None
-sizes = {name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables}
-index = getattr(memo, "index", None)
-print(json.dumps({"seconds": seconds, "population": len(outcome.population),
-                  "archive": len(outcome.archive), "peak_rss_mb": peak, "profile": top,
-                  "memo": sizes, "index": None if index is None else index.count}))
+run["profile"] = top
+print(json.dumps(run))
 """
 
 
 def measure(tree: Path, k: int, profile: int = 0) -> dict:
-    """One ``allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter.
+    """One ``qaiccc allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter.
 
     With ``profile`` above 0 the run is profiled, and the result's
     ``profile`` entry lists that many of its functions with the most self
@@ -133,14 +178,18 @@ def main(argv: list[str] | None = None) -> int:
     for turn, k in enumerate(args.k):
         for tree in trees[::-1] if turn % 2 else trees:
             run = measure(tree, k, args.profile)
-            peak = "" if run["peak_rss_mb"] is None else f"{run['peak_rss_mb']:.1f}"
+            peak, report_peak = (
+                "" if mb is None else f"{mb:.1f}"
+                for mb in (run["peak_rss_mb"], run["report_peak_rss_mb"])
+            )
             tables = " ".join(
                 f"{name} {'-' if size is None else size}" for name, size in run["memo"].items()
             )
             index = "-" if run["index"] is None else run["index"]
             print(
                 f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
-                f"archive {run['archive']} peak_rss_mb {peak} memo {tables} index {index} {tree}",
+                f"archive {run['archive']} peak_rss_mb {peak} report_s {run['report_s']:.2f} "
+                f"report_peak_rss_mb {report_peak} memo {tables} index {index} {tree}",
                 flush=True,
             )
             for self_s, total_s, calls, function in run["profile"]:
