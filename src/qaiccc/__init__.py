@@ -36,7 +36,7 @@ from .oracle import (
     replay_check,
     safe_prefix,
 )
-from .safety import SafetyReason, SafetyVerdict, involved_parties, is_safe
+from .safety import SafetyReason, involved_parties, is_safe
 from .selection import SelectionResult, noise_worklist, rank, select
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "OracleReport",
     "QaicccError",
     "SafetyReason",
-    "SafetyVerdict",
     "SearchConfig",
     "SelectionResult",
     "SizeRequests",

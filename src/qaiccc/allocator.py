@@ -623,19 +623,29 @@ class RateStep:
 
 @dataclass(frozen=True)
 class AllocationOutcome:
-    """Everything :func:`allocate` produced, in deterministic order."""
+    """Everything :func:`allocate` produced, in deterministic order.
+
+    The initial allocation, the one without components, carries the start
+    score above every rate; the first rate retires it to ``archive``.
+    """
 
     population: tuple[Allocation, ...]
     archive: tuple[Allocation, ...]
     sizes: SizeRequests
     rates: tuple[CrosstalkRate, ...]
-    initial_score: float
     steps: tuple[RateStep, ...]
-    halted: bool
 
     @property
     def allocations(self) -> tuple[Allocation, ...]:
         return self.population + self.archive
+
+    @property
+    def halted(self) -> bool:
+        """Did the search stop early?  Only an empty population stops it.
+
+        The ``max_population`` prune always leaves at least one member.
+        """
+        return not self.population
 
 
 def allocate(
@@ -671,7 +681,6 @@ def allocate(
     archive: dict[SearchState, Allocation] = {}
     memo = SearchMemo(full, graph, config)
     steps: list[RateStep] = []
-    halted = False
     handled = [rate_masks(rate) for rate in ordered]
 
     for index, (rate, impacting, impacted, involved) in enumerate(handled):
@@ -701,7 +710,6 @@ def allocate(
         )
         steps.append(RateStep(rate, tuple(population.values()), tuple(newly_archived)))
         if not population:
-            halted = True
             break
 
     return AllocationOutcome(
@@ -709,7 +717,5 @@ def allocate(
         archive=tuple(archive.values()),
         sizes=full,
         rates=ordered,
-        initial_score=initial_score,
         steps=tuple(steps),
-        halted=halted,
     )

@@ -188,16 +188,20 @@ class RunReport:
         (:func:`_write_output`), they never hold more than one ranking
         entry at a time.  Within one report the text of each distinct rate
         record and component, at its indent, is written once: the ranking
-        repeats the same few rates on hundreds of entries.
+        repeats the same few rates on hundreds of entries.  A rate's text is
+        kept by the record object, which the report holds, not by its value:
+        rates that compare equal can read differently (scores ``0.0`` and
+        ``-0.0``).
         """
-        rates: dict[tuple[CrosstalkRate, str], str] = {}
+        rates: dict[tuple[int, str], str] = {}
         components: dict[tuple[Trust, frozenset[int]], str] = {}
 
         def rate(record: CrosstalkRate, indent: str) -> str:
-            text = rates.get((record, indent))
+            key = (id(record), indent)
+            text = rates.get(key)
             if text is None:
                 inner = indent + "  "
-                text = rates[record, indent] = _object(
+                text = rates[key] = _object(
                     (
                         ("score", json_scalar(record.score)),
                         ("impacting", _ints(sorted(record.impacting), inner)),
@@ -462,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--requests", required=True, help="size requests JSON file")
     p_alloc.add_argument("--output", help="write the report here instead of stdout")
     p_alloc.add_argument("--format", choices=("json", "text"), default="json")
-    p_alloc.add_argument("--max-population", type=int, default=None)
-    p_alloc.add_argument("--max-paths", type=int, default=64)
+    p_alloc.add_argument("--max-population", type=int, default=SearchConfig.max_population)
+    p_alloc.add_argument("--max-paths", type=int, default=SearchConfig.max_paths_per_connect)
     p_alloc.add_argument("--no-timings", action="store_true", help="omit timings for reproducible output")
     p_alloc.add_argument("--verbose", action="store_true", help="text format: show the population per rate")
 

@@ -9,12 +9,11 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 :func:`connected_supersets`; the other public functions take and return
 ``frozenset`` values.  Completion has three parts:
 
-* an exact **decider** (:func:`decide` on a bitmask state, and
-  :func:`can_complete` on an :class:`Allocation`).  It first grows each
-  existing component, in component order, into each distinct open
-  request of its trust class that is large enough, and then tiles the
-  remaining free qubits with fresh blocks anchored on the lowest free
-  qubit, branching over distinct sizes only.  A tiling state in which
+* an exact **decider** (:func:`decide` on a bitmask state).  It first
+  grows each existing component, in component order, into each distinct
+  open request of its trust class that is large enough, and then tiles
+  the remaining free qubits with fresh blocks anchored on the lowest
+  free qubit, branching over distinct sizes only.  A tiling state in which
   some connected free region is smaller than the smallest open request
   is dropped.  Every sub-state's verdict, success or failure, goes into
   a table that :func:`decide` takes, keyed with the open requests, so a
@@ -41,8 +40,9 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   enumerates qubit sets in the fixed order of
   :func:`connected_supersets`.  It enters only the first choice the
   decider accepts, so it never backtracks, and it returns the first
-  completion in that order.  The walk and :func:`can_complete` each keep
-  a private verdict table for their one call.
+  completion in that order.  The walk keeps a private verdict table for
+  its one call, and :func:`can_complete` on an :class:`Allocation` is
+  whether the walk succeeds.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from typing import Iterator, Sequence
 from .model import (
     Allocation,
     ConnectivityGraph,
-    SearchState,
     SizeRequests,
     StateComponent,
     Trust,
@@ -322,20 +321,6 @@ def open_requests(
     return tuple(sorted((trust, size) for _, trust, size in slots))
 
 
-def _start(
-    allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests
-) -> SearchState | None:
-    """The allocation's search state, or None when completion is ruled out up front.
-
-    Completion needs the request sizes to sum to the platform size and
-    the allocation to be structurally valid (:func:`validate_allocation`):
-    its groups partition the platform and every component is connected.
-    """
-    if sizes.total() != graph.vertex_count or validate_allocation(allocation, graph):
-        return None
-    return state_of(allocation)
-
-
 def complete_allocation(
     allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests
 ) -> tuple[Allocation, dict[RequestLabel, frozenset[int]]] | None:
@@ -344,12 +329,13 @@ def complete_allocation(
     Returns the completed allocation (attributes carried over) and the
     request-to-qubits assignment, or None when no completion exists.
     Completion requires the request sizes to sum to the platform size,
-    i.e. ``sizes`` after the idle request has been added.
+    i.e. ``sizes`` after the idle request has been added, and the
+    allocation to be structurally valid (:func:`validate_allocation`): its
+    groups partition the platform and every component is connected.
     """
-    start = _start(allocation, graph, sizes)
-    if start is None:
+    if sizes.total() != graph.vertex_count or validate_allocation(allocation, graph):
         return None
-    free, pending = start
+    free, pending = state_of(allocation)
     slots = request_slots(sizes)
     adjacency = graph.adjacency_masks
     verdicts: dict = {}
@@ -404,6 +390,5 @@ def decide(
 
 
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:
-    """True when :func:`complete_allocation` would succeed."""
-    start = _start(allocation, graph, sizes)
-    return start is not None and decide(*start, graph, open_requests(request_slots(sizes)), {})
+    """True when :func:`complete_allocation` succeeds."""
+    return complete_allocation(allocation, graph, sizes) is not None

@@ -167,12 +167,16 @@ def safe_prefix(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> int:
 class ReplayReport:
     """Outcome of re-deriving an allocation's attributes from its structure."""
 
-    ok: bool
     mismatches: tuple[str, ...]
     expected_score: float | None
     expected_penalty: float
     expected_incidental: tuple[CrosstalkRate, ...]
     expected_last_rate: CrosstalkRate | None
+
+    @property
+    def ok(self) -> bool:
+        """True when every stored attribute matched its replay."""
+        return not self.mismatches
 
 
 def replay_check(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> ReplayReport:
@@ -208,7 +212,6 @@ def replay_check(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> Repl
     if allocation.last_rate != expected_last:
         mismatches.append(f"last_rate {allocation.last_rate} != replayed {expected_last}")
     return ReplayReport(
-        ok=not mismatches,
         mismatches=tuple(mismatches),
         expected_score=expected_score,
         expected_penalty=expected_penalty,
@@ -262,8 +265,12 @@ class OracleReport:
     optimum_safe_prefix: int
     optimum_allocations: tuple[CanonicalKey, ...]
     algorithm_safe_prefix: int
-    gap: int
     complete_count: int
+
+    @property
+    def gap(self) -> int:
+        """The optimum safe prefix minus the algorithm's."""
+        return self.optimum_safe_prefix - self.algorithm_safe_prefix
 
 
 def oracle_report(
@@ -286,6 +293,5 @@ def oracle_report(
         optimum_safe_prefix=optimum,
         optimum_allocations=witnesses,
         algorithm_safe_prefix=algorithm,
-        gap=optimum - algorithm,
         complete_count=len(complete_allocs),
     )

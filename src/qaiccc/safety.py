@@ -15,46 +15,39 @@ impacting and impacted masks, and :func:`state_parties` counts the parties
 on its involved mask.  :func:`is_safe` and :func:`involved_parties` take an
 :class:`Allocation` and a :class:`CrosstalkRate` and delegate to them; the
 search calls the mask functions on its states directly, with each rate's
-masks worked out once.  A verdict is one of four shared constants.
+masks worked out once.  A verdict is a :class:`SafetyReason`, and its
+``safe`` attribute says which way the reason goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .model import Allocation, CrosstalkRate, SearchState, Trust, qubit_mask, state_of
 
 
 class SafetyReason(Enum):
-    TRUSTED_CONTROLS_IMPACTING = "trusted-controls-impacting"
-    ALL_IMPACTED_OWNERS_CONTROL_IMPACTING = "all-impacted-owners-control-impacting"
-    UNALLOCATED_IMPACTED = "unallocated-impacted"
-    IMPACTED_OWNER_WITHOUT_IMPACTING = "impacted-owner-without-impacting"
+    """Why a rate's ownership pattern is safe or unsafe; ``safe`` is the verdict.
 
+    Each member's ``safe`` is a plain attribute set with the member, so a
+    verdict cannot name a reason that says otherwise.
+    """
 
-_SAFE_REASONS = frozenset(
-    {SafetyReason.TRUSTED_CONTROLS_IMPACTING, SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING}
-)
-
-
-@dataclass(frozen=True)
-class SafetyVerdict:
     safe: bool
-    reason: SafetyReason
 
-    def __post_init__(self) -> None:
-        if self.safe != (self.reason in _SAFE_REASONS):
-            raise ValueError(f"verdict flag contradicts reason {self.reason}")
+    TRUSTED_CONTROLS_IMPACTING = ("trusted-controls-impacting", True)
+    ALL_IMPACTED_OWNERS_CONTROL_IMPACTING = ("all-impacted-owners-control-impacting", True)
+    UNALLOCATED_IMPACTED = ("unallocated-impacted", False)
+    IMPACTED_OWNER_WITHOUT_IMPACTING = ("impacted-owner-without-impacting", False)
+
+    def __new__(cls, value: str, safe: bool) -> SafetyReason:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.safe = safe
+        return member
 
 
-_TRUSTED_CONTROLS = SafetyVerdict(True, SafetyReason.TRUSTED_CONTROLS_IMPACTING)
-_ALL_CONTROL = SafetyVerdict(True, SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING)
-_UNALLOCATED = SafetyVerdict(False, SafetyReason.UNALLOCATED_IMPACTED)
-_WITHOUT_IMPACTING = SafetyVerdict(False, SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING)
-
-
-def state_verdict(state: SearchState, impacting: int, impacted: int) -> SafetyVerdict:
+def state_verdict(state: SearchState, impacting: int, impacted: int) -> SafetyReason:
     """Classify ``state`` against a rate with the ``impacting`` and ``impacted`` masks.
 
     The verdict depends only on the owners of the rate's qubits; qubits
@@ -64,13 +57,13 @@ def state_verdict(state: SearchState, impacting: int, impacted: int) -> SafetyVe
     free, components = state
     for trust, mask in components:
         if mask & impacting and trust is Trust.TRUSTED:
-            return _TRUSTED_CONTROLS
+            return SafetyReason.TRUSTED_CONTROLS_IMPACTING
     if impacted & free:
-        return _UNALLOCATED
+        return SafetyReason.UNALLOCATED_IMPACTED
     for _, mask in components:
         if mask & impacted and not mask & impacting:
-            return _WITHOUT_IMPACTING
-    return _ALL_CONTROL
+            return SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING
+    return SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
 
 
 def state_parties(state: SearchState, involved: int) -> int:
@@ -84,7 +77,7 @@ def state_parties(state: SearchState, involved: int) -> int:
     return count + 1 if involved & free else count
 
 
-def is_safe(allocation: Allocation, rate: CrosstalkRate) -> SafetyVerdict:
+def is_safe(allocation: Allocation, rate: CrosstalkRate) -> SafetyReason:
     """Classify ``allocation`` against ``rate`` (:func:`state_verdict` on its state)."""
     return state_verdict(state_of(allocation), qubit_mask(rate.impacting), qubit_mask(rate.impacted))
 

@@ -596,6 +596,8 @@ def _reports(draw):
 
 _RATE = qaiccc.CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2}))
 _OTHER = qaiccc.CrosstalkRate(1e300, frozenset({0}), frozenset({1}))
+_ZERO = qaiccc.CrosstalkRate(0.0, frozenset({0}), frozenset({1}))
+_NEGATIVE_ZERO = qaiccc.CrosstalkRate(-0.0, frozenset({0}), frozenset({1}))  # equal to _ZERO
 
 
 def _example(
@@ -626,6 +628,7 @@ def _example(
 @example(_example(trusted=(1,), timings={"ingest_s": 0.0, "allocate_s": 1e-300, "select_s": 1e300}))
 @example(_example(timings={}))
 @example(_example(ranking=(), timings={"select_s": 0.5}))  # an empty ranking between its neighbours
+@example(_example(worklist=(_ZERO, _NEGATIVE_ZERO), last_rate=_NEGATIVE_ZERO))
 def test_report_writer_writes_what_the_standard_library_writes(report):
     assert "".join(report.json_chunks()) == json.dumps(reference(report), indent=2)
 

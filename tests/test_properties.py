@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from conftest import instance_family
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from qaiccc import (
     ConnectivityGraph,
     CrosstalkRate,
+    SearchConfig,
     SizeRequests,
     allocate,
     baseline_naive,
@@ -33,10 +35,13 @@ from qaiccc import (
     select,
     validate_allocation,
 )
+from qaiccc import allocator
 from qaiccc.cli import EXIT_OK, main
 from qaiccc.completion import complete_allocation, request_slots
 from qaiccc.errors import BaselineInfeasibleError, NoFeasibleAllocationError
 from qaiccc.ingest import save_platform, save_rates, save_requests
+from qaiccc.model import mask_qubits
+from qaiccc.safety import state_verdict
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +311,48 @@ def test_generated_instances_hold_every_pipeline_invariant(instance):
     for ranked in result.ranking:
         report = replay_check(ranked, outcome.rates)
         assert report.ok, report.mismatches
+
+
+# The search's own guards in ``replay_state`` (unsafe on replay) and
+# ``new_alloc`` (a disconnected merge) are reached by direct callers only.
+# These two properties pin why: inside ``allocate`` neither can fire.
+
+_CONFIGS = st.builds(
+    SearchConfig,
+    max_population=st.none() | st.integers(1, 5),
+    max_paths_per_connect=st.sampled_from([1, 3, 64]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_instances(), _CONFIGS)
+def test_every_candidate_the_search_offers_is_safe_for_every_handled_rate(instance, config):
+    # Repairs only grow or fuse same-trust components out of free qubits
+    # and never free one, so a pattern safe for an earlier rate stays safe.
+    graph, requests, rates = instance
+    with mock.patch.object(
+        allocator, "update_population", wraps=allocator.update_population
+    ) as offered:
+        allocate(graph, requests, rates, config)
+    for call in offered.call_args_list:
+        candidates, _, _, processed, _ = call.args
+        for state in candidates:
+            for rate, impacting, impacted, _ in processed:
+                assert state_verdict(state, impacting, impacted).safe, (state, rate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_instances(), _CONFIGS)
+def test_every_merge_the_search_asks_for_is_connected(instance, config):
+    # A rate's qubits are a connected group (``allocate`` checks it), and
+    # every component fused in is connected and meets that group.
+    graph, requests, rates = instance
+    with mock.patch.object(allocator, "new_alloc", wraps=allocator.new_alloc) as merges:
+        allocate(graph, requests, rates, config)
+    for call in merges.call_args_list:
+        (free, components), _, merged = call.args
+        fused = merged
+        for _, mask in components:
+            if mask & merged:
+                fused |= mask
+        assert graph.is_connected(mask_qubits(fused)), (free, components, merged)

@@ -41,28 +41,28 @@ class TestIsSafe:
     def test_single_owner_holding_everything_is_safe(self):
         verdict = is_safe(build({0, 1}, u(2, 3, 4)), RATE)
         assert verdict.safe
-        assert verdict.reason is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
+        assert verdict is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
 
     def test_owner_with_one_impacting_qubit_is_safe(self):
         # Qubit 4 stays unallocated: the owner of 2 already controls 3.
         verdict = is_safe(build({0, 1, 4}, u(2, 3)), RATE)
         assert verdict.safe
-        assert verdict.reason is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
+        assert verdict is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
 
     def test_all_unallocated_is_unsafe(self):
         verdict = is_safe(build({0, 1, 2, 3, 4}), RATE)
         assert not verdict.safe
-        assert verdict.reason is SafetyReason.UNALLOCATED_IMPACTED
+        assert verdict is SafetyReason.UNALLOCATED_IMPACTED
 
     def test_trusted_impacting_owner_is_safe_even_with_unallocated_impacted(self):
         verdict = is_safe(build({0, 1, 2, 4}, t(3)), RATE)
         assert verdict.safe
-        assert verdict.reason is SafetyReason.TRUSTED_CONTROLS_IMPACTING
+        assert verdict is SafetyReason.TRUSTED_CONTROLS_IMPACTING
 
     def test_impacted_owner_without_impacting_is_unsafe(self):
         verdict = is_safe(build({0, 1}, u(2), u(3, 4)), RATE)
         assert not verdict.safe
-        assert verdict.reason is SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING
+        assert verdict is SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING
 
     def test_spreading_impacting_over_untrusted_users_is_not_safe(self):
         # Different untrusted users on 3 and 4 may collude; owner of 2 holds neither.
@@ -72,6 +72,16 @@ class TestIsSafe:
     def test_trusted_impacted_owner_without_impacting_is_still_unsafe(self):
         verdict = is_safe(build({0, 1}, t(2), u(3, 4)), RATE)
         assert not verdict.safe
+
+
+def test_each_reason_is_its_verdict():
+    assert {reason.value: reason.safe for reason in SafetyReason} == {
+        "trusted-controls-impacting": True,
+        "all-impacted-owners-control-impacting": True,
+        "unallocated-impacted": False,
+        "impacted-owner-without-impacting": False,
+    }
+    assert SafetyReason("unallocated-impacted") is SafetyReason.UNALLOCATED_IMPACTED
 
 
 class TestInvolvedParties:
@@ -234,8 +244,8 @@ def test_the_mask_rule_matches_the_rule_on_allocations(case):
         _, impacting, impacted, involved = rate_masks(rate)
         verdict = state_verdict(state, impacting, impacted)
         assert verdict == is_safe(allocation, rate)
-        assert verdict.reason is reference_reason(allocation, rate)
-        assert verdict.safe is (verdict.reason in SAFE)
+        assert verdict is reference_reason(allocation, rate)
+        assert verdict.safe is (verdict in SAFE)
         parties = state_parties(state, involved)
         assert parties == involved_parties(allocation, rate) == reference_parties(allocation, rate)
 

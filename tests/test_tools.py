@@ -64,7 +64,7 @@ def test_no_allocator_function_takes_the_memo_and_what_it_carries():
 
 def test_same_tree_shows_no_difference(capsys):
     assert load_tool().main([str(ROOT), str(ROOT), "--only", "i00"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "10 commands, 0 with differences"
+    assert capsys.readouterr().out.splitlines()[-1] == "11 commands, 0 with differences"
 
 
 def test_changed_report_bytes_are_flagged(tmp_path, capsys):
@@ -73,7 +73,7 @@ def test_changed_report_bytes_are_flagged(tmp_path, capsys):
     cli.write_text(cli.read_text().replace('"qaiccc-report/1"', '"qaiccc-report/x"'))
     assert load_tool().main([str(ROOT), str(tmp_path), "--only", "i00"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "10 commands, 4 with differences"
+    assert lines[-1] == "11 commands, 4 with differences"
     assert all(line.startswith("i00: differs in report: allocate ") for line in lines[:-1])
 
 
@@ -86,8 +86,21 @@ def test_changed_synth_layout_is_flagged(tmp_path, capsys):
     cli.write_text(source.replace(written, written.replace("indent=2", "indent=4")))
     assert load_tool().main([str(ROOT), str(tmp_path), "--only", "i00"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "10 commands, 1 with differences"
+    assert lines[-1] == "11 commands, 1 with differences"
     assert lines[0].startswith("i00: differs in report: synth ")
+
+
+def test_changed_oracle_text_is_flagged(tmp_path, capsys):
+    shutil.copytree(ROOT / "src" / "qaiccc", tmp_path / "src" / "qaiccc")
+    cli = tmp_path / "src" / "qaiccc" / "cli.py"
+    source = cli.read_text()
+    written = 'yield f"gap: {report.gap}\\n"'
+    assert source.count(written) == 1
+    cli.write_text(source.replace(written, written.replace("gap: ", "gap = ")))
+    assert load_tool().main([str(ROOT), str(tmp_path), "--only", "i00"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "11 commands, 1 with differences"
+    assert lines[0].startswith("i00: differs in report: oracle ") and lines[0].endswith("--format text")
 
 
 def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):

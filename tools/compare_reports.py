@@ -9,8 +9,8 @@ benchmark's 42 instances (``bench/workloads.py``, seed 1): every instance
 runs ``allocate`` under four configurations (default, ``--max-paths 1``,
 ``--max-paths 5``, ``--max-population 3``), each as JSON ``--no-timings``
 and as text ``--verbose --no-timings``; every oracle instance also runs
-``oracle``, and every instance runs ``synth --seed 7`` on its platform:
-418 commands.  ``--only`` keeps the named instances.
+``oracle`` as JSON and as text, and every instance runs ``synth --seed 7``
+on its platform: 458 commands.  ``--only`` keeps the named instances.
 
 Every command runs in a fresh interpreter against each tree, on the same
 input files, with ``PYTHONDONTWRITEBYTECODE=1``: a comparison leaves no
@@ -55,6 +55,7 @@ def behaviour_set(work: Path, only: set[str] | None) -> list[tuple[str, list[str
                     commands.append((instance.name, ["allocate", *inputs, *config, *fmt]))
             if instance.oracle:
                 commands.append((instance.name, ["oracle", *inputs]))
+                commands.append((instance.name, ["oracle", *inputs, "--format", "text"]))
             commands.append((instance.name, ["synth", inputs[0], "--seed", str(SYNTH_SEED)]))
     return commands
 
