@@ -25,15 +25,15 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 * an **index** of the complete set (:func:`completion_index`).  It
   enumerates every complete structure of a set of requests, anchoring
   each block on the lowest free qubit and branching over distinct
-  ``(trust, size)`` requests, and gives up past :data:`INDEX_BUDGET`
-  candidate blocks, or when the structures' blocks hold more than
-  :data:`INDEX_BUDGET` pairs of qubits.  It files the structures into two
-  tables: per pair of qubits, those that put both in one block, and per
-  qubit and trust, those that give the qubit a block of that trust.  A
-  state can be completed exactly when one structure holds each of its
-  components inside a block of its own, of the same trust, so
+  ``(trust, size)`` requests, and gives up once its work passes
+  :data:`INDEX_BUDGET`: one unit per candidate block drawn, and a
+  block's size for each distinct ``(trust, block)`` it files.  It files
+  each such block, with the structures that hold it, under every qubit of
+  the block and the block's trust, so the table grows linearly with the
+  blocks.  A state can be completed exactly when one structure holds each
+  of its components inside a block of its own, of the same trust, so
   :meth:`CompletionIndex.admits` gives the decider's verdict from bitsets
-  over the structures.  The tables are only read once built.
+  over the structures.  The table is only read once built.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
   request slots in declared order (trusted, then untrusted, idle last),
   offers each slot its existing components before fresh blocks, and
@@ -48,7 +48,6 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, Sequence
 
 from .model import (
@@ -202,68 +201,58 @@ def _completable(
     return verdict
 
 
-#: Candidate blocks :func:`completion_index` tries before it gives up.
-#: Running out was measured at 0.04-0.27 s on untrusted (5,5,5) grids of
-#: 8x8 to 64x64 qubits (2-core x86_64, Python 3.11, shared host).  The
-#: pair table is held to as many entries: a block of ``b`` qubits fills
-#: ``b * (b - 1) / 2`` of them, so one idle block of a 4,096-qubit line
-#: would otherwise file 8.4 million.
+#: The work :func:`completion_index` may do before it gives up: each
+#: candidate block drawn costs 1, dropped or not, and each distinct
+#: ``(trust, block)`` filed costs the block's size, which is the entries
+#: it adds to the table.  So the table never holds more entries than the
+#: budget, and a walk of many small structures and one of a few huge idle
+#: blocks are refused alike: a 4,096-qubit ring with untrusted (5,) after
+#: 6 candidates, a 64x64 grid with (5,5,5) after 8.
 INDEX_BUDGET = 10_000
 
 class CompletionIndex:
     """The complete structures of one set of requests, as bitsets over them.
 
-    Bit ``i`` of every bitset stands for structure ``i``.  Two tables,
-    filled once and only read after: ``together[p]`` maps each qubit ``q >
-    p`` to the structures that put ``p`` and ``q`` in one block, and
-    ``trust_at[q]`` maps each trust to the structures that give ``q`` a
-    block of that trust.
+    Bit ``i`` of every bitset stands for structure ``i``.  One table,
+    filled once and only read after: ``blocks[q][trust]`` lists ``(block,
+    structures)`` for each distinct block of that trust holding qubit
+    ``q``, with the structures that hold the block.
     """
 
-    __slots__ = ("count", "together", "trust_at")
+    __slots__ = ("count", "blocks")
 
     def __init__(
         self, count: int, holders: dict[tuple[Trust, int], int], vertex_count: int
     ) -> None:
         self.count = count
-        self.together: list[dict[int, int]] = [{} for _ in range(vertex_count)]
-        self.trust_at: list[dict[Trust, int]] = [{} for _ in range(vertex_count)]
+        self.blocks: list[dict[Trust, list[tuple[int, int]]]] = [{} for _ in range(vertex_count)]
         for (trust, block), structures in holders.items():
-            qubits = sorted(mask_qubits(block))
-            for i, p in enumerate(qubits):
-                trusts, pairs = self.trust_at[p], self.together[p]
-                trusts[trust] = trusts.get(trust, 0) | structures
-                for q in qubits[i + 1 :]:
-                    pairs[q] = pairs.get(q, 0) | structures
+            for q in mask_qubits(block):
+                self.blocks[q].setdefault(trust, []).append((block, structures))
 
     def admits(self, pending: Sequence[StateComponent]) -> bool:
         """The decider's verdict on a state whose components are ``pending``.
 
         True when some structure holds every component in a block of its
-        own, of the component's trust.  A component fits the structures
-        that give its lowest qubit a block of its trust and put each of its
-        other qubits in that block; the state's structures are the AND of
-        its components' fits, less those in which two components' lowest
-        qubits share a block.  The free qubits are the rest of the
-        platform, so they need no test.
+        own, of the component's trust.  A structure has one block at a
+        component's lowest qubit, so the component fits the structures of
+        the blocks there that have its trust, hold all of it and meet no
+        other component; the state's structures are the AND of its
+        components' fits.  The free qubits are the rest of the platform,
+        so they need no test.
         """
-        together = self.together
+        taken = 0
+        for _, mask in pending:
+            taken |= mask
         common = (1 << self.count) - 1
-        lows: list[int] = []
         for trust, mask in pending:
-            low = (mask & -mask).bit_length() - 1
-            pairs = together[low]
-            common &= self.trust_at[low].get(trust, 0)
-            rest = mask & (mask - 1)
-            while rest and common:
-                bit = rest & -rest
-                common &= pairs.get(bit.bit_length() - 1, 0)
-                rest ^= bit
-            for other in lows:
-                common &= ~(pairs.get(other, 0) if low < other else together[other].get(low, 0))
+            fit = 0
+            for block, structures in self.blocks[(mask & -mask).bit_length() - 1].get(trust, ()):
+                if block & taken == mask:
+                    fit |= structures
+            common &= fit
             if not common:
                 return False
-            lows.append(low)
         return bool(common)
 
 
@@ -277,25 +266,18 @@ def completion_index(
     partial state branches over the distinct ``(trust, size)`` requests
     still open, so each structure is found once.  A candidate block that
     leaves a connected free region smaller than every open request is
-    dropped.  When structure ``i`` completes, bit ``i`` joins the
-    structures of each of its ``(trust, block)`` pairs.  None when the
-    candidates tried, dropped or not, run past :data:`INDEX_BUDGET`, or
-    when the distinct blocks hold more pairs of qubits than that, so the
-    tables would file more entries; :func:`decide` then answers.
+    dropped.  The walk is a stack of per-state candidate generators, so a
+    structure is filed as soon as it completes: bit ``i`` joins the
+    structures of each ``(trust, block)`` of structure ``i``.  None at the
+    first step that takes the work past :data:`INDEX_BUDGET` (see there);
+    :func:`decide` then answers.
     """
     adjacency = graph.adjacency_masks
     budget = INDEX_BUDGET
     count = 0
     holders: dict[tuple[Trust, int], int] = {}
-    stack: list[tuple[int, tuple, tuple]] = [((1 << graph.vertex_count) - 1, requests, ())]
-    while stack:
-        free, left, blocks = stack.pop()
-        if not free:
-            if not left:
-                for block in blocks:
-                    holders[block] = holders.get(block, 0) | 1 << count
-                count += 1
-            continue
+
+    def branches(free: int, left: tuple) -> Iterator[tuple]:
         anchor = free & -free
         for i, (trust, size) in enumerate(left):
             if i and left[i - 1] == left[i]:
@@ -303,14 +285,27 @@ def completion_index(
             rest = left[:i] + left[i + 1 :]
             smallest = min(size for _, size in rest) if rest else 0
             for block in connected_supersets(anchor, size, free, adjacency):
-                budget -= 1
-                if budget < 0:
-                    return None
-                remaining = free & ~block
-                if _regions_fit(remaining, smallest, adjacency):
-                    stack.append((remaining, rest, blocks + ((trust, block),)))
-    if sum(math.comb(block.bit_count(), 2) for _, block in holders) > INDEX_BUDGET:
-        return None
+                yield (trust, block), free & ~block, rest, smallest
+
+    stack = [(branches((1 << graph.vertex_count) - 1, requests), None)]
+    while stack:
+        child = next(stack[-1][0], None)
+        if child is None:
+            stack.pop()
+            continue
+        placed, remaining, rest, smallest = child
+        budget -= 1
+        if remaining:
+            if _regions_fit(remaining, smallest, adjacency):
+                stack.append((branches(remaining, rest), placed))
+        elif not rest:
+            for key in [led_by for _, led_by in stack[1:]] + [placed]:
+                if key not in holders:
+                    budget -= key[1].bit_count()
+                holders[key] = holders.get(key, 0) | 1 << count
+            count += 1
+        if budget < 0:
+            return None
     return CompletionIndex(count, holders, graph.vertex_count)
 
 

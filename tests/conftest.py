@@ -19,6 +19,15 @@ from qaiccc import (
 # triangle 2-3-4 at qubit 2.
 DEMO_EDGES = frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)})
 
+# Heavy-hex 27, the IBM Falcon layout.
+HEAVY_HEX_27 = ConnectivityGraph(27, frozenset(
+    tuple(map(int, edge.split("-")))
+    for edge in (
+        "0-1 1-2 1-4 2-3 3-5 4-7 5-8 6-7 7-10 8-9 8-11 10-12 11-14 12-13 12-15 "
+        "13-14 14-16 15-18 16-19 17-18 18-21 19-20 19-22 21-23 22-25 23-24 24-25 25-26"
+    ).split()
+))
+
 
 @pytest.fixture
 def demo_graph() -> ConnectivityGraph:

@@ -19,8 +19,11 @@ from qaiccc import (
     allocate,
     canonicalize,
     enumerate_complete,
+    sort_rates,
+    synth_rates,
     validate_allocation,
 )
+import qaiccc.allocator as allocator_module
 import qaiccc.completion as completion_module
 from qaiccc.allocator import update_sizes
 from qaiccc.completion import (
@@ -36,7 +39,7 @@ from qaiccc.completion import (
 from qaiccc.ingest import MAX_QUBITS
 from qaiccc.model import qubit_mask, state_of
 
-from conftest import instance_family
+from conftest import HEAVY_HEX_27, instance_family
 
 
 def u(*qubits):
@@ -538,8 +541,13 @@ def requests_of(graph, sizes):
     return open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
 
 
+_STAR4 = ConnectivityGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(partial_sequences())
+# A star of 4 has no two connected pairs: an index of no structures refuses even the empty state.
+@example((_STAR4, SizeRequests(untrusted=(2, 2)), [build(4)]))
 def test_the_index_decides_like_the_decider(case):
     graph, sizes, sequence = case
     requests = requests_of(graph, sizes)
@@ -628,48 +636,85 @@ def test_the_index_decides_like_the_decider_where_many_blocks_meet(graph, sizes)
     assert verdicts == {True, False}
 
 
+def counting_draws(monkeypatch):
+    """Wrap ``connected_supersets`` in the completion module; the list's length is the blocks drawn."""
+    drawn = []
+    supersets = completion_module.connected_supersets
+
+    def counting(*args):
+        for block in supersets(*args):
+            drawn.append(block)
+            yield block
+
+    monkeypatch.setattr(completion_module, "connected_supersets", counting)
+    return drawn
+
+
 def test_the_budget_bounds_the_index_at_platform_scale(monkeypatch):
+    """Each structure of a 64x64 grid with (5,5,5) files an idle block of 4,081 qubits.
+
+    Filing charges a block its size, so the third structure's idle block
+    passes the budget after a few candidates; charging only the
+    candidates would draw ``INDEX_BUDGET + 1`` of them.
+    """
     side = 64
     assert side * side == MAX_QUBITS
     edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
     edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     graph = ConnectivityGraph(MAX_QUBITS, frozenset(edges))
-    drawn = 0
-    supersets = completion_module.connected_supersets
-
-    def counting(*args):
-        nonlocal drawn
-        for block in supersets(*args):
-            drawn += 1
-            yield block
-
-    monkeypatch.setattr(completion_module, "connected_supersets", counting)
+    drawn = counting_draws(monkeypatch)
     assert completion_index(requests_of(graph, SizeRequests(untrusted=(5, 5, 5))), graph) is None
-    assert drawn == completion_module.INDEX_BUDGET + 1
+    assert 0 < len(drawn) <= 40
 
 
-def test_the_budget_bounds_the_pair_table(monkeypatch):
-    """A line with untrusted (5,) has two structures, each with one idle block of all but 5 qubits.
-
-    On 100 qubits the blocks hold 8,950 pairs, within the budget; on
-    ``MAX_QUBITS`` they would hold 16.7 million, so the index is refused
-    before its tables are filled.
-    """
-
-    def line(length):
-        return ConnectivityGraph(length, frozenset((q, q + 1) for q in range(length - 1)))
-
-    short = line(100)
+def test_the_budget_bounds_the_filed_blocks():
+    """A line with untrusted (5,) has two structures, each with one idle block of all but 5 qubits."""
+    short = ConnectivityGraph(100, frozenset((q, q + 1) for q in range(99)))
     index = completion_index(requests_of(short, SizeRequests(untrusted=(5,))), short)
     assert index.count == 2
-    assert sum(map(len, index.together)) <= completion_module.INDEX_BUDGET
+    filed = sum(len(listed) for by_trust in index.blocks for listed in by_trust.values())
+    assert filed == 200 <= completion_module.INDEX_BUDGET
+
+
+def test_the_budget_refuses_a_ring_of_huge_idle_blocks(monkeypatch):
+    """A 4,096-qubit ring with (5,): every structure's idle arc of 4,091 qubits is a new block."""
 
     def unfilled(*args):
-        raise AssertionError("the tables were filled past the budget")
+        raise AssertionError("the table was filled past the budget")
 
     monkeypatch.setattr(completion_module, "CompletionIndex", unfilled)
-    long = line(MAX_QUBITS)
-    assert completion_index(requests_of(long, SizeRequests(untrusted=(5,))), long) is None
+    drawn = counting_draws(monkeypatch)
+    ring = ConnectivityGraph(
+        MAX_QUBITS, frozenset((q, (q + 1) % MAX_QUBITS) for q in range(MAX_QUBITS))
+    )
+    assert completion_index(requests_of(ring, SizeRequests(untrusted=(5,))), ring) is None
+    assert 0 < len(drawn) <= 40
+
+
+@pytest.mark.parametrize("untrusted, count", [((3, 3, 3), 74), ((5, 5, 5), 28), ((4, 4, 4, 4), 33)])
+def test_the_heavy_hex_27_index_is_built(untrusted, count):
+    graph = HEAVY_HEX_27
+    index = completion_index(requests_of(graph, SizeRequests(untrusted=untrusted)), graph)
+    assert index.count == count
+
+
+def test_the_heavy_hex_27_index_decides_every_search_state_like_the_decider(monkeypatch):
+    """Every state a one-rate (3,3,3) search asks about, against one shared decider table."""
+    graph, sizes = HEAVY_HEX_27, SizeRequests(untrusted=(3, 3, 3))
+    requests, verdicts = requests_of(graph, sizes), {}
+    completable = allocator_module.completable
+    asked = []
+
+    def checked(state, memo):
+        verdict = completable(state, memo)
+        assert memo.index is not None
+        assert verdict is decide(*state, graph, requests, verdicts)
+        asked.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(allocator_module, "completable", checked)
+    allocate(graph, sizes, sort_rates(synth_rates(graph, 7))[:1])
+    assert set(asked) == {True, False}
 
 
 class TestDeciderKeyCarriesTheOpenRequests:

@@ -29,11 +29,7 @@ from qaiccc import (
 from qaiccc import oracle
 from qaiccc.oracle import count_complete
 
-# Heavy-hex 27, the IBM Falcon layout.
-HEAVY_HEX_27 = (
-    "0-1 1-2 1-4 2-3 3-5 4-7 5-8 6-7 7-10 8-9 8-11 10-12 11-14 12-13 12-15 "
-    "13-14 14-16 15-18 16-19 17-18 18-21 19-20 19-22 21-23 22-25 23-24 24-25 25-26"
-)
+from conftest import HEAVY_HEX_27
 
 
 def u(*qubits):
@@ -79,12 +75,9 @@ class TestEnumerateComplete:
         "untrusted, count", [((5, 5, 5), 28), ((4, 4, 4, 4), 33), ((3, 3, 3), 74)]
     )
     def test_heavy_hex_27_is_enumerated(self, untrusted, count):
-        heavy_hex = ConnectivityGraph(
-            27, frozenset(tuple(map(int, e.split("-"))) for e in HEAVY_HEX_27.split())
-        )
-        allocations = enumerate_complete(heavy_hex, SizeRequests(untrusted=untrusted))
+        allocations = enumerate_complete(HEAVY_HEX_27, SizeRequests(untrusted=untrusted))
         assert len(allocations) == count
-        assert all(validate_allocation(a, heavy_hex) == [] for a in allocations)
+        assert all(validate_allocation(a, HEAVY_HEX_27) == [] for a in allocations)
 
     def test_passing_the_budget_raises_and_names_it(self, demo_graph, demo_sizes, monkeypatch):
         # The demo instance takes 45 steps: 45 is enough, 44 is not.
