@@ -26,24 +26,34 @@ states and share one :class:`SearchMemo`, which :func:`allocate` creates
 from the run's graph, sizes and config; the operators read those three
 from the memo, so its tables are only ever read for the run they were
 worked out for.  Each distinct state is decided once, each growth budget,
-each :func:`connect` join that passes its owner's budget and each join's
-region list is remembered for the rest of the run, and the memo dies with
-the run; a join the budget refuses is answered at once, with no key kept.  A
-state's verdict is read from the run's index of every complete structure
-(:func:`qaiccc.completion.completion_index`, built with the memo); when
-the complete set is too large to enumerate or to file, the decider works
-it out and the memo keeps its verdict on each sub-state (success or
-failure).  A region list does not depend on the join's state beyond
-``base = owner | incoming``, the part of ``base`` and the free qubits
-that base's lowest qubit reaches and the largest size the owner's budget allows, so joins
-on many states share one.  One builder (:func:`_fused`) assembles every
-fused candidate, for a join's regions and for :func:`new_alloc`'s merge
-alike: each region holds its base and adds only unallocated qubits, so
-the components it meets, the kept ones and their order keys are worked
-out in one pass per call, and each region's fused component is bisected
-into the kept components, which a state holds in component order.
-Safety is read on masks (:func:`qaiccc.safety.state_verdict`), each
-rate's masks worked out once per run (:func:`rate_masks`).  Population
+each :func:`connect` join and each join's region list is remembered for
+the rest of the run, and the memo dies with the run.  A budget is kept
+by what :func:`remain` reads, the owner's trust and size and the sorted
+``(trust, size)`` shape of the state.  Refusal happens in the operators:
+each reads an owner's budget once per state and skips every pick the
+budget cannot take, so such a pick makes no :func:`connect` call and no
+join key.  A state's verdict is read from the run's index of every
+complete structure (:func:`qaiccc.completion.completion_index`, built
+with the memo); when the complete set is too large to enumerate or to
+file, the decider works it out and the memo keeps its verdict on each
+sub-state (success or failure).  A region list does not depend on the
+join's state beyond ``base = owner | incoming``, the part of ``base`` and
+the free qubits that base's lowest qubit reaches and the largest size the
+owner's budget allows, so joins on many states share one; a join with no
+room for a connector only asks whether ``base`` is connected, which is
+kept by ``base``.  The regions of one join are grown one size from the
+last (:func:`_grown`), so each size is walked once.  One builder
+(:func:`_fused`) assembles every fused candidate, for a join's regions
+and for :func:`improve_alloc`'s merges alike: each region holds its base
+and adds only unallocated qubits, so the components it meets, the kept
+ones and their order keys are worked out in one pass per call, and each
+region's fused component is bisected into the kept components, which a
+state holds in component order.  With the index, a join of many
+regions is decided once: the index lists the blocks that can host the
+fused user beside the kept components, and only the regions those blocks
+hold are built.  Safety is read on masks
+(:func:`qaiccc.safety.state_verdict`), each rate's masks worked out once
+per run (:func:`rate_masks`).  Population
 and archive are insertion-ordered dicts keyed by state, and this store is
 the one final deduplicator of candidates.  An :class:`Allocation` is
 built only for a state in neither, once its admission replay on the state
@@ -66,7 +76,7 @@ from typing import Iterable, Iterator, Sequence
 # ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
 # longer called here; they stay bound because the benchmark's tracer
 # (bench/spans.py) wraps names at this import site.
-from .completion import can_complete, completion_index, connected_supersets, decide  # noqa: F401
+from .completion import can_complete, completion_index, decide  # noqa: F401
 from .completion import open_requests, request_slots
 from .errors import InsufficientQubitsError
 from .model import (  # noqa: F401
@@ -81,6 +91,7 @@ from .model import (  # noqa: F401
     canonicalize,
     check_score_total,
     dedup_allocations,
+    mask_neighborhood,
     mask_qubits,
     mask_region,
     qubit_mask,
@@ -96,6 +107,13 @@ log = logging.getLogger("qaiccc.allocator")
 
 #: A fresh user of each class, as a :func:`connect` owner, trusted first.
 _FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0), (Trust.UNTRUSTED, 0))
+
+#: The fewest regions for which a join reads the index's host blocks
+#: (:meth:`~qaiccc.completion.CompletionIndex.hosts`).  A smaller join
+#: judges each region's state on its own: the state is often one the run
+#: has already judged, and on ``desk8-oracle`` a host list for every join
+#: of two or three regions cost more than it saved.
+_HOSTED_REGIONS = 4
 
 #: Entry ``b`` is byte ``b`` with its bits in reverse order.
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -127,8 +145,10 @@ class SearchMemo:
 
     The operators read ``graph``, ``sizes`` and ``config`` from here, and
     each table is an exact function of its key given those three.
-    ``states`` maps every candidate state to itself when kept and to None
-    otherwise, so equal states are one object; ``index`` is the
+    ``states`` maps every candidate state judged on its own to itself when
+    kept and to None otherwise, and every state a join's host blocks keep
+    (see :func:`_fused`) to itself, so equal states are one object; a
+    region those blocks refuse builds no state.  ``index`` is the
     :class:`~qaiccc.completion.CompletionIndex` of the run's ``requests``
     on the graph, built here and only read after, or None when the complete
     set is too large to enumerate or to file; only then does ``verdicts``
@@ -136,21 +156,27 @@ class SearchMemo:
     sub-state it has worked out for the run's ``requests`` (see
     :func:`completable`);
     ``joins`` the states of each :func:`connect` call whose join passed the
-    owner's growth budget, by ``(state, owner, incoming)``: a join refused
-    on budget is answered before any key is built;
-    ``shapes`` the ``(trust, size)`` shape of each component tuple (see
-    :func:`_budget`); ``budgets`` each :func:`remain`, by the owner's trust
-    and size and the state's shape; ``regions`` the regions of every
-    join, by ``(base, reach, top)``: a join's regions depend on nothing
-    else, given the config's ``max_paths_per_connect`` (see
-    :func:`_regions`); ``users`` the one :class:`UserComponent`, with its
+    owner's growth budget, by ``(state, owner, incoming)``: the operators
+    refuse a pick on budget before they call :func:`connect`, so such a
+    pick builds no key;
+    ``budgets`` one table per sorted ``(trust, size)`` shape of a state's
+    components, mapping the owner's trust and size to its :func:`remain`,
+    which reads nothing else; ``shapes`` the budget table of each component
+    tuple, so states of one shape share it (see :func:`_budgets`);
+    ``bases`` the one region, or none, of each join ``base`` with no room
+    for a connector: ``base`` itself when it is connected; ``reaches`` the
+    connected region of ``within``, the free qubits and ``base``, that holds
+    ``seed``, base's lowest qubit, by ``(seed, within)``; ``regions`` the
+    regions of every other join, by ``(base, reach, top)``: a join's regions
+    depend on nothing else, given the config's ``max_paths_per_connect``
+    (see :func:`_regions`); ``users`` the one :class:`UserComponent`, with its
     one frozenset, of every ``(trust, mask)`` an admitted member holds (see
     :func:`replay_state`), which the run's allocations share.
     """
 
     __slots__ = (
         "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "shapes",
-        "budgets", "regions", "users",
+        "budgets", "bases", "reaches", "regions", "users",
     )
 
     def __init__(
@@ -164,8 +190,10 @@ class SearchMemo:
         self.index = completion_index(self.requests, graph)
         self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
-        self.shapes: dict[tuple[StateComponent, ...], tuple[int, ...]] = {}
-        self.budgets: dict[tuple, int] = {}
+        self.shapes: dict[tuple[StateComponent, ...], dict[int, int]] = {}
+        self.budgets: dict[tuple[int, ...], dict[int, int]] = {}
+        self.bases: dict[int, tuple[int, ...]] = {}
+        self.reaches: dict[tuple[int, int], int] = {}
         self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self.users: dict[StateComponent, UserComponent] = {}
 
@@ -212,7 +240,8 @@ def new_alloc(
     component is connected, no trust classes were mixed and the
     completion decider accepts the state, which also refuses every
     size-infeasible one; whether it is new is the store's call.  It is
-    :func:`_fused`'s state for the one region ``merged``.
+    :func:`_fused`'s state for the one region ``merged``, which the search
+    asks for directly (:func:`improve_alloc`): its merges are connected.
     """
     fused = merged
     for _, mask in state[1]:
@@ -220,74 +249,85 @@ def new_alloc(
             fused |= mask
     if mask_region(fused & -fused, fused, memo.graph.adjacency_masks) != fused:
         return None
-    return next(_fused(state, owner, merged, (merged,), memo), None)
+    made = _fused(state, owner, merged, (merged,), memo)
+    return made[0] if made else None
 
 
 def connect(
-    state: SearchState, owner: StateComponent, incoming: int, *, memo: SearchMemo
+    state: SearchState, owner: StateComponent, incoming: int, *, memo: SearchMemo,
+    room: int | None = None,
 ) -> list[SearchState]:
     """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
     ``owner`` is a component of ``state``, or ``(trust, 0)`` for a fresh
-    user of that class.  The connector budget is the owner's growth
-    allowance (:func:`remain`) minus the incoming qubits themselves; when
-    ``incoming`` is another component, :func:`remain` still counts it
-    among the class's other users although the join fuses it in.  Only
-    connected regions are generated: connected sets that hold the owner's
-    mask and ``incoming`` plus unallocated connector qubits, fewest
-    connectors first and, among regions with as many connectors, in
+    user of that class.  The connector budget ``room`` is the owner's
+    growth allowance (:func:`_budgets`) minus the incoming qubits
+    themselves; when ``incoming`` is another component, :func:`remain`
+    still counts it among the class's other users although the join fuses
+    it in.  Only connected regions are generated: connected sets that hold
+    the owner's mask and ``incoming`` plus unallocated connector qubits,
+    fewest connectors first and, among regions with as many connectors, in
     ascending qubit order (the order of ``itertools.combinations`` over
     the sorted connector pool).  The first ``max_paths_per_connect``
     regions of the memo's config in that order each give, through
     :func:`_fused`, the state :func:`new_alloc` would give for them, kept
     when the decider accepts it; a region is connected and holds ``owner |
-    incoming``, so its fused component is connected too.  A join whose
-    incoming qubits the budget cannot take is refused first, with an empty
-    list and no memo key; any other join already made in this run is
-    answered from the ``memo``, as a new list.  The
-    regions themselves depend only on ``owner | incoming``, the free
-    qubits it reaches and the budget, and the ``memo`` enumerates them
-    once for every join that shares those.
+    incoming``, so its fused component is connected too.  The operators
+    read the owner's budget once per state and pass a ``room`` they have
+    checked to be at least 0; they never call for a pick the budget refuses.
+    Without a ``room`` it is read here, and a join the budget cannot take
+    is an empty list.  Any join already made in this run is answered from
+    the ``memo``, as a new list.  The regions themselves depend only on
+    ``owner | incoming``, the free qubits it reaches and the budget, and
+    the ``memo`` enumerates them once for every join that shares those.
     """
-    room = _budget(state, owner, memo) - (incoming & ~owner[1]).bit_count()
-    if room < 0:
-        return []  # refused on budget: no join key is built or kept
+    if room is None:
+        room = _budgets(state, (owner,), memo)[0] - (incoming & ~owner[1]).bit_count()
+        if room < 0:
+            return []
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
     if joined is None:
         # A join without regions ends before its components are looked at.
         base = owner[1] | incoming
         regions = _regions(base, state[0], room, memo)
-        joined = memo.joins[key] = tuple(_fused(state, owner, base, regions, memo)) if regions else ()
+        joined = memo.joins[key] = _fused(state, owner, base, regions, memo) if regions else ()
     return list(joined)
 
 
 def _fused(
-    state: SearchState, owner: StateComponent, base: int, regions: Iterable[int], memo: SearchMemo
-) -> Iterator[SearchState]:
+    state: SearchState, owner: StateComponent, base: int, regions: Sequence[int], memo: SearchMemo
+) -> tuple[SearchState, ...]:
     """The kept states that give each region, a superset of ``base``, to one user.
 
     Every region adds only unallocated qubits to ``base``, so the
     components it meets are those meeting ``base``: the fused user takes
     the first one's trust, or the owner's when there is none, and no
     region is kept when they mix classes.  Their union joins each region.
-    Each region's state is built in place: the fused component goes into
-    the components the call keeps, which are already in
-    :func:`~qaiccc.model.component_order`, at the place its key bisects
-    to.  A state the run has not seen goes to :func:`completable`.
+    With the run's index, a join of at least :data:`_HOSTED_REGIONS`
+    regions decides them all at once: only a region that one of the
+    join's host blocks holds
+    (:meth:`~qaiccc.completion.CompletionIndex.hosts`) gives a complete
+    state, so only those are built.  Otherwise each region's state is
+    judged on its own, and a state the run has not seen goes to
+    :func:`completable`.  Each state is built in place: the fused
+    component goes into the components the call keeps, which are already
+    in :func:`~qaiccc.model.component_order`, at the place its key bisects
+    to.
     """
     free, components = state
     trust = None
-    touched = 0
+    touched = taken = 0
     others: list[StateComponent] = []
     keys: list[tuple[Trust, int]] = []
     for component in components:
         kind, mask = component
+        taken |= mask
         if mask & base:
             if trust is None:
                 trust = kind
             elif kind is not trust:  # every region would mix classes
-                return
+                return ()
             touched |= mask
         else:
             others.append(component)
@@ -295,37 +335,56 @@ def _fused(
     if trust is None:
         trust = owner[0]
     kept = tuple(others)
+    hosted = memo.index is not None and len(regions) >= _HOSTED_REGIONS
+    if hosted:
+        hosts = memo.index.hosts(kept, taken, trust, base | touched)
+        complete = []
+        for region in regions:
+            for block in hosts:
+                if not region & ~block:
+                    complete.append(region)
+                    break
+        regions = complete
     states = memo.states
+    out = []
     for region in regions:
         fused = region | touched
         at = bisect_left(keys, (trust, fused & -fused))
         candidate = (free & ~region, kept[:at] + ((trust, fused),) + kept[at:])
         known = states.get(candidate, False)
         if known is False:
-            known = states[candidate] = candidate if completable(candidate, memo) else None
+            known = states[candidate] = (
+                candidate if hosted or completable(candidate, memo) else None
+            )
         if known is not None:
-            yield known
+            out.append(known)
+    return tuple(out)
 
 
-def _budget(state: SearchState, owner: StateComponent, memo: SearchMemo) -> int:
-    """The growth budget of ``owner`` in ``state`` (:func:`remain`), remembered by signature.
+def _budgets(
+    state: SearchState, owners: Sequence[StateComponent], memo: SearchMemo
+) -> list[int]:
+    """Each owner's growth budget in ``state`` (:func:`remain`), remembered by what it reads.
 
-    A budget depends on the state only through the ``(trust, size)`` shape
-    of its components, which the ``memo`` works out once per component
-    tuple, each component as one small int: twice its size, plus one when
-    it is trusted.
+    :func:`remain` reads the owner's trust and size and the multiset of
+    the state's ``(trust, size)`` pairs, so each sorted shape, each pair
+    as one small int (twice the size, plus one when trusted), has one
+    table of budgets by the owner's pair, and the ``memo`` finds it once
+    per component tuple.
     """
     components = state[1]
-    shape = memo.shapes.get(components)
-    if shape is None:
-        shape = memo.shapes[components] = tuple(
-            m.bit_count() << 1 | (t is Trust.TRUSTED) for t, m in components
-        )
-    signature = (owner[0], owner[1].bit_count(), shape)
-    budget = memo.budgets.get(signature)
-    if budget is None:
-        budget = memo.budgets[signature] = remain(owner, state, memo.sizes)
-    return budget
+    table = memo.shapes.get(components)
+    if table is None:
+        shape = tuple(sorted(m.bit_count() << 1 | (t is Trust.TRUSTED) for t, m in components))
+        table = memo.shapes[components] = memo.budgets.setdefault(shape, {})
+    budgets = []
+    for owner in owners:
+        code = owner[1].bit_count() << 1 | (owner[0] is Trust.TRUSTED)
+        budget = table.get(code)
+        if budget is None:
+            budget = table[code] = remain(owner, state, memo.sizes)
+        budgets.append(budget)
+    return budgets
 
 
 def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ...]:
@@ -333,23 +392,30 @@ def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ..
 
     ``base`` is the owner's mask with the incoming qubits, ``free`` the
     state's unallocated qubits, and ``room`` the connectors the owner's
-    growth budget still allows, never negative: :func:`connect` refuses a
-    join its budget cannot take.  Empty when ``base`` is not connected
-    through free qubits.  No room for a connector leaves ``base`` itself
-    as the one region, when it is connected, and that needs no
-    enumeration.  Otherwise the regions
-    depend on ``free`` only through ``reach``, the part of ``base`` and the
-    free qubits that base's lowest qubit reaches, and through ``top``, the
+    growth budget still allows, never negative: the budget refuses a join
+    it cannot take before it gets here.  Empty when ``base`` is not
+    connected through free qubits.  No room for a connector leaves
+    ``base`` itself as the one region, when it is connected, which the
+    ``memo`` works out once per ``base``.  Otherwise the regions depend on
+    ``free`` only through ``reach``, the part of ``base`` and the free
+    qubits that base's lowest qubit reaches, and through ``top``, the
     largest region size the room allows within it; they are enumerated
     once per run for each ``(base, reach, top)`` and kept in the ``memo``
     as one tuple.
     """
     adjacency = memo.graph.adjacency_masks
     if not room:  # no room for a connector: ``base`` is the one region, when connected
-        return (base,) if mask_region(base & -base, base, adjacency) == base else ()
+        regions = memo.bases.get(base)
+        if regions is None:
+            connected = mask_region(base & -base, base, adjacency) == base
+            regions = memo.bases[base] = (base,) if connected else ()
+        return regions
     # Every region lies in the part of ``base`` and the free qubits that
     # base's lowest qubit reaches, and must hold all of ``base``.
-    reach = mask_region(base & -base, base | free, adjacency)
+    seed, within = base & -base, base | free
+    reach = memo.reaches.get((seed, within))
+    if reach is None:
+        reach = memo.reaches[seed, within] = mask_region(seed, within, adjacency)
     if base & ~reach:
         return ()
     key = (base, reach, min(base.bit_count() + room, reach.bit_count()))
@@ -367,6 +433,13 @@ def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterato
 
     Fewest qubits first and, among regions of one size, in ascending qubit
     order (the order of ``itertools.combinations`` over the sorted pool).
+    The regions are grown one size at a time from the connected part of
+    ``base`` at its lowest qubit: each connected set of one size is a set
+    of the size below plus one qubit next to it, and each set carries the
+    qubits of ``reach`` it can grow onto, so no size is walked twice, and a
+    size is only grown once every region before it has been taken.  A set
+    is dropped once the ``base`` qubits it lacks no longer fit in ``top``;
+    on a connected ``base`` that never happens.
     """
     adjacency = graph.adjacency_masks
     width = (graph.vertex_count + 7) // 8
@@ -375,11 +448,36 @@ def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterato
         """The mask's bits with qubit 0 as the most significant one."""
         return mask.to_bytes(width, "little").translate(_REVERSED_BITS)
 
-    for size in range(base.bit_count(), top + 1):
-        regions = connected_supersets(base, size, reach & ~base, adjacency)
-        # Equal-size sets in combinations order: the lowest qubit in which
-        # two regions differ belongs to the earlier one, which reads larger.
-        yield from sorted(regions, key=lowest_first, reverse=True)
+    def levels() -> Iterator[list[int]]:
+        start = mask_region(base & -base, base, adjacency)
+        size, lacking = start.bit_count(), base & ~start
+        # Each set of one size, with the qubits of ``reach`` it can grow onto.
+        level = {start: mask_neighborhood(start, adjacency) & reach & ~start}
+        while level:
+            regions = [region for region in level if not base & ~region] if lacking else list(level)
+            if len(regions) > 1:
+                # Equal-size sets in combinations order: the lowest qubit in
+                # which two regions differ belongs to the earlier one, which
+                # reads larger.
+                regions.sort(key=lowest_first, reverse=True)
+            yield regions
+            if size == top:
+                return
+            size += 1
+            grown: dict[int, int] = {}
+            for region, edge in level.items():
+                rest = edge
+                while rest:
+                    pick = rest & -rest
+                    rest ^= pick
+                    larger = region | pick
+                    if larger not in grown:
+                        grown[larger] = (edge | adjacency[pick.bit_length() - 1] & reach) & ~larger
+            if lacking:
+                grown = {r: e for r, e in grown.items() if size + (base & ~r).bit_count() <= top}
+            level = grown
+
+    return itertools.chain.from_iterable(levels())
 
 
 def alloc_unallocated(
@@ -391,7 +489,8 @@ def alloc_unallocated(
     existing components or to a fresh component of a trust class that
     still has an unassigned request; already-owned impacted qubits pass
     through unchanged.  Qubits are handled in ascending order, each stage
-    feeding the next.
+    feeding the next.  An owner whose budget cannot take one more qubit
+    is not asked.
     """
     current = [state]
     for qubit in sorted(impacted):
@@ -401,8 +500,10 @@ def alloc_unallocated(
             if not alloc[0] & target:
                 staged.append(alloc)
                 continue
-            for owner in alloc[1] + _FRESH:
-                staged += connect(alloc, owner, target, memo=memo)
+            owners = alloc[1] + _FRESH
+            for owner, budget in zip(owners, _budgets(alloc, owners, memo)):
+                if budget > 0:
+                    staged += connect(alloc, owner, target, memo=memo, room=budget - 1)
         current = list(dict.fromkeys(staged))
     return current
 
@@ -414,24 +515,37 @@ def alloc_impacted(
 
     For each impacted qubit, its owner either receives an unallocated
     impacting qubit via :func:`connect` or is merged with the owner of an
-    allocated one.  Candidates must not have unallocated impacted qubits
-    (run :func:`alloc_unallocated` first).
+    allocated one.  The owner's budget is read once per candidate, and a
+    pick it cannot take is skipped.  Candidates must not have unallocated
+    impacted qubits (run :func:`alloc_unallocated` first).
     """
     picks = [1 << q for q in sorted(rate.impacting)]
     current = list(candidates)
     for impacted_qubit in sorted(rate.impacted):
+        bit = 1 << impacted_qubit
         staged: list[SearchState] = []
         for alloc in current:
             free, components = alloc
-            owner = next((c for c in components if c[1] >> impacted_qubit & 1), None)
-            if owner is None:
+            for owner in components:
+                if owner[1] & bit:
+                    break
+            else:
                 raise ValueError(
                     f"impacted qubit {impacted_qubit} is unallocated; "
                     "allocate impacted qubits before assigning control"
                 )
+            [budget] = _budgets(alloc, (owner,), memo)
+            held = owner[1]
             for pick in picks:
-                target = pick if free & pick else next(m for _, m in components if m & pick)
-                staged += connect(alloc, owner, target, memo=memo)
+                if free & pick:
+                    target = pick
+                else:
+                    for _, target in components:
+                        if target & pick:
+                            break
+                room = budget - (target & ~held).bit_count()
+                if room >= 0:
+                    staged += connect(alloc, owner, target, memo=memo, room=room)
         current = list(dict.fromkeys(staged))
     return current
 
@@ -442,24 +556,27 @@ def improve_alloc(
     """Single-owner variants for the rate's qubits.
 
     When none of the involved qubits is allocated yet they become a fresh
-    component (falling back to connecting them onto each existing user if
-    no fresh request fits); otherwise the owners of the involved qubits
-    are merged into one component together with the involved qubits.
+    component (falling back to connecting them onto each existing user
+    that has the budget for them, if no fresh request fits); otherwise the
+    owners of the involved qubits are merged into one component together
+    with the involved qubits.  A rate's qubits are a connected group and
+    every owner fused in meets them, so each merge is connected and goes
+    straight to :func:`_fused`.
     """
     involved = qubit_mask(rate.involved)
-    owner = next((c for c in state[1] if c[1] & involved), None)
-    if owner is not None:
-        candidate = new_alloc(state, owner, involved, memo=memo)
-        return [candidate] if candidate is not None else []
+    components = state[1]
+    for owner in components:
+        if owner[1] & involved:
+            return list(_fused(state, owner, involved, (involved,), memo))
 
-    fresh = [
-        candidate for owner in _FRESH if (candidate := new_alloc(state, owner, involved, memo=memo))
-    ]
+    fresh = [made for user in _FRESH for made in _fused(state, user, involved, (involved,), memo)]
     if fresh:
         return fresh
+    need = involved.bit_count()
     fallback: list[SearchState] = []
-    for owner in state[1]:
-        fallback += connect(state, owner, involved, memo=memo)
+    for owner, budget in zip(components, _budgets(state, components, memo)):
+        if budget >= need:
+            fallback += connect(state, owner, involved, memo=memo, room=budget - need)
     return fallback
 
 
@@ -470,18 +587,22 @@ def alloc_trusted(
 
     Branches over every non-empty subset of the free impacting qubits,
     attaching it to each trusted component, or starting a fresh trusted
-    component when a trusted request is still unassigned.  Without any
-    trusted capacity this never generates anything.
+    component when a trusted request is still unassigned.  Each trusted
+    owner's budget is read once, and a subset larger than it is not
+    offered to it.  Without any trusted capacity this never generates
+    anything.
     """
     free, components = state
     pool = [q for q in sorted(impacting) if free >> q & 1]
+    trusted = [owner for owner in components + _FRESH if owner[0] is Trust.TRUSTED]
+    owners = list(zip(trusted, _budgets(state, trusted, memo))) if pool else []
     out: list[SearchState] = []
     for length in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, length):
             subset = qubit_mask(combo)
-            for owner in components + _FRESH:
-                if owner[0] is Trust.TRUSTED:
-                    out += connect(state, owner, subset, memo=memo)
+            for owner, budget in owners:
+                if budget >= length:
+                    out += connect(state, owner, subset, memo=memo, room=budget - length)
     return out
 
 

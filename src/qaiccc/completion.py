@@ -234,26 +234,52 @@ class CompletionIndex:
         """The decider's verdict on a state whose components are ``pending``.
 
         True when some structure holds every component in a block of its
-        own, of the component's trust.  A structure has one block at a
-        component's lowest qubit, so the component fits the structures of
-        the blocks there that have its trust, hold all of it and meet no
-        other component; the state's structures are the AND of its
-        components' fits.  The free qubits are the rest of the platform,
-        so they need no test.
+        own, of the component's trust: the last component has a host beside
+        the others (:meth:`hosts`).  With no component, when there is any
+        structure at all.
         """
+        if not pending:
+            return self.count > 0
         taken = 0
         for _, mask in pending:
             taken |= mask
+        trust, mask = pending[-1]
+        return bool(self.hosts(pending[:-1], taken, trust, mask))
+
+    def hosts(
+        self, kept: Sequence[StateComponent], taken: int, trust: Trust, held: int
+    ) -> list[int]:
+        """The blocks of ``trust`` that can hold a component grown from ``held``, beside ``kept``.
+
+        ``kept`` are components of a state whose components cover
+        ``taken``, and ``held`` the qubits one more component of ``trust``
+        holds: the rest of ``taken`` and free qubits.  A block is listed
+        when it holds ``held``, meets no kept component, and some structure
+        holds it and every kept component in a block of its own, of the
+        component's trust.  A structure has one block at a component's
+        lowest qubit, so a kept component fits the structures of the blocks
+        there that have its trust, hold all of it and meet no other part of
+        ``taken``; their fits are ANDed.  Growing the component by free
+        qubits cannot unseat a fit: in a structure that also holds the
+        grown component, its block is apart from every kept one.  So a
+        state that adds free qubits ``grown`` to the component is complete
+        exactly when ``held | grown`` lies in one of the blocks listed.
+        """
         common = (1 << self.count) - 1
-        for trust, mask in pending:
+        for kind, mask in kept:
             fit = 0
-            for block, structures in self.blocks[(mask & -mask).bit_length() - 1].get(trust, ()):
+            for block, structures in self.blocks[(mask & -mask).bit_length() - 1].get(kind, ()):
                 if block & taken == mask:
                     fit |= structures
             common &= fit
             if not common:
-                return False
-        return bool(common)
+                return []
+        apart = taken & ~held
+        return [
+            block
+            for block, structures in self.blocks[(held & -held).bit_length() - 1].get(trust, ())
+            if block & held == held and not block & apart and structures & common
+        ]
 
 
 def completion_index(

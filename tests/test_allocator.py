@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import re
 import sys
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from conftest import make_instance
@@ -52,7 +54,7 @@ from qaiccc.allocator import (
     update_population,
     update_sizes,
 )
-from qaiccc.completion import can_complete
+from qaiccc.completion import can_complete, connected_supersets, decide
 from qaiccc.model import (
     allocation_of,
     component_order,
@@ -92,7 +94,8 @@ def join_regions(state, joined, incoming, memo):
 
     A join whose budget cannot take ``incoming`` has no regions.
     """
-    room = allocator_module._budget(state, joined, memo) - (incoming & ~joined[1]).bit_count()
+    [budget] = allocator_module._budgets(state, (joined,), memo)
+    room = budget - (incoming & ~joined[1]).bit_count()
     if room < 0:
         return ()
     return allocator_module._regions(joined[1] | incoming, state[0], room, memo)
@@ -361,7 +364,7 @@ def reference_connect(allocation, user, incoming, graph, sizes, config, *, fresh
     return dedup_allocations(results)
 
 
-def reference_alloc_unallocated(allocation, impacted, graph, sizes, config):
+def reference_alloc_unallocated(allocation, impacted, graph, sizes, config, join=reference_connect):
     current = [allocation]
     for qubit in sorted(impacted):
         staged = []
@@ -371,16 +374,14 @@ def reference_alloc_unallocated(allocation, impacted, graph, sizes, config):
                 continue
             target = frozenset({qubit})
             for comp in alloc.components:
-                staged += reference_connect(alloc, comp.qubits, target, graph, sizes, config)
+                staged += join(alloc, comp.qubits, target, graph, sizes, config)
             for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
-                staged += reference_connect(
-                    alloc, frozenset(), target, graph, sizes, config, fresh_trust=trust
-                )
+                staged += join(alloc, frozenset(), target, graph, sizes, config, fresh_trust=trust)
         current = dedup_allocations(staged)
     return current
 
 
-def reference_alloc_impacted(candidates, rate, graph, sizes, config):
+def reference_alloc_impacted(candidates, rate, graph, sizes, config, join=reference_connect):
     current = list(candidates)
     for impacted_qubit in sorted(rate.impacted):
         staged = []
@@ -391,12 +392,12 @@ def reference_alloc_impacted(candidates, rate, graph, sizes, config):
                     target = frozenset({impacting_qubit})
                 else:
                     target = owner_of(alloc, impacting_qubit).qubits
-                staged += reference_connect(alloc, owner.qubits, target, graph, sizes, config)
+                staged += join(alloc, owner.qubits, target, graph, sizes, config)
         current = dedup_allocations(staged)
     return current
 
 
-def reference_improve_alloc(allocation, rate, graph, sizes, config):
+def reference_improve_alloc(allocation, rate, graph, sizes, config, join=reference_connect):
     involved = rate.involved
     merge_base = frozenset()
     for qubit in sorted(involved):
@@ -413,13 +414,13 @@ def reference_improve_alloc(allocation, rate, graph, sizes, config):
             return fresh
         fallback = []
         for comp in allocation.components:
-            fallback += reference_connect(allocation, comp.qubits, involved, graph, sizes, config)
+            fallback += join(allocation, comp.qubits, involved, graph, sizes, config)
         return fallback
     candidate = reference_new_alloc(allocation, merge_base | involved, graph, sizes)
     return [candidate] if candidate is not None else []
 
 
-def reference_alloc_trusted(allocation, impacting, graph, sizes, config):
+def reference_alloc_trusted(allocation, impacting, graph, sizes, config, join=reference_connect):
     free = sorted(impacting & allocation.unallocated)
     out = []
     for length in range(1, len(free) + 1):
@@ -427,48 +428,128 @@ def reference_alloc_trusted(allocation, impacting, graph, sizes, config):
             subset = frozenset(combo)
             for comp in allocation.components_of(Trust.TRUSTED):
                 if impacting & (comp.qubits | subset):
-                    out += reference_connect(allocation, comp.qubits, subset, graph, sizes, config)
-            out += reference_connect(
+                    out += join(allocation, comp.qubits, subset, graph, sizes, config)
+            out += join(
                 allocation, frozenset(), subset, graph, sizes, config, fresh_trust=Trust.TRUSTED
             )
     return out
 
 
-class TestConnectMatchesTheReference:
-    """``connect`` returns the combinations loop's list, order included."""
+#: Each operator the search calls, with its frozen reference and how the
+#: reference reads the operator's first argument.
+REFERENCE_OPERATORS = {
+    "alloc_unallocated": (reference_alloc_unallocated, allocation_of),
+    "alloc_impacted": (
+        reference_alloc_impacted, lambda states: [allocation_of(state) for state in states]
+    ),
+    "improve_alloc": (reference_improve_alloc, allocation_of),
+    "alloc_trusted": (reference_alloc_trusted, allocation_of),
+}
 
-    @pytest.fixture
-    def checked_calls(self, monkeypatch):
-        calls = []
 
-        def checking(state, owner, incoming, *, memo):
-            result = connect(state, owner, incoming, memo=memo)
-            trust, user = owner
-            graph = memo.graph
-            expected = reference_connect(
-                allocation_of(state), mask_qubits(user), mask_qubits(incoming),
-                graph, memo.sizes, memo.config, fresh_trust=None if user else trust,
+def pick_key(allocation, user, incoming, fresh_trust):
+    """A reference join's pick as ``connect`` is asked it: ``(state, owner, incoming)``."""
+    trust = next((c.trust for c in allocation.components if c.qubits == user), fresh_trust)
+    return state_of(allocation), (trust, qubit_mask(user)), qubit_mask(incoming)
+
+
+def join_checkers(record):
+    """Stand-ins for ``connect`` and the four operators that check each against the reference.
+
+    Every join made must return the combinations loop's list, order
+    included, with the connector room the reference budget leaves.  Every
+    pick the reference operator joins and the operator does not ask for
+    must be one the reference budget refuses, and the operator's output
+    must be the reference's.  ``record`` gains each join made (``joins``),
+    whether each pick checked, made or skipped, is connected
+    (``connected``), and the count of picks skipped (``skipped``).
+    """
+
+    def checking(state, owner, incoming, *, memo, room=None):
+        result = connect(state, owner, incoming, memo=memo, room=room)
+        trust, user = owner
+        graph, allocation = memo.graph, allocation_of(state)
+        fresh_trust = None if user else trust
+        expected = reference_connect(
+            allocation, mask_qubits(user), mask_qubits(incoming),
+            graph, memo.sizes, memo.config, fresh_trust=fresh_trust,
+        )
+        assert [allocation_of(candidate) for candidate in result] == expected
+        budget = reference_remain(
+            mask_qubits(user), allocation, memo.sizes, fresh_trust=fresh_trust
+        )
+        assert room == budget - (incoming & ~user).bit_count() >= 0
+        record["joins"].append((state, owner, incoming))
+        record["connected"].append(graph.is_connected(mask_qubits(user | incoming)))
+        return result
+
+    def operator_checker(name):
+        operator = getattr(allocator_module, name)
+        reference, converted = REFERENCE_OPERATORS[name]
+
+        def checking_operator(first, second, *, memo):
+            made = len(record["joins"])
+            result = operator(first, second, memo=memo)
+            asked = record["joins"][made:]
+            picks = []
+
+            def recording(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
+                picks.append((allocation, user, incoming, fresh_trust))
+                return reference_connect(
+                    allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
+                )
+
+            expected = reference(
+                converted(first), second, memo.graph, memo.sizes, memo.config, join=recording
             )
             assert [allocation_of(candidate) for candidate in result] == expected
-            calls.append(graph.is_connected(mask_qubits(user | incoming)))
+            joined = []
+            for allocation, user, incoming, fresh_trust in picks:
+                budget = reference_remain(user, allocation, memo.sizes, fresh_trust=fresh_trust)
+                if budget < len(incoming - user):
+                    record["skipped"] += 1
+                    record["connected"].append(memo.graph.is_connected(user | incoming))
+                else:
+                    joined.append(pick_key(allocation, user, incoming, fresh_trust))
+            assert asked == joined
             return result
 
-        monkeypatch.setattr(allocator_module, "connect", checking)
-        return calls
+        return checking_operator
+
+    checkers = [(name, operator_checker(name)) for name in REFERENCE_OPERATORS]
+    return [("connect", checking)] + checkers
+
+
+class TestConnectMatchesTheReference:
+    """Each operator asks ``connect`` for the reference's picks, bar those its budget refuses.
+
+    See :func:`join_checkers`, which wraps every join and operator call of
+    the runs.
+    """
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        record = {"joins": [], "connected": [], "skipped": 0}
+        for name, checker in join_checkers(record):
+            monkeypatch.setattr(allocator_module, name, checker)
+        return record
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
-    def test_every_call_on_the_demo(self, checked_calls, demo_graph, demo_sizes, demo_rates, paths):
+    def test_every_call_on_the_demo(self, checked, demo_graph, demo_sizes, demo_rates, paths):
         allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_paths_per_connect=paths))
-        assert len(checked_calls) > 10
+        assert len(checked["joins"]) + checked["skipped"] > 10
+        assert checked["joins"] and checked["skipped"]
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
-    def test_every_call_on_the_family(self, checked_calls, family, paths):
+    def test_every_call_on_the_family(self, checked, family, paths):
         config = SearchConfig(max_paths_per_connect=paths)
         for instance in family:
             allocate(instance.graph, instance.sizes, instance.rates, config)
-        # Both connected and disconnected joins occur.
-        assert checked_calls.count(True) > 100
-        assert checked_calls.count(False) > 100
+        # Both connected and disconnected picks occur among the joins made
+        # and the picks skipped, and picks are skipped.
+        assert checked["connected"].count(True) > 100
+        assert checked["connected"].count(False) > 100
+        assert checked["skipped"] > 100
 
 
 class TestImproveAllocHandsOnDistinctStructures:
@@ -515,9 +596,9 @@ class TestImproveAllocHandsOnDistinctStructures:
 
 
 @st.composite
-def platforms(draw):
-    """A connected platform of 2 to 8 qubits: a random spanning tree plus random edges."""
-    n = draw(st.integers(2, 8))
+def platforms(draw, most=8):
+    """A connected platform of 2 to ``most`` qubits: a random spanning tree plus random edges."""
+    n = draw(st.integers(2, most))
     edges = {(draw(st.integers(0, q - 1)), q) for q in range(1, n)}  # a spanning tree
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
     edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
@@ -525,9 +606,9 @@ def platforms(draw):
 
 
 @st.composite
-def connect_cases(draw):
-    """A connected platform of at most 8 qubits, a partial allocation and one join."""
-    graph = draw(platforms())
+def connect_cases(draw, most=8):
+    """A connected platform of at most ``most`` qubits, a partial allocation and one join."""
+    graph = draw(platforms(most))
     n = graph.vertex_count
 
     free = set(range(n))
@@ -761,6 +842,167 @@ def test_states_differing_only_outside_reach_share_one_region_tuple():
     assert join_regions(held, *args, memo) is regions
     assert join_regions(held, *args, SearchMemo(sizes, _PATH6)) == regions
     assert len(memo.regions) == 1
+
+
+@st.composite
+def search_instances(draw):
+    """A platform of at most 10 qubits, requests with trusted users among them, and rates on it."""
+    graph = draw(platforms(10))
+    n = graph.vertex_count
+    requests = {Trust.TRUSTED: [], Trust.UNTRUSTED: []}
+    spare = n
+    for _ in range(draw(st.integers(1, 3))):
+        if spare:
+            size = draw(st.integers(1, min(spare, 4)))
+            requests[draw(st.sampled_from(list(Trust)))].append(size)
+            spare -= size
+    rates = {}
+    for _ in range(draw(st.integers(1, 5))):
+        impacting_count, impacted_count = draw(st.sampled_from([(1, 1), (2, 1), (2, 2)]))
+        group = [draw(st.integers(0, n - 1))]
+        while len(group) < impacting_count + impacted_count:
+            frontier = sorted({m for q in group for m in graph.neighbors(q)} - set(group))
+            if not frontier:
+                break
+            group.append(draw(st.sampled_from(frontier)))
+        if len(group) == impacting_count + impacted_count:
+            group = draw(st.permutations(group))
+            impacting = frozenset(group[:impacting_count])
+            impacted = frozenset(group[impacting_count:])
+            rates[impacting, impacted] = CrosstalkRate(
+                draw(st.floats(1e-4, 1e-2)), impacting, impacted
+            )
+    sizes = SizeRequests(trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED])
+    return graph, sizes, tuple(rates.values()), draw(st.sampled_from([1, 3, 64]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(search_instances())
+def test_every_pick_an_operator_skips_is_one_the_reference_budget_refuses(instance):
+    graph, sizes, rates, paths = instance
+    record = {"joins": [], "connected": [], "skipped": 0}
+    with contextlib.ExitStack() as patches:
+        for name, checker in join_checkers(record):
+            patches.enter_context(mock.patch.object(allocator_module, name, checker))
+        allocate(graph, sizes, rates, SearchConfig(max_paths_per_connect=paths))
+
+
+def per_size_regions(base, reach, top, graph):
+    """``_grown`` as it was: each size enumerated apart, then sorted in combinations order."""
+    for size in range(base.bit_count(), top + 1):
+        regions = connected_supersets(base, size, reach & ~base, graph.adjacency_masks)
+        yield from sorted(regions, key=lambda region: sorted(mask_qubits(region)))
+
+
+@st.composite
+def region_enumerations(draw):
+    """A platform of at most 10 qubits, a ``base`` its free qubits reach, a top and a cut."""
+    graph = draw(platforms(10))
+    n = graph.vertex_count
+    base = qubit_mask(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    free = qubit_mask(draw(st.sets(st.integers(0, n - 1)))) & ~base
+    reach = allocator_module.mask_region(base & -base, base | free, graph.adjacency_masks)
+    assume(not base & ~reach)
+    top = draw(st.integers(base.bit_count(), reach.bit_count()))
+    return base, reach, top, graph, draw(st.sampled_from([1, 3, 64, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_enumerations())
+@example((0b101, 0b111111, 4, _PATH6, None))  # a disconnected base: {0, 2} needs qubit 1
+@example((0b100001, 0b111111, 6, _PATH6, 3))  # {0, 5} needs all of 1-4, so only size 6 has one
+@example((0b1000, 0b111111, 5, _PATH6, 3))  # the cut lands inside a size
+def test_grown_enumerates_like_one_walk_per_size(case):
+    base, reach, top, graph, cut = case
+    grown = itertools.islice(allocator_module._grown(base, reach, top, graph), cut)
+    assert list(grown) == list(itertools.islice(per_size_regions(base, reach, top, graph), cut))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(region_join_runs())
+def test_the_sorted_shape_budget_is_remain_on_the_state(case):
+    # One memo over states of one run shares a budget table between every
+    # state of one sorted (trust, size) shape.
+    graph, sizes, paths, joins = case
+    shared = SearchMemo(sizes, graph, SearchConfig(max_paths_per_connect=paths))
+    for state, _, _ in joins:
+        owners = state[1] + allocator_module._FRESH
+        allocation = allocation_of(state)
+        expected = [
+            reference_remain(
+                mask_qubits(mask), allocation, sizes, fresh_trust=None if mask else trust
+            )
+            for trust, mask in owners
+        ]
+        assert allocator_module._budgets(state, owners, shared) == expected
+        assert [remain(owner, state, sizes) for owner in owners] == expected
+
+
+def region_state(allocation, region, trust):
+    """The state giving ``region`` and the components it meets to one user, or None.
+
+    The user takes the first such component's trust, or ``trust`` when
+    there is none; None when the components mix classes.
+    """
+    touching = [c for c in allocation.components if c.qubits & region]
+    if len({c.trust for c in touching}) > 1:
+        return None
+    fused = frozenset(region).union(*(c.qubits for c in touching))
+    kept = tuple(c for c in allocation.components if not c.qubits & region)
+    user = UserComponent(touching[0].trust if touching else trust, fused)
+    return state_of(Allocation(allocation.unallocated - region, kept + (user,)))
+
+
+_LINE4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+_LINE5 = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connect_cases(10))
+@example(  # kept {0} fits the structure {0,1,2}+{3}, whose block meets the region {2}
+    (build(4, u(0)), frozenset(), frozenset({2}), _LINE4, SizeRequests(untrusted=(3, 1)), 64,
+     Trust.UNTRUSTED)
+)
+@example(  # kept {0} and {1} share every block that leaves {3} one of its own
+    (build(4, u(0), u(1)), frozenset(), frozenset({3}), _LINE4, SizeRequests(untrusted=(3, 1)), 64,
+     Trust.UNTRUSTED)
+)
+@example(  # trusted {3} grows over {1, 2}, where kept {0}'s only block {0, 1} lies
+    (build(5, u(0), t(3)), frozenset({3}), frozenset({1}), _LINE5,
+     SizeRequests(trusted=(3,), untrusted=(2,)), 64, None)
+)
+def test_a_join_keeps_exactly_the_regions_the_decider_completes(case):
+    allocation, user, incoming, graph, sizes, paths, fresh_trust = case
+    memo = SearchMemo(sizes, graph, SearchConfig(max_paths_per_connect=paths))
+    assume(memo.index is not None)
+    state = state_of(allocation)
+    joined = next((owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0))
+    base = joined[1] | qubit_mask(incoming)
+    regions = join_regions(state, joined, qubit_mask(incoming), memo)
+    verdicts = {}
+    decided = []
+    for region in regions:
+        candidate = region_state(allocation, mask_qubits(region), joined[0])
+        complete = candidate is not None and decide(*candidate, graph, memo.requests, verdicts)
+        decided.append(candidate if complete else None)
+    expected = [candidate for candidate in decided if candidate is not None]
+    assert list(allocator_module._fused(state, joined, base, regions, memo)) == expected
+    # The join's host blocks decide each region alike, on a join of one
+    # region too, and on ``base`` itself, whether the budget allows the join
+    # or not.
+    touching = [(t, m) for t, m in state[1] if m & base]
+    if len({t for t, _ in touching}) <= 1:
+        trust = touching[0][0] if touching else joined[0]
+        touched = qubit_mask(set().union(*(mask_qubits(m) for _, m in touching)))
+        kept = [component for component in state[1] if component not in touching]
+        taken = qubit_mask(set().union(*(c.qubits for c in allocation.components)))
+        hosts = memo.index.hosts(kept, taken, trust, base | touched)
+        hosted = [any(not (region | touched) & ~block for block in hosts) for region in regions]
+        assert hosted == [candidate is not None for candidate in decided]
+        candidate = region_state(allocation, mask_qubits(base), trust)
+        assert any(not (base | touched) & ~block for block in hosts) is decide(
+            *candidate, graph, memo.requests, verdicts
+        )
 
 
 class TestNewAlloc:
@@ -1389,10 +1631,12 @@ class TestMemoCarriesTheRun:
 
         regions = {1: [], 64: []}
 
-        def checking(state, owner, incoming, *, memo):
-            made = join_regions(state, owner, incoming, memo)
+        def checking(state, owner, incoming, *, memo, room):
+            # The operators hand on the room they read from the owner's budget.
+            made = allocator_module._regions(owner[1] | incoming, state[0], room, memo)
+            assert made == join_regions(state, owner, incoming, memo)
             regions[memo.config.max_paths_per_connect].append(len(made))
-            return connect(state, owner, incoming, memo=memo)
+            return connect(state, owner, incoming, memo=memo, room=room)
 
         monkeypatch.setattr(allocator_module, "connect", checking)
         for paths in regions:

@@ -37,7 +37,7 @@ from qaiccc.completion import (
     request_slots,
 )
 from qaiccc.ingest import MAX_QUBITS
-from qaiccc.model import qubit_mask, state_of
+from qaiccc.model import mask_qubits, qubit_mask, state_of
 
 from conftest import HEAVY_HEX_27, instance_family
 
@@ -576,6 +576,9 @@ _PATH4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
         (_PATH3, SizeRequests(untrusted=(3,)), build(3, u(0, 1)), True),
         (_PATH4, SizeRequests(untrusted=(2, 2)), build(4, u(0), u(3)), True),
         (_PATH4, SizeRequests(untrusted=(2, 2)), build(4, u(0), u(1)), False),
+        # {0} and {1} fit only apart beside {3} in no structure: {0, 1, 2}
+        # holds both, and {1, 2, 3} holds {3} too.
+        (_PATH4, SizeRequests(untrusted=(3, 1)), build(4, u(0), u(1), u(3)), False),
     ],
 )
 def test_the_index_reads_trust_and_keeps_users_apart(graph, sizes, partial, expected):
@@ -699,22 +702,51 @@ def test_the_heavy_hex_27_index_is_built(untrusted, count):
 
 
 def test_the_heavy_hex_27_index_decides_every_search_state_like_the_decider(monkeypatch):
-    """Every state a one-rate (3,3,3) search asks about, against one shared decider table."""
+    """Every state a one-rate (3,3,3) search builds, against one shared decider table.
+
+    A join of many regions keeps the states its host blocks hold and
+    builds no other, so each join's regions are built here one by one and
+    decided apart: the join must keep exactly those the decider completes,
+    in region order.
+    """
     graph, sizes = HEAVY_HEX_27, SizeRequests(untrusted=(3, 3, 3))
     requests, verdicts = requests_of(graph, sizes), {}
-    completable = allocator_module.completable
-    asked = []
+    fused = allocator_module._fused
+    asked, hosted = [], 0
 
-    def checked(state, memo):
-        verdict = completable(state, memo)
+    def checked(state, owner, base, regions, memo):
+        nonlocal hosted
+        made = fused(state, owner, base, regions, memo)
         assert memo.index is not None
-        assert verdict is decide(*state, graph, requests, verdicts)
-        asked.append(verdict)
-        return verdict
+        free, components = state
+        touching = [(t, m) for t, m in components if m & base]
+        if len({t for t, _ in touching}) > 1:  # every region would mix classes
+            assert made == ()
+            return made
+        trust = touching[0][0] if touching else owner[0]
+        touched = 0
+        for _, mask in touching:
+            touched |= mask
+        kept = [component for component in components if component not in touching]
+        expected = []
+        for region in regions:
+            candidate = state_of(Allocation(
+                unallocated=mask_qubits(free & ~region),
+                components=tuple(UserComponent(t, mask_qubits(m)) for t, m in kept)
+                + (UserComponent(trust, mask_qubits(region | touched)),),
+            ))
+            verdict = decide(*candidate, graph, requests, verdicts)
+            asked.append(verdict)
+            if verdict:
+                expected.append(candidate)
+        assert list(made) == expected
+        hosted += len(regions) >= allocator_module._HOSTED_REGIONS
+        return made
 
-    monkeypatch.setattr(allocator_module, "completable", checked)
+    monkeypatch.setattr(allocator_module, "_fused", checked)
     allocate(graph, sizes, sort_rates(synth_rates(graph, 7))[:1])
     assert set(asked) == {True, False}
+    assert hosted > 100
 
 
 class TestDeciderKeyCarriesTheOpenRequests:

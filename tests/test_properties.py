@@ -313,9 +313,10 @@ def test_generated_instances_hold_every_pipeline_invariant(instance):
         assert report.ok, report.mismatches
 
 
-# The search's own guards in ``replay_state`` (unsafe on replay) and
-# ``new_alloc`` (a disconnected merge) are reached by direct callers only.
-# These two properties pin why: inside ``allocate`` neither can fire.
+# The guards in ``replay_state`` (unsafe on replay) and ``new_alloc`` (a
+# disconnected merge) serve direct callers only: the search never calls
+# ``new_alloc`` and hands its merges straight to the builder ``_fused``.
+# These two properties pin why: inside ``allocate`` neither guard could fire.
 
 _CONFIGS = st.builds(
     SearchConfig,
@@ -344,15 +345,19 @@ def test_every_candidate_the_search_offers_is_safe_for_every_handled_rate(instan
 @settings(max_examples=200, deadline=None)
 @given(pipeline_instances(), _CONFIGS)
 def test_every_merge_the_search_asks_for_is_connected(instance, config):
-    # A rate's qubits are a connected group (``allocate`` checks it), and
-    # every component fused in is connected and meets that group.
+    # A rate's qubits are a connected group (``allocate`` checks it), a
+    # join's region is connected and holds its base, and every component
+    # fused in is connected and meets the region.  ``_fused`` builds every
+    # merge ``improve_alloc`` asks for (one region, the rate's qubits) and
+    # every join's states.
     graph, requests, rates = instance
-    with mock.patch.object(allocator, "new_alloc", wraps=allocator.new_alloc) as merges:
+    with mock.patch.object(allocator, "_fused", wraps=allocator._fused) as merges:
         allocate(graph, requests, rates, config)
     for call in merges.call_args_list:
-        (free, components), _, merged = call.args
-        fused = merged
-        for _, mask in components:
-            if mask & merged:
-                fused |= mask
-        assert graph.is_connected(mask_qubits(fused)), (free, components, merged)
+        (free, components), _, base, regions, _ = call.args
+        for region in regions:
+            fused = region
+            for _, mask in components:
+                if mask & base:
+                    fused |= mask
+            assert graph.is_connected(mask_qubits(fused)), (free, components, region)

@@ -119,7 +119,9 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     # structure count.  The index answers every verdict, so the decider's
     # table stays empty and every other table fills.
     tables = fields[fields.index("memo") + 1:fields.index("index")]
-    assert tables[::2] == ["states", "verdicts", "joins", "shapes", "budgets", "regions", "users"]
+    assert tables[::2] == [
+        "states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions", "users"
+    ]
     sizes = dict(zip(tables[::2], map(int, tables[1::2])))
     assert sizes.pop("verdicts") == 0
     assert all(size > 0 for size in sizes.values())
@@ -132,6 +134,25 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     self_times = [float(row.split()[1]) for row in top]
     assert self_times == sorted(self_times, reverse=True)
     assert all(row.startswith("  self_s ") and " calls " in row for row in top)
+
+
+@pytest.mark.parametrize(
+    "untrusted, population, structures", [("4,4,4,4", "527", "33"), ("3,3,3", "5024", "74")]
+)
+def test_device_scale_runs_the_other_heavy_hex_rows(capsys, untrusted, population, structures):
+    tool = load_file("device_scale", ROOT / "tools" / "device_scale.py")
+    assert tool.main([str(ROOT), "--k", "1", "--untrusted", untrusted]) == 0
+    fields = capsys.readouterr().out.split()
+    assert fields[3:7] == ["population", population, "archive", "1"]
+    assert fields[fields.index("index") + 1] == structures
+
+
+@pytest.mark.parametrize("text", ["0,3", "20,8", "a", "5,,5"])
+def test_device_scale_refuses_sizes_that_do_not_fit(capsys, text):
+    tool = load_file("device_scale", ROOT / "tools" / "device_scale.py")
+    with pytest.raises(SystemExit):
+        tool.main(["--untrusted", text])
+    assert "--untrusted" in capsys.readouterr().err
 
 
 def test_comparing_and_timing_trees_leave_no_bytecode_in_them(tmp_path, capsys, monkeypatch):

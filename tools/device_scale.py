@@ -1,37 +1,40 @@
-"""Time ``qaiccc allocate`` at device scale: heavy-hex 27, untrusted (5,5,5), no cap.
+"""Time ``qaiccc allocate`` at device scale: heavy-hex 27, untrusted (5,5,5) by default, no cap.
 
 Usage::
 
-    python tools/device_scale.py [TREE ...] [--k K ...] [--profile N]
+    python tools/device_scale.py [TREE ...] [--k K ...] [--untrusted SIZES] [--profile N]
 
 Each tree is a checkout holding ``src/qaiccc`` (default: the tree this
 script lives in).  The instance is the IBM Falcon heavy-hex layout of 27
-qubits, three untrusted requests of 5 qubits, and the ``k`` highest-scored
-rates of ``synth_rates(graph, 7)``, searched with the default
+qubits, the untrusted requests ``--untrusted`` names as comma-separated
+sizes (default ``5,5,5``; ``4,4,4,4`` and ``3,3,3`` are the other rows
+the ROADMAP measures), and the ``k`` highest-scored rates of
+``synth_rates(graph, 7)``, searched with the default
 ``SearchConfig``.  For every ``k`` given (default 1 and 2; repeat a value
 to measure it again) and every tree, a fresh interpreter writes the
 instance's files to a temporary directory and runs the whole command
-through ``qaiccc.cli.main``: ``allocate``, then ``select``, then the JSON
-report streamed to a temporary file (``--output``, ``--no-timings``).
-With several trees their order alternates from one ``k`` to the next, so
-a drift of the host does not favour one tree.  One line per run gives
-the seconds ``allocate`` took, the final population and archive sizes,
-the interpreter's peak resident memory (``VmHWM``; blank where ``/proc``
-does not provide it) once ``allocate`` has returned (``peak_rss_mb``),
-the seconds from ``select``'s return to the end of the command, which
-writes the report (``report_s``), the peak resident memory at the end of
-the command (``report_peak_rss_mb``), and the entry count of each table
-of the run's ``allocator.SearchMemo`` when the search ends (``-`` for a
-table the tree does not have), then the number of complete structures in
-the memo's completion index (``-`` when the run fell back to the
-decider, or the tree has no index).  The memo is only counted, not kept:
-it dies with the search, as it does in the command.  Children run with
-``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a ``__pycache__`` in a
-tree to speed up the next one.  With ``--profile N`` the ``allocate``
-call of each run is made under the standard library's ``cProfile`` (so
-its seconds include the profiler's overhead) and is followed by the
-``N`` functions with the most self time: self seconds, cumulative
-seconds, calls and the function.  Standard library only.
+through ``qaiccc.cli.main``: ``allocate``, then ``select``, then the
+JSON report streamed to a temporary file (``--output``,
+``--no-timings``).  With several trees their order alternates from one
+``k`` to the next, so a drift of the host does not favour one tree.  One
+line per run gives the seconds ``allocate`` took, the final population
+and archive sizes, the interpreter's peak resident memory (``VmHWM``;
+blank where ``/proc`` does not provide it) once ``allocate`` has
+returned (``peak_rss_mb``), the seconds from ``select``'s return to the
+end of the command, which writes the report (``report_s``), the peak
+resident memory at the end of the command (``report_peak_rss_mb``), and
+the entry count of each table of the run's ``allocator.SearchMemo`` when
+the search ends (``-`` for a table the tree does not have), then the
+number of complete structures in the memo's completion index (``-`` when
+the run fell back to the decider, or the tree has no index).  The memo is
+only counted, not kept: it dies with the search, as it does in the
+command.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so no run
+leaves a ``__pycache__`` in a tree to speed up the next one.  With
+``--profile N`` the ``allocate`` call of each run is made under the
+standard library's ``cProfile`` (so its seconds include the profiler's
+overhead) and is followed by the ``N`` functions with the most self
+time: self seconds, cumulative seconds, calls and the function.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ EDGES = (
 )
 
 #: The ``allocator.SearchMemo`` tables whose entry counts a run line gives.
-MEMO_TABLES = ("states", "verdicts", "joins", "shapes", "budgets", "regions", "users")
+MEMO_TABLES = (
+    "states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions", "users"
+)
 
 CHILD = """
 import cProfile, json, os, pstats, sys, tempfile, time
@@ -62,7 +67,7 @@ from pathlib import Path
 from qaiccc import ConnectivityGraph, SizeRequests, allocator, cli, sort_rates, synth_rates
 from qaiccc.ingest import save_platform, save_rates, save_requests
 
-edges, k, profile, tables = json.loads(sys.argv[1])
+edges, k, untrusted, profile, tables = json.loads(sys.argv[1])
 
 
 def peak_mb():
@@ -120,7 +125,7 @@ with tempfile.TemporaryDirectory() as work:
     paths = {name: os.path.join(work, f"{name}.json") for name in names}
     save_platform(graph, paths["platform"])
     save_rates(sort_rates(synth_rates(graph, 7))[:k], paths["rates"])
-    save_requests(SizeRequests(untrusted=(5, 5, 5)), paths["requests"])
+    save_requests(SizeRequests(untrusted=tuple(untrusted)), paths["requests"])
     argv = ["allocate", "--no-timings", "--output", paths["report"]]
     for name in ("platform", "rates", "requests"):
         argv += [f"--{name}", paths[name]]
@@ -142,25 +147,41 @@ print(json.dumps(run))
 """
 
 
-def measure(tree: Path, k: int, profile: int = 0) -> dict:
+def measure(tree: Path, k: int, profile: int = 0, untrusted: tuple[int, ...] = (5, 5, 5)) -> dict:
     """One ``qaiccc allocate`` run of the top-``k`` instance on ``tree``, in a fresh interpreter.
 
+    The requests are the ``untrusted`` sizes.
     With ``profile`` above 0 the run is profiled, and the result's
     ``profile`` entry lists that many of its functions with the most self
     time, each as ``[self_s, total_s, calls, function]``.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([EDGES, k, profile, MEMO_TABLES])],
+        [sys.executable, "-c", CHILD, json.dumps([EDGES, k, untrusted, profile, MEMO_TABLES])],
         env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated positive request sizes, such as ``5,5,5``."""
+    try:
+        parsed = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of sizes")
+    if min(parsed) < 1 or sum(parsed) > 27:
+        raise argparse.ArgumentTypeError(f"{text!r} must be sizes of at least 1 that fit 27 qubits")
+    return parsed
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, help="source trees holding src/qaiccc")
     parser.add_argument("--k", type=int, nargs="+", default=[1, 2], help="rates kept (default 1 2)")
+    parser.add_argument(
+        "--untrusted", type=sizes, default=(5, 5, 5), metavar="SIZES",
+        help="untrusted request sizes, comma-separated (default 5,5,5)",
+    )
     parser.add_argument(
         "--profile", type=int, default=0, metavar="N",
         help="profile each run and print its N functions with the most self time",
@@ -177,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for turn, k in enumerate(args.k):
         for tree in trees[::-1] if turn % 2 else trees:
-            run = measure(tree, k, args.profile)
+            run = measure(tree, k, args.profile, args.untrusted)
             peak, report_peak = (
                 "" if mb is None else f"{mb:.1f}"
                 for mb in (run["peak_rss_mb"], run["report_peak_rss_mb"])
