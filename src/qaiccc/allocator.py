@@ -29,11 +29,13 @@ worked out for.  Each distinct state is decided once, each growth budget,
 each :func:`connect` join and each join's region list is remembered for
 the rest of the run, and the memo dies with the run.  A budget is kept
 by what :func:`remain` reads, the owner's trust and size and the sorted
-``(trust, size)`` shape of the state.  Refusal happens in the operators:
-each reads an owner's budget once per state and skips every pick the
-budget cannot take, so such a pick makes no :func:`connect` call and no
-join key.  A state's verdict is read from the run's index of every
-complete structure (:func:`qaiccc.completion.completion_index`, built
+``(trust, size)`` shape of the state.  Each operator reads an owner's
+budget once per state and hands it to every :func:`connect` call for
+that owner; refusal happens in :func:`connect`, the one place that
+decides a join, so a join the budget cannot take builds no join key.
+The operators take the rate's masks (:func:`rate_masks`) and walk their
+qubits lowest first.  A state's verdict is read from the run's index of
+every complete structure (:func:`qaiccc.completion.completion_index`, built
 with the memo); when the complete set is too large to enumerate or to
 file, the decider works it out and the memo keeps its verdict on each
 sub-state (success or failure).  A region list does not depend on the
@@ -156,9 +158,9 @@ class SearchMemo:
     sub-state it has worked out for the run's ``requests`` (see
     :func:`completable`);
     ``joins`` the states of each :func:`connect` call whose join passed the
-    owner's growth budget, by ``(state, owner, incoming)``: the operators
-    refuse a pick on budget before they call :func:`connect`, so such a
-    pick builds no key;
+    owner's growth budget, by ``(state, owner, incoming)``, as the one
+    tuple every later call for that join returns: :func:`connect` refuses
+    a join its budget cannot take before it builds the key;
     ``budgets`` one table per sorted ``(trust, size)`` shape of a state's
     components, mapping the owner's trust and size to its :func:`remain`,
     which reads nothing else; ``shapes`` the budget table of each component
@@ -254,37 +256,34 @@ def new_alloc(
 
 
 def connect(
-    state: SearchState, owner: StateComponent, incoming: int, *, memo: SearchMemo,
-    room: int | None = None,
-) -> list[SearchState]:
+    state: SearchState, owner: StateComponent, incoming: int, budget: int, *, memo: SearchMemo
+) -> tuple[SearchState, ...]:
     """Ways of joining the ``incoming`` mask to ``owner`` through unallocated connectors.
 
     ``owner`` is a component of ``state``, or ``(trust, 0)`` for a fresh
-    user of that class.  The connector budget ``room`` is the owner's
-    growth allowance (:func:`_budgets`) minus the incoming qubits
-    themselves; when ``incoming`` is another component, :func:`remain`
-    still counts it among the class's other users although the join fuses
-    it in.  Only connected regions are generated: connected sets that hold
-    the owner's mask and ``incoming`` plus unallocated connector qubits,
-    fewest connectors first and, among regions with as many connectors, in
-    ascending qubit order (the order of ``itertools.combinations`` over
-    the sorted connector pool).  The first ``max_paths_per_connect``
-    regions of the memo's config in that order each give, through
-    :func:`_fused`, the state :func:`new_alloc` would give for them, kept
-    when the decider accepts it; a region is connected and holds ``owner |
-    incoming``, so its fused component is connected too.  The operators
-    read the owner's budget once per state and pass a ``room`` they have
-    checked to be at least 0; they never call for a pick the budget refuses.
-    Without a ``room`` it is read here, and a join the budget cannot take
-    is an empty list.  Any join already made in this run is answered from
-    the ``memo``, as a new list.  The regions themselves depend only on
-    ``owner | incoming``, the free qubits it reaches and the budget, and
+    user of that class, and ``budget`` its growth allowance in ``state``
+    (:func:`_budgets`), which the operators read once per state.  The
+    connector room is ``budget`` minus the incoming qubits the owner does
+    not hold; when ``incoming`` is another component, :func:`remain` still
+    counts it among the class's other users although the join fuses it
+    in.  A join with negative room is refused here: it is empty and builds
+    no ``memo`` key.  Only connected regions are generated: connected sets
+    that hold the owner's mask and ``incoming`` plus unallocated connector
+    qubits, fewest connectors first and, among regions with as many
+    connectors, in ascending qubit order (the order of
+    ``itertools.combinations`` over the sorted connector pool).  The first
+    ``max_paths_per_connect`` regions of the memo's config in that order
+    each give, through :func:`_fused`, the state :func:`new_alloc` would
+    give for them, kept when the decider accepts it; a region is connected
+    and holds ``owner | incoming``, so its fused component is connected
+    too.  Each join is worked out once per run, and every call for it
+    returns the ``memo``'s own tuple.  The regions themselves depend only
+    on ``owner | incoming``, the free qubits it reaches and the room, and
     the ``memo`` enumerates them once for every join that shares those.
     """
-    if room is None:
-        room = _budgets(state, (owner,), memo)[0] - (incoming & ~owner[1]).bit_count()
-        if room < 0:
-            return []
+    room = budget - (incoming & ~owner[1]).bit_count()
+    if room < 0:
+        return ()
     key = (state, owner, incoming)
     joined = memo.joins.get(key)
     if joined is None:
@@ -292,7 +291,7 @@ def connect(
         base = owner[1] | incoming
         regions = _regions(base, state[0], room, memo)
         joined = memo.joins[key] = _fused(state, owner, base, regions, memo) if regions else ()
-    return list(joined)
+    return joined
 
 
 def _fused(
@@ -392,9 +391,9 @@ def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ..
 
     ``base`` is the owner's mask with the incoming qubits, ``free`` the
     state's unallocated qubits, and ``room`` the connectors the owner's
-    growth budget still allows, never negative: the budget refuses a join
-    it cannot take before it gets here.  Empty when ``base`` is not
-    connected through free qubits.  No room for a connector leaves
+    growth budget still allows, never negative: :func:`connect` refuses a
+    join its budget cannot take before it gets here.  Empty when ``base``
+    is not connected through free qubits.  No room for a connector leaves
     ``base`` itself as the one region, when it is connected, which the
     ``memo`` works out once per ``base``.  Otherwise the regions depend on
     ``free`` only through ``reach``, the part of ``base`` and the free
@@ -439,7 +438,9 @@ def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterato
     qubits of ``reach`` it can grow onto, so no size is walked twice, and a
     size is only grown once every region before it has been taken.  A set
     is dropped once the ``base`` qubits it lacks no longer fit in ``top``;
-    on a connected ``base`` that never happens.
+    on a connected ``base`` that never happens.  This is the one
+    enumerator of disconnected bases:
+    :func:`~qaiccc.completion.connected_supersets` takes connected ones only.
     """
     adjacency = graph.adjacency_masks
     width = (graph.vertex_count + 7) // 8
@@ -480,21 +481,27 @@ def _grown(base: int, reach: int, top: int, graph: ConnectivityGraph) -> Iterato
     return itertools.chain.from_iterable(levels())
 
 
-def alloc_unallocated(
-    state: SearchState, impacted: frozenset[int], *, memo: SearchMemo
-) -> list[SearchState]:
-    """Allocate every unallocated impacted qubit, branching over owners.
+def _bits(mask: int) -> list[int]:
+    """The one-qubit masks of ``mask``, lowest qubit first."""
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask &= mask - 1
+    return out
+
+
+def alloc_unallocated(state: SearchState, impacted: int, *, memo: SearchMemo) -> list[SearchState]:
+    """Allocate every unallocated qubit of the ``impacted`` mask, branching over owners.
 
     Each unallocated impacted qubit is attached either to one of the
     existing components or to a fresh component of a trust class that
     still has an unassigned request; already-owned impacted qubits pass
-    through unchanged.  Qubits are handled in ascending order, each stage
-    feeding the next.  An owner whose budget cannot take one more qubit
-    is not asked.
+    through unchanged.  Qubits are handled lowest first, each stage feeding
+    the next, and every owner's budget is read once per state and handed
+    to :func:`connect`, which refuses a qubit the budget cannot take.
     """
     current = [state]
-    for qubit in sorted(impacted):
-        target = 1 << qubit
+    for target in _bits(impacted):
         staged: list[SearchState] = []
         for alloc in current:
             if not alloc[0] & target:
@@ -502,27 +509,26 @@ def alloc_unallocated(
                 continue
             owners = alloc[1] + _FRESH
             for owner, budget in zip(owners, _budgets(alloc, owners, memo)):
-                if budget > 0:
-                    staged += connect(alloc, owner, target, memo=memo, room=budget - 1)
+                staged += connect(alloc, owner, target, budget, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
 
 
 def alloc_impacted(
-    candidates: Iterable[SearchState], rate: CrosstalkRate, *, memo: SearchMemo
+    candidates: Iterable[SearchState], impacting: int, impacted: int, *, memo: SearchMemo
 ) -> list[SearchState]:
-    """Give every impacted user control of an impacting qubit.
+    """Give every user holding a qubit of the ``impacted`` mask control of an ``impacting`` one.
 
-    For each impacted qubit, its owner either receives an unallocated
-    impacting qubit via :func:`connect` or is merged with the owner of an
-    allocated one.  The owner's budget is read once per candidate, and a
-    pick it cannot take is skipped.  Candidates must not have unallocated
-    impacted qubits (run :func:`alloc_unallocated` first).
+    For each impacted qubit, lowest first, its owner either receives an
+    unallocated impacting qubit via :func:`connect` or is merged with the
+    owner of an allocated one, impacting qubits also lowest first.  The
+    owner's budget is read once per candidate and handed to each join.
+    Candidates must not have unallocated impacted qubits (run
+    :func:`alloc_unallocated` first).
     """
-    picks = [1 << q for q in sorted(rate.impacting)]
+    picks = _bits(impacting)
     current = list(candidates)
-    for impacted_qubit in sorted(rate.impacted):
-        bit = 1 << impacted_qubit
+    for bit in _bits(impacted):
         staged: list[SearchState] = []
         for alloc in current:
             free, components = alloc
@@ -531,11 +537,10 @@ def alloc_impacted(
                     break
             else:
                 raise ValueError(
-                    f"impacted qubit {impacted_qubit} is unallocated; "
+                    f"impacted qubit {bit.bit_length() - 1} is unallocated; "
                     "allocate impacted qubits before assigning control"
                 )
             [budget] = _budgets(alloc, (owner,), memo)
-            held = owner[1]
             for pick in picks:
                 if free & pick:
                     target = pick
@@ -543,17 +548,13 @@ def alloc_impacted(
                     for _, target in components:
                         if target & pick:
                             break
-                room = budget - (target & ~held).bit_count()
-                if room >= 0:
-                    staged += connect(alloc, owner, target, memo=memo, room=room)
+                staged += connect(alloc, owner, target, budget, memo=memo)
         current = list(dict.fromkeys(staged))
     return current
 
 
-def improve_alloc(
-    state: SearchState, rate: CrosstalkRate, *, memo: SearchMemo
-) -> list[SearchState]:
-    """Single-owner variants for the rate's qubits.
+def improve_alloc(state: SearchState, involved: int, *, memo: SearchMemo) -> list[SearchState]:
+    """Single-owner variants for the rate's ``involved`` mask.
 
     When none of the involved qubits is allocated yet they become a fresh
     component (falling back to connecting them onto each existing user
@@ -563,7 +564,6 @@ def improve_alloc(
     every owner fused in meets them, so each merge is connected and goes
     straight to :func:`_fused`.
     """
-    involved = qubit_mask(rate.involved)
     components = state[1]
     for owner in components:
         if owner[1] & involved:
@@ -572,37 +572,32 @@ def improve_alloc(
     fresh = [made for user in _FRESH for made in _fused(state, user, involved, (involved,), memo)]
     if fresh:
         return fresh
-    need = involved.bit_count()
     fallback: list[SearchState] = []
     for owner, budget in zip(components, _budgets(state, components, memo)):
-        if budget >= need:
-            fallback += connect(state, owner, involved, memo=memo, room=budget - need)
+        fallback += connect(state, owner, involved, budget, memo=memo)
     return fallback
 
 
-def alloc_trusted(
-    state: SearchState, impacting: frozenset[int], *, memo: SearchMemo
-) -> list[SearchState]:
-    """Hand unallocated impacting qubits to trusted users.
+def alloc_trusted(state: SearchState, impacting: int, *, memo: SearchMemo) -> list[SearchState]:
+    """Hand unallocated qubits of the ``impacting`` mask to trusted users.
 
     Branches over every non-empty subset of the free impacting qubits,
-    attaching it to each trusted component, or starting a fresh trusted
-    component when a trusted request is still unassigned.  Each trusted
-    owner's budget is read once, and a subset larger than it is not
-    offered to it.  Without any trusted capacity this never generates
-    anything.
+    fewest first and in ascending qubit order, attaching it to each trusted
+    component, or starting a fresh trusted component when a trusted
+    request is still unassigned.  Each trusted owner's budget is read once
+    and handed to every join, and :func:`connect` refuses a subset larger
+    than it.  Without any trusted capacity this never generates anything.
     """
     free, components = state
-    pool = [q for q in sorted(impacting) if free >> q & 1]
+    pool = _bits(impacting & free)
     trusted = [owner for owner in components + _FRESH if owner[0] is Trust.TRUSTED]
     owners = list(zip(trusted, _budgets(state, trusted, memo))) if pool else []
     out: list[SearchState] = []
     for length in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, length):
-            subset = qubit_mask(combo)
+            subset = sum(combo)
             for owner, budget in owners:
-                if budget >= length:
-                    out += connect(state, owner, subset, memo=memo, room=budget - length)
+                out += connect(state, owner, subset, budget, memo=memo)
     return out
 
 
@@ -815,13 +810,13 @@ def allocate(
             candidates: list[SearchState] = []
             if state_verdict(key, impacting, impacted).safe:
                 if state_parties(key, involved) >= 2:
-                    candidates = improve_alloc(key, rate, memo=memo)
+                    candidates = improve_alloc(key, involved, memo=memo)
                 population[key] = eval_alloc(member, rate)
             else:
-                candidates = alloc_unallocated(key, rate.impacted, memo=memo)
-                candidates = alloc_impacted(candidates, rate, memo=memo)
-                candidates += improve_alloc(key, rate, memo=memo)
-                candidates += alloc_trusted(key, rate.impacting, memo=memo)
+                candidates = alloc_unallocated(key, impacted, memo=memo)
+                candidates = alloc_impacted(candidates, impacting, impacted, memo=memo)
+                candidates += improve_alloc(key, involved, memo=memo)
+                candidates += alloc_trusted(key, impacting, memo=memo)
                 newly_archived.append(archive_alloc(key, population, archive, rate))
 
             update_population(candidates, population, archive, processed, memo)

@@ -1,12 +1,12 @@
 """Command-line front end: allocate, oracle, and synth subcommands.
 
-Exit codes are stable API: 0 success, 1 I/O or parse error, 2 not enough
-qubits for the requests, 3 no feasible allocation, 4 exhaustive
-enumeration passed its work budget.  Reports are versioned JSON by
-default; the text format mirrors the search narrative and, under
-``--verbose``, shows the population after each rate.  The
-``QAICCC_LOG`` environment variable (error, info, debug) controls
-diagnostic logging on stderr.
+Exit codes are stable API: 0 success, 1 I/O or parse error or a usage
+error on the command line, 2 not enough qubits for the requests, 3 no
+feasible allocation, 4 exhaustive enumeration passed its work budget.
+Reports are versioned JSON by default; the text format mirrors the
+search narrative and, under ``--verbose``, shows the population after
+each rate.  The ``QAICCC_LOG`` environment variable (error, info,
+debug) controls diagnostic logging on stderr.
 """
 
 from __future__ import annotations
@@ -502,7 +502,10 @@ def _setup_logging() -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written the usage error, or the help
+        return EXIT_INPUT if exc.code else EXIT_OK
     # Looked up at call time, so a wrapper bound to the module name sees every call.
     command = globals()[f"cmd_{args.command}"]
     try:

@@ -86,20 +86,17 @@ def connected_supersets(
 
     All sets are bitmasks; ``adjacency[q]`` is the neighbour mask of
     qubit ``q`` (:attr:`ConnectivityGraph.adjacency_masks`).  ``base``
-    must be non-empty.  Classic include/exclude enumeration on the lowest
-    frontier qubit, grown from the connected region of ``base`` that holds
-    its lowest qubit: each superset is produced exactly once, in a fixed
-    order (the branch that takes the qubit comes first).  A qubit of
-    ``base`` is never excluded, and a branch stops once the ``base``
-    qubits it still lacks no longer fit in ``target``.  On a connected
-    ``base`` these two rules never fire.
+    must be non-empty and connected: an anchor qubit, or a component,
+    which a state or a valid allocation holds connected.  Classic
+    include/exclude enumeration on the lowest frontier qubit: each
+    superset is produced exactly once, in a fixed order (the branch that
+    takes the qubit comes first).  Disconnected join bases are
+    :func:`qaiccc.allocator._grown`'s.
     """
-    start = mask_region(base & -base, base, adjacency)
-    lacking = base & ~start
-    count = start.bit_count()
-    if count + lacking.bit_count() > target:
+    count = base.bit_count()
+    if count > target:
         return
-    stack = [(start, mask_neighborhood(start, adjacency), (available | base) & ~start, count)]
+    stack = [(base, mask_neighborhood(base, adjacency), available & ~base, count)]
     while stack:
         current, reach, allowed, count = stack.pop()
         if count == target:
@@ -110,10 +107,7 @@ def connected_supersets(
             continue
         pick = frontier & -frontier
         allowed ^= pick
-        if not pick & base:
-            stack.append((current, reach, allowed, count))
-            if lacking and count + 1 + (base & ~current).bit_count() > target:
-                continue
+        stack.append((current, reach, allowed, count))
         stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
 
 

@@ -54,12 +54,14 @@ from qaiccc.allocator import (
     update_population,
     update_sizes,
 )
-from qaiccc.completion import can_complete, connected_supersets, decide
+from qaiccc.completion import can_complete, complete_allocation, decide
 from qaiccc.model import (
     allocation_of,
     component_order,
     dedup_allocations,
+    mask_neighborhood,
     mask_qubits,
+    mask_region,
     qubit_mask,
     state_of,
 )
@@ -89,13 +91,23 @@ def owner(component):
 FRESH_U = (Trust.UNTRUSTED, 0)
 
 
+def budget_of(state, joined, memo):
+    """The owner's growth budget in ``state``, read as the operators read it."""
+    [budget] = allocator_module._budgets(state, (joined,), memo)
+    return budget
+
+
+def join(state, joined, incoming, memo):
+    """``connect`` with the owner's growth budget read as the operators read it."""
+    return connect(state, joined, incoming, budget_of(state, joined, memo), memo=memo)
+
+
 def join_regions(state, joined, incoming, memo):
     """``_regions`` of one join, with the connector room worked out as ``connect`` does.
 
     A join whose budget cannot take ``incoming`` has no regions.
     """
-    [budget] = allocator_module._budgets(state, (joined,), memo)
-    room = budget - (incoming & ~joined[1]).bit_count()
+    room = budget_of(state, joined, memo) - (incoming & ~joined[1]).bit_count()
     if room < 0:
         return ()
     return allocator_module._regions(joined[1] | incoming, state[0], room, memo)
@@ -107,6 +119,11 @@ def keys(allocations):
 
 def state_keys(states):
     return keys(allocation_of(state) for state in states)
+
+
+def control_masks(rate):
+    """A rate's impacting and impacted masks, the arguments ``alloc_impacted`` takes."""
+    return qubit_mask(rate.impacting), qubit_mask(rate.impacted)
 
 
 def masks_of(rates):
@@ -225,49 +242,43 @@ class TestConnect:
     def test_adjacent_qubit_joins_without_connectors(self, demo_graph):
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = connect(
-            state_of(allocation), owner(u(2, 3)), qubit_mask({4}),
-            memo=SearchMemo(sizes, demo_graph)
+        results = join(
+            state_of(allocation), owner(u(2, 3)), qubit_mask({4}), SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_unreachable_qubit_yields_nothing(self, demo_graph):
         allocation = build(5, u(0, 1), u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
-        results = connect(
-            state_of(allocation), owner(u(0, 1)), qubit_mask({4}),
-            memo=SearchMemo(sizes, demo_graph)
+        results = join(
+            state_of(allocation), owner(u(0, 1)), qubit_mask({4}), SearchMemo(sizes, demo_graph)
         )
-        assert results == []
+        assert results == ()
 
     def test_empty_user_creates_a_fresh_singleton(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
-        results = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), memo=SearchMemo(sizes, demo_graph)
-        )
+        results = join(state_of(allocation), FRESH_U, qubit_mask({2}), SearchMemo(sizes, demo_graph))
         assert structure([2]) in state_keys(results)
 
     def test_negative_budget_yields_nothing(self, demo_graph):
         allocation = build(5, u(2, 3, 4))
         sizes = SizeRequests(untrusted=(2, 3))
         # The component is already at the largest request size.
-        results = connect(
-            state_of(allocation), owner(u(2, 3, 4)), qubit_mask({0}),
-            memo=SearchMemo(sizes, demo_graph),
-        )
-        assert results == []
+        memo = SearchMemo(sizes, demo_graph)
+        state = state_of(allocation)
+        assert budget_of(state, owner(u(2, 3, 4)), memo) == 0
+        results = connect(state, owner(u(2, 3, 4)), qubit_mask({0}), 0, memo=memo)
+        assert results == () and memo.joins == {}
 
     def test_path_cap_limits_enumeration(self, demo_graph):
         allocation = build(5)
         sizes = SizeRequests(untrusted=(5,))
-        capped = connect(
+        capped = join(
             state_of(allocation), FRESH_U, qubit_mask({2}),
-            memo=SearchMemo(sizes, demo_graph, SearchConfig(max_paths_per_connect=1)),
+            SearchMemo(sizes, demo_graph, SearchConfig(max_paths_per_connect=1)),
         )
-        uncapped = connect(
-            state_of(allocation), FRESH_U, qubit_mask({2}), memo=SearchMemo(sizes, demo_graph)
-        )
+        uncapped = join(state_of(allocation), FRESH_U, qubit_mask({2}), SearchMemo(sizes, demo_graph))
         assert len(capped) == 1
         assert len(uncapped) > len(capped)
 
@@ -381,13 +392,15 @@ def reference_alloc_unallocated(allocation, impacted, graph, sizes, config, join
     return current
 
 
-def reference_alloc_impacted(candidates, rate, graph, sizes, config, join=reference_connect):
+def reference_alloc_impacted(
+    candidates, impacting, impacted, graph, sizes, config, join=reference_connect
+):
     current = list(candidates)
-    for impacted_qubit in sorted(rate.impacted):
+    for impacted_qubit in sorted(impacted):
         staged = []
         for alloc in current:
             owner = owner_of(alloc, impacted_qubit)
-            for impacting_qubit in sorted(rate.impacting):
+            for impacting_qubit in sorted(impacting):
                 if impacting_qubit in alloc.unallocated:
                     target = frozenset({impacting_qubit})
                 else:
@@ -397,8 +410,7 @@ def reference_alloc_impacted(candidates, rate, graph, sizes, config, join=refere
     return current
 
 
-def reference_improve_alloc(allocation, rate, graph, sizes, config, join=reference_connect):
-    involved = rate.involved
+def reference_improve_alloc(allocation, involved, graph, sizes, config, join=reference_connect):
     merge_base = frozenset()
     for qubit in sorted(involved):
         owner = owner_of(allocation, qubit)
@@ -436,14 +448,27 @@ def reference_alloc_trusted(allocation, impacting, graph, sizes, config, join=re
 
 
 #: Each operator the search calls, with its frozen reference and how the
-#: reference reads the operator's first argument.
+#: reference reads the operator's arguments: states as allocations and
+#: masks as qubit sets.
 REFERENCE_OPERATORS = {
-    "alloc_unallocated": (reference_alloc_unallocated, allocation_of),
-    "alloc_impacted": (
-        reference_alloc_impacted, lambda states: [allocation_of(state) for state in states]
+    "alloc_unallocated": (
+        reference_alloc_unallocated,
+        lambda state, impacted: (allocation_of(state), mask_qubits(impacted)),
     ),
-    "improve_alloc": (reference_improve_alloc, allocation_of),
-    "alloc_trusted": (reference_alloc_trusted, allocation_of),
+    "alloc_impacted": (
+        reference_alloc_impacted,
+        lambda states, impacting, impacted: (
+            [allocation_of(state) for state in states], mask_qubits(impacting), mask_qubits(impacted)
+        ),
+    ),
+    "improve_alloc": (
+        reference_improve_alloc,
+        lambda state, involved: (allocation_of(state), mask_qubits(involved)),
+    ),
+    "alloc_trusted": (
+        reference_alloc_trusted,
+        lambda state, impacting: (allocation_of(state), mask_qubits(impacting)),
+    ),
 }
 
 
@@ -456,17 +481,18 @@ def pick_key(allocation, user, incoming, fresh_trust):
 def join_checkers(record):
     """Stand-ins for ``connect`` and the four operators that check each against the reference.
 
-    Every join made must return the combinations loop's list, order
-    included, with the connector room the reference budget leaves.  Every
-    pick the reference operator joins and the operator does not ask for
-    must be one the reference budget refuses, and the operator's output
-    must be the reference's.  ``record`` gains each join made (``joins``),
-    whether each pick checked, made or skipped, is connected
-    (``connected``), and the count of picks skipped (``skipped``).
+    Every ``connect`` call must be handed the owner's reference budget.
+    A join it refuses, leaving no ``joins`` key, must be one that budget
+    refuses, and every join it makes must return the combinations loop's
+    list, order included, and leave its key.  Each operator must take
+    masks, ask ``connect`` for exactly the reference operator's picks, in
+    the reference's order, and return the reference's output.  ``record``
+    gains each join asked (``joins``), whether each is connected
+    (``connected``), and the count of joins refused (``refused``).
     """
 
-    def checking(state, owner, incoming, *, memo, room=None):
-        result = connect(state, owner, incoming, memo=memo, room=room)
+    def checking(state, owner, incoming, budget, *, memo):
+        result = connect(state, owner, incoming, budget, memo=memo)
         trust, user = owner
         graph, allocation = memo.graph, allocation_of(state)
         fresh_trust = None if user else trust
@@ -474,11 +500,16 @@ def join_checkers(record):
             allocation, mask_qubits(user), mask_qubits(incoming),
             graph, memo.sizes, memo.config, fresh_trust=fresh_trust,
         )
+        assert type(result) is tuple
         assert [allocation_of(candidate) for candidate in result] == expected
-        budget = reference_remain(
+        reference = reference_remain(
             mask_qubits(user), allocation, memo.sizes, fresh_trust=fresh_trust
         )
-        assert room == budget - (incoming & ~user).bit_count() >= 0
+        assert budget == reference
+        refused = reference < (incoming & ~user).bit_count()
+        assert ((state, owner, incoming) in memo.joins) is not refused
+        if refused:
+            record["refused"] += 1
         record["joins"].append((state, owner, incoming))
         record["connected"].append(graph.is_connected(mask_qubits(user | incoming)))
         return result
@@ -487,31 +518,24 @@ def join_checkers(record):
         operator = getattr(allocator_module, name)
         reference, converted = REFERENCE_OPERATORS[name]
 
-        def checking_operator(first, second, *, memo):
+        def checking_operator(*args, memo):
+            assert all(type(mask) is int for mask in args[1:])
             made = len(record["joins"])
-            result = operator(first, second, memo=memo)
+            result = operator(*args, memo=memo)
             asked = record["joins"][made:]
             picks = []
 
             def recording(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
-                picks.append((allocation, user, incoming, fresh_trust))
+                picks.append(pick_key(allocation, user, incoming, fresh_trust))
                 return reference_connect(
                     allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
                 )
 
             expected = reference(
-                converted(first), second, memo.graph, memo.sizes, memo.config, join=recording
+                *converted(*args), memo.graph, memo.sizes, memo.config, join=recording
             )
             assert [allocation_of(candidate) for candidate in result] == expected
-            joined = []
-            for allocation, user, incoming, fresh_trust in picks:
-                budget = reference_remain(user, allocation, memo.sizes, fresh_trust=fresh_trust)
-                if budget < len(incoming - user):
-                    record["skipped"] += 1
-                    record["connected"].append(memo.graph.is_connected(user | incoming))
-                else:
-                    joined.append(pick_key(allocation, user, incoming, fresh_trust))
-            assert asked == joined
+            assert asked == picks
             return result
 
         return checking_operator
@@ -521,7 +545,7 @@ def join_checkers(record):
 
 
 class TestConnectMatchesTheReference:
-    """Each operator asks ``connect`` for the reference's picks, bar those its budget refuses.
+    """Each operator asks ``connect`` for the reference's picks; it refuses those the budget refuses.
 
     See :func:`join_checkers`, which wraps every join and operator call of
     the runs.
@@ -529,7 +553,7 @@ class TestConnectMatchesTheReference:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        record = {"joins": [], "connected": [], "skipped": 0}
+        record = {"joins": [], "connected": [], "refused": 0}
         for name, checker in join_checkers(record):
             monkeypatch.setattr(allocator_module, name, checker)
         return record
@@ -537,19 +561,19 @@ class TestConnectMatchesTheReference:
     @pytest.mark.parametrize("paths", [1, 3, 64])
     def test_every_call_on_the_demo(self, checked, demo_graph, demo_sizes, demo_rates, paths):
         allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_paths_per_connect=paths))
-        assert len(checked["joins"]) + checked["skipped"] > 10
-        assert checked["joins"] and checked["skipped"]
+        assert len(checked["joins"]) > 10
+        assert 0 < checked["refused"] < len(checked["joins"])
 
     @pytest.mark.parametrize("paths", [1, 3, 64])
     def test_every_call_on_the_family(self, checked, family, paths):
         config = SearchConfig(max_paths_per_connect=paths)
         for instance in family:
             allocate(instance.graph, instance.sizes, instance.rates, config)
-        # Both connected and disconnected picks occur among the joins made
-        # and the picks skipped, and picks are skipped.
+        # Both connected and disconnected picks occur among the joins asked,
+        # and joins are refused.
         assert checked["connected"].count(True) > 100
         assert checked["connected"].count(False) > 100
-        assert checked["skipped"] > 100
+        assert checked["refused"] > 100
 
 
 class TestImproveAllocHandsOnDistinctStructures:
@@ -563,8 +587,8 @@ class TestImproveAllocHandsOnDistinctStructures:
     def result_lengths(self, monkeypatch):
         lengths = []
 
-        def checking(state, rate, *, memo):
-            result = improve_alloc(state, rate, memo=memo)
+        def checking(state, involved, *, memo):
+            result = improve_alloc(state, involved, memo=memo)
             assert len(state_keys(result)) == len(result)
             lengths.append(len(result))
             return result
@@ -584,9 +608,8 @@ class TestImproveAllocHandsOnDistinctStructures:
 
     def test_fresh_candidates_of_both_trusts_are_distinct(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
-        rate = CrosstalkRate(0.002, frozenset({3}), frozenset({4}))
         results = improve_alloc(
-            state_of(build(5)), rate, memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5)), qubit_mask({3, 4}), memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {
             structure([3, 4], trust=Trust.TRUSTED),
@@ -676,9 +699,7 @@ def test_connect_matches_the_reference_on_random_joins(case):
     joined = next(
         (owner(c) for c in allocation.components if c.qubits == user), (fresh_trust, 0)
     )
-    got = connect(
-        state_of(allocation), joined, qubit_mask(incoming), memo=SearchMemo(sizes, graph, config)
-    )
+    got = join(state_of(allocation), joined, qubit_mask(incoming), SearchMemo(sizes, graph, config))
     assert [allocation_of(candidate) for candidate in got] == reference_connect(
         allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
     )
@@ -731,7 +752,7 @@ def test_in_place_join_states_match_the_reference_per_region(case):
     config = SearchConfig(max_paths_per_connect=paths)
     state = state_of(allocation)
     memo = SearchMemo(sizes, graph, config)
-    got = connect(state, joined, incoming, memo=memo)
+    got = join(state, joined, incoming, memo)
     regions = join_regions(state, joined, incoming, SearchMemo(sizes, graph, config))
     expected = [
         candidate
@@ -744,7 +765,7 @@ def test_in_place_join_states_match_the_reference_per_region(case):
     # Each state is built in component order, so it is its own canonical key.
     assert all(state_of(allocation_of(candidate)) == candidate for candidate in got)
     # The memo judged each region's state once and kept exactly these.
-    assert [kept for kept in memo.states.values() if kept is not None] == got
+    assert tuple(kept for kept in memo.states.values() if kept is not None) == got
 
 
 @st.composite
@@ -878,19 +899,75 @@ def search_instances(draw):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(search_instances())
-def test_every_pick_an_operator_skips_is_one_the_reference_budget_refuses(instance):
+def test_every_join_connect_refuses_is_one_the_reference_budget_refuses(instance):
+    # ``join_checkers`` checks every join and operator call of the run.
     graph, sizes, rates, paths = instance
-    record = {"joins": [], "connected": [], "skipped": 0}
+    record = {"joins": [], "connected": [], "refused": 0}
     with contextlib.ExitStack() as patches:
         for name, checker in join_checkers(record):
             patches.enter_context(mock.patch.object(allocator_module, name, checker))
         allocate(graph, sizes, rates, SearchConfig(max_paths_per_connect=paths))
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(search_instances())
+def test_every_base_the_completion_search_grows_is_connected(instance):
+    # ``connected_supersets`` takes connected bases only: every call the
+    # index build, the decider (a run past the index budget) and the
+    # completion walk make hands it one.
+    graph, sizes, rates, paths = instance
+    bases = []
+    supersets = completion_module.connected_supersets
+
+    def checking(base, target, available, adjacency):
+        assert base and mask_region(base & -base, base, adjacency) == base
+        bases.append(base)
+        return supersets(base, target, available, adjacency)
+
+    config = SearchConfig(max_paths_per_connect=paths)
+    with mock.patch.object(completion_module, "connected_supersets", checking):
+        indexed = allocate(graph, sizes, rates, config)
+        with mock.patch.object(completion_module, "INDEX_BUDGET", 1):
+            assert allocate(graph, sizes, rates, config) == indexed
+        for allocation in indexed.allocations:
+            complete_allocation(allocation, graph, indexed.sizes)
+    assert bases
+
+
+def supersets_of_any_base(base, target, available, adjacency):
+    """``connected_supersets`` as it was when it also took a disconnected ``base``.
+
+    Grown from the connected part of ``base`` at its lowest qubit; a qubit
+    of ``base`` is never excluded, and a branch stops once the ``base``
+    qubits it lacks no longer fit in ``target``.
+    """
+    start = mask_region(base & -base, base, adjacency)
+    lacking = base & ~start
+    count = start.bit_count()
+    if count + lacking.bit_count() > target:
+        return
+    stack = [(start, mask_neighborhood(start, adjacency), (available | base) & ~start, count)]
+    while stack:
+        current, reach, allowed, count = stack.pop()
+        if count == target:
+            yield current
+            continue
+        frontier = reach & allowed
+        if not frontier or count + allowed.bit_count() < target:
+            continue
+        pick = frontier & -frontier
+        allowed ^= pick
+        if not pick & base:
+            stack.append((current, reach, allowed, count))
+            if lacking and count + 1 + (base & ~current).bit_count() > target:
+                continue
+        stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
+
+
 def per_size_regions(base, reach, top, graph):
     """``_grown`` as it was: each size enumerated apart, then sorted in combinations order."""
     for size in range(base.bit_count(), top + 1):
-        regions = connected_supersets(base, size, reach & ~base, graph.adjacency_masks)
+        regions = supersets_of_any_base(base, size, reach & ~base, graph.adjacency_masks)
         yield from sorted(regions, key=lambda region: sorted(mask_qubits(region)))
 
 
@@ -999,10 +1076,16 @@ def test_a_join_keeps_exactly_the_regions_the_decider_completes(case):
         hosts = memo.index.hosts(kept, taken, trust, base | touched)
         hosted = [any(not (region | touched) & ~block for block in hosts) for region in regions]
         assert hosted == [candidate is not None for candidate in decided]
-        candidate = region_state(allocation, mask_qubits(base), trust)
-        assert any(not (base | touched) & ~block for block in hosts) is decide(
-            *candidate, graph, memo.requests, verdicts
+        held = base | touched
+        if graph.is_connected(mask_qubits(held)):
+            grown = [held]
+        else:  # ``decide`` takes connected components: ask it of each connected growth
+            grown = allocator_module._grown(held, held | state[0], graph.vertex_count, graph)
+        completes = any(
+            decide(*region_state(allocation, mask_qubits(region), trust), graph, memo.requests, verdicts)
+            for region in grown
         )
+        assert any(not held & ~block for block in hosts) is completes
 
 
 class TestNewAlloc:
@@ -1074,7 +1157,7 @@ class TestAllocUnallocated:
         allocation = build(5)
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), qubit_mask({2}), memo=SearchMemo(sizes, demo_graph),
         )
         assert structure([2]) in state_keys(results)
         for result in results:
@@ -1084,7 +1167,7 @@ class TestAllocUnallocated:
         allocation = build(5, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_unallocated(
-            state_of(allocation), frozenset({2}), memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), qubit_mask({2}), memo=SearchMemo(sizes, demo_graph),
         )
         assert state_keys(results) == {canonicalize(allocation)}
 
@@ -1092,9 +1175,7 @@ class TestAllocUnallocated:
         line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
         allocation = build(5, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
-        results = alloc_unallocated(
-            state_of(allocation), frozenset({3}), memo=SearchMemo(sizes, line)
-        )
+        results = alloc_unallocated(state_of(allocation), qubit_mask({3}), memo=SearchMemo(sizes, line))
         assert results == []
         # Brute-force cross-check: every way of allocating qubit 3 in one
         # step breaks size feasibility (the lone 2-request is taken).
@@ -1116,7 +1197,8 @@ class TestAllocImpacted:
     def test_owner_gains_each_reachable_impacting_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = alloc_impacted(
-            [state_of(build(5, u(2)))], demo_rates[0], memo=SearchMemo(sizes, demo_graph)
+            [state_of(build(5, u(2)))], *control_masks(demo_rates[0]),
+            memo=SearchMemo(sizes, demo_graph),
         )
         got = state_keys(results)
         assert structure([2, 3]) in got
@@ -1129,7 +1211,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[0], memo=SearchMemo(sizes, demo_graph),
+            [state_of(candidate)], *control_masks(demo_rates[0]), memo=SearchMemo(sizes, demo_graph),
         )
         assert canonicalize(candidate) in state_keys(results)
 
@@ -1139,7 +1221,7 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         candidate = build(5, u(0, 1), u(2, 3))
         results = alloc_impacted(
-            [state_of(candidate)], demo_rates[2], memo=SearchMemo(sizes, demo_graph),
+            [state_of(candidate)], *control_masks(demo_rates[2]), memo=SearchMemo(sizes, demo_graph),
         )
         assert results == []
 
@@ -1147,7 +1229,8 @@ class TestAllocImpacted:
         sizes = SizeRequests(untrusted=(2, 3))
         with pytest.raises(ValueError):
             alloc_impacted(
-                [state_of(build(5))], demo_rates[0], memo=SearchMemo(sizes, demo_graph)
+                [state_of(build(5))], *control_masks(demo_rates[0]),
+                memo=SearchMemo(sizes, demo_graph),
             )
 
 
@@ -1155,23 +1238,23 @@ class TestImproveAlloc:
     def test_fresh_single_user_when_nothing_is_allocated(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5)), demo_rates[0], memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5)), rate_masks(demo_rates[0])[3], memo=SearchMemo(sizes, demo_graph)
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_owner_absorbs_the_unallocated_involved_qubit(self, demo_graph, demo_rates):
         sizes = SizeRequests(untrusted=(2, 3))
         results = improve_alloc(
-            state_of(build(5, u(2, 3))), demo_rates[0], memo=SearchMemo(sizes, demo_graph)
+            state_of(build(5, u(2, 3))), rate_masks(demo_rates[0])[3],
+            memo=SearchMemo(sizes, demo_graph),
         )
         assert state_keys(results) == {structure([2, 3, 4])}
 
     def test_cross_trust_owners_cannot_merge(self, demo_graph):
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
-        rate = CrosstalkRate(0.002, frozenset({1, 2}), frozenset({0}))
         assert improve_alloc(
-            state_of(allocation), rate, memo=SearchMemo(sizes, demo_graph)
+            state_of(allocation), qubit_mask({0, 1, 2}), memo=SearchMemo(sizes, demo_graph)
         ) == []
 
 
@@ -1180,7 +1263,8 @@ class TestAllocTrusted:
         sizes = SizeRequests(untrusted=(2, 3))
         assert (
             alloc_trusted(
-                state_of(build(5)), demo_rates[0].impacting, memo=SearchMemo(sizes, demo_graph),
+                state_of(build(5)), qubit_mask(demo_rates[0].impacting),
+                memo=SearchMemo(sizes, demo_graph),
             )
             == []
         )
@@ -1188,7 +1272,7 @@ class TestAllocTrusted:
     def test_branches_over_free_impacting_subsets(self, demo_graph):
         sizes = SizeRequests(trusted=(3,), untrusted=(2,))
         allocation = build(5, t(1))
-        impacting = frozenset({2, 4})
+        impacting = qubit_mask({2, 4})
         results = alloc_trusted(
             state_of(allocation), impacting, memo=SearchMemo(sizes, demo_graph)
         )
@@ -1203,7 +1287,7 @@ class TestAllocTrusted:
         sizes = SizeRequests(trusted=(2,), untrusted=(3,))
         allocation = build(5, t(0, 1), u(2, 3, 4))
         assert alloc_trusted(
-            state_of(allocation), frozenset({2, 4}), memo=SearchMemo(sizes, demo_graph),
+            state_of(allocation), qubit_mask({2, 4}), memo=SearchMemo(sizes, demo_graph),
         ) == []
 
 
@@ -1327,14 +1411,16 @@ def list_reference_allocate(graph, sizes, rates, config):
             candidates = []
             if is_safe(member, rate).safe:
                 if involved_parties(member, rate) >= 2:
-                    candidates = reference_improve_alloc(member, rate, graph, full, config)
+                    candidates = reference_improve_alloc(member, rate.involved, graph, full, config)
                 population[position] = eval_alloc(member, rate)
             else:
                 candidates = reference_alloc_unallocated(member, rate.impacted, graph, full, config)
-                candidates = reference_alloc_impacted(candidates, rate, graph, full, config)
+                candidates = reference_alloc_impacted(
+                    candidates, rate.impacting, rate.impacted, graph, full, config
+                )
                 candidates = dedup_allocations(
                     candidates
-                    + reference_improve_alloc(member, rate, graph, full, config)
+                    + reference_improve_alloc(member, rate.involved, graph, full, config)
                     + reference_alloc_trusted(member, rate.impacting, graph, full, config)
                 )
                 retired = replace(population.pop(position), last_rate=rate)
@@ -1575,9 +1661,10 @@ class TestWarmMemo:
                 for joined in state[1] + ((Trust.TRUSTED, 0), FRESH_U):
                     for qubit in sorted(allocation.unallocated):
                         args = (state, joined, 1 << qubit)
-                        cold = connect(*args, memo=SearchMemo(full, instance.graph))
-                        assert connect(*args, memo=shared) == cold
-                        assert connect(*args, memo=shared) == cold
+                        cold = join(*args, SearchMemo(full, instance.graph))
+                        warm = join(*args, shared)
+                        assert warm == cold
+                        assert join(*args, shared) is warm
 
     def test_a_join_refused_on_budget_is_empty_and_keeps_no_key(self, family):
         refused = 0
@@ -1592,29 +1679,34 @@ class TestWarmMemo:
                 for joined in state[1] + ((Trust.TRUSTED, 0), FRESH_U):
                     for target in filter(None, incoming):
                         args = (state, joined, target)
-                        cold = connect(*args, memo=SearchMemo(full, instance.graph))
+                        cold = join(*args, SearchMemo(full, instance.graph))
                         keys_before = len(shared.joins)
-                        warm = connect(*args, memo=shared)
+                        warm = join(*args, shared)
                         assert warm == cold
                         if remain(joined, state, full) < (target & ~joined[1]).bit_count():
                             refused += 1
-                            assert warm == [] and len(shared.joins) == keys_before
+                            assert warm == () and len(shared.joins) == keys_before
                         else:
                             assert args in shared.joins
         assert refused > 100
 
-    def test_mutating_a_returned_list_leaves_later_hits_alone(self, demo_graph):
+    def test_a_repeated_join_returns_the_memo_tuple_and_a_refused_one_keeps_no_key(
+        self, demo_graph
+    ):
         sizes = SizeRequests(untrusted=(2, 3))
         memo = SearchMemo(sizes, demo_graph)
-        args = (state_of(build(5)), FRESH_U, qubit_mask({2}))
-        first = connect(*args, memo=memo)
-        expected = list(first)
-        assert expected
-        first.append(first[0])
-        first.reverse()
-        assert connect(*args, memo=memo) == expected
-        connect(*args, memo=memo).clear()
-        assert connect(*args, memo=memo) == expected
+        state = state_of(build(5))
+        args = (state, FRESH_U, qubit_mask({2}))
+        first = join(*args, memo)
+        assert first and type(first) is tuple
+        assert memo.joins == {args: first}
+        assert join(*args, memo) is first and connect(*args, 3, memo=memo) is first
+        # A fresh user may take 3 qubits: a 4-qubit incoming is refused on
+        # its budget, and a repeat of it is refused again.
+        assert budget_of(state, FRESH_U, memo) == 3
+        for _ in range(2):
+            assert join(state, FRESH_U, qubit_mask({0, 1, 2, 3}), memo) == ()
+        assert memo.joins == {args: first}
 
 
 class TestMemoCarriesTheRun:
@@ -1626,17 +1718,20 @@ class TestMemoCarriesTheRun:
         sizes = SizeRequests(untrusted=(5,))
         args = (state_of(build(5)), FRESH_U, qubit_mask({2}))
         capped = SearchMemo(sizes, demo_graph, SearchConfig(max_paths_per_connect=1))
-        assert len(connect(*args, memo=SearchMemo(sizes, demo_graph))) > 1
-        assert len(connect(*args, memo=capped)) == 1
+        assert len(join(*args, SearchMemo(sizes, demo_graph))) > 1
+        assert len(join(*args, capped)) == 1
 
         regions = {1: [], 64: []}
 
-        def checking(state, owner, incoming, *, memo, room):
-            # The operators hand on the room they read from the owner's budget.
-            made = allocator_module._regions(owner[1] | incoming, state[0], room, memo)
-            assert made == join_regions(state, owner, incoming, memo)
-            regions[memo.config.max_paths_per_connect].append(len(made))
-            return connect(state, owner, incoming, memo=memo, room=room)
+        def checking(state, owner, incoming, budget, *, memo):
+            # The operators hand on the owner's budget, read once per state.
+            assert budget == budget_of(state, owner, memo)
+            room = budget - (incoming & ~owner[1]).bit_count()
+            if room >= 0:
+                made = allocator_module._regions(owner[1] | incoming, state[0], room, memo)
+                assert made == join_regions(state, owner, incoming, memo)
+                regions[memo.config.max_paths_per_connect].append(len(made))
+            return connect(state, owner, incoming, budget, memo=memo)
 
         monkeypatch.setattr(allocator_module, "connect", checking)
         for paths in regions:

@@ -178,6 +178,39 @@ class TestAllocateCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (None, "the following arguments are required: --rates, --requests"),
+            (["--max-paths", "abc"], "--max-paths"),
+            (["--format", "xml"], "--format"),
+            (["--max-pathz", "3"], "--max-pathz"),
+        ],
+        ids=["missing-flags", "not-an-int", "unknown-format", "unknown-flag"],
+    )
+    def test_a_usage_error_exits_1_and_names_the_flag(self, files, capsys, extra, named):
+        # Exit 2 means the requests exceed the platform; a usage error is exit 1.
+        if extra is None:
+            assert main(["allocate", "--platform", files["platform"]]) == EXIT_INPUT
+        else:
+            assert run_allocate(files, *extra) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "usage: qaiccc" in captured.err and named in captured.err
+        assert captured.out == ""
+
+    def test_usage_errors_exit_1_and_help_exits_0_from_the_command_line(self, files):
+        env = dict(os.environ, PYTHONPATH=str(Path(qaiccc.__file__).resolve().parents[1]))
+        for argv, code in (
+            (["allocate", "--platform", files["platform"]], EXIT_INPUT),
+            (["allocate", "--help"], EXIT_OK),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qaiccc.cli", *argv],
+                env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            )
+            assert proc.returncode == code
+            assert "usage: qaiccc allocate" in (proc.stderr if code else proc.stdout)
+
+    @pytest.mark.parametrize(
         "name, payload, key",
         [
             ("requests", {"untrused": [2]}, "untrused"),
@@ -392,8 +425,7 @@ class TestOracleCommand:
 
     def test_the_cap_flag_is_gone(self, files, capsys):
         args = ["oracle", "--platform", files["platform"], "--rates", files["rates"]]
-        with pytest.raises(SystemExit):
-            main(args + ["--requests", files["requests"], "--cap", "9"])
+        assert main(args + ["--requests", files["requests"], "--cap", "9"]) == EXIT_INPUT
         assert "--cap" in capsys.readouterr().err
 
     def test_zero_rates_every_partition_optimal(self, files, tmp_path, capsys):
