@@ -4,6 +4,9 @@ The package allocates the qubits of a shared platform to trusted and
 untrusted users so that every qubit is used (an idle user absorbs the
 rest) while the largest crosstalk error rate spanning different users is
 minimized.  See the README for the pipeline and file formats.
+
+The oracle's names are served from :mod:`qaiccc.oracle`, which is loaded
+on first use: ``qaiccc allocate`` never runs it.
 """
 
 from .allocator import AllocationOutcome, SearchConfig, allocate
@@ -28,18 +31,28 @@ from .model import (
     sort_rates,
     validate_allocation,
 )
-from .oracle import (
-    OracleReport,
-    baseline_naive,
-    enumerate_complete,
-    oracle_report,
-    replay_check,
-    safe_prefix,
-)
 from .safety import SafetyReason, involved_parties, is_safe
 from .selection import SelectionResult, noise_worklist, rank, select
 
 __version__ = "0.1.0"
+
+#: The names of :mod:`qaiccc.oracle` the package serves, loading it on first use.
+_ORACLE_NAMES = frozenset({
+    "OracleReport", "baseline_naive", "enumerate_complete", "oracle_report", "replay_check",
+    "safe_prefix",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})
 
 __all__ = [
     "Allocation",

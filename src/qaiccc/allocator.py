@@ -69,11 +69,10 @@ member's later attribute updates (:func:`eval_alloc`,
 from __future__ import annotations
 
 import itertools
-import logging
 import math
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
 # longer called here; they stay bound because the benchmark's tracer
@@ -85,6 +84,7 @@ from .model import (  # noqa: F401
     Allocation,
     ConnectivityGraph,
     CrosstalkRate,
+    Record,
     SearchState,
     SizeRequests,
     StateComponent,
@@ -105,8 +105,6 @@ from .model import (  # noqa: F401
 from .safety import involved_parties, is_safe, state_parties, state_verdict  # noqa: F401
 from .sizing import allocation_feasible, remain  # noqa: F401
 
-log = logging.getLogger("qaiccc.allocator")
-
 #: A fresh user of each class, as a :func:`connect` owner, trusted first.
 _FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0), (Trust.UNTRUSTED, 0))
 
@@ -121,8 +119,7 @@ _HOSTED_REGIONS = 4
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Tuning knobs for the search.
 
     ``max_population`` (off by default) prunes the worst members after
@@ -132,14 +129,17 @@ class SearchConfig:
     extensions is exponential in the worst case.
     """
 
-    max_population: int | None = None
-    max_paths_per_connect: int = 64
+    __slots__ = _fields = ("max_population", "max_paths_per_connect")
+    max_population: int | None
+    max_paths_per_connect: int
 
-    def __post_init__(self) -> None:
-        if self.max_paths_per_connect < 1:
+    def __init__(self, max_population: int | None = None, max_paths_per_connect: int = 64) -> None:
+        if max_paths_per_connect < 1:
             raise ValueError("max_paths_per_connect must be at least 1")
-        if self.max_population is not None and self.max_population < 1:
+        if max_population is not None and max_population < 1:
             raise ValueError("max_population must be at least 1 when set")
+        object.__setattr__(self, "max_population", max_population)
+        object.__setattr__(self, "max_paths_per_connect", max_paths_per_connect)
 
 
 class SearchMemo:
@@ -217,7 +217,7 @@ def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
         return sizes
     if sizes.idle_size is not None:
         raise ValueError("idle request already set but requests do not cover the platform")
-    return replace(sizes, idle_size=vertex_count - total)
+    return SizeRequests(sizes.trusted, sizes.untrusted, vertex_count - total)
 
 
 def completable(state: SearchState, memo: SearchMemo) -> bool:
@@ -584,19 +584,23 @@ def alloc_trusted(state: SearchState, impacting: int, *, memo: SearchMemo) -> li
     Branches over every non-empty subset of the free impacting qubits,
     fewest first and in ascending qubit order, attaching it to each trusted
     component, or starting a fresh trusted component when a trusted
-    request is still unassigned.  Each trusted owner's budget is read once
-    and handed to every join, and :func:`connect` refuses a subset larger
-    than it.  Without any trusted capacity this never generates anything.
+    request is still unassigned.  Each trusted owner's budget is read once:
+    every qubit of a subset is free, so a subset larger than it is one
+    :func:`connect` would refuse, and it is offered only to the owners
+    whose budget takes it.  Without any trusted capacity this never
+    generates anything.
     """
     free, components = state
     pool = _bits(impacting & free)
     trusted = [owner for owner in components + _FRESH if owner[0] is Trust.TRUSTED]
     owners = list(zip(trusted, _budgets(state, trusted, memo))) if pool else []
+    top = max((budget for _, budget in owners), default=0)
     out: list[SearchState] = []
-    for length in range(1, len(pool) + 1):
+    for length in range(1, min(len(pool), top) + 1):
+        takers = [(owner, budget) for owner, budget in owners if budget >= length]
         for combo in itertools.combinations(pool, length):
             subset = sum(combo)
-            for owner, budget in owners:
+            for owner, budget in takers:
                 out += connect(state, owner, subset, budget, memo=memo)
     return out
 
@@ -728,8 +732,7 @@ def update_population(
     return admitted
 
 
-@dataclass(frozen=True)
-class RateStep:
+class RateStep(NamedTuple):
     """Snapshot taken after one rate was processed."""
 
     rate: CrosstalkRate
@@ -737,8 +740,7 @@ class RateStep:
     archived: tuple[Allocation, ...]
 
 
-@dataclass(frozen=True)
-class AllocationOutcome:
+class AllocationOutcome(NamedTuple):
     """Everything :func:`allocate` produced, in deterministic order.
 
     The initial allocation, the one without components, carries the start
@@ -797,6 +799,10 @@ def allocate(
     archive: dict[SearchState, Allocation] = {}
     memo = SearchMemo(full, graph, config)
     steps: list[RateStep] = []
+    # Logged only once ``logging`` is loaded: the command line loads it when
+    # ``QAICCC_LOG`` asks for it, and a library caller may have loaded it.
+    logging = sys.modules.get("logging")
+    log = logging.getLogger("qaiccc.allocator") if logging else None
     handled = [rate_masks(rate) for rate in ordered]
 
     for index, (rate, impacting, impacted, involved) in enumerate(handled):
@@ -821,9 +827,10 @@ def allocate(
 
             update_population(candidates, population, archive, processed, memo)
 
-        log.debug(
-            "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)
-        )
+        if log is not None:
+            log.debug(
+                "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)
+            )
         steps.append(RateStep(rate, tuple(population.values()), tuple(newly_archived)))
         if not population:
             break

@@ -6,7 +6,9 @@ feasible allocation, 4 exhaustive enumeration passed its work budget.
 Reports are versioned JSON by default; the text format mirrors the
 search narrative and, under ``--verbose``, shows the population after
 each rate.  The ``QAICCC_LOG`` environment variable (error, info,
-debug) controls diagnostic logging on stderr.
+debug) controls diagnostic logging on stderr.  Only what ``allocate``
+runs is imported up front: ``logging`` is loaded when ``QAICCC_LOG``
+asks for info or debug, and the oracle when ``oracle`` runs.
 """
 
 from __future__ import annotations
@@ -15,13 +17,11 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .allocator import AllocationOutcome, SearchConfig, allocate
 from .completion import request_slots
@@ -43,12 +43,12 @@ from .ingest import (
     synth_rates,
 )
 from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
-from .oracle import OracleReport, oracle_report
 # ``rank`` is not called here (``select`` returns its ranking); it stays
 # bound because the benchmark's tracer (bench/spans.py) wraps it here.
 from .selection import SelectionResult, rank, select  # noqa: F401
 
-log = logging.getLogger("qaiccc.cli")
+if TYPE_CHECKING:
+    from .oracle import OracleReport
 
 REPORT_SCHEMA = "qaiccc-report/1"
 ORACLE_SCHEMA = "qaiccc-oracle/2"
@@ -163,8 +163,7 @@ def _object(fields: Iterable[tuple[str, str]], indent: str) -> str:
     return "{" + inner + ("," + inner).join(texts) + "\n" + indent + "}" if texts else "{}"
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Machine-readable result of one allocate run; the ranking rides on ``selected``.
 
     :meth:`json_chunks` lays it out in pieces, which the command writes as
@@ -428,6 +427,18 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def oracle_report(*args, **kwargs) -> OracleReport:
+    """:func:`qaiccc.oracle.oracle_report`, whose module is loaded on the first call.
+
+    ``allocate`` never runs the oracle, so it does not pay for loading it.
+    :func:`cmd_oracle` looks this name up here, where the benchmark's
+    tracer (bench/spans.py) wraps it.
+    """
+    from .oracle import oracle_report
+
+    return oracle_report(*args, **kwargs)
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     graph = load_platform(args.platform)
     rates = load_rates(args.rates, graph)
@@ -466,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_alloc.add_argument("--requests", required=True, help="size requests JSON file")
     p_alloc.add_argument("--output", help="write the report here instead of stdout")
     p_alloc.add_argument("--format", choices=("json", "text"), default="json")
-    p_alloc.add_argument("--max-population", type=int, default=SearchConfig.max_population)
-    p_alloc.add_argument("--max-paths", type=int, default=SearchConfig.max_paths_per_connect)
+    defaults = SearchConfig()
+    p_alloc.add_argument("--max-population", type=int, default=defaults.max_population)
+    p_alloc.add_argument("--max-paths", type=int, default=defaults.max_paths_per_connect)
     p_alloc.add_argument("--no-timings", action="store_true", help="omit timings for reproducible output")
     p_alloc.add_argument("--verbose", action="store_true", help="text format: show the population per rate")
 
@@ -486,18 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-
-
 def _setup_logging() -> None:
     """Log the package to stderr at the level ``QAICCC_LOG`` names now, on every call.
 
     ``basicConfig`` adds the handler once per process, so the level is set
-    on the package's logger each time instead.
+    on the package's logger each time instead.  ``logging`` is loaded only
+    when ``QAICCC_LOG`` names ``info`` or ``debug``; once loaded, by an
+    earlier call or by the caller, the level is set on every call.
     """
     level = os.environ.get("QAICCC_LOG", "error").lower()
+    if level not in ("info", "debug") and "logging" not in sys.modules:
+        return
+    import logging
+
     logging.basicConfig(stream=sys.stderr)
-    logging.getLogger("qaiccc").setLevel(_LOG_LEVELS.get(level, logging.ERROR))
+    levels = {"info": logging.INFO, "debug": logging.DEBUG}
+    logging.getLogger("qaiccc").setLevel(levels.get(level, logging.ERROR))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -71,8 +70,48 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ConnectivityGraph:
+class Record:
+    """Base of the package's immutable values: what a frozen dataclass gives, written out.
+
+    Building classes through ``dataclasses`` loads ``inspect`` and ``ast``
+    and runs ``exec`` for every generated method, on every start.  A
+    subclass names its fields in ``_fields``, keeps them in ``__slots__``
+    (unless a ``cached_property`` needs a ``__dict__``) and sets each once
+    in ``__init__`` with ``object.__setattr__``.  Equality and hashing read
+    the fields and hold only between instances of one class, ``repr`` is
+    ``Name(field=value, ...)``, assignment and deletion raise
+    AttributeError, and a copy or pickle is rebuilt by ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class ConnectivityGraph(Record):
     """Undirected coupling map of the platform.
 
     ``edges`` holds normalized pairs ``(a, b)`` with ``a < b``; a
@@ -81,24 +120,26 @@ class ConnectivityGraph:
     construction.
     """
 
+    _fields = ("vertex_count", "edges")
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if not is_int(self.vertex_count):
-            raise TypeError(f"vertex_count must be an int, not {self.vertex_count!r}")
-        if self.vertex_count <= 0:
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]) -> None:
+        if not is_int(vertex_count):
+            raise TypeError(f"vertex_count must be an int, not {vertex_count!r}")
+        if vertex_count <= 0:
             raise ValueError("vertex_count must be positive")
         normalized = set()
-        for edge in self.edges:
+        for edge in edges:
             a, b = edge
             if not (is_int(a) and is_int(b)):
                 raise TypeError(f"edge {edge} has an endpoint that is not an int")
             if a == b:
                 raise ValueError(f"self loop on qubit {a}")
-            if not (0 <= a < self.vertex_count and 0 <= b < self.vertex_count):
-                raise ValueError(f"edge {edge} has an endpoint outside 0..{self.vertex_count - 1}")
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+                raise ValueError(f"edge {edge} has an endpoint outside 0..{vertex_count - 1}")
             normalized.add((min(a, b), max(a, b)))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @cached_property
@@ -134,8 +175,7 @@ class ConnectivityGraph:
         return mask_region(mask & -mask, mask, self.adjacency_masks) == mask
 
 
-@dataclass(frozen=True)
-class CrosstalkRate:
+class CrosstalkRate(Record):
     """One crosstalk measurement: ``impacting`` qubits perturb ``impacted`` ones.
 
     The composite ``score`` is dimensionless, finite, and non-negative,
@@ -147,25 +187,28 @@ class CrosstalkRate:
     :mod:`qaiccc.ingest`).
     """
 
+    __slots__ = _fields = ("score", "impacting", "impacted")
     score: float
     impacting: frozenset[int]
     impacted: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "impacting", frozenset(self.impacting))
-        object.__setattr__(self, "impacted", frozenset(self.impacted))
-        for q in (*self.impacting, *self.impacted):
+    def __init__(self, score: float, impacting: Iterable[int], impacted: Iterable[int]) -> None:
+        impacting, impacted = frozenset(impacting), frozenset(impacted)
+        for q in (*impacting, *impacted):
             if not is_int(q):
                 raise TypeError(f"rate qubit must be an int, not {q!r}")
-        if isinstance(self.score, bool) or not isinstance(self.score, (int, float)):
-            raise TypeError(f"rate score must be a number, not {self.score!r}")
-        if not math.isfinite(self.score) or self.score < 0:
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise TypeError(f"rate score must be a number, not {score!r}")
+        if not math.isfinite(score) or score < 0:
             raise ValueError("rate score must be a finite non-negative number")
-        shape = (len(self.impacting), len(self.impacted))
+        shape = (len(impacting), len(impacted))
         if shape not in {(1, 1), (2, 1), (2, 2)}:
             raise ValueError(f"unsupported crosstalk shape {shape}")
-        if self.impacting & self.impacted:
+        if impacting & impacted:
             raise ValueError("impacting and impacted sets overlap")
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "impacting", impacting)
+        object.__setattr__(self, "impacted", impacted)
 
     @property
     def involved(self) -> frozenset[int]:
@@ -176,24 +219,25 @@ class CrosstalkRate:
         return (-self.score, tuple(sorted(self.impacting)), tuple(sorted(self.impacted)))
 
 
-@dataclass(frozen=True)
-class UserComponent:
+class UserComponent(Record):
     """Qubits held by one user, tagged with the user's trust class."""
 
+    __slots__ = _fields = ("trust", "qubits")
     trust: Trust
     qubits: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", frozenset(self.qubits))
-        if not self.qubits:
+    def __init__(self, trust: Trust, qubits: Iterable[int]) -> None:
+        qubits = frozenset(qubits)
+        if not qubits:
             raise ValueError("a user component cannot be empty")
+        object.__setattr__(self, "trust", trust)
+        object.__setattr__(self, "qubits", qubits)
 
     def sort_key(self) -> tuple:
         return (self.trust.value, tuple(sorted(self.qubits)))
 
 
-@dataclass(frozen=True)
-class SizeRequests:
+class SizeRequests(Record):
     """Requested circuit sizes per trust class.
 
     Requests are ordered multisets: two users may ask for equal sizes.
@@ -203,23 +247,28 @@ class SizeRequests:
     the otherwise unused qubits (see :func:`qaiccc.allocator.update_sizes`).
     """
 
-    trusted: tuple[int, ...] = ()
-    untrusted: tuple[int, ...] = ()
-    idle_size: int | None = None
+    __slots__ = _fields = ("trusted", "untrusted", "idle_size")
+    trusted: tuple[int, ...]
+    untrusted: tuple[int, ...]
+    idle_size: int | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trusted", tuple(self.trusted))
-        object.__setattr__(self, "untrusted", tuple(self.untrusted))
-        for size in (*self.trusted, *self.untrusted):
+    def __init__(
+        self, trusted: Iterable[int] = (), untrusted: Iterable[int] = (), idle_size: int | None = None
+    ) -> None:
+        trusted, untrusted = tuple(trusted), tuple(untrusted)
+        for size in (*trusted, *untrusted):
             if not is_int(size):
                 raise TypeError(f"request size must be an int, not {size!r}")
             if size <= 0:
                 raise ValueError("request sizes must be positive")
-        if self.idle_size is not None:
-            if not is_int(self.idle_size):
-                raise TypeError(f"idle size must be an int, not {self.idle_size!r}")
-            if self.idle_size <= 0:
+        if idle_size is not None:
+            if not is_int(idle_size):
+                raise TypeError(f"idle size must be an int, not {idle_size!r}")
+            if idle_size <= 0:
                 raise ValueError("idle size must be positive")
+        object.__setattr__(self, "trusted", trusted)
+        object.__setattr__(self, "untrusted", untrusted)
+        object.__setattr__(self, "idle_size", idle_size)
 
     def for_trust(self, trust: Trust) -> tuple[int, ...]:
         """Request sizes of one class; the idle request counts as untrusted."""
@@ -240,48 +289,71 @@ class SizeRequests:
 CanonicalKey = tuple[tuple[int, ...], tuple[tuple[str, tuple[int, ...]], ...]]
 
 
-@dataclass(frozen=True)
-class Allocation:
+#: Marks a search attribute that :meth:`Allocation.with_attributes` keeps.
+_KEEP: object = object()
+
+
+class Allocation(Record):
     """A (possibly partial) assignment of platform qubits to users.
 
     ``components`` is stored in canonical order so equality-of-structure
     is positional.  The search attributes (``score``, ``penalty``,
     ``incidental``, ``last_rate``) ride along but never enter the
-    canonical key.
+    canonical key.  The search builds and copies allocations by the
+    thousand, so the fields are set through their slots' own setters.
     """
 
+    __slots__ = _fields = (
+        "unallocated", "components", "score", "penalty", "incidental", "last_rate"
+    )
     unallocated: frozenset[int]
-    components: tuple[UserComponent, ...] = ()
-    score: float = 0.0
-    penalty: float = 0.0
-    incidental: tuple[CrosstalkRate, ...] = ()
-    last_rate: CrosstalkRate | None = None
+    components: tuple[UserComponent, ...]
+    score: float
+    penalty: float
+    incidental: tuple[CrosstalkRate, ...]
+    last_rate: CrosstalkRate | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unallocated", frozenset(self.unallocated))
-        ordered = tuple(sorted(self.components, key=UserComponent.sort_key))
-        object.__setattr__(self, "components", ordered)
-        object.__setattr__(self, "incidental", tuple(self.incidental))
+    def __init__(
+        self,
+        unallocated: Iterable[int],
+        components: Iterable[UserComponent] = (),
+        score: float = 0.0,
+        penalty: float = 0.0,
+        incidental: Iterable[CrosstalkRate] = (),
+        last_rate: CrosstalkRate | None = None,
+    ) -> None:
+        _set_unallocated(self, frozenset(unallocated))
+        _set_components(self, tuple(sorted(components, key=UserComponent.sort_key)))
+        _set_score(self, score)
+        _set_penalty(self, penalty)
+        _set_incidental(self, tuple(incidental))
+        _set_last_rate(self, last_rate)
 
     def components_of(self, trust: Trust) -> tuple[UserComponent, ...]:
         return tuple(c for c in self.components if c.trust is trust)
 
-    def with_attributes(self, **attributes) -> Allocation:
-        """This allocation with some search attributes replaced, sharing its structure.
+    def with_attributes(
+        self, *, score: float = _KEEP, penalty: float = _KEEP,
+        incidental: tuple[CrosstalkRate, ...] = _KEEP, last_rate: CrosstalkRate | None = _KEEP,
+    ) -> Allocation:
+        """This allocation with the search attributes given replaced, sharing its structure.
 
-        Unlike ``dataclasses.replace`` it does not run ``__post_init__``
-        again: the structure is already normalised, and only ``score``,
-        ``penalty``, ``incidental`` (a tuple) and ``last_rate`` may be given.
+        Unlike the constructor it normalises nothing again: the structure
+        is already normalised, and ``incidental`` must be a tuple.
         """
-        if not attributes.keys() <= _ATTRIBUTES:
-            raise TypeError(f"not search attributes: {sorted(attributes.keys() - _ATTRIBUTES)}")
-        copy = object.__new__(type(self))
-        copy.__dict__.update(self.__dict__, **attributes)
+        copy = object.__new__(self.__class__)
+        _set_unallocated(copy, self.unallocated)
+        _set_components(copy, self.components)
+        _set_score(copy, self.score if score is _KEEP else score)
+        _set_penalty(copy, self.penalty if penalty is _KEEP else penalty)
+        _set_incidental(copy, self.incidental if incidental is _KEEP else incidental)
+        _set_last_rate(copy, self.last_rate if last_rate is _KEEP else last_rate)
         return copy
 
 
-#: The fields of an :class:`Allocation` that never enter its canonical key.
-_ATTRIBUTES = frozenset({"score", "penalty", "incidental", "last_rate"})
+_set_unallocated, _set_components, _set_score, _set_penalty, _set_incidental, _set_last_rate = (
+    getattr(Allocation, name).__set__ for name in Allocation._fields
+)
 
 
 def canonicalize(allocation: Allocation) -> CanonicalKey:

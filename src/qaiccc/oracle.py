@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .allocator import SearchConfig, allocate, update_sizes
 from .completion import request_slots
@@ -163,8 +162,7 @@ def safe_prefix(allocation: Allocation, rates: Sequence[CrosstalkRate]) -> int:
     return next(unsafe, len(rates))
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     """Outcome of re-deriving an allocation's attributes from its structure."""
 
     mismatches: tuple[str, ...]
@@ -254,8 +252,7 @@ def baseline_naive(graph: ConnectivityGraph, sizes: SizeRequests) -> Allocation:
     return Allocation(unallocated=frozenset(free), components=tuple(components))
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Exhaustive optimum versus the algorithm's pick on one instance.
 
     ``gap`` is measured, never asserted: the greedy search may fall short

@@ -15,8 +15,7 @@ allocation does not protect against by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .allocator import AllocationOutcome
 from .completion import RequestLabel, complete_allocation
@@ -24,8 +23,7 @@ from .errors import NoFeasibleAllocationError
 from .model import Allocation, ConnectivityGraph, CrosstalkRate, canonicalize, sort_rates
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """The chosen complete allocation, its request binding and worklist, and the ranking walked."""
 
     allocation: Allocation

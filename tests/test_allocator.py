@@ -8,8 +8,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import fields as dataclass_fields
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -175,12 +173,25 @@ class TestEvalAlloc:
         assert len(twice.incidental) == 2
 
 
+#: Every field of an :class:`Allocation`, in its constructor's order.
+ALLOCATION_FIELDS = ("unallocated", "components", "score", "penalty", "incidental", "last_rate")
+
+
+def fields_of(allocation):
+    return {name: getattr(allocation, name) for name in ALLOCATION_FIELDS}
+
+
+def rebuilt(allocation, **changes):
+    """``allocation`` built again by its constructor with ``changes``, as ``replace`` did."""
+    return Allocation(**{**fields_of(allocation), **changes})
+
+
 def _reference_eval_alloc(allocation, rate):
-    """``eval_alloc`` as it was written with ``dataclasses.replace``."""
+    """``eval_alloc`` as it was written with ``dataclasses.replace`` (:func:`rebuilt`)."""
     penalty, incidental = allocation.penalty, allocation.incidental
     if rate.involved & allocation.unallocated:
         penalty, incidental = penalty + rate.score, incidental + (rate,)
-    return replace(allocation, score=rate.score, penalty=penalty, incidental=incidental)
+    return rebuilt(allocation, score=rate.score, penalty=penalty, incidental=incidental)
 
 
 _MEMBER_RATES = st.sampled_from([
@@ -209,26 +220,25 @@ def members(draw):
 
 
 def same_fields(left, right):
-    names = [field.name for field in dataclass_fields(Allocation)]
-    return all(getattr(left, name) == getattr(right, name) for name in names)
+    return fields_of(left) == fields_of(right)
 
 
 @settings(max_examples=200, deadline=None)
 @given(members(), _MEMBER_RATES, _MEMBER_RATES)
 def test_member_updates_equal_the_replace_results(member, rate, fall):
-    before = dict(vars(member))
+    before = fields_of(member)
     evaluated = eval_alloc(member, rate)
     assert same_fields(evaluated, _reference_eval_alloc(member, rate))
     key = state_of(member)
     population, archive = {key: member}, {}
     retired = archive_alloc(key, population, archive, fall)
-    assert same_fields(retired, replace(member, last_rate=fall))
+    assert same_fields(retired, rebuilt(member, last_rate=fall))
     assert population == {} and archive[key] is retired
     for copy in (evaluated, retired):
-        assert copy == replace(copy) and hash(copy) == hash(replace(copy))
+        assert copy == rebuilt(copy) and hash(copy) == hash(rebuilt(copy))
         assert copy.components == tuple(sorted(copy.components, key=UserComponent.sort_key))
         assert type(copy.unallocated) is frozenset and type(copy.incidental) is tuple
-    assert vars(member) == before
+    assert fields_of(member) == before
 
 
 def test_only_search_attributes_are_replaced_in_place(demo_rates):
@@ -486,9 +496,12 @@ def join_checkers(record):
     refuses, and every join it makes must return the combinations loop's
     list, order included, and leave its key.  Each operator must take
     masks, ask ``connect`` for exactly the reference operator's picks, in
-    the reference's order, and return the reference's output.  ``record``
-    gains each join asked (``joins``), whether each is connected
-    (``connected``), and the count of joins refused (``refused``).
+    the reference's order, and return the reference's output;
+    ``alloc_trusted`` must leave out every pick the reference budget
+    refuses, and ask for the rest.  ``record`` gains each join asked
+    (``joins``), whether each is connected (``connected``), the count of
+    joins refused (``refused``), and the count of picks ``alloc_trusted``
+    left out (``skipped``).
     """
 
     def checking(state, owner, incoming, budget, *, memo):
@@ -526,7 +539,11 @@ def join_checkers(record):
             picks = []
 
             def recording(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
-                picks.append(pick_key(allocation, user, incoming, fresh_trust))
+                budget = reference_remain(user, allocation, sizes, fresh_trust=fresh_trust)
+                if name == "alloc_trusted" and budget < len(incoming - user):
+                    record["skipped"] += 1
+                else:
+                    picks.append(pick_key(allocation, user, incoming, fresh_trust))
                 return reference_connect(
                     allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
                 )
@@ -553,7 +570,7 @@ class TestConnectMatchesTheReference:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        record = {"joins": [], "connected": [], "refused": 0}
+        record = {"joins": [], "connected": [], "refused": 0, "skipped": 0}
         for name, checker in join_checkers(record):
             monkeypatch.setattr(allocator_module, name, checker)
         return record
@@ -570,10 +587,11 @@ class TestConnectMatchesTheReference:
         for instance in family:
             allocate(instance.graph, instance.sizes, instance.rates, config)
         # Both connected and disconnected picks occur among the joins asked,
-        # and joins are refused.
+        # joins are refused, and ``alloc_trusted`` leaves out picks.
         assert checked["connected"].count(True) > 100
         assert checked["connected"].count(False) > 100
         assert checked["refused"] > 100
+        assert checked["skipped"] > 0
 
 
 class TestImproveAllocHandsOnDistinctStructures:
@@ -902,7 +920,7 @@ def search_instances(draw):
 def test_every_join_connect_refuses_is_one_the_reference_budget_refuses(instance):
     # ``join_checkers`` checks every join and operator call of the run.
     graph, sizes, rates, paths = instance
-    record = {"joins": [], "connected": [], "refused": 0}
+    record = {"joins": [], "connected": [], "refused": 0, "skipped": 0}
     with contextlib.ExitStack() as patches:
         for name, checker in join_checkers(record):
             patches.enter_context(mock.patch.object(allocator_module, name, checker))
@@ -1290,6 +1308,51 @@ class TestAllocTrusted:
             state_of(allocation), qubit_mask({2, 4}), memo=SearchMemo(sizes, demo_graph),
         ) == []
 
+    @pytest.mark.parametrize(
+        "sizes, components, counts",
+        [
+            # No trusted request: the fresh trusted owner's budget is -1, and
+            # none of the 31 subsets is asked.
+            (SizeRequests(untrusted=(2, 3)), (), (0, 0, 31)),
+            # A fresh trusted user takes at most 2: the 5 singles and 10 pairs.
+            (SizeRequests(trusted=(2, 1), untrusted=(2,)), (), (23, 15, 31)),
+            # The user holding {1} may grow by 2 and a fresh one take 3: each
+            # of the 4 singles and 6 pairs twice, the 4 triples once.
+            (SizeRequests(trusted=(3, 1), untrusted=(1,)), (t(1),), (48, 24, 30)),
+        ],
+    )
+    def test_asks_only_the_joins_a_trusted_budget_takes(
+        self, monkeypatch, demo_graph, sizes, components, counts
+    ):
+        # Against ``reference_alloc_trusted``, which asks for every pick:
+        # the same states in the same order, and only the picks whose owner's
+        # reference budget takes the subset reach ``connect``.
+        allocation = build(5, *components)
+        impacting = frozenset({0, 1, 2, 3, 4})
+        memo = SearchMemo(sizes, demo_graph)
+        asked, taken, picks = [], [], []
+
+        def counting(state, owner, incoming, budget, *, memo):
+            asked.append((state, owner, incoming))
+            return connect(state, owner, incoming, budget, memo=memo)
+
+        def recording(allocation, user, incoming, graph, sizes, config, *, fresh_trust=None):
+            picks.append(pick_key(allocation, user, incoming, fresh_trust))
+            if reference_remain(user, allocation, sizes, fresh_trust=fresh_trust) >= len(incoming):
+                taken.append(picks[-1])
+            return reference_connect(
+                allocation, user, incoming, graph, sizes, config, fresh_trust=fresh_trust
+            )
+
+        monkeypatch.setattr(allocator_module, "connect", counting)
+        made = alloc_trusted(state_of(allocation), qubit_mask(impacting), memo=memo)
+        expected = reference_alloc_trusted(
+            allocation, impacting, demo_graph, sizes, memo.config, join=recording
+        )
+        assert [allocation_of(state) for state in made] == expected
+        assert asked == taken
+        assert (len(made), len(asked), len(picks)) == counts
+
 
 class TestUpdatePopulation:
     @staticmethod
@@ -1423,7 +1486,7 @@ def list_reference_allocate(graph, sizes, rates, config):
                     + reference_improve_alloc(member, rate.involved, graph, full, config)
                     + reference_alloc_trusted(member, rate.impacting, graph, full, config)
                 )
-                retired = replace(population.pop(position), last_rate=rate)
+                retired = rebuilt(population.pop(position), last_rate=rate)
                 archive.append(retired)
                 newly_archived.append(retired)
             admit(candidates, processed)
@@ -1799,7 +1862,7 @@ class TestAllocateEndToEnd:
     def test_scores_summing_past_the_largest_float_are_refused(
         self, demo_graph, demo_sizes, demo_rates
     ):
-        rates = [replace(rate, score=1e308) for rate in demo_rates]
+        rates = [CrosstalkRate(1e308, rate.impacting, rate.impacted) for rate in demo_rates]
         with pytest.raises(ValueError, match=r"the rate scores sum to inf in processing order"):
             allocate(demo_graph, demo_sizes, rates)
 
@@ -1807,7 +1870,7 @@ class TestAllocateEndToEnd:
         self, demo_graph, demo_sizes, demo_rates
     ):
         quarter = sys.float_info.max / 4
-        rates = [replace(rate, score=quarter) for rate in demo_rates[:2]]
+        rates = [CrosstalkRate(quarter, rate.impacting, rate.impacted) for rate in demo_rates[:2]]
         outcome = allocate(demo_graph, demo_sizes, rates)
         start = start_score(outcome)
         assert math.isfinite(start) and start > quarter

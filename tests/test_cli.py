@@ -510,6 +510,50 @@ class TestRepeatedMainCalls:
         assert ["rate 0.0027 -> population" in call for call in calls[:3]] == [False, True, False]
 
 
+class TestStartUp:
+    """What ``import qaiccc.cli`` loads, in a fresh interpreter."""
+
+    def test_the_command_line_loads_no_dataclasses_logging_or_oracle(self, files):
+        # ``sys.modules`` is compared before and after the import, so what
+        # ``site`` loads does not count.  Then every public name, ``dir``
+        # and the oracle command work, the oracle loaded on first use.
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import qaiccc.cli\n"
+            "loaded = set(sys.modules) - before\n"
+            "print(json.dumps(sorted(loaded & {'dataclasses', 'inspect', 'logging', 'qaiccc.oracle'})))\n"
+            "import qaiccc\n"
+            "for name in qaiccc.__all__:\n"
+            "    exec(f'from qaiccc import {name}')\n"
+            "print(json.dumps(sorted(set(qaiccc.__all__) - set(dir(qaiccc)))))\n"
+            "sys.exit(qaiccc.cli.main(['oracle'] + sys.argv[1:]))\n"
+        )
+        argv = ["--platform", files["platform"], "--rates", files["rates"],
+                "--requests", files["requests"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(qaiccc.__file__).resolve().parents[1]))
+        env.pop("QAICCC_LOG", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        loaded, missing, report = proc.stdout.split("\n", 2)
+        assert json.loads(loaded) == []
+        assert json.loads(missing) == []
+        assert json.loads(report)["gap"] == 0
+
+    def test_the_parser_takes_the_search_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["allocate", "--platform", "p", "--rates", "r", "--requests", "q"]
+        )
+        defaults = qaiccc.SearchConfig()
+        assert (args.max_population, args.max_paths) == (None, 64)
+        assert (args.max_population, args.max_paths) == (
+            defaults.max_population, defaults.max_paths_per_connect
+        )
+
+
 # ---------------------------------------------------------------------------
 # the allocate report's writer against a frozen copy of the dict it replaced
 

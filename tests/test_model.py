@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import re
 
@@ -13,6 +15,7 @@ from qaiccc import (
     Allocation,
     ConnectivityGraph,
     CrosstalkRate,
+    SearchConfig,
     SizeRequests,
     Trust,
     UserComponent,
@@ -247,3 +250,149 @@ def test_penalty_equals_incidental_sum_on_search_output(demo_graph, demo_sizes, 
     outcome = allocate(demo_graph, demo_sizes, demo_rates)
     for allocation in outcome.allocations:
         assert abs(allocation.penalty - sum(r.score for r in allocation.incidental)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the value types' contract, as the frozen dataclasses they replaced kept it
+
+_RATE = CrosstalkRate(0.5, frozenset({1, 2}), frozenset({0}))
+_EDGES = frozenset({(0, 1), (1, 2)})
+
+#: Per value type: a factory of equal instances, one unequal instance, and
+#: the repr of the factory's instance in the dataclass format.
+VALUES = {
+    "ConnectivityGraph": (
+        lambda: ConnectivityGraph(3, [(1, 0), (1, 2), (0, 1)]),
+        ConnectivityGraph(3, [(0, 1)]),
+        f"ConnectivityGraph(vertex_count=3, edges={_EDGES!r})",
+    ),
+    "CrosstalkRate": (
+        lambda: CrosstalkRate(0.5, [2, 1], {0}),
+        CrosstalkRate(0.25, [2, 1], {0}),
+        f"CrosstalkRate(score=0.5, impacting={frozenset({1, 2})!r}, impacted=frozenset({{0}}))",
+    ),
+    "UserComponent": (
+        lambda: UserComponent(Trust.TRUSTED, [3, 4]),
+        UserComponent(Trust.UNTRUSTED, [3, 4]),
+        "UserComponent(trust=<Trust.TRUSTED: 'trusted'>, qubits=frozenset({3, 4}))",
+    ),
+    "SizeRequests": (
+        lambda: SizeRequests([2], [3, 1]),
+        SizeRequests([2], [1, 3]),
+        "SizeRequests(trusted=(2,), untrusted=(3, 1), idle_size=None)",
+    ),
+    "Allocation": (
+        lambda: Allocation(
+            [0], [UserComponent(Trust.UNTRUSTED, [2]), UserComponent(Trust.TRUSTED, [1])],
+            0.5, 0.25, [_RATE], _RATE,
+        ),
+        Allocation([0], [UserComponent(Trust.TRUSTED, [1, 2])], 0.5, 0.25, [_RATE], _RATE),
+        "Allocation(unallocated=frozenset({0}), components=("
+        "UserComponent(trust=<Trust.TRUSTED: 'trusted'>, qubits=frozenset({1})), "
+        "UserComponent(trust=<Trust.UNTRUSTED: 'untrusted'>, qubits=frozenset({2}))), "
+        f"score=0.5, penalty=0.25, incidental=({_RATE!r},), last_rate={_RATE!r})",
+    ),
+    "SearchConfig": (
+        lambda: SearchConfig(None, 8),
+        SearchConfig(3, 8),
+        "SearchConfig(max_population=None, max_paths_per_connect=8)",
+    ),
+}
+
+FIELDS = {
+    "ConnectivityGraph": ("vertex_count", "edges"),
+    "CrosstalkRate": ("score", "impacting", "impacted"),
+    "UserComponent": ("trust", "qubits"),
+    "SizeRequests": ("trusted", "untrusted", "idle_size"),
+    "Allocation": ("unallocated", "components", "score", "penalty", "incidental", "last_rate"),
+    "SearchConfig": ("max_population", "max_paths_per_connect"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueContract:
+    def test_equal_fields_give_equal_objects_and_hashes(self, name):
+        make, other, _ = VALUES[name]
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and not first != second and hash(first) == hash(second)
+        assert first != other and not first == other
+        assert len({first, second, other}) == 2
+
+    def test_instances_of_different_classes_are_unequal(self, name):
+        make, _, _ = VALUES[name]
+        value = make()
+        subclass = type("Sub", (type(value),), {})
+        fields = [getattr(value, field) for field in FIELDS[name]]
+        assert subclass(*fields) != value and value != subclass(*fields)
+        assert value != tuple(fields) and value != fields
+        assert all(value != other() for key, (other, _, _) in VALUES.items() if key != name)
+
+    def test_assignment_and_deletion_raise_attribute_error(self, name):
+        make, other, _ = VALUES[name]
+        value = make()
+        for field in (*FIELDS[name], "extra"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(value, field, getattr(other, field, 1))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(value, field)
+        assert value == make()
+
+    def test_repr_keeps_the_dataclass_format(self, name):
+        make, _, expected = VALUES[name]
+        assert repr(make()) == expected
+
+    def test_a_copy_or_a_pickle_is_an_equal_value(self, name):
+        make, _, _ = VALUES[name]
+        value = make()
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+            assert [getattr(twin, f) for f in FIELDS[name]] == [getattr(value, f) for f in FIELDS[name]]
+
+
+def test_construction_normalises_every_field():
+    graph = ConnectivityGraph(3, [(2, 1), (1, 2), (0, 1)])
+    assert graph.edges == frozenset({(0, 1), (1, 2)}) and type(graph.edges) is frozenset
+    assert graph.adjacency_masks == (0b010, 0b101, 0b010)
+    rate = CrosstalkRate(1, [3, 4], (2,))
+    assert (rate.score, rate.impacting, rate.impacted) == (1, frozenset({3, 4}), frozenset({2}))
+    assert type(rate.impacting) is frozenset and type(rate.impacted) is frozenset
+    component = UserComponent(Trust.UNTRUSTED, [4, 3, 4])
+    assert component.qubits == frozenset({3, 4}) and type(component.qubits) is frozenset
+    sizes = SizeRequests([2], iter([3, 1]), 4)
+    assert (sizes.trusted, sizes.untrusted, sizes.idle_size) == ((2,), (3, 1), 4)
+    assert SizeRequests() == SizeRequests((), (), None)
+    trusted, idle = UserComponent(Trust.TRUSTED, {3}), UserComponent(Trust.UNTRUSTED, {0, 1})
+    allocation = Allocation({2}, [idle, trusted], incidental=[rate])
+    assert allocation.components == (trusted, idle)
+    assert type(allocation.unallocated) is frozenset and allocation.incidental == (rate,)
+    assert (allocation.score, allocation.penalty, allocation.last_rate) == (0.0, 0.0, None)
+    assert SearchConfig() == SearchConfig(None, 64)
+
+
+@pytest.mark.parametrize("build, kind, message", [
+    (lambda: ConnectivityGraph(True, ()), TypeError, "vertex_count must be an int, not True"),
+    (lambda: ConnectivityGraph(0, ()), ValueError, "vertex_count must be positive"),
+    (lambda: ConnectivityGraph(3, [(0, 1.0)]), TypeError,
+     "edge (0, 1.0) has an endpoint that is not an int"),
+    (lambda: ConnectivityGraph(3, [(1, 1)]), ValueError, "self loop on qubit 1"),
+    (lambda: ConnectivityGraph(3, [(0, 3)]), ValueError, "edge (0, 3) has an endpoint outside 0..2"),
+    (lambda: CrosstalkRate(0.1, {True}, {0}), TypeError, "rate qubit must be an int, not True"),
+    (lambda: CrosstalkRate(True, {1}, {0}), TypeError, "rate score must be a number, not True"),
+    (lambda: CrosstalkRate("1", {1}, {0}), TypeError, "rate score must be a number, not '1'"),
+    (lambda: CrosstalkRate(-1, {1}, {0}), ValueError,
+     "rate score must be a finite non-negative number"),
+    (lambda: CrosstalkRate(0.1, {1}, {0, 2}), ValueError, "unsupported crosstalk shape (1, 2)"),
+    (lambda: CrosstalkRate(0.1, {1}, {1}), ValueError, "impacting and impacted sets overlap"),
+    (lambda: UserComponent(Trust.TRUSTED, ()), ValueError, "a user component cannot be empty"),
+    (lambda: SizeRequests([2.0]), TypeError, "request size must be an int, not 2.0"),
+    (lambda: SizeRequests((), [0]), ValueError, "request sizes must be positive"),
+    (lambda: SizeRequests((), [1], True), TypeError, "idle size must be an int, not True"),
+    (lambda: SizeRequests((), [1], 0), ValueError, "idle size must be positive"),
+    (lambda: SearchConfig(None, 0), ValueError, "max_paths_per_connect must be at least 1"),
+    (lambda: SearchConfig(0), ValueError, "max_population must be at least 1 when set"),
+])
+def test_every_validation_error_is_unchanged(build, kind, message):
+    with pytest.raises(kind) as raised:
+        build()
+    assert type(raised.value) is kind and str(raised.value) == message

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -162,7 +161,7 @@ class TestReplayCheck:
     def test_tampered_penalty_is_flagged(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
         victim = outcome.allocations[1]
-        tampered = dataclasses.replace(victim, penalty=victim.penalty + 1.0)
+        tampered = victim.with_attributes(penalty=victim.penalty + 1.0)
         report = replay_check(tampered, outcome.rates)
         assert not report.ok
         assert any("penalty" in m for m in report.mismatches)
