@@ -56,14 +56,16 @@ fused user beside the kept components, and only the regions those blocks
 hold are built.  Safety is read on masks
 (:func:`qaiccc.safety.state_verdict`), each rate's masks worked out once
 per run (:func:`rate_masks`).  Population
-and archive are insertion-ordered dicts keyed by state, and this store is
-the one final deduplicator of candidates.  An :class:`Allocation` is
-built only for a state in neither, once its admission replay on the state
-(:func:`replay_state`) has found it safe, with its final attributes and
-its components read from the memo's ``users`` table, so each distinct
-``(trust, mask)`` has one :class:`UserComponent` for the whole run; a
-member's later attribute updates (:func:`eval_alloc`,
-:func:`archive_alloc`) share its structure rather than normalise it again.
+and archive are insertion-ordered dicts from each member's state to its
+:class:`Attributes` record, and this store is the one final deduplicator
+of candidates.  A state in neither is admitted once its replay of the
+handled rates (:func:`replay_state`) has found it safe, with the record
+that replay gives; a safe member's per-rate update reads the rate's
+involved mask against the state's free mask.  No :class:`Allocation` is
+built during the search: once the run's memo is released, :func:`allocate`
+builds one for each final member (:func:`~qaiccc.model.allocation_of`),
+with one :class:`UserComponent` per ``(trust, mask)`` shared across the
+outcome.
 """
 
 from __future__ import annotations
@@ -90,14 +92,16 @@ from .model import (  # noqa: F401
     StateComponent,
     Trust,
     UserComponent,
+    allocation_of,
     canonicalize,
     check_score_total,
     dedup_allocations,
+    is_int,
     mask_neighborhood,
-    mask_qubits,
     mask_region,
     qubit_mask,
     sort_rates,
+    state_key,
     state_of,
 )
 # ``is_safe`` and ``involved_parties`` stay bound for the tracer as well; the
@@ -134,6 +138,10 @@ class SearchConfig(Record):
     max_paths_per_connect: int
 
     def __init__(self, max_population: int | None = None, max_paths_per_connect: int = 64) -> None:
+        if max_population is not None and not is_int(max_population):
+            raise TypeError(f"max_population must be an int, not {max_population!r}")
+        if not is_int(max_paths_per_connect):
+            raise TypeError(f"max_paths_per_connect must be an int, not {max_paths_per_connect!r}")
         if max_paths_per_connect < 1:
             raise ValueError("max_paths_per_connect must be at least 1")
         if max_population is not None and max_population < 1:
@@ -171,14 +179,12 @@ class SearchMemo:
     ``seed``, base's lowest qubit, by ``(seed, within)``; ``regions`` the
     regions of every other join, by ``(base, reach, top)``: a join's regions
     depend on nothing else, given the config's ``max_paths_per_connect``
-    (see :func:`_regions`); ``users`` the one :class:`UserComponent`, with its
-    one frozenset, of every ``(trust, mask)`` an admitted member holds (see
-    :func:`replay_state`), which the run's allocations share.
+    (see :func:`_regions`).
     """
 
     __slots__ = (
         "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "shapes",
-        "budgets", "bases", "reaches", "regions", "users",
+        "budgets", "bases", "reaches", "regions",
     )
 
     def __init__(
@@ -197,7 +203,6 @@ class SearchMemo:
         self.bases: dict[int, tuple[int, ...]] = {}
         self.reaches: dict[tuple[int, int], int] = {}
         self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self.users: dict[StateComponent, UserComponent] = {}
 
 
 def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
@@ -605,22 +610,6 @@ def alloc_trusted(state: SearchState, impacting: int, *, memo: SearchMemo) -> li
     return out
 
 
-def eval_alloc(allocation: Allocation, rate: CrosstalkRate) -> Allocation:
-    """Attribute update for an allocation that is safe for ``rate``.
-
-    The score becomes the rate's score; when an involved qubit is still
-    unallocated the rate is recorded as incidental and its score added to
-    the penalty.
-    """
-    penalty = allocation.penalty
-    incidental = allocation.incidental
-    # Penalty tracks the incidental crosstalk a future tenant could join in on.
-    if rate.involved & allocation.unallocated:
-        penalty = penalty + rate.score
-        incidental = incidental + (rate,)
-    return allocation.with_attributes(score=rate.score, penalty=penalty, incidental=incidental)
-
-
 #: A rate as the search reads it: the rate with its impacting, impacted and involved masks.
 RateMasks = tuple[CrosstalkRate, int, int, int]
 
@@ -630,21 +619,30 @@ def rate_masks(rate: CrosstalkRate) -> RateMasks:
     return rate, qubit_mask(rate.impacting), qubit_mask(rate.impacted), qubit_mask(rate.involved)
 
 
-def replay_state(
-    state: SearchState, processed: Sequence[RateMasks], users: dict[StateComponent, UserComponent]
-) -> Allocation | None:
-    """The admitted allocation of ``state`` after evaluating every rate in ``processed``.
+class Attributes(NamedTuple):
+    """A search member's attributes, kept beside its state.
+
+    ``score`` is the last handled rate's score, ``incidental`` the handled
+    rates that left an involved qubit unallocated, in order, ``penalty``
+    their scores' sum, and ``last_rate`` the rate the member fell at once
+    it is archived.
+    """
+
+    score: float
+    penalty: float = 0.0
+    incidental: tuple[CrosstalkRate, ...] = ()
+    last_rate: CrosstalkRate | None = None
+
+
+def replay_state(state: SearchState, processed: Sequence[RateMasks]) -> Attributes | None:
+    """The attributes of ``state`` after evaluating every rate in ``processed``.
 
     Returns None when the state is unsafe for any of them.  Otherwise the
     score is the last rate's, and every rate that leaves an involved qubit
-    unallocated is incidental and adds its score to the penalty, in order:
-    :func:`eval_alloc` over the prefix, applied to one :class:`Allocation`
-    built with its final attributes.  Its components are read from
-    ``users``, the run's table of one :class:`UserComponent` per ``(trust,
-    mask)`` (:attr:`SearchMemo.users`), and a component not in it yet is
-    built and added.
+    unallocated is incidental and adds its score to the penalty, in order,
+    as the search's per-rate update does.
     """
-    free, components = state
+    free = state[0]
     score = penalty = 0.0
     incidental: list[CrosstalkRate] = []
     for rate, impacting, impacted, involved in processed:
@@ -654,78 +652,73 @@ def replay_state(
         if involved & free:
             penalty += rate.score
             incidental.append(rate)
-    held = []
-    for component in components:
-        user = users.get(component)
-        if user is None:
-            user = users[component] = UserComponent(component[0], mask_qubits(component[1]))
-        held.append(user)
-    return Allocation(mask_qubits(free), tuple(held), score, penalty, tuple(incidental))
+    return Attributes(score, penalty, tuple(incidental))
 
 
 def replay_attributes(
     allocation: Allocation, rates: Sequence[CrosstalkRate]
 ) -> Allocation | None:
-    """Attributes for ``allocation`` after evaluating every rate in ``rates``.
+    """``allocation``'s structure with its attributes after evaluating every rate in ``rates``.
 
     Returns None when the structure is unsafe for any of them; this is
     the admission check plus bookkeeping for new population members
     (:func:`replay_state` on the allocation's state).
     """
-    return replay_state(state_of(allocation), [rate_masks(rate) for rate in rates], {})
+    state = state_of(allocation)
+    replayed = replay_state(state, [rate_masks(rate) for rate in rates])
+    return None if replayed is None else allocation_of(state, *replayed)
 
 
 def archive_alloc(
     key: SearchState,
-    population: dict[SearchState, Allocation],
-    archive: dict[SearchState, Allocation],
+    population: dict[SearchState, Attributes],
+    archive: dict[SearchState, Attributes],
     rate: CrosstalkRate,
-) -> Allocation:
+) -> Attributes:
     """Retire the member at ``key``: record the rate it fell at and move it to the archive.
 
     Only population members are investigated by later iterations, so the
-    retired allocation's attributes are frozen from here on.
+    retired member's attributes are frozen from here on.
     """
     if key not in population:
         raise ValueError("member is not in the population")
-    retired = population.pop(key).with_attributes(last_rate=rate)
-    archive[key] = retired
+    score, penalty, incidental, _ = population.pop(key)
+    retired = archive[key] = Attributes(score, penalty, incidental, rate)
     return retired
 
 
 def update_population(
     candidates: Iterable[SearchState],
-    population: dict[SearchState, Allocation],
-    archive: dict[SearchState, Allocation],
+    population: dict[SearchState, Attributes],
+    archive: dict[SearchState, Attributes],
     processed: Sequence[RateMasks],
     memo: SearchMemo,
-) -> list[Allocation]:
+) -> list[tuple[SearchState, Attributes]]:
     """Admit candidate states into ``population`` (mutated in place).
 
     A candidate enters only when its state is absent from population and
     archive alike (one structure must never carry two attribute sets)
     and when it is safe for every rate in ``processed`` (the handled
-    rates, each with its :func:`rate_masks`); admission replays that
-    prefix on the state and builds its :class:`Allocation` once, with the
-    replayed attributes and the run's components (:func:`replay_state`
-    on the ``memo``'s ``users``).  When the cap of the ``memo``'s config
-    is exceeded the worst members by (score, penalty, canonical key) are
-    dropped.  Returns the members actually admitted.
+    rates, each with its :func:`rate_masks`), with the attributes that
+    replay gives (:func:`replay_state`).  When the cap of the ``memo``'s
+    config is exceeded the worst members by (score, penalty, canonical
+    key) are dropped.  Returns the members actually admitted, each as its
+    state and attributes.
     """
-    admitted: list[Allocation] = []
+    admitted: list[tuple[SearchState, Attributes]] = []
     config = memo.config
     for state in candidates:
         if state in population or state in archive:
             continue
-        member = replay_state(state, processed, memo.users)
-        if member is None:
+        attributes = replay_state(state, processed)
+        if attributes is None:
             continue
-        population[state] = member
-        admitted.append(member)
+        population[state] = attributes
+        admitted.append((state, attributes))
     if config.max_population is not None and len(population) > config.max_population:
         ranked = sorted(
             population.items(),
-            key=lambda kv: (-kv[1].score, -kv[1].penalty, canonicalize(kv[1])),
+            key=lambda kv: (-kv[1].score, -kv[1].penalty, state_key(kv[0])),
         )
         for key, _ in ranked[: len(population) - config.max_population]:
             del population[key]
@@ -733,11 +726,11 @@ def update_population(
 
 
 class RateStep(NamedTuple):
-    """Snapshot taken after one rate was processed."""
+    """Snapshot taken after one rate was processed: each member as its state and attributes."""
 
     rate: CrosstalkRate
-    population: tuple[Allocation, ...]
-    archived: tuple[Allocation, ...]
+    population: tuple[tuple[SearchState, Attributes], ...]
+    archived: tuple[tuple[SearchState, Attributes], ...]
 
 
 class AllocationOutcome(NamedTuple):
@@ -794,9 +787,9 @@ def allocate(
     top = max((r.score for r in ordered), default=0.0)
     initial_score = max(top + 1.0, math.nextafter(top, math.inf))
 
-    initial = Allocation(unallocated=graph.qubits, components=(), score=initial_score)
-    population: dict[SearchState, Allocation] = {state_of(initial): initial}
-    archive: dict[SearchState, Allocation] = {}
+    start: SearchState = ((1 << graph.vertex_count) - 1, ())
+    population: dict[SearchState, Attributes] = {start: Attributes(initial_score)}
+    archive: dict[SearchState, Attributes] = {}
     memo = SearchMemo(full, graph, config)
     steps: list[RateStep] = []
     # Logged only once ``logging`` is loaded: the command line loads it when
@@ -807,7 +800,7 @@ def allocate(
 
     for index, (rate, impacting, impacted, involved) in enumerate(handled):
         processed = handled[: index + 1]
-        newly_archived: list[Allocation] = []
+        newly_archived: list[tuple[SearchState, Attributes]] = []
         for key in list(population):
             member = population.get(key)
             if member is None:  # pruned away earlier in this rate
@@ -817,13 +810,17 @@ def allocate(
             if state_verdict(key, impacting, impacted).safe:
                 if state_parties(key, involved) >= 2:
                     candidates = improve_alloc(key, involved, memo=memo)
-                population[key] = eval_alloc(member, rate)
+                # Penalty tracks the incidental crosstalk a future tenant could join in on.
+                penalty, incidental = member.penalty, member.incidental
+                if involved & key[0]:
+                    penalty, incidental = penalty + rate.score, incidental + (rate,)
+                population[key] = Attributes(rate.score, penalty, incidental)
             else:
                 candidates = alloc_unallocated(key, impacted, memo=memo)
                 candidates = alloc_impacted(candidates, impacting, impacted, memo=memo)
                 candidates += improve_alloc(key, involved, memo=memo)
                 candidates += alloc_trusted(key, impacting, memo=memo)
-                newly_archived.append(archive_alloc(key, population, archive, rate))
+                newly_archived.append((key, archive_alloc(key, population, archive, rate)))
 
             update_population(candidates, population, archive, processed, memo)
 
@@ -831,13 +828,16 @@ def allocate(
             log.debug(
                 "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)
             )
-        steps.append(RateStep(rate, tuple(population.values()), tuple(newly_archived)))
+        steps.append(RateStep(rate, tuple(population.items()), tuple(newly_archived)))
         if not population:
             break
 
+    # The memo goes first, so the outcome's allocations are not built on top of its tables.
+    del memo
+    users: dict[StateComponent, UserComponent] = {}
     return AllocationOutcome(
-        population=tuple(population.values()),
-        archive=tuple(archive.values()),
+        population=tuple(allocation_of(s, *a, users=users) for s, a in population.items()),
+        archive=tuple(allocation_of(s, *a, users=users) for s, a in archive.items()),
         sizes=full,
         rates=ordered,
         steps=tuple(steps),

@@ -42,7 +42,9 @@ from .ingest import (
     rate_to_record,
     synth_rates,
 )
-from .model import Allocation, CrosstalkRate, SizeRequests, Trust, UserComponent
+from .model import (
+    Allocation, CrosstalkRate, SearchState, SizeRequests, Trust, UserComponent, mask_bits, state_of,
+)
 # ``rank`` is not called here (``select`` returns its ranking); it stays
 # bound because the benchmark's tracer (bench/spans.py) wraps it here.
 from .selection import SelectionResult, rank, select  # noqa: F401
@@ -311,14 +313,14 @@ def format_rate(rate: CrosstalkRate) -> str:
     )
 
 
-def format_structure(allocation: Allocation) -> str:
-    parts = [
-        f"{comp.trust.value}{{{','.join(str(q) for q in sorted(comp.qubits))}}}"
-        for comp in allocation.components
-    ]
-    if allocation.unallocated:
-        parts.append(f"free{{{','.join(str(q) for q in sorted(allocation.unallocated))}}}")
-    return " ".join(parts) if parts else "(empty)"
+def format_structure(state: SearchState) -> str:
+    """A state's components, then its free qubits, each as ``name{q,...}``."""
+    free, components = state
+    parts = [(trust.value, mask) for trust, mask in components]
+    if free:
+        parts.append(("free", free))
+    text = " ".join(f"{name}{{{','.join(map(str, mask_bits(mask)))}}}" for name, mask in parts)
+    return text or "(empty)"
 
 
 def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) -> Iterator[str]:
@@ -332,19 +334,19 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     if verbose:
         for step_index, step in enumerate(outcome.steps, start=1):
             yield f"rate {step_index}/{len(outcome.rates)}: {format_rate(step.rate)}\n"
-            for archived in step.archived:
-                yield f"  archived: {format_structure(archived)}\n"
+            for state, _ in step.archived:
+                yield f"  archived: {format_structure(state)}\n"
             yield f"  population ({len(step.population)}):\n"
-            for member in step.population:
+            for state, member in step.population:
                 yield (
-                    f"    {format_structure(member)} "
+                    f"    {format_structure(state)} "
                     f"score={member.score!r} penalty={member.penalty!r}\n"
                 )
         if outcome.halted:
             yield "population empty: search stopped\n"
     selected = report.selected
     yield (
-        f"selected: {format_structure(selected.allocation)} "
+        f"selected: {format_structure(state_of(selected.allocation))} "
         f"score={selected.allocation.score!r} penalty={selected.allocation.penalty!r}\n"
     )
     yield "assignment:\n"
@@ -359,7 +361,7 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     for position, allocation in enumerate(selected.ranking, start=1):
         last = f"last={allocation.last_rate.score!r}" if allocation.last_rate else "last=-"
         yield (
-            f"  {position}. {format_structure(allocation)} "
+            f"  {position}. {format_structure(state_of(allocation))} "
             f"score={allocation.score!r} penalty={allocation.penalty!r} {last}\n"
         )
     if report.timings is not None:

@@ -2,7 +2,8 @@
 
 Qubits are plain non-negative integers indexing vertices of the platform
 connectivity graph.  All types here are immutable values: the search in
-:mod:`qaiccc.allocator` never mutates an allocation, it derives new ones.
+:mod:`qaiccc.allocator` runs on bitmask states and builds an allocation
+once for each member it returns.
 
 Inside the searches, qubit sets are also handled as ``int`` bitmasks (bit
 ``q`` set means qubit ``q`` is in the set); the helpers for them live
@@ -26,14 +27,19 @@ def qubit_mask(qubits: Iterable[int]) -> int:
     return out
 
 
-def mask_qubits(mask: int) -> frozenset[int]:
-    """The qubits of a bitmask."""
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The qubits of a bitmask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return tuple(out)
+
+
+def mask_qubits(mask: int) -> frozenset[int]:
+    """The qubits of a bitmask."""
+    return frozenset(mask_bits(mask))
 
 
 def mask_neighborhood(mask: int, adjacency: Sequence[int]) -> int:
@@ -289,18 +295,13 @@ class SizeRequests(Record):
 CanonicalKey = tuple[tuple[int, ...], tuple[tuple[str, tuple[int, ...]], ...]]
 
 
-#: Marks a search attribute that :meth:`Allocation.with_attributes` keeps.
-_KEEP: object = object()
-
-
 class Allocation(Record):
     """A (possibly partial) assignment of platform qubits to users.
 
     ``components`` is stored in canonical order so equality-of-structure
     is positional.  The search attributes (``score``, ``penalty``,
     ``incidental``, ``last_rate``) ride along but never enter the
-    canonical key.  The search builds and copies allocations by the
-    thousand, so the fields are set through their slots' own setters.
+    canonical key.
     """
 
     __slots__ = _fields = (
@@ -322,50 +323,26 @@ class Allocation(Record):
         incidental: Iterable[CrosstalkRate] = (),
         last_rate: CrosstalkRate | None = None,
     ) -> None:
-        _set_unallocated(self, frozenset(unallocated))
-        _set_components(self, tuple(sorted(components, key=UserComponent.sort_key)))
-        _set_score(self, score)
-        _set_penalty(self, penalty)
-        _set_incidental(self, tuple(incidental))
-        _set_last_rate(self, last_rate)
+        object.__setattr__(self, "unallocated", frozenset(unallocated))
+        object.__setattr__(
+            self, "components", tuple(sorted(components, key=UserComponent.sort_key))
+        )
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "penalty", penalty)
+        object.__setattr__(self, "incidental", tuple(incidental))
+        object.__setattr__(self, "last_rate", last_rate)
 
     def components_of(self, trust: Trust) -> tuple[UserComponent, ...]:
         return tuple(c for c in self.components if c.trust is trust)
 
-    def with_attributes(
-        self, *, score: float = _KEEP, penalty: float = _KEEP,
-        incidental: tuple[CrosstalkRate, ...] = _KEEP, last_rate: CrosstalkRate | None = _KEEP,
-    ) -> Allocation:
-        """This allocation with the search attributes given replaced, sharing its structure.
-
-        Unlike the constructor it normalises nothing again: the structure
-        is already normalised, and ``incidental`` must be a tuple.
-        """
-        copy = object.__new__(self.__class__)
-        _set_unallocated(copy, self.unallocated)
-        _set_components(copy, self.components)
-        _set_score(copy, self.score if score is _KEEP else score)
-        _set_penalty(copy, self.penalty if penalty is _KEEP else penalty)
-        _set_incidental(copy, self.incidental if incidental is _KEEP else incidental)
-        _set_last_rate(copy, self.last_rate if last_rate is _KEEP else last_rate)
-        return copy
-
-
-_set_unallocated, _set_components, _set_score, _set_penalty, _set_incidental, _set_last_rate = (
-    getattr(Allocation, name).__set__ for name in Allocation._fields
-)
-
 
 def canonicalize(allocation: Allocation) -> CanonicalKey:
-    """Total-order normal form of an allocation's structure.
+    """Total-order normal form of an allocation's structure: :func:`state_key` of its state.
 
     Attributes are excluded by construction: perturbing score, penalty,
     incidental, or last_rate never changes the key.
     """
-    return (
-        tuple(sorted(allocation.unallocated)),
-        tuple((c.trust.value, tuple(sorted(c.qubits))) for c in allocation.components),
-    )
+    return state_key(state_of(allocation))
 
 
 #: One user in the search: ``(trust, qubit mask)``; its size is the mask's bit count.
@@ -384,10 +361,20 @@ def component_order(component: StateComponent) -> tuple[Trust, int]:
     return trust, mask & -mask
 
 
+def state_key(state: SearchState) -> CanonicalKey:
+    """The canonical key of a search state's structure (see :data:`CanonicalKey`)."""
+    free, components = state
+    return mask_bits(free), tuple((trust.value, mask_bits(mask)) for trust, mask in components)
+
+
 def state_of(allocation: Allocation) -> SearchState:
-    """The search state of an allocation's structure (attributes are dropped)."""
-    components = [(c.trust, qubit_mask(c.qubits)) for c in allocation.components]
-    return qubit_mask(allocation.unallocated), tuple(sorted(components, key=component_order))
+    """The search state of an allocation's structure (attributes are dropped).
+
+    An allocation's components are in canonical order, which sorts them
+    by :func:`component_order` too.
+    """
+    components = tuple([(c.trust, qubit_mask(c.qubits)) for c in allocation.components])
+    return qubit_mask(allocation.unallocated), components
 
 
 def allocation_of(
@@ -395,16 +382,25 @@ def allocation_of(
     score: float = 0.0,
     penalty: float = 0.0,
     incidental: tuple[CrosstalkRate, ...] = (),
+    last_rate: CrosstalkRate | None = None,
+    users: dict[StateComponent, UserComponent] | None = None,
 ) -> Allocation:
-    """The allocation of a search state, carrying the given search attributes."""
+    """The allocation of a search state, carrying the given search attributes.
+
+    ``users``, when given, holds one :class:`UserComponent` per ``(trust,
+    mask)``; a component not in it yet is built and added, so the
+    allocations built with one table share their components.
+    """
+    if users is None:
+        users = {}
     free, components = state
-    return Allocation(
-        unallocated=mask_qubits(free),
-        components=tuple(UserComponent(trust, mask_qubits(mask)) for trust, mask in components),
-        score=score,
-        penalty=penalty,
-        incidental=incidental,
-    )
+    held = []
+    for component in components:
+        user = users.get(component)
+        if user is None:
+            user = users[component] = UserComponent(component[0], mask_qubits(component[1]))
+        held.append(user)
+    return Allocation(mask_qubits(free), held, score, penalty, incidental, last_rate)
 
 
 def dedup_allocations(allocations: Iterable[Allocation]) -> list[Allocation]:

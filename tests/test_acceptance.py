@@ -29,6 +29,7 @@ from qaiccc import (
 )
 from qaiccc.cli import EXIT_INSUFFICIENT_QUBITS, main
 from qaiccc.errors import BaselineInfeasibleError
+from qaiccc.model import state_key
 
 GRAPH = ConnectivityGraph(5, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)}))
 RATES = [
@@ -56,8 +57,8 @@ def test_criterion_1_running_example_reproduction():
     result = select(outcome, GRAPH)
     elapsed = time.perf_counter() - start
 
-    after_rate_1 = {canonicalize(m) for m in outcome.steps[0].population}
-    after_rate_2 = {canonicalize(m) for m in outcome.steps[1].population}
+    after_rate_1 = {state_key(state) for state, _ in outcome.steps[0].population}
+    after_rate_2 = {state_key(state) for state, _ in outcome.steps[1].population}
     ok = (
         after_rate_1 == {key_of([2, 3]), key_of([2, 4]), key_of([2, 3, 4])}
         and after_rate_2
@@ -81,7 +82,7 @@ def test_criterion_1_running_example_reproduction():
 
 def test_criterion_2_penalty_bookkeeping():
     outcome = allocate(GRAPH, SIZES, RATES)
-    members = {canonicalize(m): m for m in outcome.steps[0].population}
+    members = {state_key(state): m for state, m in outcome.steps[0].population}
     ok = (
         members[key_of([2, 3])].penalty == 0.0027
         and members[key_of([2, 4])].penalty == 0.0027

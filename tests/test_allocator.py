@@ -37,6 +37,7 @@ from qaiccc import (
     validate_allocation,
 )
 from qaiccc.allocator import (
+    Attributes,
     RateStep,
     SearchMemo,
     alloc_impacted,
@@ -44,11 +45,11 @@ from qaiccc.allocator import (
     alloc_unallocated,
     archive_alloc,
     connect,
-    eval_alloc,
     improve_alloc,
     new_alloc,
     rate_masks,
     replay_attributes,
+    replay_state,
     update_population,
     update_sizes,
 )
@@ -61,6 +62,7 @@ from qaiccc.model import (
     mask_qubits,
     mask_region,
     qubit_mask,
+    state_key,
     state_of,
 )
 from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
@@ -115,6 +117,11 @@ def keys(allocations):
     return {canonicalize(a) for a in allocations}
 
 
+def member_keys(members):
+    """The canonical keys of ``(state, attributes)`` members, as a step holds them."""
+    return {state_key(state) for state, _ in members}
+
+
 def state_keys(states):
     return keys(allocation_of(state) for state in states)
 
@@ -152,23 +159,21 @@ class TestUpdateSizes:
             update_sizes(5, SizeRequests(untrusted=(6,)))
 
 
-class TestEvalAlloc:
+class TestReplayState:
     def test_unallocated_involved_qubit_accrues_penalty(self, demo_rates):
-        allocation = build(5, u(2, 3))
-        updated = eval_alloc(allocation, demo_rates[0])
+        updated = replay_state(state_of(build(5, u(2, 3))), masks_of(demo_rates[:1]))
         assert updated.score == 0.0027
         assert updated.penalty == 0.0027
         assert updated.incidental == (demo_rates[0],)
 
     def test_single_owner_holding_everything_pays_nothing(self, demo_rates):
-        updated = eval_alloc(build(5, u(2, 3, 4)), demo_rates[0])
+        updated = replay_state(state_of(build(5, u(2, 3, 4))), masks_of(demo_rates[:1]))
         assert updated.score == 0.0027
         assert updated.penalty == 0.0
         assert updated.incidental == ()
 
     def test_repeated_evaluation_is_additive(self, demo_rates):
-        allocation = build(5, u(2, 3))
-        twice = eval_alloc(eval_alloc(allocation, demo_rates[0]), demo_rates[0])
+        twice = replay_state(state_of(build(5, u(2, 3))), masks_of([demo_rates[0]] * 2))
         assert twice.penalty == pytest.approx(2 * 0.0027, abs=1e-15)
         assert len(twice.incidental) == 2
 
@@ -187,7 +192,7 @@ def rebuilt(allocation, **changes):
 
 
 def _reference_eval_alloc(allocation, rate):
-    """``eval_alloc`` as it was written with ``dataclasses.replace`` (:func:`rebuilt`)."""
+    """The per-rate update of a safe member, written with ``dataclasses.replace`` (:func:`rebuilt`)."""
     penalty, incidental = allocation.penalty, allocation.incidental
     if rate.involved & allocation.unallocated:
         penalty, incidental = penalty + rate.score, incidental + (rate,)
@@ -223,29 +228,31 @@ def same_fields(left, right):
     return fields_of(left) == fields_of(right)
 
 
+def attributes_of(allocation):
+    """An allocation's search attributes as the search's record."""
+    return Attributes(allocation.score, allocation.penalty, allocation.incidental, allocation.last_rate)
+
+
+def member_of(allocation):
+    """An allocation as the search holds a member: its state and its attributes."""
+    return state_of(allocation), attributes_of(allocation)
+
+
 @settings(max_examples=200, deadline=None)
-@given(members(), _MEMBER_RATES, _MEMBER_RATES)
-def test_member_updates_equal_the_replace_results(member, rate, fall):
+@given(members(), _MEMBER_RATES)
+def test_member_updates_equal_the_replace_results(member, fall):
     before = fields_of(member)
-    evaluated = eval_alloc(member, rate)
-    assert same_fields(evaluated, _reference_eval_alloc(member, rate))
-    key = state_of(member)
-    population, archive = {key: member}, {}
+    key, attributes = member_of(member)
+    assert same_fields(allocation_of(key, *attributes), member)
+    population, archive = {key: attributes}, {}
     retired = archive_alloc(key, population, archive, fall)
-    assert same_fields(retired, rebuilt(member, last_rate=fall))
+    assert retired == attributes_of(rebuilt(member, last_rate=fall))
     assert population == {} and archive[key] is retired
-    for copy in (evaluated, retired):
+    for copy in (allocation_of(key, *attributes), allocation_of(key, *retired)):
         assert copy == rebuilt(copy) and hash(copy) == hash(rebuilt(copy))
         assert copy.components == tuple(sorted(copy.components, key=UserComponent.sort_key))
         assert type(copy.unallocated) is frozenset and type(copy.incidental) is tuple
     assert fields_of(member) == before
-
-
-def test_only_search_attributes_are_replaced_in_place(demo_rates):
-    member = build(5, u(2, 3))
-    with pytest.raises(TypeError, match="components"):
-        member.with_attributes(components=(u(3, 2),))
-    assert member.with_attributes(last_rate=demo_rates[0]).components is member.components
 
 
 class TestConnect:
@@ -1361,10 +1368,10 @@ class TestUpdatePopulation:
 
     def test_archived_structure_is_not_readmitted(self, demo_graph, demo_rates):
         ordered = sort_rates(demo_rates)
-        member = build(5, u(2, 3))
-        population = {state_of(member): member}
+        key, member = member_of(build(5, u(2, 3)))
+        population = {key: member}
         archive: dict = {}
-        archive_alloc(state_of(member), population, archive, ordered[1])
+        archive_alloc(key, population, archive, ordered[1])
         admitted = update_population(
             [state_of(build(5, u(2, 3)))], population, archive, masks_of(ordered[:1]),
             self.memo(demo_graph),
@@ -1380,9 +1387,9 @@ class TestUpdatePopulation:
             [state_of(build(5, u(2, 3)))], population, {}, masks_of(ordered[:1]),
             self.memo(demo_graph),
         )
-        (member,) = admitted
+        ((state, member),) = admitted
         assert member.score == 0.0027 and member.penalty == 0.0027
-        assert population == {state_of(member): member}
+        assert population == {state: member} and state == state_of(build(5, u(2, 3)))
 
     def test_candidate_unsafe_for_an_earlier_rate_is_rejected(self, demo_graph):
         # The candidate fixes the later rate but leaves the earlier one's
@@ -1413,11 +1420,12 @@ class TestUpdatePopulation:
 
 class TestArchiveAlloc:
     def test_member_moves_with_frozen_attributes(self, demo_rates):
-        member = eval_alloc(build(5, u(2, 3)), demo_rates[0])
-        population = {state_of(member): member}
+        key = state_of(build(5, u(2, 3)))
+        member = replay_state(key, masks_of(demo_rates[:1]))
+        population = {key: member}
         archive: dict = {}
-        retired = archive_alloc(state_of(member), population, archive, demo_rates[1])
-        assert population == {} and archive == {state_of(member): retired}
+        retired = archive_alloc(key, population, archive, demo_rates[1])
+        assert population == {} and archive == {key: retired}
         assert retired.last_rate == demo_rates[1]
         assert retired.score == member.score and retired.penalty == member.penalty
 
@@ -1475,7 +1483,7 @@ def list_reference_allocate(graph, sizes, rates, config):
             if is_safe(member, rate).safe:
                 if involved_parties(member, rate) >= 2:
                     candidates = reference_improve_alloc(member, rate.involved, graph, full, config)
-                population[position] = eval_alloc(member, rate)
+                population[position] = _reference_eval_alloc(member, rate)
             else:
                 candidates = reference_alloc_unallocated(member, rate.impacted, graph, full, config)
                 candidates = reference_alloc_impacted(
@@ -1490,7 +1498,9 @@ def list_reference_allocate(graph, sizes, rates, config):
                 archive.append(retired)
                 newly_archived.append(retired)
             admit(candidates, processed)
-        steps.append(RateStep(rate, tuple(population), tuple(newly_archived)))
+        steps.append(RateStep(
+            rate, tuple(map(member_of, population)), tuple(map(member_of, newly_archived))
+        ))
         if not population:
             break
 
@@ -1658,17 +1668,18 @@ class TestPerRunMemo:
     def test_one_run_holds_one_component_per_trust_and_qubits(
         self, family, demo_graph, demo_sizes, demo_rates
     ):
+        # The outcome's allocations are built when the search returns and
+        # share one component per (trust, qubits); the per-rate snapshots
+        # hold states, so the whole family is read.
         instances = [(demo_graph, demo_sizes, demo_rates)]
-        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        instances += [(i.graph, i.sizes, i.rates) for i in family]
         held = distinct = 0
         for graph, sizes, rates in instances:
             outcomes, runs = [], []
             for _ in range(2):
                 outcome = allocate(graph, sizes, rates)
                 outcomes.append(outcome)
-                members = [*outcome.allocations]
-                members += [m for step in outcome.steps for m in step.population + step.archived]
-                components = [c for member in members for c in member.components]
+                components = [c for member in outcome.allocations for c in member.components]
                 one = {}
                 for c in components:
                     assert one.setdefault((c.trust, c.qubits), c) is c
@@ -1812,12 +1823,12 @@ class TestAllocateEndToEnd:
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
         assert len(outcome.steps) == 3
 
-        assert keys(outcome.steps[0].population) == {
+        assert member_keys(outcome.steps[0].population) == {
             structure([2, 3]),
             structure([2, 4]),
             structure([2, 3, 4]),
         }
-        assert keys(outcome.steps[1].population) == {
+        assert member_keys(outcome.steps[1].population) == {
             structure([0, 1], [2, 3]),
             structure([0, 1], [2, 4]),
             structure([0, 1], [2, 3, 4]),
@@ -1835,7 +1846,7 @@ class TestAllocateEndToEnd:
 
     def test_penalties_after_the_first_rate(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        members = {canonicalize(m): m for m in outcome.steps[0].population}
+        members = {state_key(state): m for state, m in outcome.steps[0].population}
         assert members[structure([2, 3])].penalty == 0.0027
         assert members[structure([2, 4])].penalty == 0.0027
         assert members[structure([2, 3, 4])].penalty == 0.0
@@ -1907,6 +1918,28 @@ class TestAllocateEndToEnd:
         chosen = select(outcome, instance.graph)
         assert canonicalize(chosen.allocation) == canonicalize(plain.allocation)
         assert safe_prefix(chosen.allocation, outcome.rates) == 1
+
+    def test_one_allocation_is_built_per_final_member(
+        self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
+    ):
+        # The search runs on states and records; an Allocation is built
+        # only for each member the outcome returns.
+        built = []
+        construct = Allocation.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Allocation, "__init__", counting)
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        for graph, sizes, rates in instances:
+            for config in (CFG, SearchConfig(max_population=2)):
+                built.clear()
+                outcome = allocate(graph, sizes, rates, config)
+                assert len(built) == len(outcome.population) + len(outcome.archive)
+                assert {id(a) for a in built} == {id(a) for a in outcome.allocations}
 
     def test_population_cap_keeps_the_search_running(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_population=2))

@@ -396,3 +396,19 @@ def test_every_validation_error_is_unchanged(build, kind, message):
     with pytest.raises(kind) as raised:
         build()
     assert type(raised.value) is kind and str(raised.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"max_paths_per_connect": 2.5}, "max_paths_per_connect must be an int, not 2.5"),
+    ({"max_paths_per_connect": True}, "max_paths_per_connect must be an int, not True"),
+    ({"max_paths_per_connect": None}, "max_paths_per_connect must be an int, not None"),
+    ({"max_population": 1.5}, "max_population must be an int, not 1.5"),
+    ({"max_population": True}, "max_population must be an int, not True"),
+    ({"max_population": "3"}, "max_population must be an int, not '3'"),
+])
+def test_search_config_refuses_a_knob_that_is_not_an_int(fields, message):
+    # A float cap once reached ``itertools.islice`` inside the search, and
+    # ``True`` ran as 1.
+    with pytest.raises(TypeError) as raised:
+        SearchConfig(**fields)
+    assert str(raised.value) == message

@@ -161,7 +161,10 @@ class TestReplayCheck:
     def test_tampered_penalty_is_flagged(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
         victim = outcome.allocations[1]
-        tampered = victim.with_attributes(penalty=victim.penalty + 1.0)
+        tampered = Allocation(
+            victim.unallocated, victim.components, victim.score, victim.penalty + 1.0,
+            victim.incidental, victim.last_rate,
+        )
         report = replay_check(tampered, outcome.rates)
         assert not report.ok
         assert any("penalty" in m for m in report.mismatches)

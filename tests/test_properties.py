@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 from conftest import instance_family
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qaiccc import (
@@ -40,7 +40,7 @@ from qaiccc.cli import EXIT_OK, main
 from qaiccc.completion import complete_allocation, request_slots
 from qaiccc.errors import BaselineInfeasibleError, NoFeasibleAllocationError
 from qaiccc.ingest import save_platform, save_rates, save_requests
-from qaiccc.model import mask_qubits
+from qaiccc.model import allocation_of, mask_qubits
 from qaiccc.safety import state_verdict
 
 
@@ -361,3 +361,26 @@ def test_every_merge_the_search_asks_for_is_connected(instance, config):
                 if mask & base:
                     fused |= mask
             assert graph.is_connected(mask_qubits(fused)), (free, components, region)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_instances(), _CONFIGS)
+def test_each_step_holds_the_replayed_attributes_of_its_members(instance, config):
+    # The search updates a surviving member's attributes rate by rate; a
+    # replay of the rates handled so far must give the same record.
+    graph, requests, rates = instance
+    assume(requests.trusted)
+    outcome = allocate(graph, requests, rates, config)
+    handled = [allocator.rate_masks(rate) for rate in outcome.rates]
+    for index, step in enumerate(outcome.steps):
+        assert step.rate == outcome.rates[index]
+        for state, attributes in step.population:
+            assert attributes == allocator.replay_state(state, handled[: index + 1])
+        for state, attributes in step.archived:
+            assert attributes.last_rate == step.rate
+            if state[1]:  # the initial member carries the start score, which no replay gives
+                before = allocator.replay_state(state, handled[:index])
+                assert attributes == before._replace(last_rate=step.rate)
+    if outcome.steps:
+        final = [allocation_of(state, *a) for state, a in outcome.steps[-1].population]
+        assert list(outcome.population) == final

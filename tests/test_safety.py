@@ -198,7 +198,7 @@ def reference_parties(allocation, rate):
 
 
 def reference_replay(allocation, rates):
-    """``(score, penalty, incidental)`` after the rates, one ``eval_alloc`` step each, or None."""
+    """``(score, penalty, incidental)`` after the rates, one per-rate update each, or None."""
     score, penalty, incidental = allocation.score, 0.0, ()
     for rate in rates:
         if reference_reason(allocation, rate) not in SAFE:
@@ -249,7 +249,7 @@ def test_the_mask_rule_matches_the_rule_on_allocations(case):
         parties = state_parties(state, involved)
         assert parties == involved_parties(allocation, rate) == reference_parties(allocation, rate)
 
-    replayed = replay_state(state, [rate_masks(rate) for rate in rates], {})
+    replayed = replay_state(state, [rate_masks(rate) for rate in rates])
     via_allocation = replay_attributes(allocation, rates)
     expected = reference_replay(allocation, rates)
     assert (replayed is None) == (via_allocation is None) == (expected is None)
@@ -257,4 +257,5 @@ def test_the_mask_rule_matches_the_rule_on_allocations(case):
         attributes = (replayed.score, replayed.penalty, replayed.incidental)
         assert attributes == (via_allocation.score, via_allocation.penalty, via_allocation.incidental)
         assert attributes == expected
-        assert canonicalize(replayed) == canonicalize(allocation)
+        assert canonicalize(via_allocation) == canonicalize(allocation)
+        assert replayed.last_rate is via_allocation.last_rate is None

@@ -120,7 +120,7 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     # table stays empty and every other table fills.
     tables = fields[fields.index("memo") + 1:fields.index("index")]
     assert tables[::2] == [
-        "states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions", "users"
+        "states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions"
     ]
     sizes = dict(zip(tables[::2], map(int, tables[1::2])))
     assert sizes.pop("verdicts") == 0

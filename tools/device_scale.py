@@ -23,12 +23,12 @@ blank where ``/proc`` does not provide it) once ``allocate`` has
 returned (``peak_rss_mb``), the seconds from ``select``'s return to the
 end of the command, which writes the report (``report_s``), the peak
 resident memory at the end of the command (``report_peak_rss_mb``), and
-the entry count of each table of the run's ``allocator.SearchMemo`` when
-the search ends (``-`` for a table the tree does not have), then the
+the entry count of each table of the run's ``allocator.SearchMemo`` as
+the memo is freed (``-`` for a table the tree does not have), then the
 number of complete structures in the memo's completion index (``-`` when
 the run fell back to the decider, or the tree has no index).  The memo is
-only counted, not kept: it dies with the search, as it does in the
-command.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so no run
+only counted, through a ``__del__`` the child installs, not kept: it is
+freed when the search releases it, as in the command.  Children run with ``PYTHONDONTWRITEBYTECODE=1``, so no run
 leaves a ``__pycache__`` in a tree to speed up the next one.  With
 ``--profile N`` the ``allocate`` call of each run is made under the
 standard library's ``cProfile`` (so its seconds include the profiler's
@@ -57,9 +57,7 @@ EDGES = (
 )
 
 #: The ``allocator.SearchMemo`` tables whose entry counts a run line gives.
-MEMO_TABLES = (
-    "states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions", "users"
-)
+MEMO_TABLES = ("states", "verdicts", "joins", "shapes", "budgets", "bases", "reaches", "regions")
 
 CHILD = """
 import cProfile, json, os, pstats, sys, tempfile, time
@@ -78,15 +76,16 @@ def peak_mb():
         return None
 
 
-memos = []
+freed = []
 if hasattr(allocator, "SearchMemo"):
-    record = allocator.SearchMemo.__init__
 
-    def recording(self, *args, **kwargs):
-        record(self, *args, **kwargs)
-        memos.append(self)
+    def recording(memo):
+        sizes = {name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables}
+        index = getattr(memo, "index", None)
+        freed.append((sizes, None if index is None else index.count))
 
-    allocator.SearchMemo.__init__ = recording
+    # Counted as the memo is freed, so the run holds it no longer than the command does.
+    allocator.SearchMemo.__del__ = recording
 profiler = cProfile.Profile() if profile else None
 run = {}
 allocate, select = cli.allocate, cli.select
@@ -102,13 +101,7 @@ def measured_allocate(*args):
     run["seconds"] = time.perf_counter() - start
     run["peak_rss_mb"] = peak_mb()
     run["population"], run["archive"] = len(outcome.population), len(outcome.archive)
-    memo = memos[-1] if memos else None
-    run["memo"] = {
-        name: len(getattr(memo, name)) if hasattr(memo, name) else None for name in tables
-    }
-    index = getattr(memo, "index", None)
-    run["index"] = None if index is None else index.count
-    memos.clear()  # the memo dies with the search, as in the command
+    run["memo"], run["index"] = freed.pop() if freed else (dict.fromkeys(tables), None)
     return outcome
 
 
