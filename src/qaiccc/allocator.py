@@ -62,10 +62,9 @@ of candidates.  A state in neither is admitted once its replay of the
 handled rates (:func:`replay_state`) has found it safe, with the record
 that replay gives; a safe member's per-rate update reads the rate's
 involved mask against the state's free mask.  No :class:`Allocation` is
-built during the search: once the run's memo is released, :func:`allocate`
-builds one for each final member (:func:`~qaiccc.model.allocation_of`),
-with one :class:`UserComponent` per ``(trust, mask)`` shared across the
-outcome.
+built here: the outcome holds each final member as its state and
+:class:`Attributes` record, and :func:`qaiccc.selection.select` builds an
+allocation only for the entries it walks.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ import sys
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# ``can_complete``, ``dedup_allocations`` and ``allocation_feasible`` are no
-# longer called here; they stay bound because the benchmark's tracer
-# (bench/spans.py) wraps names at this import site.
+# ``can_complete``, ``canonicalize``, ``dedup_allocations`` and
+# ``allocation_feasible`` are no longer called here; they stay bound because
+# the benchmark's tracer (bench/spans.py) wraps names at this import site.
 from .completion import can_complete, completion_index, decide  # noqa: F401
 from .completion import open_requests, request_slots
 from .errors import InsufficientQubitsError
@@ -91,7 +90,6 @@ from .model import (  # noqa: F401
     SizeRequests,
     StateComponent,
     Trust,
-    UserComponent,
     allocation_of,
     canonicalize,
     check_score_total,
@@ -736,18 +734,22 @@ class RateStep(NamedTuple):
 class AllocationOutcome(NamedTuple):
     """Everything :func:`allocate` produced, in deterministic order.
 
-    The initial allocation, the one without components, carries the start
-    score above every rate; the first rate retires it to ``archive``.
+    ``population`` and ``archive`` hold each member as its state and
+    :class:`Attributes` record, in the order the search admitted and
+    retired them.  The initial state, the one without components, carries
+    the start score above every rate; the first rate retires it to
+    ``archive``.
     """
 
-    population: tuple[Allocation, ...]
-    archive: tuple[Allocation, ...]
+    population: tuple[tuple[SearchState, Attributes], ...]
+    archive: tuple[tuple[SearchState, Attributes], ...]
     sizes: SizeRequests
     rates: tuple[CrosstalkRate, ...]
     steps: tuple[RateStep, ...]
 
     @property
-    def allocations(self) -> tuple[Allocation, ...]:
+    def allocations(self) -> tuple[tuple[SearchState, Attributes], ...]:
+        """Every member: the population, then the archive."""
         return self.population + self.archive
 
     @property
@@ -771,8 +773,9 @@ def allocate(
     platform, and ValueError when a rate's qubits are not a connected group
     of the platform's qubits, or when the scores sum to the largest float
     or more (:func:`~qaiccc.model.check_score_total`).  The returned
-    outcome carries the final population and archive plus per-rate
-    snapshots; it is a pure function of its inputs.
+    outcome carries the final population and archive, each member as its
+    state and :class:`Attributes` record, plus per-rate snapshots; it is a
+    pure function of its inputs.
     """
     for rate in rates:
         if not graph.is_connected(rate.involved):
@@ -832,12 +835,12 @@ def allocate(
         if not population:
             break
 
-    # The memo goes first, so the outcome's allocations are not built on top of its tables.
+    # The memo goes first, so the outcome's member tuples reuse its memory
+    # instead of raising the run's peak.
     del memo
-    users: dict[StateComponent, UserComponent] = {}
     return AllocationOutcome(
-        population=tuple(allocation_of(s, *a, users=users) for s, a in population.items()),
-        archive=tuple(allocation_of(s, *a, users=users) for s, a in archive.items()),
+        population=tuple(population.items()),
+        archive=tuple(archive.items()),
         sizes=full,
         rates=ordered,
         steps=tuple(steps),

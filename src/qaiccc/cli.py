@@ -23,7 +23,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .allocator import AllocationOutcome, SearchConfig, allocate
+from .allocator import AllocationOutcome, Attributes, SearchConfig, allocate
 from .completion import request_slots
 from .errors import (
     InputFileError,
@@ -187,15 +187,18 @@ class RunReport(NamedTuple):
         everything before the ranking, then each ranking entry, then the
         tail.  Joined, the pieces are the report; written one by one
         (:func:`_write_output`), they never hold more than one ranking
-        entry at a time.  Within one report the text of each distinct rate
-        record and component, at its indent, is written once: the ranking
-        repeats the same few rates on hundreds of entries.  A rate's text is
-        kept by the record object, which the report holds, not by its value:
-        rates that compare equal can read differently (scores ``0.0`` and
-        ``-0.0``).
+        entry at a time.  Every allocation is written from its state's masks
+        and its attribute record: each ranking entry is one already, and the
+        selected allocation goes through :func:`~qaiccc.model.state_of`.
+        Within one report the text of each distinct rate record and
+        component, at its indent, is written once: the ranking repeats the
+        same few rates on hundreds of entries.  A component's text is kept
+        by its ``(trust, mask)``, and a rate's by the record object, which
+        the report holds, not by its value: rates that compare equal can
+        read differently (scores ``0.0`` and ``-0.0``).
         """
         rates: dict[tuple[int, str], str] = {}
-        components: dict[tuple[Trust, frozenset[int]], str] = {}
+        components: dict[tuple[Trust, int], str] = {}
 
         def rate(record: CrosstalkRate, indent: str) -> str:
             key = (id(record), indent)
@@ -212,33 +215,34 @@ class RunReport(NamedTuple):
                 )
             return text
 
-        def component(comp: UserComponent) -> str:
+        def component(held: tuple[Trust, int]) -> str:
             """A component at the one indent every component of the report sits at."""
-            key = (comp.trust, comp.qubits)
-            text = components.get(key)
+            text = components.get(held)
             if text is None:
-                qubits = _ints(sorted(comp.qubits), " " * 10)
-                text = components[key] = _object(
-                    (("trust", json_scalar(comp.trust.value)), ("qubits", qubits)), " " * 8
+                trust, mask = held
+                qubits = _ints(mask_bits(mask), " " * 10)
+                text = components[held] = _object(
+                    (("trust", json_scalar(trust.value)), ("qubits", qubits)), " " * 8
                 )
             return text
 
-        def allocation(alloc: Allocation) -> str:
+        def allocation(state: SearchState, record: Attributes | Allocation) -> str:
             """An allocation at the one indent every allocation of the report sits at."""
-            held = _list([component(c) for c in alloc.components], " " * 6)
-            incidental = _list([rate(r, " " * 8) for r in alloc.incidental], " " * 6)
-            last = "null" if alloc.last_rate is None else rate(alloc.last_rate, " " * 6)
+            free, users = state
+            held = _list([component(c) for c in users], " " * 6)
+            incidental = _list([rate(r, " " * 8) for r in record.incidental], " " * 6)
+            last = "null" if record.last_rate is None else rate(record.last_rate, " " * 6)
             return (
-                f'{{\n      "unallocated": {_ints(sorted(alloc.unallocated), " " * 6)},'
+                f'{{\n      "unallocated": {_ints(mask_bits(free), " " * 6)},'
                 f'\n      "components": {held},'
-                f'\n      "score": {json_scalar(alloc.score)},'
-                f'\n      "penalty": {json_scalar(alloc.penalty)},'
+                f'\n      "score": {json_scalar(record.score)},'
+                f'\n      "penalty": {json_scalar(record.penalty)},'
                 f'\n      "incidental": {incidental},'
                 f'\n      "last_rate": {last}\n    }}'
             )
 
         sizes, selected = self.sizes, self.selected
-        bound = selected.assignment
+        chosen, bound = selected.allocation, selected.assignment
         counts = (("trusted", len(sizes.trusted)), ("untrusted", len(sizes.untrusted)))
         assignment = [
             (kind, _list([_ints(sorted(bound[kind, i]), " " * 8) for i in range(count)], " " * 6))
@@ -265,7 +269,7 @@ class RunReport(NamedTuple):
             )),
             ("selected", _object(
                 (
-                    ("allocation", allocation(selected.allocation)),
+                    ("allocation", allocation(state_of(chosen), chosen)),
                     ("assignment", _object(assignment, "    ")),
                 ),
                 "  ",
@@ -276,8 +280,8 @@ class RunReport(NamedTuple):
         head = "".join(json_scalar(key) + ": " + text + ",\n  " for key, text in fields)
         yield "{\n  " + head + '"ranking": '
         separator = "[\n    "
-        for alloc in selected.ranking:
-            yield separator + allocation(alloc)
+        for state, record in selected.ranking:
+            yield separator + allocation(state, record)
             separator = ",\n    "
         yield "[]" if not selected.ranking else "\n  ]"
         if self.timings is not None:
@@ -358,11 +362,11 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     for rate in selected.worklist:
         yield f"  {format_rate(rate)}\n"
     yield f"ranking ({len(selected.ranking)}):\n"
-    for position, allocation in enumerate(selected.ranking, start=1):
-        last = f"last={allocation.last_rate.score!r}" if allocation.last_rate else "last=-"
+    for position, (state, record) in enumerate(selected.ranking, start=1):
+        last = f"last={record.last_rate.score!r}" if record.last_rate else "last=-"
         yield (
-            f"  {position}. {format_structure(state_of(allocation))} "
-            f"score={allocation.score!r} penalty={allocation.penalty!r} {last}\n"
+            f"  {position}. {format_structure(state)} "
+            f"score={record.score!r} penalty={record.penalty!r} {last}\n"
         )
     if report.timings is not None:
         for stage, seconds in report.timings.items():

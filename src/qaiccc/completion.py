@@ -15,7 +15,9 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   the remaining free qubits with fresh blocks anchored on the lowest
   free qubit, branching over distinct sizes only.  A tiling state in which
   some connected free region is smaller than the smallest open request
-  is dropped.  Every sub-state's verdict, success or failure, goes into
+  is dropped.  It is one depth-first search over an explicit stack of
+  child generators, as the index and the oracle walk, so no platform is
+  too large for it.  Every sub-state's verdict, success or failure, goes into
   a table that :func:`decide` takes, keyed with the open requests, so a
   run can share it across calls: a sub-state reached again, from this
   state or another, is answered from the table.  The key must hold the
@@ -96,19 +98,26 @@ def connected_supersets(
     count = base.bit_count()
     if count > target:
         return
+    if count == target:
+        yield base
+        return
+    # Every set on the stack is short of ``target``: a set that reaches it is
+    # yielded as it is made, which is where popping it next would yield it,
+    # and a branch left with no frontier is never pushed.
     stack = [(base, mask_neighborhood(base, adjacency), available & ~base, count)]
     while stack:
         current, reach, allowed, count = stack.pop()
-        if count == target:
-            yield current
-            continue
         frontier = reach & allowed
         if not frontier or count + allowed.bit_count() < target:
             continue
         pick = frontier & -frontier
         allowed ^= pick
-        stack.append((current, reach, allowed, count))
-        stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
+        if frontier != pick:
+            stack.append((current, reach, allowed, count))
+        if count + 1 == target:
+            yield current | pick
+        else:
+            stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
 
 
 def _blocks(available: int, size: int, adjacency: Sequence[int]) -> Iterator[int]:
@@ -138,61 +147,76 @@ def _regions_fit(free: int, smallest: int, adjacency: Sequence[int]) -> bool:
     return True
 
 
-def _tileable(free: int, sizes: tuple[int, ...], adjacency: Sequence[int], verdicts: dict) -> bool:
-    """Can ``free`` be split into connected blocks with exactly the ``sizes`` (sorted)?"""
-    if not free:
-        return not sizes
-    key = (free, sizes)
-    verdict = verdicts.get(key)
-    if verdict is not None:
-        return verdict
-    verdict = False
-    if sizes and _regions_fit(free, sizes[0], adjacency):
-        anchor = free & -free
-        for i, size in enumerate(sizes):
-            if i and sizes[i - 1] == size:
-                continue
-            rest = sizes[:i] + sizes[i + 1 :]
-            for block in connected_supersets(anchor, size, free, adjacency):
-                if _tileable(free & ~block, rest, adjacency, verdicts):
-                    verdict = True
-                    break
-            if verdict:
-                break
-    verdicts[key] = verdict
-    return verdict
+def _tilings(free: int, sizes: tuple[int, ...], adjacency: Sequence[int]) -> Iterator[tuple]:
+    """The children of a tiling state: a block on the lowest free qubit, of each distinct size."""
+    if not sizes or not _regions_fit(free, sizes[0], adjacency):
+        return
+    anchor = free & -free
+    for i, size in enumerate(sizes):
+        if i and sizes[i - 1] == size:
+            continue
+        rest = sizes[:i] + sizes[i + 1 :]
+        for block in connected_supersets(anchor, size, free, adjacency):
+            yield free & ~block, rest
 
 
-def _completable(
-    free: int,
-    pending: tuple[StateComponent, ...],
-    slots: tuple[tuple[Trust, int], ...],
+def _growths(
+    free: int, pending: tuple[StateComponent, ...], slots: tuple[tuple[Trust, int], ...],
     adjacency: Sequence[int],
-    verdicts: dict,
-) -> bool:
-    """The decider: can ``pending`` plus fresh blocks fill the open ``slots`` (sorted) exactly?"""
-    if not pending:
-        return _tileable(free, tuple(sorted(size for _, size in slots)), adjacency, verdicts)
-    key = (free, pending, slots)
-    verdict = verdicts.get(key)
-    if verdict is not None:
-        return verdict
-    verdict = False
-    trust, base = pending[0]
+) -> Iterator[tuple]:
+    """The children of a growth state: its first component grown into each distinct open request."""
+    (trust, base), rest = pending[0], pending[1:]
     base_size = base.bit_count()
-    rest = pending[1:]
     for i, (slot_trust, size) in enumerate(slots):
         if slot_trust is not trust or size < base_size or (i and slots[i - 1] == slots[i]):
             continue
         remaining = slots[:i] + slots[i + 1 :]
-        for grown in connected_supersets(base, size, free, adjacency):
-            if _completable(free & ~grown, rest, remaining, adjacency, verdicts):
-                verdict = True
-                break
+        if rest:
+            for grown in connected_supersets(base, size, free, adjacency):
+                yield free & ~grown, rest, remaining
+        else:  # only fresh blocks are left: the child is a tiling state
+            sizes = tuple(sorted(s for _, s in remaining))
+            for grown in connected_supersets(base, size, free, adjacency):
+                yield free & ~grown, sizes
+
+
+def _completable(
+    free: int, pending: tuple[StateComponent, ...], slots: tuple[tuple[Trust, int], ...],
+    adjacency: Sequence[int], verdicts: dict,
+) -> bool:
+    """The decider: can ``pending`` plus fresh blocks fill the open ``slots`` (sorted) exactly?
+
+    One depth-first search over an explicit stack of child generators, so
+    no platform is too large to walk.  A state is ``(free, pending,
+    slots)`` while components are left to grow, the first one next
+    (:func:`_growths`), and ``(free, sizes)`` once only fresh blocks are
+    left to tile ``free``, their sizes sorted (:func:`_tilings`).  When a
+    child is true, every state on the stack is true; a state whose
+    children run out is false.  Each verdict is kept in ``verdicts`` under
+    its state.
+    """
+    state = (free, pending, slots) if pending else (free, tuple(sorted(s for _, s in slots)))
+    keys: list[tuple] = []
+    walks: list[Iterator[tuple]] = []
+    while True:
+        # An empty tiling is complete exactly when no size is left.
+        verdict = verdicts.get(state) if state[0] or len(state) == 3 else not state[1]
         if verdict:
-            break
-    verdicts[key] = verdict
-    return verdict
+            for key in keys:
+                verdicts[key] = True
+            return True
+        if verdict is None:
+            keys.append(state)
+            walk = _growths if len(state) == 3 else _tilings
+            walks.append(walk(*state, adjacency))
+        while walks:
+            state = next(walks[-1], None)
+            if state is not None:
+                break
+            walks.pop()
+            verdicts[keys.pop()] = False
+        else:
+            return False
 
 
 #: The work :func:`completion_index` may do before it gives up: each

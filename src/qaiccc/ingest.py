@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
+import sys
 from pathlib import Path
 from typing import Iterable
 
@@ -130,9 +130,12 @@ def save_requests(sizes: SizeRequests, path: str | Path) -> None:
 
 
 def finite_number(value, name: str, *, path: str | None = None, record: int | None = None) -> float:
-    """``value`` as a float if finite and non-negative (``json.loads`` lets NaN and Infinity in)."""
+    """``value`` as a float if finite and non-negative (``json.loads`` lets NaN and Infinity in).
+
+    An integer past the largest float counts as not finite.
+    """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not number or not math.isfinite(value) or value < 0:
+    if not number or not 0 <= value <= sys.float_info.max:
         raise InputFileError(f"'{name}' must be a finite non-negative number", path=path, record=record)
     return float(value)
 

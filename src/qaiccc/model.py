@@ -1,9 +1,11 @@
 """Domain types for crosstalk-aware qubit allocation.
 
 Qubits are plain non-negative integers indexing vertices of the platform
-connectivity graph.  All types here are immutable values: the search in
-:mod:`qaiccc.allocator` runs on bitmask states and builds an allocation
-once for each member it returns.
+connectivity graph.  All types here are immutable values.  The search in
+:mod:`qaiccc.allocator` runs on bitmask states and returns each member
+as its state and attribute record; :mod:`qaiccc.selection` ranks those
+pairs and builds an :class:`Allocation` (:func:`allocation_of`) only for
+the entries it walks.
 
 Inside the searches, qubit sets are also handled as ``int`` bitmasks (bit
 ``q`` set means qubit ``q`` is in the set); the helpers for them live
@@ -12,7 +14,6 @@ here, next to :attr:`ConnectivityGraph.adjacency_masks`.
 
 from __future__ import annotations
 
-import math
 import sys
 from enum import Enum
 from functools import cached_property
@@ -205,7 +206,7 @@ class CrosstalkRate(Record):
                 raise TypeError(f"rate qubit must be an int, not {q!r}")
         if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise TypeError(f"rate score must be a number, not {score!r}")
-        if not math.isfinite(score) or score < 0:
+        if not 0 <= score <= sys.float_info.max:  # NaN, inf and ints past every float fail
             raise ValueError("rate score must be a finite non-negative number")
         shape = (len(impacting), len(impacted))
         if shape not in {(1, 1), (2, 1), (2, 2)}:
@@ -383,23 +384,10 @@ def allocation_of(
     penalty: float = 0.0,
     incidental: tuple[CrosstalkRate, ...] = (),
     last_rate: CrosstalkRate | None = None,
-    users: dict[StateComponent, UserComponent] | None = None,
 ) -> Allocation:
-    """The allocation of a search state, carrying the given search attributes.
-
-    ``users``, when given, holds one :class:`UserComponent` per ``(trust,
-    mask)``; a component not in it yet is built and added, so the
-    allocations built with one table share their components.
-    """
-    if users is None:
-        users = {}
+    """The allocation of a search state, carrying the given search attributes."""
     free, components = state
-    held = []
-    for component in components:
-        user = users.get(component)
-        if user is None:
-            user = users[component] = UserComponent(component[0], mask_qubits(component[1]))
-        held.append(user)
+    held = [UserComponent(trust, mask_qubits(mask)) for trust, mask in components]
     return Allocation(mask_qubits(free), held, score, penalty, incidental, last_rate)
 
 

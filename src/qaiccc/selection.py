@@ -1,11 +1,12 @@
 """Ranking and final selection of an allocation, plus the noise worklist.
 
-The search's output is sorted by increasing score (then penalty), so the
-allocations that survived the most rates come first and the initial
-all-unallocated allocation comes last.  Each candidate in turn is grown
-to exact request sizes; the first one that completes wins.  Completion
-feasibility stands in for transpilation success: connected components of
-the right sizes can be realized with swap gates.
+The search's members, each a state and its attribute record, are sorted
+by increasing score (then penalty), so the members that survived the
+most rates come first and the initial all-unallocated state comes last.
+Each entry in turn is built into an :class:`Allocation` and grown to
+exact request sizes; the first one that completes wins, and no entry past
+it is built.  Completion feasibility stands in for transpilation success:
+connected components of the right sizes can be realized with swap gates.
 
 The worklist handed to downstream noise-reduction starts with the
 selected allocation's recorded incidental rates and continues with the
@@ -17,24 +18,29 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .allocator import AllocationOutcome
+from .allocator import AllocationOutcome, Attributes
 from .completion import RequestLabel, complete_allocation
 from .errors import NoFeasibleAllocationError
-from .model import Allocation, ConnectivityGraph, CrosstalkRate, canonicalize, sort_rates
+from .model import (
+    Allocation, ConnectivityGraph, CrosstalkRate, SearchState, allocation_of, sort_rates, state_key,
+)
 
 
 class SelectionResult(NamedTuple):
-    """The chosen complete allocation, its request binding and worklist, and the ranking walked."""
+    """The chosen complete allocation, its request binding and worklist, and the ranking walked.
+
+    ``ranking`` holds every member as its state and attribute record.
+    """
 
     allocation: Allocation
     assignment: Mapping[RequestLabel, frozenset[int]]
     worklist: tuple[CrosstalkRate, ...]
-    ranking: tuple[Allocation, ...]
+    ranking: tuple[tuple[SearchState, Attributes], ...]
 
 
-def rank(results: Iterable[Allocation]) -> list[Allocation]:
-    """Ascending score, then penalty, then canonical key; fully deterministic."""
-    return sorted(results, key=lambda a: (a.score, a.penalty, canonicalize(a)))
+def rank(members: Iterable[tuple[SearchState, Attributes]]) -> list[tuple[SearchState, Attributes]]:
+    """Ascending score, then penalty, then the state's canonical key; fully deterministic."""
+    return sorted(members, key=lambda m: (m[1].score, m[1].penalty, state_key(m[0])))
 
 
 def noise_worklist(
@@ -67,15 +73,18 @@ def noise_worklist(
 
 
 def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:
-    """Walk the outcome's ranked allocations and return the first that completes, with the ranking.
+    """Walk the outcome's ranked members and return the first that completes, with the ranking.
 
-    Completion targets ``outcome.sizes`` (idle request included) and the
-    worklist follows ``outcome.rates`` (already sorted).  Raises
-    :class:`NoFeasibleAllocationError` when every candidate fails, i.e.
-    the platform cannot host the requested circuit sizes at all.
+    Each entry walked becomes an :class:`Allocation` for
+    :func:`complete_allocation`; the entries after the one that completes
+    are never built.  Completion targets ``outcome.sizes`` (idle request
+    included) and the worklist follows ``outcome.rates`` (already sorted).
+    Raises :class:`NoFeasibleAllocationError` when every candidate fails,
+    i.e. the platform cannot host the requested circuit sizes at all.
     """
     ranking = tuple(rank(outcome.allocations))
-    for candidate in ranking:
+    for state, record in ranking:
+        candidate = allocation_of(state, *record)
         completed = complete_allocation(candidate, graph, outcome.sizes)
         if completed is None:
             continue

@@ -8,12 +8,14 @@ from dataclasses import dataclass
 import pytest
 
 from qaiccc import (
+    Allocation,
     ConnectivityGraph,
     CrosstalkRate,
     SizeRequests,
     enumerate_complete,
     synth_rates,
 )
+from qaiccc.model import allocation_of
 
 # The 5-qubit platform used throughout: a triangle 0-1-2 joined to a
 # triangle 2-3-4 at qubit 2.
@@ -27,6 +29,11 @@ HEAVY_HEX_27 = ConnectivityGraph(27, frozenset(
         "13-14 14-16 15-18 16-19 17-18 18-21 19-20 19-22 21-23 22-25 23-24 24-25 25-26"
     ).split()
 ))
+
+
+def built(members) -> list[Allocation]:
+    """Each ``(state, record)`` member of an outcome or ranking as the allocation it stands for."""
+    return [allocation_of(state, *record) for state, record in members]
 
 
 @pytest.fixture

@@ -31,6 +31,8 @@ from qaiccc.cli import EXIT_INSUFFICIENT_QUBITS, main
 from qaiccc.errors import BaselineInfeasibleError
 from qaiccc.model import state_key
 
+from conftest import built
+
 GRAPH = ConnectivityGraph(5, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)}))
 RATES = [
     CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2})),
@@ -146,7 +148,7 @@ def test_criterion_5_safety_closure(family):
     ]
     for seed, graph, sizes, rates in instances:
         outcome = allocate(graph, sizes, rates)
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             if allocation.last_rate is None:
                 prefix = outcome.rates
             else:
@@ -234,7 +236,7 @@ def test_criterion_8_no_duplicate_structures(family):
     ]
     for seed, graph, sizes, rates in instances:
         outcome = allocate(graph, sizes, rates)
-        keys = [canonicalize(a) for a in outcome.allocations]
+        keys = [state_key(state) for state, _ in outcome.allocations]
         if len(keys) != len(set(keys)):
             failures.append(seed)
     report(

@@ -11,18 +11,20 @@ import sys
 from unittest import mock
 
 import pytest
-from conftest import make_instance
+from conftest import built, make_instance
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import qaiccc.allocator as allocator_module
 import qaiccc.completion as completion_module
+import qaiccc.selection as selection_module
 from qaiccc import (
     Allocation,
     AllocationOutcome,
     ConnectivityGraph,
     CrosstalkRate,
     InsufficientQubitsError,
+    NoFeasibleAllocationError,
     SearchConfig,
     SizeRequests,
     Trust,
@@ -31,6 +33,7 @@ from qaiccc import (
     canonicalize,
     involved_parties,
     is_safe,
+    rank,
     safe_prefix,
     select,
     sort_rates,
@@ -954,7 +957,7 @@ def test_every_base_the_completion_search_grows_is_connected(instance):
         indexed = allocate(graph, sizes, rates, config)
         with mock.patch.object(completion_module, "INDEX_BUDGET", 1):
             assert allocate(graph, sizes, rates, config) == indexed
-        for allocation in indexed.allocations:
+        for allocation in built(indexed.allocations):
             complete_allocation(allocation, graph, indexed.sizes)
     assert bases
 
@@ -1505,8 +1508,8 @@ def list_reference_allocate(graph, sizes, rates, config):
             break
 
     return AllocationOutcome(
-        population=tuple(population),
-        archive=tuple(archive),
+        population=tuple(map(member_of, population)),
+        archive=tuple(map(member_of, archive)),
         sizes=full,
         rates=ordered,
         steps=tuple(steps),
@@ -1514,8 +1517,8 @@ def list_reference_allocate(graph, sizes, rates, config):
 
 
 def start_score(outcome):
-    """The start score, as the initial allocation (the one without components) carries it."""
-    return next(a for a in outcome.allocations if not a.components).score
+    """The start score, as the initial member (the state without components) carries it."""
+    return next(record for state, record in outcome.allocations if not state[1]).score
 
 
 class TestKeyedStore:
@@ -1665,30 +1668,6 @@ class TestPerRunMemo:
             run = enumerated[-counts[1]:]
             assert len(set(run)) == len(run)
 
-    def test_one_run_holds_one_component_per_trust_and_qubits(
-        self, family, demo_graph, demo_sizes, demo_rates
-    ):
-        # The outcome's allocations are built when the search returns and
-        # share one component per (trust, qubits); the per-rate snapshots
-        # hold states, so the whole family is read.
-        instances = [(demo_graph, demo_sizes, demo_rates)]
-        instances += [(i.graph, i.sizes, i.rates) for i in family]
-        held = distinct = 0
-        for graph, sizes, rates in instances:
-            outcomes, runs = [], []
-            for _ in range(2):
-                outcome = allocate(graph, sizes, rates)
-                outcomes.append(outcome)
-                components = [c for member in outcome.allocations for c in member.components]
-                one = {}
-                for c in components:
-                    assert one.setdefault((c.trust, c.qubits), c) is c
-                held, distinct = held + len(components), distinct + len(one)
-                runs.append({id(c) for c in one.values()} | {id(c.qubits) for c in one.values()})
-            # Both outcomes are alive, so an object the runs shared would show here.
-            assert not runs[0] & runs[1]
-        assert held > 2 * distinct
-
     def test_each_memo_owns_its_region_table(self, demo_graph, demo_sizes):
         first, second = SearchMemo(demo_sizes, demo_graph), SearchMemo(demo_sizes, demo_graph)
         assert first.regions == {} and first.regions is not second.regions
@@ -1730,7 +1709,7 @@ class TestWarmMemo:
             full = update_sizes(instance.graph.vertex_count, instance.sizes)
             outcome = allocate(instance.graph, instance.sizes, instance.rates)
             shared = SearchMemo(full, instance.graph)
-            for allocation in outcome.allocations:
+            for allocation in built(outcome.allocations):
                 state = state_of(allocation)
                 for joined in state[1] + ((Trust.TRUSTED, 0), FRESH_U):
                     for qubit in sorted(allocation.unallocated):
@@ -1746,7 +1725,7 @@ class TestWarmMemo:
             full = update_sizes(instance.graph.vertex_count, instance.sizes)
             outcome = allocate(instance.graph, instance.sizes, instance.rates)
             shared = SearchMemo(full, instance.graph)
-            for allocation in outcome.allocations:
+            for allocation in built(outcome.allocations):
                 state = state_of(allocation)
                 free = [1 << q for q in sorted(allocation.unallocated)]
                 incoming = free + [mask for _, mask in state[1]] + [state[0]]
@@ -1838,7 +1817,7 @@ class TestAllocateEndToEnd:
 
         # The initial allocation falls at the first rate; its repairs at
         # the second; the final generation at the third.
-        by_key = {canonicalize(a): a for a in outcome.allocations}
+        by_key = {state_key(state): record for state, record in outcome.allocations}
         assert by_key[structure()].last_rate == demo_rates[0]
         assert by_key[structure([2, 3])].last_rate == demo_rates[1]
         assert by_key[structure([0, 1], [2, 3, 4])].last_rate == demo_rates[2]
@@ -1886,13 +1865,13 @@ class TestAllocateEndToEnd:
         start = start_score(outcome)
         assert math.isfinite(start) and start > quarter
         assert all(
-            math.isfinite(a.score) and math.isfinite(a.penalty) for a in outcome.allocations
+            math.isfinite(r.score) and math.isfinite(r.penalty) for _, r in outcome.allocations
         )
 
     def test_zero_rates_returns_only_the_initial_allocation(self, demo_graph, demo_sizes):
         outcome = allocate(demo_graph, demo_sizes, [])
         assert len(outcome.allocations) == 1
-        assert outcome.allocations[0].unallocated == demo_graph.qubits
+        assert built(outcome.allocations)[0].unallocated == demo_graph.qubits
         assert not outcome.halted
 
     def test_determinism(self, demo_graph, demo_sizes, demo_rates):
@@ -1919,27 +1898,48 @@ class TestAllocateEndToEnd:
         assert canonicalize(chosen.allocation) == canonicalize(plain.allocation)
         assert safe_prefix(chosen.allocation, outcome.rates) == 1
 
-    def test_one_allocation_is_built_per_final_member(
+    def test_only_the_entries_select_walks_are_built(
         self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
     ):
-        # The search runs on states and records; an Allocation is built
-        # only for each member the outcome returns.
-        built = []
-        construct = Allocation.__init__
+        # The search returns states and records; select builds an Allocation
+        # for each ranking entry it walks, and complete_allocation one more
+        # for the completion it returns.
+        built_allocations, built_users, walked = [], [], []
+        for kind, made in ((Allocation, built_allocations), (UserComponent, built_users)):
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            construct(self, *args, **kwargs)
+            def counting(self, *args, _construct=kind.__init__, _made=made, **kwargs):
+                _made.append(self)
+                _construct(self, *args, **kwargs)
 
-        monkeypatch.setattr(Allocation, "__init__", counting)
+            monkeypatch.setattr(kind, "__init__", counting)
+        complete = selection_module.complete_allocation
+
+        def recording(allocation, *args):
+            walked.append(allocation)
+            return complete(allocation, *args)
+
+        monkeypatch.setattr(selection_module, "complete_allocation", recording)
+        two_cliques = ConnectivityGraph(4, frozenset({(0, 1), (2, 3)}))
         instances = [(demo_graph, demo_sizes, demo_rates)]
         instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        instances += [(two_cliques, SizeRequests(untrusted=(3,)), [])]
         for graph, sizes, rates in instances:
             for config in (CFG, SearchConfig(max_population=2)):
-                built.clear()
+                del built_allocations[:], built_users[:], walked[:]
                 outcome = allocate(graph, sizes, rates, config)
-                assert len(built) == len(outcome.population) + len(outcome.archive)
-                assert {id(a) for a in built} == {id(a) for a in outcome.allocations}
+                assert built_allocations == [] and built_users == []
+                try:
+                    result = select(outcome, graph)
+                except NoFeasibleAllocationError:
+                    result = None
+                assert walked
+                assert [id(a) for a in built_allocations[: len(walked)]] == list(map(id, walked))
+                ranking = rank(outcome.allocations)
+                assert [state_of(a) for a in walked] == [s for s, _ in ranking[: len(walked)]]
+                if result is None:
+                    assert len(walked) == len(ranking) and len(built_allocations) == len(walked)
+                else:
+                    assert [id(a) for a in built_allocations[len(walked):]] == [id(result.allocation)]
 
     def test_population_cap_keeps_the_search_running(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_population=2))

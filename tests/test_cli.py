@@ -29,7 +29,9 @@ from qaiccc.cli import (
     main,
     rate_from_record,
 )
+from qaiccc.allocator import Attributes
 from qaiccc.errors import InputFileError
+from qaiccc.model import allocation_of, state_of
 from qaiccc.ingest import save_platform, save_rates, save_requests
 
 PLATFORM = {"qubits": 5, "edges": [[0, 1], [0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]}
@@ -138,9 +140,12 @@ class TestAllocateCommand:
         err = capsys.readouterr().err
         assert "record 0" in err and "bad.json" in err
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="int-past-every-float")]
+    )
     def test_non_finite_score_exits_1_and_names_the_record(self, files, tmp_path, capsys, literal):
-        # json.loads accepts these literals; the report must never carry them.
+        # json.loads accepts these literals, and an integer past every float;
+        # the report must never carry them.
         rates = tmp_path / "bad_score.json"
         rates.write_text(
             '[{"score": 0.1, "impacting": [1], "impacted": [0]},'
@@ -151,7 +156,7 @@ class TestAllocateCommand:
         assert run_allocate(files, "--no-timings") == EXIT_INPUT
         captured = capsys.readouterr()
         assert "record 1" in captured.err and "finite non-negative" in captured.err
-        assert captured.out == ""
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_scores_summing_past_the_largest_float_exit_1(self, files, tmp_path, capsys):
         # Four rates at the largest float: the start score, one step above the
@@ -168,6 +173,27 @@ class TestAllocateCommand:
         captured = capsys.readouterr()
         assert "huge.json" in captured.err and "sum to inf" in captured.err
         assert captured.out == ""
+
+    def test_a_thousand_requests_on_a_two_thousand_qubit_line_are_all_assigned(
+        self, tmp_path, capsys
+    ):
+        # The completion decider takes one step per request, a thousand deep
+        # here; it once recursed per step and ran out of stack in select.
+        paths = {}
+        for name, payload in (
+            ("platform", {"qubits": 2000, "edges": [[q, q + 1] for q in range(1999)]}),
+            ("requests", {"untrusted": [2] * 1000}),
+            ("rates", [{"score": 0.001, "impacting": [0], "impacted": [1]}]),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            paths[name] = str(path)
+        assert run_allocate(paths, "--no-timings") == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        users = report["selected"]["assignment"]["untrusted"]
+        assert len(users) == 1000 and report["selected"]["assignment"]["idle"] is None
+        assert sorted(q for qubits in users for q in qubits) == list(range(2000))
+        assert all(len(qubits) == 2 and qubits[1] == qubits[0] + 1 for qubits in users)
 
     @pytest.mark.parametrize("flag", ["--max-paths", "--max-population"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -374,6 +400,8 @@ class TestReportReaders:
              r"ranking\[0\].last_rate: 'impacting' repeats"),
             (["last_rate"], 0, r"ranking\[0\].last_rate: record must be an object"),
             (["last_rate"], {}, r"ranking\[0\].last_rate: 'impacting' must be a list"),
+            pytest.param(["penalty"], 10**400, r"'ranking\[0\].penalty' must be a finite", id="penalty-past-every-float"),
+            pytest.param(["score"], 10**400, r"'ranking\[0\].score' must be a finite", id="score-past-every-float"),
         ],
     )
     def test_malformed_ranking_entry_is_refused(self, report_data, path, value, message):
@@ -604,7 +632,7 @@ def reference(report):
             },
         },
         "worklist": [_reference_rate(r) for r in selected.worklist],
-        "ranking": [_reference_allocation(a) for a in selected.ranking],
+        "ranking": [_reference_allocation(allocation_of(s, *r)) for s, r in selected.ranking],
     }
     if report.timings is not None:
         payload["timings"] = dict(report.timings)
@@ -642,6 +670,12 @@ def _allocations(draw, rates):
     )
 
 
+def _entry(allocation):
+    """A ranking entry: the allocation's state and its attribute record."""
+    attributes = allocation.score, allocation.penalty, allocation.incidental, allocation.last_rate
+    return state_of(allocation), Attributes(*attributes)
+
+
 @st.composite
 def _reports(draw):
     sizes = qaiccc.SizeRequests(
@@ -657,12 +691,12 @@ def _reports(draw):
     labels += [("untrusted", i) for i in range(len(sizes.untrusted))]
     labels += [("idle", 0)] if sizes.idle_size is not None else []
     rates = draw(st.lists(_rates(), min_size=1, max_size=5))
-    ranking = tuple(draw(st.lists(_allocations(rates), min_size=1, max_size=6)))
+    allocations = draw(st.lists(_allocations(rates), min_size=1, max_size=6))
     selected = qaiccc.SelectionResult(
-        allocation=draw(st.sampled_from(ranking)),
+        allocation=draw(st.sampled_from(allocations)),
         assignment={label: draw(_QUBITS) for label in labels},
         worklist=tuple(draw(st.lists(st.sampled_from(rates), max_size=5))),
-        ranking=ranking,
+        ranking=tuple(map(_entry, allocations)),
     )
     timings = draw(
         st.none() | st.dictionaries(st.text(max_size=8), _SCORES | st.floats(), max_size=3)
@@ -692,7 +726,7 @@ def _example(
     if idle is not None:
         assignment["idle", 0] = frozenset({5, 6})
     ranking = (member, member) if ranking is None else ranking
-    selected = qaiccc.SelectionResult(member, assignment, worklist, ranking)
+    selected = qaiccc.SelectionResult(member, assignment, worklist, tuple(map(_entry, ranking)))
     return cli.RunReport(sizes, qaiccc.SearchConfig(), selected, timings)
 
 

@@ -39,7 +39,7 @@ from qaiccc.completion import (
 from qaiccc.ingest import MAX_QUBITS
 from qaiccc.model import mask_qubits, qubit_mask, state_of
 
-from conftest import HEAVY_HEX_27, instance_family
+from conftest import HEAVY_HEX_27, built, instance_family
 
 
 def u(*qubits):
@@ -422,7 +422,7 @@ def test_walk_returns_the_backtracking_search_assignment(family):
     for instance in family:
         full = update_sizes(instance.graph.vertex_count, instance.sizes)
         outcome = allocate(instance.graph, instance.sizes, instance.rates)
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             result = complete_allocation(allocation, instance.graph, full)
             expected = reference_completion(allocation, instance.graph, full)
             assert (result and result[1]) == expected
@@ -791,3 +791,15 @@ class TestDeciderKeyCarriesTheOpenRequests:
         # Only sizes 1 and 4 fit here, so the star is left the requests (2, 3).
         assert self.decide(build(10, u(0), u(1, 2, 3, 4), u(5)), verdicts) is False
         assert self.decide(build(10, u(0), u(1, 2, 3, 4), u(5)), {}) is False
+
+
+@pytest.mark.parametrize("vertex_count, verdict", [(2000, True), (2001, False)])
+def test_the_decider_walks_a_thousand_blocks_deep(vertex_count, verdict):
+    # A line tiled by 1,000 pairs: one state per block, each with one
+    # child, so the search runs 1,000 states deep before it settles.  On
+    # 2,001 qubits one qubit is left over, and every state is refused.
+    line = ConnectivityGraph(vertex_count, [(q, q + 1) for q in range(vertex_count - 1)])
+    requests = ((Trust.UNTRUSTED, 2),) * 1000
+    verdicts: dict = {}
+    assert decide((1 << vertex_count) - 1, (), line, requests, verdicts) is verdict
+    assert len(verdicts) >= 1000 and set(verdicts.values()) == {verdict}

@@ -97,6 +97,10 @@ class TestLoadRates:
             ({"stochastic": float("inf"), "hamiltonian": 0.0, "impacting": [1], "impacted": [0]}, "finite non-negative"),
             ({"stochastic": 0.0, "hamiltonian": float("nan"), "impacting": [1], "impacted": [0]}, "finite non-negative"),
             ({"stochastic": 1e308, "hamiltonian": 1e308, "impacting": [1], "impacted": [0]}, "finite non-negative"),
+            # JSON integers past the largest float: not finite, and no OverflowError.
+            ({"score": 10**400, "impacting": [1], "impacted": [0]}, "'score' must be a finite"),
+            ({"stochastic": 10**400, "hamiltonian": 0, "impacting": [1], "impacted": [0]}, "'stochastic' must be a finite"),
+            ({"stochastic": 0, "hamiltonian": 10**400, "impacting": [1], "impacted": [0]}, "'hamiltonian' must be a finite"),
         ],
     )
     def test_record_errors_carry_the_index(self, tmp_path, demo_graph, record, fragment):

@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import re
+import sys
 
 import networkx as nx
 import pytest
@@ -24,6 +25,8 @@ from qaiccc import (
     validate_allocation,
 )
 from qaiccc.model import mask_neighborhood, mask_qubits, mask_region, qubit_mask
+
+from conftest import built
 
 
 def untrusted(*qubits: int) -> UserComponent:
@@ -194,6 +197,14 @@ class TestRates:
         with pytest.raises(ValueError, match="finite"):
             CrosstalkRate(score, frozenset({0}), frozenset({1}))
 
+    def test_an_int_past_every_float_is_not_finite(self):
+        # It is refused with the same ValueError, not an OverflowError; the
+        # largest float itself is a valid score.
+        with pytest.raises(ValueError, match="rate score must be a finite non-negative number"):
+            CrosstalkRate(10**400, frozenset({0}), frozenset({1}))
+        top = int(sys.float_info.max)
+        assert CrosstalkRate(top, frozenset({0}), frozenset({1})).score == top
+
     @pytest.mark.parametrize("impacting, impacted, named", [
         ({True, 2}, {0}, "True"),
         ({1}, {0.5}, "0.5"),
@@ -248,7 +259,7 @@ def test_penalty_equals_incidental_sum_on_search_output(demo_graph, demo_sizes, 
     from qaiccc import allocate
 
     outcome = allocate(demo_graph, demo_sizes, demo_rates)
-    for allocation in outcome.allocations:
+    for allocation in built(outcome.allocations):
         assert abs(allocation.penalty - sum(r.score for r in allocation.incidental)) <= 1e-12
 
 

@@ -28,7 +28,7 @@ from qaiccc import (
 from qaiccc import oracle
 from qaiccc.oracle import count_complete
 
-from conftest import HEAVY_HEX_27
+from conftest import HEAVY_HEX_27, built
 
 
 def u(*qubits):
@@ -142,13 +142,13 @@ class TestSafePrefix:
 class TestReplayCheck:
     def test_every_search_output_replays_clean(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             report = replay_check(allocation, outcome.rates)
             assert report.ok, report.mismatches
 
     def test_expected_penalties_match_the_narrative(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        by_key = {canonicalize(a): a for a in outcome.allocations}
+        by_key = {canonicalize(a): a for a in built(outcome.allocations)}
         selected = by_key[key_of([0, 1], [2, 3, 4])]
         report = replay_check(selected, outcome.rates)
         assert report.ok
@@ -160,7 +160,7 @@ class TestReplayCheck:
 
     def test_tampered_penalty_is_flagged(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        victim = outcome.allocations[1]
+        victim = built(outcome.allocations)[1]
         tampered = Allocation(
             victim.unallocated, victim.components, victim.score, victim.penalty + 1.0,
             victim.incidental, victim.last_rate,

@@ -15,7 +15,7 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import instance_family
+from conftest import built, instance_family
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +29,9 @@ from qaiccc import (
     canonicalize,
     enumerate_complete,
     is_safe,
+    noise_worklist,
     oracle_report,
+    rank,
     replay_check,
     safe_prefix,
     select,
@@ -63,7 +65,7 @@ def test_family_is_the_expected_size(family):
 
 def test_every_search_output_is_structurally_valid(runs):
     for instance, outcome, _ in runs:
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             assert validate_allocation(allocation, instance.graph) == []
 
 
@@ -83,7 +85,7 @@ def test_selected_allocation_covers_every_qubit_once(runs):
 
 def test_safety_closure_on_every_returned_allocation(runs):
     for instance, outcome, _ in runs:
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             if allocation.last_rate is None:
                 prefix = outcome.rates
             else:
@@ -98,20 +100,20 @@ def test_safety_closure_on_every_returned_allocation(runs):
 
 def test_no_two_results_share_a_canonical_key(runs):
     for instance, outcome, _ in runs:
-        keys = [canonicalize(a) for a in outcome.allocations]
+        keys = [canonicalize(a) for a in built(outcome.allocations)]
         assert len(keys) == len(set(keys)), f"seed {instance.seed}: duplicate structure"
 
 
 def test_replay_reproduces_every_attribute_set(runs):
     for instance, outcome, _ in runs:
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             report = replay_check(allocation, outcome.rates)
             assert report.ok, f"seed {instance.seed}: {report.mismatches}"
 
 
 def test_penalty_is_the_sum_of_incidental_scores(runs):
     for _, outcome, _ in runs:
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             assert abs(allocation.penalty - sum(r.score for r in allocation.incidental)) <= 1e-12
 
 
@@ -149,7 +151,7 @@ def test_completion_preserves_the_safe_prefix(runs):
     # pattern that was already safe.
     for instance, outcome, result in runs:
         selected_partial = None
-        for allocation in outcome.allocations:
+        for allocation in built(outcome.allocations):
             done, _ = complete_allocation(allocation, instance.graph, outcome.sizes)
             if canonicalize(done) == canonicalize(result.allocation):
                 selected_partial = allocation
@@ -302,13 +304,14 @@ def test_generated_instances_hold_every_pipeline_invariant(instance):
     # Every state the search keeps passed its completability check, so the
     # oracle's complete set extends every ranked entry, and the candidate
     # select completed is the first one.
-    for ranked in result.ranking:
+    ranking = built(result.ranking)
+    for ranked in ranking:
         assert any(_extends(s, ranked) for s in structures), ranked
-    candidate = result.ranking[0]
+    candidate = ranking[0]
     completed = complete_allocation(candidate, graph, outcome.sizes)
     assert completed is not None and canonicalize(completed[0]) == canonicalize(selected)
     assert safe_prefix(selected, outcome.rates) >= safe_prefix(candidate, outcome.rates)
-    for ranked in result.ranking:
+    for ranked in ranking:
         report = replay_check(ranked, outcome.rates)
         assert report.ok, report.mismatches
 
@@ -382,5 +385,56 @@ def test_each_step_holds_the_replayed_attributes_of_its_members(instance, config
                 before = allocator.replay_state(state, handled[:index])
                 assert attributes == before._replace(last_rate=step.rate)
     if outcome.steps:
-        final = [allocation_of(state, *a) for state, a in outcome.steps[-1].population]
-        assert list(outcome.population) == final
+        assert outcome.population == outcome.steps[-1].population
+
+
+# The ranking on (state, record) pairs against the ranking on allocations it
+# replaced: frozen copies of that ``rank`` and of the outcome's allocations.
+
+
+def reference_rank(allocations):
+    """``rank`` on allocations, keyed by ``canonicalize``."""
+    return sorted(allocations, key=lambda a: (a.score, a.penalty, canonicalize(a)))
+
+
+def reference_select(outcome, graph):
+    """The ranking and selection on the outcome's members built as allocations.
+
+    Returns the ranking and, when an entry completes, the completed
+    allocation, its assignment and the worklist, or None when none does.
+    """
+    allocations = [allocation_of(state, *record) for state, record in outcome.population]
+    allocations += [allocation_of(state, *record) for state, record in outcome.archive]
+    ranking = reference_rank(allocations)
+    for candidate in ranking:
+        completed = complete_allocation(candidate, graph, outcome.sizes)
+        if completed is not None:
+            return ranking, (*completed, noise_worklist(candidate, outcome.rates))
+    return ranking, None
+
+
+def check_selection_is_unchanged(graph, sizes, rates, config=SearchConfig()):
+    outcome = allocate(graph, sizes, rates, config)
+    ranking, expected = reference_select(outcome, graph)
+    assert built(rank(outcome.allocations)) == ranking
+    if expected is None:
+        with pytest.raises(NoFeasibleAllocationError):
+            select(outcome, graph)
+        return
+    result = select(outcome, graph)
+    assert built(result.ranking) == ranking
+    assert (result.allocation, result.assignment, result.worklist) == expected
+
+
+def test_the_family_selects_what_the_ranking_on_allocations_selected(family):
+    for instance in family:
+        for config in (SearchConfig(), SearchConfig(max_population=2)):
+            check_selection_is_unchanged(instance.graph, instance.sizes, instance.rates, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_instances(), _CONFIGS)
+@example((_STAR, SizeRequests(untrusted=(2, 2)), (CrosstalkRate(0.5, frozenset({1}), frozenset({0})),)),
+         SearchConfig())  # infeasible: every 2-block of the star holds its centre
+def test_generated_instances_select_what_the_ranking_on_allocations_selected(instance, config):
+    check_selection_is_unchanged(*instance, config)

@@ -19,7 +19,11 @@ from qaiccc import (
     select,
     sort_rates,
 )
+from qaiccc.allocator import Attributes
 from qaiccc.completion import complete_allocation
+from qaiccc.model import state_of
+
+from conftest import built
 
 
 def u(*qubits):
@@ -34,7 +38,7 @@ def build(n, *components, **attrs):
 class TestRank:
     def test_lowest_score_then_lowest_penalty_first(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        ranked = rank(outcome.allocations)
+        ranked = built(rank(outcome.allocations))
         assert canonicalize(ranked[0]) == canonicalize(
             build(5, u(0, 1), u(2, 3, 4))
         )
@@ -42,12 +46,13 @@ class TestRank:
 
     def test_initial_allocation_sorts_last(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        ranked = rank(outcome.allocations)
+        ranked = built(rank(outcome.allocations))
         assert ranked[-1].unallocated == demo_graph.qubits
 
     def test_full_tie_breaks_on_canonical_key(self):
-        a = build(5, u(2, 3), score=0.5, penalty=0.1)
-        b = build(5, u(2, 4), score=0.5, penalty=0.1)
+        record = Attributes(0.5, 0.1)
+        a = (state_of(build(5, u(2, 3))), record)
+        b = (state_of(build(5, u(2, 4))), record)
         # The key leads with the unallocated set: {0,1,3} sorts before {0,1,4}.
         assert rank([b, a]) == rank([a, b]) == [b, a]
 

@@ -20,7 +20,9 @@ JSON report streamed to a temporary file (``--output``,
 line per run gives the seconds ``allocate`` took, the final population
 and archive sizes, the interpreter's peak resident memory (``VmHWM``;
 blank where ``/proc`` does not provide it) once ``allocate`` has
-returned (``peak_rss_mb``), the seconds from ``select``'s return to the
+returned (``peak_rss_mb``), the seconds from ``allocate``'s return to
+``select``'s, which ranks the members and builds an allocation for each
+entry it walks (``select_s``), the seconds from ``select``'s return to the
 end of the command, which writes the report (``report_s``), the peak
 resident memory at the end of the command (``report_peak_rss_mb``), and
 the entry count of each table of the run's ``allocator.SearchMemo`` as
@@ -102,12 +104,14 @@ def measured_allocate(*args):
     run["peak_rss_mb"] = peak_mb()
     run["population"], run["archive"] = len(outcome.population), len(outcome.archive)
     run["memo"], run["index"] = freed.pop() if freed else (dict.fromkeys(tables), None)
+    run["allocated"] = time.perf_counter()
     return outcome
 
 
 def measured_select(*args):
     selected = select(*args)
     run["selected"] = time.perf_counter()
+    run["select_s"] = run["selected"] - run.pop("allocated")
     return selected
 
 
@@ -202,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
             index = "-" if run["index"] is None else run["index"]
             print(
                 f"k={k} seconds {run['seconds']:.2f} population {run['population']} "
-                f"archive {run['archive']} peak_rss_mb {peak} report_s {run['report_s']:.2f} "
+                f"archive {run['archive']} peak_rss_mb {peak} select_s {run['select_s']:.3f} "
+                f"report_s {run['report_s']:.2f} "
                 f"report_peak_rss_mb {report_peak} memo {tables} index {index} {tree}",
                 flush=True,
             )
