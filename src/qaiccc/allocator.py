@@ -64,7 +64,9 @@ that replay gives; a safe member's per-rate update reads the rate's
 involved mask against the state's free mask.  No :class:`Allocation` is
 built here: the outcome holds each final member as its state and
 :class:`Attributes` record, and :func:`qaiccc.selection.select` builds an
-allocation only for the entries it walks.
+allocation only for the entries it walks.  Each record is held once, by
+the population and then the archive: the per-rate snapshots
+(:class:`RateStep`) name states only.
 """
 
 from __future__ import annotations
@@ -724,11 +726,17 @@ def update_population(
 
 
 class RateStep(NamedTuple):
-    """Snapshot taken after one rate was processed: each member as its state and attributes."""
+    """Snapshot taken after one rate was processed: the states alive after it and those it retired.
+
+    It keeps no attribute record: each member's record is held once, by
+    the population while the member is live and by the archive after.  A
+    state listed in ``population`` is safe for every rate handled so far,
+    and its record after this rate is :func:`replay_state` of them.
+    """
 
     rate: CrosstalkRate
-    population: tuple[tuple[SearchState, Attributes], ...]
-    archived: tuple[tuple[SearchState, Attributes], ...]
+    population: tuple[SearchState, ...]
+    archived: tuple[SearchState, ...]
 
 
 class AllocationOutcome(NamedTuple):
@@ -736,9 +744,11 @@ class AllocationOutcome(NamedTuple):
 
     ``population`` and ``archive`` hold each member as its state and
     :class:`Attributes` record, in the order the search admitted and
-    retired them.  The initial state, the one without components, carries
-    the start score above every rate; the first rate retires it to
-    ``archive``.
+    retired them, and they are the only records the outcome holds:
+    ``steps`` names, rate by rate, the states alive and those retired
+    (:class:`RateStep`).  The initial state, the one without components,
+    carries the start score above every rate; the first rate retires it
+    to ``archive``.
     """
 
     population: tuple[tuple[SearchState, Attributes], ...]
@@ -774,8 +784,8 @@ def allocate(
     of the platform's qubits, or when the scores sum to the largest float
     or more (:func:`~qaiccc.model.check_score_total`).  The returned
     outcome carries the final population and archive, each member as its
-    state and :class:`Attributes` record, plus per-rate snapshots; it is a
-    pure function of its inputs.
+    state and :class:`Attributes` record, plus per-rate snapshots of
+    states; it is a pure function of its inputs.
     """
     for rate in rates:
         if not graph.is_connected(rate.involved):
@@ -803,7 +813,7 @@ def allocate(
 
     for index, (rate, impacting, impacted, involved) in enumerate(handled):
         processed = handled[: index + 1]
-        newly_archived: list[tuple[SearchState, Attributes]] = []
+        newly_archived: list[SearchState] = []
         for key in list(population):
             member = population.get(key)
             if member is None:  # pruned away earlier in this rate
@@ -823,7 +833,8 @@ def allocate(
                 candidates = alloc_impacted(candidates, impacting, impacted, memo=memo)
                 candidates += improve_alloc(key, involved, memo=memo)
                 candidates += alloc_trusted(key, impacting, memo=memo)
-                newly_archived.append((key, archive_alloc(key, population, archive, rate)))
+                archive_alloc(key, population, archive, rate)
+                newly_archived.append(key)
 
             update_population(candidates, population, archive, processed, memo)
 
@@ -831,7 +842,7 @@ def allocate(
             log.debug(
                 "rate %g -> population %d, archive %d", rate.score, len(population), len(archive)
             )
-        steps.append(RateStep(rate, tuple(population.items()), tuple(newly_archived)))
+        steps.append(RateStep(rate, tuple(population), tuple(newly_archived)))
         if not population:
             break
 

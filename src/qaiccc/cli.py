@@ -23,7 +23,7 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .allocator import AllocationOutcome, Attributes, SearchConfig, allocate
+from .allocator import AllocationOutcome, Attributes, SearchConfig, allocate, rate_masks, replay_state
 from .completion import request_slots
 from .errors import (
     InputFileError,
@@ -328,7 +328,15 @@ def format_structure(state: SearchState) -> str:
 
 
 def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) -> Iterator[str]:
-    """The text view of an allocate run, one line (ending in a newline) at a time."""
+    """The text view of an allocate run, one line (ending in a newline) at a time.
+
+    Under ``verbose`` each rate lists the states it retired and the states
+    alive after it, and a live state's score and penalty are
+    :func:`~qaiccc.allocator.replay_state` of the rates handled up to
+    there: the snapshots keep no records, and the replay adds the same
+    scores in the same order as the search, so it gives the search's
+    floats.
+    """
     sizes = report.sizes
     yield (
         f"requests: trusted={list(sizes.trusted)} untrusted={list(sizes.untrusted)} "
@@ -336,12 +344,15 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
     )
     yield f"rates: {len(outcome.rates)} (processed in decreasing score order)\n"
     if verbose:
+        handled = [rate_masks(rate) for rate in outcome.rates]
         for step_index, step in enumerate(outcome.steps, start=1):
             yield f"rate {step_index}/{len(outcome.rates)}: {format_rate(step.rate)}\n"
-            for state, _ in step.archived:
+            for state in step.archived:
                 yield f"  archived: {format_structure(state)}\n"
             yield f"  population ({len(step.population)}):\n"
-            for state, member in step.population:
+            processed = handled[:step_index]
+            for state in step.population:
+                member = replay_state(state, processed)
                 yield (
                     f"    {format_structure(state)} "
                     f"score={member.score!r} penalty={member.penalty!r}\n"

@@ -9,13 +9,14 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
 :func:`connected_supersets`; the other public functions take and return
 ``frozenset`` values.  Completion has three parts:
 
-* an exact **decider** (:func:`decide` on a bitmask state).  It first
-  grows each existing component, in component order, into each distinct
-  open request of its trust class that is large enough, and then tiles
-  the remaining free qubits with fresh blocks anchored on the lowest
-  free qubit, branching over distinct sizes only.  A tiling state in which
-  some connected free region is smaller than the smallest open request
-  is dropped.  It is one depth-first search over an explicit stack of
+* an exact **decider** (:func:`decide` on a bitmask state, the one
+  decider function: the search and the walk below both call it).  It
+  first grows each existing component, in component order, into each
+  distinct open request of its trust class that is large enough, and
+  then tiles the remaining free qubits with fresh blocks anchored on the
+  lowest free qubit, branching over distinct sizes only.  A tiling state
+  in which some connected free region is smaller than the smallest open
+  request is dropped.  It is one depth-first search over an explicit stack of
   child generators, as the index and the oracle walk, so no platform is
   too large for it.  Every sub-state's verdict, success or failure, goes into
   a table that :func:`decide` takes, keyed with the open requests, so a
@@ -43,8 +44,9 @@ qubit ``q`` is in the set), as are the arguments of :func:`decide` and
   :func:`connected_supersets`.  It enters only the first choice the
   decider accepts, so it never backtracks, and it returns the first
   completion in that order.  The walk keeps a private verdict table for
-  its one call, and :func:`can_complete` on an :class:`Allocation` is
-  whether the walk succeeds.
+  its one call, which all its :func:`decide` calls share, and
+  :func:`can_complete` on an :class:`Allocation` is whether the walk
+  succeeds.
 """
 
 from __future__ import annotations
@@ -178,45 +180,6 @@ def _growths(
             sizes = tuple(sorted(s for _, s in remaining))
             for grown in connected_supersets(base, size, free, adjacency):
                 yield free & ~grown, sizes
-
-
-def _completable(
-    free: int, pending: tuple[StateComponent, ...], slots: tuple[tuple[Trust, int], ...],
-    adjacency: Sequence[int], verdicts: dict,
-) -> bool:
-    """The decider: can ``pending`` plus fresh blocks fill the open ``slots`` (sorted) exactly?
-
-    One depth-first search over an explicit stack of child generators, so
-    no platform is too large to walk.  A state is ``(free, pending,
-    slots)`` while components are left to grow, the first one next
-    (:func:`_growths`), and ``(free, sizes)`` once only fresh blocks are
-    left to tile ``free``, their sizes sorted (:func:`_tilings`).  When a
-    child is true, every state on the stack is true; a state whose
-    children run out is false.  Each verdict is kept in ``verdicts`` under
-    its state.
-    """
-    state = (free, pending, slots) if pending else (free, tuple(sorted(s for _, s in slots)))
-    keys: list[tuple] = []
-    walks: list[Iterator[tuple]] = []
-    while True:
-        # An empty tiling is complete exactly when no size is left.
-        verdict = verdicts.get(state) if state[0] or len(state) == 3 else not state[1]
-        if verdict:
-            for key in keys:
-                verdicts[key] = True
-            return True
-        if verdict is None:
-            keys.append(state)
-            walk = _growths if len(state) == 3 else _tilings
-            walks.append(walk(*state, adjacency))
-        while walks:
-            state = next(walks[-1], None)
-            if state is not None:
-                break
-            walks.pop()
-            verdicts[keys.pop()] = False
-        else:
-            return False
 
 
 #: The work :func:`completion_index` may do before it gives up: each
@@ -378,7 +341,7 @@ def complete_allocation(
     slots = request_slots(sizes)
     adjacency = graph.adjacency_masks
     verdicts: dict = {}
-    if not _completable(free, pending, open_requests(slots), adjacency, verdicts):
+    if not decide(free, pending, graph, open_requests(slots), verdicts):
         return None
 
     chosen: list[int] = []
@@ -392,7 +355,7 @@ def complete_allocation(
         )
         fresh = ((block, pending) for block in _blocks(free, size, adjacency))
         for block, rest in itertools.chain(grown, fresh):
-            if _completable(free & ~block, rest, after, adjacency, verdicts):
+            if decide(free & ~block, rest, graph, after, verdicts):
                 break
         else:  # pragma: no cover - the decider accepted the state this slot starts from
             raise AssertionError("completion walk found no accepted choice")
@@ -418,14 +381,43 @@ def decide(
 ) -> bool:
     """The decider on a bitmask state: can it be completed to exactly ``requests``?
 
-    ``requests`` is :func:`open_requests` of every request, the idle one
-    included; ``pending`` holds the connected components as ``(trust,
-    mask)``, grown in that order.  ``verdicts`` gains the verdict of
-    every sub-state it works out, keyed with its open requests, and
-    answers the sub-states it already holds, so one table can serve every
-    call on ``graph``.
+    ``requests`` is :func:`open_requests` of the requests still open, the
+    idle one included, sorted; ``pending`` holds the connected components
+    as ``(trust, mask)``, grown in that order, and ``pending`` plus fresh
+    blocks must fill the open requests exactly.  One depth-first search
+    over an explicit stack of child generators, so no platform is too
+    large to walk.  A sub-state is ``(free, pending, requests)`` while
+    components are left to grow, the first one next (:func:`_growths`),
+    and ``(free, sizes)`` once only fresh blocks are left to tile
+    ``free``, their sizes sorted (:func:`_tilings`).  When a child is
+    true, every sub-state on the stack is true; a sub-state whose children
+    run out is false.  ``verdicts`` gains the verdict of every sub-state
+    it works out, keyed by the sub-state, and answers the sub-states it
+    already holds, so one table can serve every call on ``graph``.
     """
-    return _completable(free, pending, requests, graph.adjacency_masks, verdicts)
+    adjacency = graph.adjacency_masks
+    state = (free, pending, requests) if pending else (free, tuple(sorted(s for _, s in requests)))
+    keys: list[tuple] = []
+    walks: list[Iterator[tuple]] = []
+    while True:
+        # An empty tiling is complete exactly when no size is left.
+        verdict = verdicts.get(state) if state[0] or len(state) == 3 else not state[1]
+        if verdict:
+            for key in keys:
+                verdicts[key] = True
+            return True
+        if verdict is None:
+            keys.append(state)
+            walk = _growths if len(state) == 3 else _tilings
+            walks.append(walk(*state, adjacency))
+        while walks:
+            state = next(walks[-1], None)
+            if state is not None:
+                break
+            walks.pop()
+            verdicts[keys.pop()] = False
+        else:
+            return False
 
 
 def can_complete(allocation: Allocation, graph: ConnectivityGraph, sizes: SizeRequests) -> bool:

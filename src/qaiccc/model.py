@@ -150,24 +150,23 @@ class ConnectivityGraph(Record):
         object.__setattr__(self, "edges", frozenset(normalized))
 
     @cached_property
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {q: [] for q in range(self.vertex_count)}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return {q: tuple(sorted(v)) for q, v in nbrs.items()}
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbour bitmask per qubit: bit ``n`` of entry ``q`` is set iff q-n is an edge."""
-        return tuple(sum(1 << n for n in nbrs) for nbrs in self._adjacency.values())
+        masks = [0] * self.vertex_count
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
 
     @property
     def qubits(self) -> frozenset[int]:
         return frozenset(range(self.vertex_count))
 
     def neighbors(self, qubit: int) -> tuple[int, ...]:
-        return self._adjacency[qubit]
+        """The qubit's neighbours, lowest first; IndexError for a qubit outside the platform."""
+        if not 0 <= qubit < self.vertex_count:
+            raise IndexError(f"qubit {qubit} is outside 0..{self.vertex_count - 1}")
+        return mask_bits(self.adjacency_masks[qubit])
 
     def is_connected(self, qubits: Iterable[int]) -> bool:
         """True when ``qubits`` induces a connected subgraph (or is empty).

@@ -63,13 +63,7 @@ def noise_worklist(
         except ValueError:
             raise ValueError("last_rate does not appear in the rate list") from None
         sequence += ordered[start:]
-    out: list[CrosstalkRate] = []
-    seen: set[CrosstalkRate] = set()
-    for rate in sequence:
-        if rate not in seen:
-            seen.add(rate)
-            out.append(rate)
-    return tuple(out)
+    return tuple(dict.fromkeys(sequence))
 
 
 def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:

@@ -59,8 +59,8 @@ def test_criterion_1_running_example_reproduction():
     result = select(outcome, GRAPH)
     elapsed = time.perf_counter() - start
 
-    after_rate_1 = {state_key(state) for state, _ in outcome.steps[0].population}
-    after_rate_2 = {state_key(state) for state, _ in outcome.steps[1].population}
+    after_rate_1 = {state_key(state) for state in outcome.steps[0].population}
+    after_rate_2 = {state_key(state) for state in outcome.steps[1].population}
     ok = (
         after_rate_1 == {key_of([2, 3]), key_of([2, 4]), key_of([2, 3, 4])}
         and after_rate_2
@@ -84,9 +84,14 @@ def test_criterion_1_running_example_reproduction():
 
 def test_criterion_2_penalty_bookkeeping():
     outcome = allocate(GRAPH, SIZES, RATES)
-    members = {state_key(state): m for state, m in outcome.steps[0].population}
+    # Every member alive after rate 1 falls at rate 2, so the archive holds
+    # its record as rate 1 left it.
+    archive = dict(outcome.archive)
+    members = {state_key(state): archive[state] for state in outcome.steps[0].population}
     ok = (
-        members[key_of([2, 3])].penalty == 0.0027
+        set(outcome.steps[0].population) <= set(outcome.steps[1].archived)
+        and all(m.last_rate == RATES[1] for m in members.values())
+        and members[key_of([2, 3])].penalty == 0.0027
         and members[key_of([2, 4])].penalty == 0.0027
         and members[key_of([2, 3, 4])].penalty == 0.0
     )

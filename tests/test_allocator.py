@@ -120,9 +120,9 @@ def keys(allocations):
     return {canonicalize(a) for a in allocations}
 
 
-def member_keys(members):
-    """The canonical keys of ``(state, attributes)`` members, as a step holds them."""
-    return {state_key(state) for state, _ in members}
+def member_keys(states):
+    """The canonical keys of the states a step lists."""
+    return {state_key(state) for state in states}
 
 
 def state_keys(states):
@@ -1442,7 +1442,10 @@ def list_reference_allocate(graph, sizes, rates, config):
 
     Members are re-found by recomputing canonical keys and the taken set
     is rebuilt from population and archive on every admission round.  It
-    runs on the frozen frozenset operators above.
+    runs on the frozen frozenset operators above.  Returns the outcome and,
+    for each rate, the rate with its members as ``(state, record)`` pairs:
+    the population after it, as the per-rate update left each record, and
+    the members it retired.
     """
     full = update_sizes(graph.vertex_count, sizes)
     ordered = sort_rates(rates)
@@ -1451,6 +1454,7 @@ def list_reference_allocate(graph, sizes, rates, config):
     population = [Allocation(unallocated=graph.qubits, components=(), score=initial_score)]
     archive = []
     steps = []
+    records = []
 
     def find(key):
         for index, member in enumerate(population):
@@ -1501,18 +1505,37 @@ def list_reference_allocate(graph, sizes, rates, config):
                 archive.append(retired)
                 newly_archived.append(retired)
             admit(candidates, processed)
-        steps.append(RateStep(
-            rate, tuple(map(member_of, population)), tuple(map(member_of, newly_archived))
-        ))
+        alive, retired = tuple(map(member_of, population)), tuple(map(member_of, newly_archived))
+        steps.append(RateStep(rate, tuple(s for s, _ in alive), tuple(s for s, _ in retired)))
+        records.append((rate, alive, retired))
         if not population:
             break
 
-    return AllocationOutcome(
+    outcome = AllocationOutcome(
         population=tuple(map(member_of, population)),
         archive=tuple(map(member_of, archive)),
         sizes=full,
         rates=ordered,
         steps=tuple(steps),
+    )
+    return outcome, tuple(records)
+
+
+def step_records(outcome):
+    """Each rate with its members as ``(state, record)`` pairs, read off ``outcome``.
+
+    A live member's record is the replay of the rates handled so far, as
+    the verbose text view reads it; a retired one's is its archive record.
+    """
+    handled = masks_of(outcome.rates)
+    archive = dict(outcome.archive)
+    return tuple(
+        (
+            step.rate,
+            tuple((state, replay_state(state, handled[: index + 1])) for state in step.population),
+            tuple((state, archive[state]) for state in step.archived),
+        )
+        for index, step in enumerate(outcome.steps)
     )
 
 
@@ -1525,17 +1548,21 @@ class TestKeyedStore:
     @pytest.mark.parametrize("cap", [None, 1, 2, 3])
     def test_demo_matches_the_list_reference(self, demo_graph, demo_sizes, demo_rates, cap):
         config = SearchConfig(max_population=cap)
-        expected = list_reference_allocate(demo_graph, demo_sizes, demo_rates, config)
-        assert allocate(demo_graph, demo_sizes, demo_rates, config) == expected
+        expected, records = list_reference_allocate(demo_graph, demo_sizes, demo_rates, config)
+        outcome = allocate(demo_graph, demo_sizes, demo_rates, config)
+        assert outcome == expected
+        assert step_records(outcome) == records
 
     @pytest.mark.parametrize("cap", [None, 1, 2, 3])
     def test_family_matches_the_list_reference(self, family, cap):
         config = SearchConfig(max_population=cap)
         for instance in family:
-            expected = list_reference_allocate(
+            expected, records = list_reference_allocate(
                 instance.graph, instance.sizes, instance.rates, config
             )
-            assert allocate(instance.graph, instance.sizes, instance.rates, config) == expected
+            outcome = allocate(instance.graph, instance.sizes, instance.rates, config)
+            assert outcome == expected
+            assert step_records(outcome) == records
 
 
 @st.composite
@@ -1825,7 +1852,11 @@ class TestAllocateEndToEnd:
 
     def test_penalties_after_the_first_rate(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
-        members = {state_key(state): m for state, m in outcome.steps[0].population}
+        # Every member alive after the first rate falls at the second, so the
+        # archive holds its record as the first rate left it.
+        archive = dict(outcome.archive)
+        assert set(outcome.steps[0].population) <= set(outcome.steps[1].archived)
+        members = {state_key(state): archive[state] for state in outcome.steps[0].population}
         assert members[structure([2, 3])].penalty == 0.0027
         assert members[structure([2, 4])].penalty == 0.0027
         assert members[structure([2, 3, 4])].penalty == 0.0

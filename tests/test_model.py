@@ -157,6 +157,14 @@ class TestGraph:
                 expected = nx.is_connected(nx_graph.subgraph(group))
                 assert demo_graph.is_connected(group) == expected, group
 
+    def test_neighbors_agree_with_networkx(self, demo_graph):
+        nx_graph = nx.Graph(sorted(demo_graph.edges))
+        for qubit in range(5):
+            assert demo_graph.neighbors(qubit) == tuple(sorted(nx_graph[qubit]))
+        for qubit in (-1, 5):
+            with pytest.raises(IndexError):
+                demo_graph.neighbors(qubit)
+
     @pytest.mark.parametrize(
         "qubits", [{99}, {5}, {0, 5}, {3, 4, 7}, {-1}, {-1, 0}, {0, 1, -3}, {0, 1, 2, 3, 4, 5}]
     )

@@ -16,6 +16,7 @@ from unittest import mock
 
 import pytest
 from conftest import built, instance_family
+from test_allocator import list_reference_allocate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,7 @@ from qaiccc import (
     validate_allocation,
 )
 from qaiccc import allocator
-from qaiccc.cli import EXIT_OK, main
+from qaiccc.cli import EXIT_OK, RunReport, format_rate, format_structure, main, render_text
 from qaiccc.completion import complete_allocation, request_slots
 from qaiccc.errors import BaselineInfeasibleError, NoFeasibleAllocationError
 from qaiccc.ingest import save_platform, save_rates, save_requests
@@ -366,26 +367,82 @@ def test_every_merge_the_search_asks_for_is_connected(instance, config):
             assert graph.is_connected(mask_qubits(fused)), (free, components, region)
 
 
+def is_state(entry):
+    """``entry`` is a bitmask state: a free mask and ``(trust, mask)`` components, no record."""
+    free, components = entry
+    return type(free) is int and all(type(mask) is int for _, mask in components)
+
+
 @settings(max_examples=200, deadline=None)
 @given(pipeline_instances(), _CONFIGS)
 def test_each_step_holds_the_replayed_attributes_of_its_members(instance, config):
     # The search updates a surviving member's attributes rate by rate; a
-    # replay of the rates handled so far must give the same record.
+    # replay of the rates handled so far must give the record the list
+    # reference keeps for it.  A step names states only: each record is
+    # held once, by the population or the archive.
     graph, requests, rates = instance
     assume(requests.trusted)
     outcome = allocate(graph, requests, rates, config)
+    _, records = list_reference_allocate(graph, requests, rates, config)
+    assert len(records) == len(outcome.steps)
     handled = [allocator.rate_masks(rate) for rate in outcome.rates]
-    for index, step in enumerate(outcome.steps):
-        assert step.rate == outcome.rates[index]
-        for state, attributes in step.population:
+    archive = dict(outcome.archive)
+    for index, (step, (rate, alive, retired)) in enumerate(zip(outcome.steps, records)):
+        assert step.rate == outcome.rates[index] == rate
+        listed = step.population + step.archived
+        assert all(map(is_state, listed))
+        assert not any(isinstance(entry, allocator.Attributes) for entry in listed)
+        assert step.population == tuple(state for state, _ in alive)
+        for state, attributes in alive:
             assert attributes == allocator.replay_state(state, handled[: index + 1])
-        for state, attributes in step.archived:
-            assert attributes.last_rate == step.rate
+        assert step.archived == tuple(state for state, _ in retired)
+        for state, attributes in retired:
+            assert attributes.last_rate == step.rate and archive[state] == attributes
             if state[1]:  # the initial member carries the start score, which no replay gives
                 before = allocator.replay_state(state, handled[:index])
                 assert attributes == before._replace(last_rate=step.rate)
     if outcome.steps:
-        assert outcome.population == outcome.steps[-1].population
+        assert tuple(state for state, _ in outcome.population) == outcome.steps[-1].population
+
+
+def parent_verbose_lines(records, rate_count, halted):
+    """The per-rate lines of ``render_text(..., verbose=True)`` when each step held its records.
+
+    A frozen copy of that loop: ``records`` holds each rate with its
+    members as ``(state, record)`` pairs, the population after it and the
+    members it retired.
+    """
+    for step_index, (rate, alive, retired) in enumerate(records, start=1):
+        yield f"rate {step_index}/{rate_count}: {format_rate(rate)}\n"
+        for state, _ in retired:
+            yield f"  archived: {format_structure(state)}\n"
+        yield f"  population ({len(alive)}):\n"
+        for state, member in alive:
+            yield (
+                f"    {format_structure(state)} "
+                f"score={member.score!r} penalty={member.penalty!r}\n"
+            )
+    if halted:
+        yield "population empty: search stopped\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(pipeline_instances(), _CONFIGS)
+def test_verbose_text_prints_the_records_the_list_reference_keeps(instance, config):
+    # The snapshots name states only, and the view replays each live
+    # member's score and penalty: every line, float bits included, must be
+    # the one the records the search used to keep per rate would print.
+    graph, requests, rates = instance
+    outcome = allocate(graph, requests, rates, config)
+    try:
+        selected = select(outcome, graph)
+    except NoFeasibleAllocationError:  # the command writes no report
+        assume(False)
+    reference, records = list_reference_allocate(graph, requests, rates, config)
+    report = RunReport(outcome.sizes, config, selected, None)
+    plain = list(render_text(report, outcome, False))
+    expected = list(parent_verbose_lines(records, len(reference.rates), reference.halted))
+    assert list(render_text(report, outcome, True)) == plain[:2] + expected + plain[2:]
 
 
 # The ranking on (state, record) pairs against the ranking on allocations it
