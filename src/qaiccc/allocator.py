@@ -426,9 +426,9 @@ def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ..
     regions = memo.regions.get(key)
     if regions is None:
         ordered = _grown(*key, memo.graph)
-        regions = memo.regions[key] = tuple(
-            itertools.islice(ordered, memo.config.max_paths_per_connect)
-        )
+        # ``islice`` takes no stop past ``sys.maxsize``, and no join has that many regions.
+        cap = min(memo.config.max_paths_per_connect, sys.maxsize)
+        regions = memo.regions[key] = tuple(itertools.islice(ordered, cap))
     return regions
 
 

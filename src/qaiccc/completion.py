@@ -4,9 +4,11 @@ Every user's qubits must form a connected component of exactly the
 requested size, and after the idle request is in place the request sizes
 sum to the platform size, so a completed allocation covers every qubit.
 
-Inside this module qubit sets are ``int`` bitmasks (bit ``q`` set means
-qubit ``q`` is in the set), as are the arguments of :func:`decide` and
-:func:`connected_supersets`; the other public functions take and return
+Qubit sets are ``int`` bitmasks (bit ``q`` set means qubit ``q`` is in
+the set) throughout this module, the arguments and results of
+:func:`decide`, :func:`connected_supersets` and :func:`connected_blocks`
+among them.  Only the :class:`Allocation` boundary,
+:func:`complete_allocation` and :func:`can_complete`, takes and returns
 ``frozenset`` values.  Completion has three parts:
 
 * an exact **decider** (:func:`decide` on a bitmask state, the one
@@ -64,7 +66,6 @@ from .model import (
     mask_neighborhood,
     mask_qubits,
     mask_region,
-    qubit_mask,
     state_of,
     validate_allocation,
 )
@@ -122,21 +123,17 @@ def connected_supersets(
             stack.append((current | pick, reach | adjacency[pick.bit_length() - 1], allowed, count + 1))
 
 
-def _blocks(available: int, size: int, adjacency: Sequence[int]) -> Iterator[int]:
-    """Connected ``size``-subsets of ``available``, by lowest qubit, then in superset order."""
+def connected_blocks(available: int, size: int, adjacency: Sequence[int]) -> Iterator[int]:
+    """Connected ``size``-subsets of ``available``, each exactly once.
+
+    Bitmasks, in a fixed order: by lowest qubit, then in
+    :func:`connected_supersets` order.
+    """
     rest = available
     while rest:
         anchor = rest & -rest
         rest ^= anchor
         yield from connected_supersets(anchor, size, rest, adjacency)
-
-
-def connected_subsets(
-    available: frozenset[int], size: int, graph: ConnectivityGraph
-) -> Iterator[frozenset[int]]:
-    """All connected ``size``-subsets of ``available``, each exactly once."""
-    for block in _blocks(qubit_mask(available), size, graph.adjacency_masks):
-        yield mask_qubits(block)
 
 
 def _regions_fit(free: int, smallest: int, adjacency: Sequence[int]) -> bool:
@@ -353,7 +350,7 @@ def complete_allocation(
             if comp_trust is trust
             for block in connected_supersets(base, size, free, adjacency)
         )
-        fresh = ((block, pending) for block in _blocks(free, size, adjacency))
+        fresh = ((block, pending) for block in connected_blocks(free, size, adjacency))
         for block, rest in itertools.chain(grown, fresh):
             if decide(free & ~block, rest, graph, after, verdicts):
                 break

@@ -26,9 +26,11 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .completion import connected_subsets
+from .completion import connected_blocks
 from .errors import InputFileError
-from .model import ConnectivityGraph, CrosstalkRate, SizeRequests, check_score_total, is_int
+from .model import (
+    ConnectivityGraph, CrosstalkRate, SizeRequests, check_score_total, is_int, mask_bits,
+)
 
 _RATE_SHAPES = ((1, 1), (2, 1), (2, 2))
 _SCORE_RANGE = (1e-4, 1e-2)
@@ -247,13 +249,11 @@ def synth_rates(
     if max_rates is not None and max_rates < 0:
         raise ValueError(f"max_rates must be at least 0, got {max_rates}")
     rng = random.Random(seed)
+    platform = (1 << graph.vertex_count) - 1
     rates: list[CrosstalkRate] = []
     for impacting_count, impacted_count in _RATE_SHAPES:
-        group_size = impacting_count + impacted_count
-        groups = sorted(
-            tuple(sorted(group))
-            for group in connected_subsets(graph.qubits, group_size, graph)
-        )
+        blocks = connected_blocks(platform, impacting_count + impacted_count, graph.adjacency_masks)
+        groups = sorted(map(mask_bits, blocks))
         for group in groups:
             if max_rates is not None and len(rates) >= max_rates:
                 return tuple(rates)

@@ -3,10 +3,11 @@
 The search's members, each a state and its attribute record, are sorted
 by increasing score (then penalty), so the members that survived the
 most rates come first and the initial all-unallocated state comes last.
-Each entry in turn is built into an :class:`Allocation` and grown to
-exact request sizes; the first one that completes wins, and no entry past
-it is built.  Completion feasibility stands in for transpilation success:
-connected components of the right sizes can be realized with swap gates.
+The search keeps only members that can be completed, the initial state
+aside, so the top entry alone is built into an :class:`Allocation` and
+grown to exact request sizes.  Completion feasibility stands in for
+transpilation success: connected components of the right sizes can be
+realized with swap gates.
 
 The worklist handed to downstream noise-reduction starts with the
 selected allocation's recorded incidental rates and continues with the
@@ -27,7 +28,7 @@ from .model import (
 
 
 class SelectionResult(NamedTuple):
-    """The chosen complete allocation, its request binding and worklist, and the ranking walked.
+    """The chosen complete allocation, its request binding and worklist, and the ranking.
 
     ``ranking`` holds every member as its state and attribute record.
     """
@@ -67,28 +68,30 @@ def noise_worklist(
 
 
 def select(outcome: AllocationOutcome, graph: ConnectivityGraph) -> SelectionResult:
-    """Walk the outcome's ranked members and return the first that completes, with the ranking.
+    """Complete the outcome's top-ranked member and return it, with the ranking.
 
-    Each entry walked becomes an :class:`Allocation` for
-    :func:`complete_allocation`; the entries after the one that completes
-    are never built.  Completion targets ``outcome.sizes`` (idle request
-    included) and the worklist follows ``outcome.rates`` (already sorted).
-    Raises :class:`NoFeasibleAllocationError` when every candidate fails,
-    i.e. the platform cannot host the requested circuit sizes at all.
+    Every member the search keeps can be completed, the initial state
+    aside, which ranks last, so the top entry completes unless the
+    outcome holds the initial state alone.  That entry becomes the one
+    :class:`Allocation` handed to :func:`complete_allocation`.  Completion
+    targets ``outcome.sizes`` (idle request included) and the worklist
+    follows ``outcome.rates`` (already sorted).  Raises
+    :class:`NoFeasibleAllocationError` when the top entry does not
+    complete, i.e. the platform cannot host the requested circuit sizes
+    at all.
     """
     ranking = tuple(rank(outcome.allocations))
-    for state, record in ranking:
-        candidate = allocation_of(state, *record)
-        completed = complete_allocation(candidate, graph, outcome.sizes)
-        if completed is None:
-            continue
-        allocation, assignment = completed
-        return SelectionResult(
-            allocation=allocation,
-            assignment=assignment,
-            worklist=noise_worklist(candidate, outcome.rates),
-            ranking=ranking,
+    state, record = ranking[0]
+    candidate = allocation_of(state, *record)
+    completed = complete_allocation(candidate, graph, outcome.sizes)
+    if completed is None:
+        raise NoFeasibleAllocationError(
+            "no allocation could be completed to the requested circuit sizes"
         )
-    raise NoFeasibleAllocationError(
-        "no allocation could be completed to the requested circuit sizes"
+    allocation, assignment = completed
+    return SelectionResult(
+        allocation=allocation,
+        assignment=assignment,
+        worklist=noise_worklist(candidate, outcome.rates),
+        ranking=ranking,
     )

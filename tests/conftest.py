@@ -1,4 +1,4 @@
-"""Shared fixtures: the 5-qubit demo platform and a seeded instance family."""
+"""Shared fixtures and builders: the 5-qubit demo platform, allocations, a seeded instance family."""
 
 from __future__ import annotations
 
@@ -12,6 +12,9 @@ from qaiccc import (
     ConnectivityGraph,
     CrosstalkRate,
     SizeRequests,
+    Trust,
+    UserComponent,
+    canonicalize,
     enumerate_complete,
     synth_rates,
 )
@@ -29,6 +32,32 @@ HEAVY_HEX_27 = ConnectivityGraph(27, frozenset(
         "13-14 14-16 15-18 16-19 17-18 18-21 19-20 19-22 21-23 22-25 23-24 24-25 25-26"
     ).split()
 ))
+
+
+def u(*qubits) -> UserComponent:
+    """An untrusted component on ``qubits``."""
+    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
+
+
+def t(*qubits) -> UserComponent:
+    """A trusted component on ``qubits``."""
+    return UserComponent(Trust.TRUSTED, frozenset(qubits))
+
+
+def build(n, *components, **attrs) -> Allocation:
+    """``components`` on an ``n``-qubit platform, every other qubit unallocated."""
+    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
+    return Allocation(unallocated=frozenset(range(n)) - used, components=components, **attrs)
+
+
+def build_free(unallocated, *components) -> Allocation:
+    """``components`` with exactly the qubits ``unallocated`` unallocated."""
+    return Allocation(unallocated=frozenset(unallocated), components=components)
+
+
+def key_of(*component_lists, n=5):
+    """The canonical key of untrusted components on ``n`` qubits, one per qubit list."""
+    return canonicalize(build(n, *(u(*qs) for qs in component_lists)))
 
 
 def built(members) -> list[Allocation]:

@@ -12,13 +12,10 @@ import json
 import time
 
 from qaiccc import (
-    Allocation,
     ConnectivityGraph,
     CrosstalkRate,
     InsufficientQubitsError,
     SizeRequests,
-    Trust,
-    UserComponent,
     allocate,
     baseline_naive,
     canonicalize,
@@ -31,7 +28,7 @@ from qaiccc.cli import EXIT_INSUFFICIENT_QUBITS, main
 from qaiccc.errors import BaselineInfeasibleError
 from qaiccc.model import state_key
 
-from conftest import built
+from conftest import built, key_of
 
 GRAPH = ConnectivityGraph(5, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)}))
 RATES = [
@@ -40,12 +37,6 @@ RATES = [
     CrosstalkRate(0.0013, frozenset({2, 4}), frozenset({0})),
 ]
 SIZES = SizeRequests(untrusted=(2, 3))
-
-
-def key_of(*component_lists):
-    comps = tuple(UserComponent(Trust.UNTRUSTED, frozenset(qs)) for qs in component_lists)
-    used = frozenset().union(*(c.qubits for c in comps)) if comps else frozenset()
-    return canonicalize(Allocation(unallocated=frozenset(range(5)) - used, components=comps))
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -11,7 +11,7 @@ import sys
 from unittest import mock
 
 import pytest
-from conftest import built, make_instance
+from conftest import build, built, make_instance, t, u
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -71,19 +71,6 @@ from qaiccc.model import (
 from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
 CFG = SearchConfig()
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def t(*qubits):
-    return UserComponent(Trust.TRUSTED, frozenset(qubits))
-
-
-def build(n, *components):
-    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
-    return Allocation(unallocated=frozenset(range(n)) - used, components=components)
 
 
 def owner(component):
@@ -1910,6 +1897,15 @@ class TestAllocateEndToEnd:
         second = allocate(demo_graph, demo_sizes, list(reversed(demo_rates)))
         assert first == second
 
+    def test_a_path_cap_past_the_largest_index_cuts_no_join(
+        self, family, demo_graph, demo_sizes, demo_rates
+    ):
+        huge = SearchConfig(max_paths_per_connect=2**63)
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family[:5]]
+        for graph, sizes, rates in instances:
+            assert allocate(graph, sizes, rates, huge) == allocate(graph, sizes, rates)
+
     def test_initial_score_sits_above_every_rate(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates)
         assert start_score(outcome) > max(r.score for r in demo_rates)
@@ -1932,9 +1928,9 @@ class TestAllocateEndToEnd:
     def test_only_the_entries_select_walks_are_built(
         self, monkeypatch, family, demo_graph, demo_sizes, demo_rates
     ):
-        # The search returns states and records; select builds an Allocation
-        # for each ranking entry it walks, and complete_allocation one more
-        # for the completion it returns.
+        # The search returns states and records; select builds one Allocation,
+        # for the top ranking entry, which is the one it completes, and
+        # complete_allocation one more for the completion it returns.
         built_allocations, built_users, walked = [], [], []
         for kind, made in ((Allocation, built_allocations), (UserComponent, built_users)):
 
@@ -1963,14 +1959,14 @@ class TestAllocateEndToEnd:
                     result = select(outcome, graph)
                 except NoFeasibleAllocationError:
                     result = None
-                assert walked
-                assert [id(a) for a in built_allocations[: len(walked)]] == list(map(id, walked))
+                assert len(walked) == 1
+                assert [id(a) for a in built_allocations[:1]] == [id(walked[0])]
                 ranking = rank(outcome.allocations)
-                assert [state_of(a) for a in walked] == [s for s, _ in ranking[: len(walked)]]
+                assert state_of(walked[0]) == ranking[0][0]
                 if result is None:
-                    assert len(walked) == len(ranking) and len(built_allocations) == len(walked)
+                    assert len(ranking) == 1 and len(built_allocations) == 1
                 else:
-                    assert [id(a) for a in built_allocations[len(walked):]] == [id(result.allocation)]
+                    assert [id(a) for a in built_allocations[1:]] == [id(result.allocation)]
 
     def test_population_cap_keeps_the_search_running(self, demo_graph, demo_sizes, demo_rates):
         outcome = allocate(demo_graph, demo_sizes, demo_rates, SearchConfig(max_population=2))

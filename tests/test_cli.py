@@ -203,6 +203,17 @@ class TestAllocateCommand:
         assert f"error: {flag} must be at least 1, got {value}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [2**63, 10**30])
+    def test_a_path_cap_past_the_largest_index_runs_as_the_default(self, files, capsys, value):
+        # No join has that many regions, so the cap cuts none; the report keeps it as given.
+        assert run_allocate(files, "--no-timings") == EXIT_OK
+        default = json.loads(capsys.readouterr().out)
+        assert run_allocate(files, "--no-timings", "--max-paths", str(value)) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for field in ("selected", "worklist", "ranking"):
+            assert report[field] == default[field]
+        assert report["config"]["max_paths_per_connect"] == value
+
     @pytest.mark.parametrize(
         "extra, named",
         [

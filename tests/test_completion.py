@@ -30,7 +30,7 @@ from qaiccc.completion import (
     can_complete,
     complete_allocation,
     completion_index,
-    connected_subsets,
+    connected_blocks,
     connected_supersets,
     decide,
     open_requests,
@@ -39,16 +39,7 @@ from qaiccc.completion import (
 from qaiccc.ingest import MAX_QUBITS
 from qaiccc.model import mask_qubits, qubit_mask, state_of
 
-from conftest import HEAVY_HEX_27, built, instance_family
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def build(n, *components):
-    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
-    return Allocation(unallocated=frozenset(range(n)) - used, components=components)
+from conftest import HEAVY_HEX_27, build, built, instance_family, t, u
 
 
 def test_exact_allocation_completes_unchanged(demo_graph):
@@ -115,11 +106,11 @@ def test_sizes_must_cover_the_platform(demo_graph):
 
 
 def test_connected_subsets_enumerates_each_set_once(demo_graph):
-    subsets = list(connected_subsets(demo_graph.qubits, 3, demo_graph))
+    subsets = list(connected_blocks(0b11111, 3, demo_graph.adjacency_masks))
     assert len(subsets) == len(set(subsets))
     # Brute-force oracle over all 3-subsets.
     expected = {
-        frozenset(c)
+        qubit_mask(c)
         for c in itertools.combinations(range(5), 3)
         if demo_graph.is_connected(frozenset(c))
     }
@@ -233,14 +224,6 @@ NX_GRAPHS = {
 }
 
 
-def mask(qubits):
-    return sum(1 << q for q in qubits)
-
-
-def qubits_of(m):
-    return frozenset(q for q in range(m.bit_length()) if m >> q & 1)
-
-
 def brute_supersets(nx_graph, base, target, available):
     extra = sorted(available - base)
     return {
@@ -263,9 +246,9 @@ def test_connected_supersets_match_brute_force(name):
         for available in (others, frozenset(q for q in others if rng.random() < 0.6)):
             for target in range(len(base), n + 1):
                 grown = connected_supersets(
-                    mask(base), target, mask(available), graph.adjacency_masks
+                    qubit_mask(base), target, qubit_mask(available), graph.adjacency_masks
                 )
-                found = [qubits_of(m) for m in grown]
+                found = [mask_qubits(m) for m in grown]
                 assert len(found) == len(set(found))
                 assert set(found) == brute_supersets(nx_graph, base, target, available | base)
 
@@ -275,7 +258,7 @@ def reference_connected_supersets(base, target, available, adjacency):
 
     def neighborhood(mask):
         out = 0
-        for q in qubits_of(mask):
+        for q in mask_qubits(mask):
             out |= adjacency[q]
         return out
 
@@ -323,8 +306,10 @@ def test_disconnected_bases_match_brute_force(name):
         others = frozenset(range(n)) - base
         for available in (others, frozenset(q for q in others if rng.random() < 0.6)):
             for target in range(len(base), n + 1):
-                grown = allocator_module._grown(mask(base), mask(available | base), target, graph)
-                found = [qubits_of(m) for m in grown]
+                grown = allocator_module._grown(
+                    qubit_mask(base), qubit_mask(available | base), target, graph
+                )
+                found = [mask_qubits(m) for m in grown]
                 assert len(found) == len(set(found))
                 assert all(len(region) <= target for region in found)
                 at_target = {region for region in found if len(region) == target}
@@ -341,7 +326,7 @@ def test_connected_bases_keep_the_enumeration_order(name):
         others = frozenset(range(n)) - base
         for available in (others, frozenset(q for q in others if rng.random() < 0.6)):
             for target in range(len(base), n + 1):
-                args = (mask(base), target, mask(available), graph.adjacency_masks)
+                args = (qubit_mask(base), target, qubit_mask(available), graph.adjacency_masks)
                 assert list(connected_supersets(*args)) == list(
                     reference_connected_supersets(*args)
                 )
@@ -351,10 +336,10 @@ def test_connected_bases_keep_the_enumeration_order(name):
 def test_connected_subsets_match_brute_force(name):
     nx_graph, graph = platform_of(NX_GRAPHS[name])
     for size in range(1, graph.vertex_count + 1):
-        found = list(connected_subsets(graph.qubits, size, graph))
+        found = list(connected_blocks(qubit_mask(graph.qubits), size, graph.adjacency_masks))
         assert len(found) == len(set(found))
         expected = {
-            frozenset(c)
+            qubit_mask(c)
             for c in itertools.combinations(range(graph.vertex_count), size)
             if nx.is_connected(nx_graph.subgraph(c))
         }
@@ -559,10 +544,6 @@ def test_the_index_decides_like_the_decider(case):
         assert index.admits(pending) is decide(free, pending, graph, requests, {})
 
 
-def t(*qubits):
-    return UserComponent(Trust.TRUSTED, frozenset(qubits))
-
-
 _PATH3 = ConnectivityGraph(3, frozenset({(0, 1), (1, 2)}))
 _PATH4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
 
@@ -620,11 +601,11 @@ def test_the_index_decides_like_the_decider_where_many_blocks_meet(graph, sizes)
     requests = requests_of(graph, sizes)
     index = completion_index(requests, graph)
     assert index is not None
-    qubits = frozenset(range(graph.vertex_count))
+    platform = qubit_mask(range(graph.vertex_count))
     users = [
-        UserComponent(trust, block)
+        UserComponent(trust, mask_qubits(block))
         for size in range(1, graph.vertex_count + 1)
-        for block in connected_subsets(qubits, size, graph)
+        for block in connected_blocks(platform, size, graph.adjacency_masks)
         for trust in Trust
     ]
     partials = [build(graph.vertex_count, user) for user in users] + [

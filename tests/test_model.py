@@ -26,41 +26,30 @@ from qaiccc import (
 )
 from qaiccc.model import mask_neighborhood, mask_qubits, mask_region, qubit_mask
 
-from conftest import built
-
-
-def untrusted(*qubits: int) -> UserComponent:
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def alloc(graph_size: int, *components: UserComponent, **attrs) -> Allocation:
-    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
-    return Allocation(
-        unallocated=frozenset(range(graph_size)) - used, components=components, **attrs
-    )
+from conftest import build, built, u
 
 
 class TestCanonicalize:
     def test_empty_allocation_key(self):
-        key = canonicalize(alloc(5))
+        key = canonicalize(build(5))
         assert key == ((0, 1, 2, 3, 4), ())
 
     def test_attributes_do_not_change_key(self):
-        plain = alloc(5, untrusted(2, 3))
-        attributed = alloc(5, untrusted(2, 3), score=0.5, penalty=0.25)
+        plain = build(5, u(2, 3))
+        attributed = build(5, u(2, 3), score=0.5, penalty=0.25)
         assert canonicalize(plain) == canonicalize(attributed)
 
     def test_different_components_different_keys(self):
-        assert canonicalize(alloc(5, untrusted(2, 3))) != canonicalize(alloc(5, untrusted(2, 4)))
+        assert canonicalize(build(5, u(2, 3))) != canonicalize(build(5, u(2, 4)))
 
     def test_component_order_is_irrelevant(self):
-        a = Allocation(unallocated=frozenset({4}), components=(untrusted(0, 1), untrusted(2, 3)))
-        b = Allocation(unallocated=frozenset({4}), components=(untrusted(2, 3), untrusted(0, 1)))
+        a = Allocation(unallocated=frozenset({4}), components=(u(0, 1), u(2, 3)))
+        b = Allocation(unallocated=frozenset({4}), components=(u(2, 3), u(0, 1)))
         assert canonicalize(a) == canonicalize(b)
 
     def test_trust_tag_enters_key(self):
-        a = alloc(5, untrusted(2, 3))
-        b = alloc(5, UserComponent(Trust.TRUSTED, frozenset({2, 3})))
+        a = build(5, u(2, 3))
+        b = build(5, UserComponent(Trust.TRUSTED, frozenset({2, 3})))
         assert canonicalize(a) != canonicalize(b)
 
     def test_attribute_perturbation_never_changes_key(self):
@@ -70,7 +59,7 @@ class TestCanonicalize:
         for _ in range(50):
             qubits = list(range(6))
             rng.shuffle(qubits)
-            comp = untrusted(*qubits[:3])
+            comp = u(*qubits[:3])
             base = Allocation(unallocated=frozenset(qubits[3:]), components=(comp,))
             perturbed = Allocation(
                 unallocated=base.unallocated,
@@ -86,25 +75,25 @@ class TestCanonicalize:
 class TestValidateAllocation:
     def test_connected_component_ok(self, demo_graph):
         # 0-2 and 2-3 are platform edges, so {0,2,3} is connected.
-        allocation = alloc(5, untrusted(0, 2, 3))
+        allocation = build(5, u(0, 2, 3))
         assert validate_allocation(allocation, demo_graph) == []
 
     def test_disconnected_component_reported(self, demo_graph):
         # 1 and 4 are not adjacent and no third qubit joins them.
-        allocation = alloc(5, untrusted(1, 4))
+        allocation = build(5, u(1, 4))
         problems = validate_allocation(allocation, demo_graph)
         assert any("not connected" in p for p in problems)
 
     def test_overlapping_components_reported(self, demo_graph):
         allocation = Allocation(
             unallocated=frozenset({2, 3, 4}),
-            components=(untrusted(0), untrusted(0, 1)),
+            components=(u(0), u(0, 1)),
         )
         problems = validate_allocation(allocation, demo_graph)
         assert any("overlaps" in p for p in problems)
 
     def test_missing_coverage_reported(self, demo_graph):
-        allocation = Allocation(unallocated=frozenset({0, 1}), components=(untrusted(2, 3),))
+        allocation = Allocation(unallocated=frozenset({0, 1}), components=(u(2, 3),))
         problems = validate_allocation(allocation, demo_graph)
         assert any("neither allocated nor unallocated" in p for p in problems)
 
@@ -115,7 +104,7 @@ class TestValidateAllocation:
 
     def test_component_naming_an_unknown_qubit_is_reported(self):
         line = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-        allocation = Allocation(unallocated=frozenset({0, 1, 2, 3}), components=(untrusted(99),))
+        allocation = Allocation(unallocated=frozenset({0, 1, 2, 3}), components=(u(99),))
         problems = validate_allocation(allocation, line)
         assert any("component [99] uses unknown qubits [99]" in p for p in problems)
         assert any("component [99] is not connected" in p for p in problems)

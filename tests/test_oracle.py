@@ -13,8 +13,6 @@ from qaiccc import (
     InstanceTooLargeError,
     InsufficientQubitsError,
     SizeRequests,
-    Trust,
-    UserComponent,
     allocate,
     baseline_naive,
     canonicalize,
@@ -28,20 +26,7 @@ from qaiccc import (
 from qaiccc import oracle
 from qaiccc.oracle import count_complete
 
-from conftest import HEAVY_HEX_27, built
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def build(n, *components):
-    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
-    return Allocation(unallocated=frozenset(range(n)) - used, components=components)
-
-
-def key_of(*component_lists, n=5):
-    return canonicalize(build(n, *(u(*qs) for qs in component_lists)))
+from conftest import HEAVY_HEX_27, build, built, key_of, u
 
 
 class TestEnumerateComplete:

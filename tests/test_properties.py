@@ -10,6 +10,7 @@ random trusted and untrusted requests and random rates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from unittest import mock
@@ -495,3 +496,39 @@ def test_the_family_selects_what_the_ranking_on_allocations_selected(family):
          SearchConfig())  # infeasible: every 2-block of the star holds its centre
 def test_generated_instances_select_what_the_ranking_on_allocations_selected(instance, config):
     check_selection_is_unchanged(*instance, config)
+
+
+# The search keeps a state only when it can be completed (``_fused``'s host
+# blocks or ``completable``), so ``select`` completes the top entry alone.
+
+
+@pytest.mark.parametrize("route", ["index", "decider"])
+@settings(max_examples=150, deadline=None)
+@given(
+    pipeline_instances(),
+    st.sampled_from(
+        [SearchConfig(), SearchConfig(max_population=2), SearchConfig(max_paths_per_connect=1)]
+    ),
+)
+def test_every_member_completes_and_select_completes_the_top_entry(route, instance, config):
+    # With no index, ``decide`` answers every verdict the search asks for.
+    graph, requests, rates = instance
+    unindexed = mock.patch.object(allocator, "completion_index", return_value=None)
+    with unindexed if route == "decider" else contextlib.nullcontext():
+        outcome = allocate(graph, requests, rates, config)
+    members = built(outcome.allocations)
+    if len(members) > 1:
+        for member in members:
+            assert complete_allocation(member, graph, outcome.sizes) is not None, member
+    ranking = rank(outcome.allocations)
+    top = built(ranking[:1])[0]
+    expected = complete_allocation(top, graph, outcome.sizes)
+    if expected is None:
+        assert members == [top] and not top.components
+        with pytest.raises(NoFeasibleAllocationError):
+            select(outcome, graph)
+        return
+    result = select(outcome, graph)
+    assert result.ranking == tuple(ranking)
+    assert (result.allocation, result.assignment) == expected
+    assert result.worklist == noise_worklist(top, outcome.rates)

@@ -22,55 +22,45 @@ from qaiccc.allocator import rate_masks, replay_attributes, replay_state
 from qaiccc.model import state_of
 from qaiccc.safety import state_parties, state_verdict
 
+from conftest import build_free, t, u
+
 RATE = CrosstalkRate(0.0027, frozenset({3, 4}), frozenset({2}))
-
-
-def build(unallocated, *components):
-    return Allocation(unallocated=frozenset(unallocated), components=components)
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def t(*qubits):
-    return UserComponent(Trust.TRUSTED, frozenset(qubits))
 
 
 class TestIsSafe:
     def test_single_owner_holding_everything_is_safe(self):
-        verdict = is_safe(build({0, 1}, u(2, 3, 4)), RATE)
+        verdict = is_safe(build_free({0, 1}, u(2, 3, 4)), RATE)
         assert verdict.safe
         assert verdict is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
 
     def test_owner_with_one_impacting_qubit_is_safe(self):
         # Qubit 4 stays unallocated: the owner of 2 already controls 3.
-        verdict = is_safe(build({0, 1, 4}, u(2, 3)), RATE)
+        verdict = is_safe(build_free({0, 1, 4}, u(2, 3)), RATE)
         assert verdict.safe
         assert verdict is SafetyReason.ALL_IMPACTED_OWNERS_CONTROL_IMPACTING
 
     def test_all_unallocated_is_unsafe(self):
-        verdict = is_safe(build({0, 1, 2, 3, 4}), RATE)
+        verdict = is_safe(build_free({0, 1, 2, 3, 4}), RATE)
         assert not verdict.safe
         assert verdict is SafetyReason.UNALLOCATED_IMPACTED
 
     def test_trusted_impacting_owner_is_safe_even_with_unallocated_impacted(self):
-        verdict = is_safe(build({0, 1, 2, 4}, t(3)), RATE)
+        verdict = is_safe(build_free({0, 1, 2, 4}, t(3)), RATE)
         assert verdict.safe
         assert verdict is SafetyReason.TRUSTED_CONTROLS_IMPACTING
 
     def test_impacted_owner_without_impacting_is_unsafe(self):
-        verdict = is_safe(build({0, 1}, u(2), u(3, 4)), RATE)
+        verdict = is_safe(build_free({0, 1}, u(2), u(3, 4)), RATE)
         assert not verdict.safe
         assert verdict is SafetyReason.IMPACTED_OWNER_WITHOUT_IMPACTING
 
     def test_spreading_impacting_over_untrusted_users_is_not_safe(self):
         # Different untrusted users on 3 and 4 may collude; owner of 2 holds neither.
-        verdict = is_safe(build({0, 1}, u(2), u(3), u(4)), RATE)
+        verdict = is_safe(build_free({0, 1}, u(2), u(3), u(4)), RATE)
         assert not verdict.safe
 
     def test_trusted_impacted_owner_without_impacting_is_still_unsafe(self):
-        verdict = is_safe(build({0, 1}, t(2), u(3, 4)), RATE)
+        verdict = is_safe(build_free({0, 1}, t(2), u(3, 4)), RATE)
         assert not verdict.safe
 
 
@@ -86,16 +76,16 @@ def test_each_reason_is_its_verdict():
 
 class TestInvolvedParties:
     def test_single_owner(self):
-        assert involved_parties(build({0, 1}, u(2, 3, 4)), RATE) == 1
+        assert involved_parties(build_free({0, 1}, u(2, 3, 4)), RATE) == 1
 
     def test_unallocated_involved_qubit_adds_a_party(self):
-        assert involved_parties(build({0, 1, 4}, u(2, 3)), RATE) == 2
+        assert involved_parties(build_free({0, 1, 4}, u(2, 3)), RATE) == 2
 
     def test_three_distinct_owners(self):
-        assert involved_parties(build({0, 1}, u(2), u(3), u(4)), RATE) == 3
+        assert involved_parties(build_free({0, 1}, u(2), u(3), u(4)), RATE) == 3
 
     def test_uninvolved_components_do_not_count(self):
-        assert involved_parties(build({1}, u(2, 3, 4), u(0)), RATE) == 1
+        assert involved_parties(build_free({1}, u(2, 3, 4), u(0)), RATE) == 1
 
 
 def _random_case(rng: random.Random):

@@ -5,13 +5,10 @@ from __future__ import annotations
 import pytest
 
 from qaiccc import (
-    Allocation,
     ConnectivityGraph,
     CrosstalkRate,
     NoFeasibleAllocationError,
     SizeRequests,
-    Trust,
-    UserComponent,
     allocate,
     canonicalize,
     noise_worklist,
@@ -23,16 +20,7 @@ from qaiccc.allocator import Attributes
 from qaiccc.completion import complete_allocation
 from qaiccc.model import state_of
 
-from conftest import built
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def build(n, *components, **attrs):
-    used = frozenset().union(*(c.qubits for c in components)) if components else frozenset()
-    return Allocation(unallocated=frozenset(range(n)) - used, components=components, **attrs)
+from conftest import build, built, u
 
 
 class TestRank:

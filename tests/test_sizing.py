@@ -9,6 +9,8 @@ from qaiccc import Allocation, SizeRequests, Trust, UserComponent
 from qaiccc.model import qubit_mask, state_of
 from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
+from conftest import build_free, u
+
 
 def brute_force_feasible(component_sizes, request_sizes) -> bool:
     """Oracle: try every injective component-to-request assignment."""
@@ -26,14 +28,6 @@ def test_assignment_feasible_matches_brute_force():
         comps = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
         reqs = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
         assert assignment_feasible(comps, reqs) == brute_force_feasible(comps, reqs)
-
-
-def u(*qubits):
-    return UserComponent(Trust.UNTRUSTED, frozenset(qubits))
-
-
-def build(unallocated, *components):
-    return Allocation(unallocated=frozenset(unallocated), components=components)
 
 
 def brute_force_remain(user, allocation, sizes, fresh_trust=None) -> int:
@@ -70,28 +64,28 @@ def owner(trust, *qubits):
 
 class TestRemain:
     def test_single_component_can_grow_to_the_larger_request(self):
-        allocation = build({0, 1, 3, 4}, u(2))
+        allocation = build_free({0, 1, 3, 4}, u(2))
         sizes = SizeRequests(untrusted=(2, 3))
         assert remain(owner(Trust.UNTRUSTED, 2), state_of(allocation), sizes) == 2
         assert brute_force_remain(frozenset({2}), allocation, sizes) == 2
 
     def test_exactly_filled_requests_leave_no_growth(self):
-        allocation = build(set(), u(0, 1), u(2, 3, 4))
+        allocation = build_free(set(), u(0, 1), u(2, 3, 4))
         sizes = SizeRequests(untrusted=(2, 3))
         assert remain(owner(Trust.UNTRUSTED, 0, 1), state_of(allocation), sizes) == 0
 
     def test_fresh_component_without_unclaimed_request_is_infeasible(self):
-        allocation = build({2, 3, 4}, u(0, 1))
+        allocation = build_free({2, 3, 4}, u(0, 1))
         sizes = SizeRequests(untrusted=(2,))
         assert remain(owner(Trust.UNTRUSTED), state_of(allocation), sizes) == -1
 
     def test_fresh_component_budget_is_the_largest_assignable_size(self):
-        allocation = build({0, 1, 4}, u(2, 3))
+        allocation = build_free({0, 1, 4}, u(2, 3))
         sizes = SizeRequests(untrusted=(2, 3))
         assert remain(owner(Trust.UNTRUSTED), state_of(allocation), sizes) == 3
 
     def test_oversized_component_is_infeasible(self):
-        allocation = build({3, 4}, u(0, 1, 2))
+        allocation = build_free({3, 4}, u(0, 1, 2))
         sizes = SizeRequests(untrusted=(2,))
         assert remain(owner(Trust.UNTRUSTED, 0, 1, 2), state_of(allocation), sizes) == -1
 
@@ -128,7 +122,7 @@ class TestRemain:
 
 def test_allocation_feasible_checks_both_classes():
     sizes = SizeRequests(trusted=(2,), untrusted=(3,))
-    good = build({3, 4}, UserComponent(Trust.TRUSTED, frozenset({0, 1})), u(2))
+    good = build_free({3, 4}, UserComponent(Trust.TRUSTED, frozenset({0, 1})), u(2))
     assert allocation_feasible(good, sizes)
-    bad = build({3, 4}, UserComponent(Trust.TRUSTED, frozenset({0, 1, 2})))
+    bad = build_free({3, 4}, UserComponent(Trust.TRUSTED, frozenset({0, 1, 2})))
     assert not allocation_feasible(bad, sizes)

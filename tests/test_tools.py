@@ -138,6 +138,30 @@ def test_device_scale_reports_the_heavy_hex_top_rate_run(capsys):
     assert all(row.startswith("  self_s ") and " calls " in row for row in top)
 
 
+def test_device_scale_alternates_the_trees_per_repeat_of_each_k(tmp_path, monkeypatch, capsys):
+    tool = load_file("device_scale", ROOT / "tools" / "device_scale.py")
+    trees = [tmp_path / "old", tmp_path / "new"]
+    for tree in trees:
+        (tree / "src" / "qaiccc").mkdir(parents=True)
+    order = []
+
+    def measure(tree, k, profile, untrusted):
+        order.append((k, tree.name))
+        return {
+            "seconds": 1.0, "population": 1, "archive": 1, "peak_rss_mb": None,
+            "report_peak_rss_mb": None, "select_s": 0.0, "report_s": 0.0, "memo": {},
+            "index": None, "profile": [],
+        }
+
+    monkeypatch.setattr(tool, "measure", measure)
+    assert tool.main([str(trees[0]), str(trees[1]), "--k", "2", "30", "2", "30"]) == 0
+    capsys.readouterr()
+    assert order == [
+        (2, "old"), (2, "new"), (30, "old"), (30, "new"),
+        (2, "new"), (2, "old"), (30, "new"), (30, "old"),
+    ]
+
+
 @pytest.mark.parametrize(
     "untrusted, population, structures", [("4,4,4,4", "527", "33"), ("3,3,3", "5024", "74")]
 )

@@ -16,13 +16,14 @@ instance's files to a temporary directory and runs the whole command
 through ``qaiccc.cli.main``: ``allocate``, then ``select``, then the
 JSON report streamed to a temporary file (``--output``,
 ``--no-timings``).  With several trees their order alternates from one
-``k`` to the next, so a drift of the host does not favour one tree.  One
+repeat of a ``k`` to the next, so a drift of the host does not favour
+one tree: ``--k 2 30 2 30`` runs each tree first once at each ``k``.  One
 line per run gives the seconds ``allocate`` took, the final population
 and archive sizes, the interpreter's peak resident memory (``VmHWM``;
 blank where ``/proc`` does not provide it) once ``allocate`` has
 returned (``peak_rss_mb``), the seconds from ``allocate``'s return to
-``select``'s, which ranks the members and builds an allocation for each
-entry it walks (``select_s``), the seconds from ``select``'s return to the
+``select``'s, which ranks the members and completes the top entry
+(``select_s``), the seconds from ``select``'s return to the
 end of the command, which writes the report (``report_s``), the peak
 resident memory at the end of the command (``report_peak_rss_mb``), and
 the entry count of each table of the run's ``allocator.SearchMemo`` as
@@ -193,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.profile < 0:
         parser.error("--profile must be at least 0")
 
-    for turn, k in enumerate(args.k):
+    for position, k in enumerate(args.k):
+        turn = args.k[:position].count(k)  # earlier runs of this k: flip the order on each repeat
         for tree in trees[::-1] if turn % 2 else trees:
             run = measure(tree, k, args.profile, args.untrusted)
             peak, report_peak = (
