@@ -33,6 +33,11 @@ by what :func:`remain` reads, the owner's trust and size and the sorted
 budget once per state and hands it to every :func:`connect` call for
 that owner; refusal happens in :func:`connect`, the one place that
 decides a join, so a join the budget cannot take builds no join key.
+The operators offer a fresh user only of a class that has a request,
+the idle one included (``SearchMemo.fresh``): one of any other class
+could only be refused.  The requests themselves are
+:class:`~qaiccc.model.SizeRequests`'s: the idle request, the slot order
+and the size fit that :func:`remain` reads.
 The operators take the rate's masks (:func:`rate_masks`) and walk their
 qubits lowest first.  A state's verdict is read from the run's index of
 every complete structure (:func:`qaiccc.completion.completion_index`, built
@@ -77,12 +82,10 @@ import sys
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# ``can_complete``, ``canonicalize``, ``dedup_allocations`` and
-# ``allocation_feasible`` are no longer called here; they stay bound because
-# the benchmark's tracer (bench/spans.py) wraps names at this import site.
-from .completion import can_complete, completion_index, decide  # noqa: F401
-from .completion import open_requests, request_slots
-from .errors import InsufficientQubitsError
+# ``can_complete``, ``canonicalize`` and ``dedup_allocations`` are no longer
+# called here; they stay bound because the benchmark's tracer (bench/spans.py)
+# wraps names at this import site.
+from .completion import can_complete, completion_index, decide, open_requests  # noqa: F401
 from .model import (  # noqa: F401
     Allocation,
     ConnectivityGraph,
@@ -107,10 +110,6 @@ from .model import (  # noqa: F401
 # ``is_safe`` and ``involved_parties`` stay bound for the tracer as well; the
 # search reads the rule on masks.
 from .safety import involved_parties, is_safe, state_parties, state_verdict  # noqa: F401
-from .sizing import allocation_feasible, remain  # noqa: F401
-
-#: A fresh user of each class, as a :func:`connect` owner, trusted first.
-_FRESH: tuple[StateComponent, ...] = ((Trust.TRUSTED, 0), (Trust.UNTRUSTED, 0))
 
 #: The fewest regions for which a join reads the index's host blocks
 #: (:meth:`~qaiccc.completion.CompletionIndex.hosts`).  A smaller join
@@ -155,6 +154,9 @@ class SearchMemo:
 
     The operators read ``graph``, ``sizes`` and ``config`` from here, and
     each table is an exact function of its key given those three.
+    ``fresh`` names a fresh user, ``(trust, 0)``, of each class that has a
+    request, the idle one included, trusted first: the only fresh users
+    the operators offer.
     ``states`` maps every candidate state judged on its own to itself when
     kept and to None otherwise, and every state a join's host blocks keep
     (see :func:`_fused`) to itself, so equal states are one object; a
@@ -183,8 +185,8 @@ class SearchMemo:
     """
 
     __slots__ = (
-        "sizes", "graph", "config", "states", "requests", "index", "verdicts", "joins", "shapes",
-        "budgets", "bases", "reaches", "regions",
+        "sizes", "graph", "config", "fresh", "states", "requests", "index", "verdicts", "joins",
+        "shapes", "budgets", "bases", "reaches", "regions",
     )
 
     def __init__(
@@ -194,7 +196,8 @@ class SearchMemo:
         self.graph = graph
         self.config = config
         self.states: dict[SearchState, SearchState | None] = {}
-        self.requests = open_requests(request_slots(sizes))
+        self.fresh = tuple((trust, 0) for trust in Trust if sizes.for_trust(trust))
+        self.requests = open_requests(sizes.slots())
         self.index = completion_index(self.requests, graph)
         self.verdicts: dict = {}
         self.joins: dict[tuple[SearchState, StateComponent, int], tuple[SearchState, ...]] = {}
@@ -203,26 +206,6 @@ class SearchMemo:
         self.bases: dict[int, tuple[int, ...]] = {}
         self.reaches: dict[tuple[int, int], int] = {}
         self.regions: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
-def update_sizes(vertex_count: int, sizes: SizeRequests) -> SizeRequests:
-    """Add the untrusted idle request when some qubits would stay unused.
-
-    The idle user absorbs ``vertex_count - total`` qubits so that every
-    qubit ends up allocated and the unused ones stay connected and ready
-    for future users.  When the requests already cover the platform the
-    input is returned unchanged.
-    """
-    total = sizes.total()
-    if total > vertex_count:
-        raise InsufficientQubitsError(
-            f"requests need {total} qubits but the platform has {vertex_count}"
-        )
-    if total == vertex_count:
-        return sizes
-    if sizes.idle_size is not None:
-        raise ValueError("idle request already set but requests do not cover the platform")
-    return SizeRequests(sizes.trusted, sizes.untrusted, vertex_count - total)
 
 
 def completable(state: SearchState, memo: SearchMemo) -> bool:
@@ -391,6 +374,40 @@ def _budgets(
     return budgets
 
 
+def remain(owner: StateComponent, state: SearchState, sizes: SizeRequests) -> int:
+    """Growth budget of ``owner``, a component of ``state`` or ``(trust, 0)`` for a fresh user.
+
+    The largest ``k >= 0`` such that growing the owner by ``k`` qubits
+    leaves every component assignable to its own request
+    (:meth:`~qaiccc.model.SizeRequests.fits`), or -1.  A component that
+    fits a request still fits when grown to its size, and a larger size
+    never fits where a smaller one does not, so the request sizes are
+    scanned from the largest down and the first that fits wins.
+    """
+    trust, mask = owner
+    base = mask.bit_count()
+    other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
+    if not sizes.fits(other_trust, [m.bit_count() for t, m in state[1] if t is not trust]):
+        return -1
+    others = [m.bit_count() for t, m in state[1] if t is trust and m != mask]
+    for grown in sorted({r for r in sizes.for_trust(trust) if r >= base}, reverse=True):
+        if sizes.fits(trust, others + [grown]):
+            return grown - base
+    return -1
+
+
+def allocation_feasible(allocation: Allocation, sizes: SizeRequests) -> bool:
+    """Size feasibility of a whole allocation, both trust classes.
+
+    The search no longer calls it: the completion decider refuses every
+    size-infeasible state.  The benchmark's tracer wraps it here.
+    """
+    return all(
+        sizes.fits(trust, [len(c.qubits) for c in allocation.components_of(trust)])
+        for trust in Trust
+    )
+
+
 def _regions(base: int, free: int, room: int, memo: SearchMemo) -> tuple[int, ...]:
     """The first ``max_paths_per_connect`` regions of a join, in :func:`connect`'s order.
 
@@ -499,11 +516,12 @@ def alloc_unallocated(state: SearchState, impacted: int, *, memo: SearchMemo) ->
     """Allocate every unallocated qubit of the ``impacted`` mask, branching over owners.
 
     Each unallocated impacted qubit is attached either to one of the
-    existing components or to a fresh component of a trust class that
-    still has an unassigned request; already-owned impacted qubits pass
-    through unchanged.  Qubits are handled lowest first, each stage feeding
-    the next, and every owner's budget is read once per state and handed
-    to :func:`connect`, which refuses a qubit the budget cannot take.
+    existing components or to a fresh user of ``memo.fresh``, whose
+    budget refuses it once its class has no unassigned request left;
+    already-owned impacted qubits pass through unchanged.  Qubits are
+    handled lowest first, each stage feeding the next, and every owner's
+    budget is read once per state and handed to :func:`connect`, which
+    refuses a qubit the budget cannot take.
     """
     current = [state]
     for target in _bits(impacted):
@@ -512,7 +530,7 @@ def alloc_unallocated(state: SearchState, impacted: int, *, memo: SearchMemo) ->
             if not alloc[0] & target:
                 staged.append(alloc)
                 continue
-            owners = alloc[1] + _FRESH
+            owners = alloc[1] + memo.fresh
             for owner, budget in zip(owners, _budgets(alloc, owners, memo)):
                 staged += connect(alloc, owner, target, budget, memo=memo)
         current = list(dict.fromkeys(staged))
@@ -562,10 +580,10 @@ def improve_alloc(state: SearchState, involved: int, *, memo: SearchMemo) -> lis
     """Single-owner variants for the rate's ``involved`` mask.
 
     When none of the involved qubits is allocated yet they become a fresh
-    component (falling back to connecting them onto each existing user
-    that has the budget for them, if no fresh request fits); otherwise the
-    owners of the involved qubits are merged into one component together
-    with the involved qubits.  A rate's qubits are a connected group and
+    user of each class of ``memo.fresh`` (falling back to connecting them
+    onto each existing user that has the budget for them, if no fresh
+    request fits); otherwise the owners of the involved qubits are merged
+    into one component together with the involved qubits.  A rate's qubits are a connected group and
     every owner fused in meets them, so each merge is connected and goes
     straight to :func:`_fused`.
     """
@@ -574,7 +592,7 @@ def improve_alloc(state: SearchState, involved: int, *, memo: SearchMemo) -> lis
         if owner[1] & involved:
             return list(_fused(state, owner, involved, (involved,), memo))
 
-    fresh = [made for user in _FRESH for made in _fused(state, user, involved, (involved,), memo)]
+    fresh = [made for user in memo.fresh for made in _fused(state, user, involved, (involved,), memo)]
     if fresh:
         return fresh
     fallback: list[SearchState] = []
@@ -588,16 +606,16 @@ def alloc_trusted(state: SearchState, impacting: int, *, memo: SearchMemo) -> li
 
     Branches over every non-empty subset of the free impacting qubits,
     fewest first and in ascending qubit order, attaching it to each trusted
-    component, or starting a fresh trusted component when a trusted
-    request is still unassigned.  Each trusted owner's budget is read once:
-    every qubit of a subset is free, so a subset larger than it is one
-    :func:`connect` would refuse, and it is offered only to the owners
-    whose budget takes it.  Without any trusted capacity this never
-    generates anything.
+    component, or to the fresh trusted user of ``memo.fresh`` when the run
+    has a trusted request and one is still unassigned.  Each trusted
+    owner's budget is read once: every qubit of a subset is free, so a
+    subset larger than it is one :func:`connect` would refuse, and it is
+    offered only to the owners whose budget takes it.  Without any trusted
+    capacity this never generates anything.
     """
     free, components = state
     pool = _bits(impacting & free)
-    trusted = [owner for owner in components + _FRESH if owner[0] is Trust.TRUSTED]
+    trusted = [owner for owner in components + memo.fresh if owner[0] is Trust.TRUSTED]
     owners = list(zip(trusted, _budgets(state, trusted, memo))) if pool else []
     top = max((budget for _, budget in owners), default=0)
     out: list[SearchState] = []
@@ -793,7 +811,7 @@ def allocate(
                 f"rate {sorted(rate.impacting)} -> {sorted(rate.impacted)} (score {rate.score:g}) "
                 "is not a connected group of the platform's qubits"
             )
-    full = update_sizes(graph.vertex_count, sizes)
+    full = sizes.with_idle(graph.vertex_count)
     ordered = sort_rates(rates)
     check_score_total(ordered)
     # Strictly above the top rate: past 2**53, adding 1.0 leaves a score unchanged.

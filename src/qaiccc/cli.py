@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .allocator import AllocationOutcome, Attributes, SearchConfig, allocate, rate_masks, replay_state
-from .completion import request_slots
 from .errors import (
     InputFileError,
     InstanceTooLargeError,
@@ -365,7 +364,7 @@ def render_text(report: RunReport, outcome: AllocationOutcome, verbose: bool) ->
         f"score={selected.allocation.score!r} penalty={selected.allocation.penalty!r}\n"
     )
     yield "assignment:\n"
-    for label, trust, size in request_slots(sizes):
+    for label, trust, size in sizes.slots():
         kind, position = label
         qubits = sorted(selected.assignment[label])
         yield f"  {kind}[{position}] (size {size}, {trust.value}): {qubits}\n"

@@ -40,15 +40,21 @@ among them.  Only the :class:`Allocation` boundary,
   :meth:`CompletionIndex.admits` gives the decider's verdict from bitsets
   over the structures.  The table is only read once built.
 * a constructive **walk** (:func:`complete_allocation`).  It visits
-  request slots in declared order (trusted, then untrusted, idle last),
-  offers each slot its existing components before fresh blocks, and
-  enumerates qubit sets in the fixed order of
-  :func:`connected_supersets`.  It enters only the first choice the
-  decider accepts, so it never backtracks, and it returns the first
-  completion in that order.  The walk keeps a private verdict table for
-  its one call, which all its :func:`decide` calls share, and
+  the request slots in the order
+  :meth:`~qaiccc.model.SizeRequests.slots` gives, offers each slot its
+  existing components before fresh blocks, and enumerates qubit sets in
+  the fixed order of :func:`connected_supersets`.  It enters only the
+  first choice the decider accepts, so it never backtracks, and it
+  returns the first completion in that order.  It asks the decider
+  nothing up front: a state that cannot be completed has no accepted
+  choice for the first slot, and every later slot starts from an
+  accepted state.  The walk keeps a private verdict table for its one
+  call, which all its :func:`decide` calls share, and
   :func:`can_complete` on an :class:`Allocation` is whether the walk
   succeeds.
+
+The requests themselves, the idle one and the slot order included, are
+:class:`~qaiccc.model.SizeRequests`'s to give.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from typing import Iterator, Sequence
 from .model import (
     Allocation,
     ConnectivityGraph,
+    RequestLabel,
     SizeRequests,
     StateComponent,
     Trust,
@@ -69,20 +76,6 @@ from .model import (
     state_of,
     validate_allocation,
 )
-
-#: ("trusted" | "untrusted" | "idle", position within its class)
-RequestLabel = tuple[str, int]
-
-
-def request_slots(sizes: SizeRequests) -> tuple[tuple[RequestLabel, Trust, int], ...]:
-    """Positional request list; the idle request, when present, comes last."""
-    slots: list[tuple[RequestLabel, Trust, int]] = []
-    slots += [(("trusted", i), Trust.TRUSTED, s) for i, s in enumerate(sizes.trusted)]
-    slots += [(("untrusted", i), Trust.UNTRUSTED, s) for i, s in enumerate(sizes.untrusted)]
-    if sizes.idle_size is not None:
-        slots.append((("idle", 0), Trust.UNTRUSTED, sizes.idle_size))
-    return tuple(slots)
-
 
 def connected_supersets(
     base: int, target: int, available: int, adjacency: Sequence[int]
@@ -328,19 +321,17 @@ def complete_allocation(
     Returns the completed allocation (attributes carried over) and the
     request-to-qubits assignment, or None when no completion exists.
     Completion requires the request sizes to sum to the platform size,
-    i.e. ``sizes`` after the idle request has been added, and the
+    i.e. ``sizes`` after the idle request has been added
+    (:meth:`~qaiccc.model.SizeRequests.with_idle`), and the
     allocation to be structurally valid (:func:`validate_allocation`): its
     groups partition the platform and every component is connected.
     """
     if sizes.total() != graph.vertex_count or validate_allocation(allocation, graph):
         return None
     free, pending = state_of(allocation)
-    slots = request_slots(sizes)
+    slots = sizes.slots()
     adjacency = graph.adjacency_masks
     verdicts: dict = {}
-    if not decide(free, pending, graph, open_requests(slots), verdicts):
-        return None
-
     chosen: list[int] = []
     for index, (_, trust, size) in enumerate(slots):
         after = open_requests(slots[index + 1 :])
@@ -354,8 +345,8 @@ def complete_allocation(
         for block, rest in itertools.chain(grown, fresh):
             if decide(free & ~block, rest, graph, after, verdicts):
                 break
-        else:  # pragma: no cover - the decider accepted the state this slot starts from
-            raise AssertionError("completion walk found no accepted choice")
+        else:  # only the first slot: every later one starts from an accepted state
+            return None
         chosen.append(block)
         free &= ~block
         pending = rest

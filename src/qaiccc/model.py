@@ -19,6 +19,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .errors import InsufficientQubitsError
+
 
 def qubit_mask(qubits: Iterable[int]) -> int:
     """Bitmask of non-negative qubit indices."""
@@ -243,14 +245,20 @@ class UserComponent(Record):
         return (self.trust.value, tuple(sorted(self.qubits)))
 
 
+#: A request's name: ("trusted" | "untrusted" | "idle", position within its class).
+RequestLabel = tuple[str, int]
+
+
 class SizeRequests(Record):
-    """Requested circuit sizes per trust class.
+    """Requested circuit sizes per trust class, and every rule about them.
 
     Requests are ordered multisets: two users may ask for equal sizes.
     Every size is a positive ``int`` (a ``bool`` counts as not one, and
     raises TypeError).
-    ``idle_size``, when set, is the synthetic untrusted request absorbing
-    the otherwise unused qubits (see :func:`qaiccc.allocator.update_sizes`).
+    ``idle_size``, when set, is the synthetic request absorbing the
+    otherwise unused qubits (:meth:`with_idle`).  This class alone decides
+    that the idle request is untrusted and comes last (:meth:`for_trust`,
+    :meth:`slots`).
     """
 
     __slots__ = _fields = ("trusted", "untrusted", "idle_size")
@@ -286,6 +294,50 @@ class SizeRequests(Record):
 
     def total(self) -> int:
         return sum(self.for_trust(Trust.TRUSTED)) + sum(self.for_trust(Trust.UNTRUSTED))
+
+    def with_idle(self, vertex_count: int) -> SizeRequests:
+        """These requests with the idle request added when some qubits would stay unused.
+
+        The idle user absorbs ``vertex_count - total`` qubits so that every
+        qubit ends up allocated and the unused ones stay connected and ready
+        for future users.  When the requests already cover the platform they
+        are returned unchanged.  Raises :class:`InsufficientQubitsError` when
+        they need more qubits than ``vertex_count``, and ValueError when the
+        idle request is already set but the requests fall short.
+        """
+        total = self.total()
+        if total > vertex_count:
+            raise InsufficientQubitsError(
+                f"requests need {total} qubits but the platform has {vertex_count}"
+            )
+        if total == vertex_count:
+            return self
+        if self.idle_size is not None:
+            raise ValueError("idle request already set but requests do not cover the platform")
+        return SizeRequests(self.trusted, self.untrusted, vertex_count - total)
+
+    def slots(self) -> tuple[tuple[RequestLabel, Trust, int], ...]:
+        """Every request with its label and class: trusted, then untrusted, the idle one last."""
+        slots: list[tuple[RequestLabel, Trust, int]] = []
+        slots += [(("trusted", i), Trust.TRUSTED, s) for i, s in enumerate(self.trusted)]
+        slots += [(("untrusted", i), Trust.UNTRUSTED, s) for i, s in enumerate(self.untrusted)]
+        if self.idle_size is not None:
+            slots.append((("idle", 0), Trust.UNTRUSTED, self.idle_size))
+        return tuple(slots)
+
+    def fits(self, trust: Trust, component_sizes: Sequence[int]) -> bool:
+        """Can each component of ``trust`` take its own request of that class, at least its size?
+
+        A component of size ``c`` fits exactly the requests of size
+        ``>= c``, so the bipartite matching degenerates to a sorted
+        comparison: align components and requests in decreasing size and
+        require element-wise fit.
+        """
+        requests = self.for_trust(trust)
+        if len(component_sizes) > len(requests):
+            return False
+        comps = sorted(component_sizes, reverse=True)
+        return all(c <= r for c, r in zip(comps, sorted(requests, reverse=True)))
 
 
 #: Attribute-free normal form of an allocation: the sorted unallocated

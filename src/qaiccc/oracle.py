@@ -18,8 +18,7 @@ import math
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .allocator import SearchConfig, allocate, update_sizes
-from .completion import request_slots
+from .allocator import SearchConfig, allocate
 from .errors import BaselineInfeasibleError, InstanceTooLargeError
 from .model import (
     Allocation,
@@ -77,8 +76,8 @@ def enumerate_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> tuple[A
     in deterministic order.  Taking more than :data:`ENUMERATION_BUDGET`
     steps raises :class:`InstanceTooLargeError`.
     """
-    full = update_sizes(graph.vertex_count, sizes)
-    counts = Counter((trust, size) for _, trust, size in request_slots(full))
+    full = sizes.with_idle(graph.vertex_count)
+    counts = Counter((trust, size) for _, trust, size in full.slots())
     adjacency = graph.adjacency_masks
     budget = ENUMERATION_BUDGET
     steps = 0
@@ -128,8 +127,8 @@ def count_complete(graph: ConnectivityGraph, sizes: SizeRequests) -> int:
     connected block for each slot, then divides by the permutations of
     equal (trust, size) slots.  Must equal ``len(enumerate_complete(...))``.
     """
-    full = update_sizes(graph.vertex_count, sizes)
-    slots = [(trust, size) for _, trust, size in request_slots(full)]
+    full = sizes.with_idle(graph.vertex_count)
+    slots = [(trust, size) for _, trust, size in full.slots()]
     adjacency = graph.adjacency_masks
 
     def blocks(remaining: int, size: int) -> Iterator[int]:
@@ -227,10 +226,10 @@ def baseline_naive(graph: ConnectivityGraph, sizes: SizeRequests) -> Allocation:
     qubits reached.  Raises :class:`BaselineInfeasibleError` when a
     request cannot reach enough connected qubits.
     """
-    full = update_sizes(graph.vertex_count, sizes)
+    full = sizes.with_idle(graph.vertex_count)
     free = set(range(graph.vertex_count))
     components: list[UserComponent] = []
-    for _, trust, size in request_slots(full):
+    for _, trust, size in full.slots():
         if not free:
             raise BaselineInfeasibleError("no qubits left for a pending request")
         start = min(free)

@@ -20,10 +20,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .allocator import AllocationOutcome, Attributes
-from .completion import RequestLabel, complete_allocation
+from .completion import complete_allocation
 from .errors import NoFeasibleAllocationError
 from .model import (
-    Allocation, ConnectivityGraph, CrosstalkRate, SearchState, allocation_of, sort_rates, state_key,
+    Allocation, ConnectivityGraph, CrosstalkRate, RequestLabel, SearchState, allocation_of,
+    sort_rates, state_key,
 )
 
 

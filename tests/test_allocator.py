@@ -46,15 +46,16 @@ from qaiccc.allocator import (
     alloc_impacted,
     alloc_trusted,
     alloc_unallocated,
+    allocation_feasible,
     archive_alloc,
     connect,
     improve_alloc,
     new_alloc,
     rate_masks,
+    remain,
     replay_attributes,
     replay_state,
     update_population,
-    update_sizes,
 )
 from qaiccc.completion import can_complete, complete_allocation, decide
 from qaiccc.model import (
@@ -68,7 +69,6 @@ from qaiccc.model import (
     state_key,
     state_of,
 )
-from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
 CFG = SearchConfig()
 
@@ -79,6 +79,14 @@ def owner(component):
 
 
 FRESH_U = (Trust.UNTRUSTED, 0)
+
+#: A fresh user of each class, whether or not the class has a request.
+FRESH_BOTH = ((Trust.TRUSTED, 0), FRESH_U)
+
+
+def requested_classes(sizes):
+    """The classes with at least one request, the idle one included: those a fresh user may join."""
+    return [trust for trust in (Trust.TRUSTED, Trust.UNTRUSTED) if sizes.for_trust(trust)]
 
 
 def budget_of(state, joined, memo):
@@ -134,19 +142,19 @@ def structure(*component_qubit_lists, trust=Trust.UNTRUSTED, n=5):
 class TestUpdateSizes:
     def test_full_requests_need_no_idle(self):
         sizes = SizeRequests(untrusted=(2, 3))
-        assert update_sizes(5, sizes) == sizes
+        assert sizes.with_idle(5) == sizes
 
     def test_idle_absorbs_the_rest(self):
-        assert update_sizes(5, SizeRequests(untrusted=(2,))).idle_size == 3
+        assert SizeRequests(untrusted=(2,)).with_idle(5).idle_size == 3
 
     def test_idle_accounts_for_both_classes(self):
-        sizes = update_sizes(5, SizeRequests(trusted=(2,), untrusted=(2,)))
+        sizes = SizeRequests(trusted=(2,), untrusted=(2,)).with_idle(5)
         assert sizes.idle_size == 1
         assert sizes.total() == 5
 
     def test_oversubscription_is_rejected(self):
         with pytest.raises(InsufficientQubitsError):
-            update_sizes(5, SizeRequests(untrusted=(6,)))
+            SizeRequests(untrusted=(6,)).with_idle(5)
 
 
 class TestReplayState:
@@ -294,6 +302,10 @@ class TestConnect:
 # search moved to bitmask states: every operator builds and canonicalises
 # ``Allocation`` values and asks ``can_complete`` directly.  They are the
 # reference that ``list_reference_allocate`` and ``reference_connect`` run on.
+# One rule has changed since: a fresh user is offered only of a class that
+# has a request (``requested_classes``).  ``reference_alloc_trusted`` still
+# offers the fresh trusted user without one; its budget of -1 then refuses
+# every subset, which ``alloc_trusted`` leaves out unasked.
 
 
 def owner_of(allocation, qubit):
@@ -327,7 +339,7 @@ def reference_new_alloc(allocation, merged, graph, sizes, *, fresh_trust=None):
 
 
 def reference_remain(user, allocation, sizes, *, fresh_trust=None):
-    """``sizing.remain`` as it was, reading an ``Allocation``."""
+    """``remain`` as it was when it lived in ``qaiccc.sizing``, reading an ``Allocation``."""
     if user:
         owner = next(c for c in allocation.components if c.qubits == user)
         trust = owner.trust
@@ -340,11 +352,11 @@ def reference_remain(user, allocation, sizes, *, fresh_trust=None):
     requests = sizes.for_trust(trust)
     other_trust = Trust.UNTRUSTED if trust is Trust.TRUSTED else Trust.TRUSTED
     other_sizes = [len(c.qubits) for c in allocation.components_of(other_trust)]
-    if not assignment_feasible(other_sizes, sizes.for_trust(other_trust)):
+    if not sizes.fits(other_trust, other_sizes):
         return -1
     best = -1
     for grown in range(base if user else 1, max(requests, default=0) + 1):
-        if assignment_feasible(others + [grown], requests):
+        if sizes.fits(trust, others + [grown]):
             best = grown
     if best < 0:
         return -1
@@ -393,7 +405,7 @@ def reference_alloc_unallocated(allocation, impacted, graph, sizes, config, join
             target = frozenset({qubit})
             for comp in alloc.components:
                 staged += join(alloc, comp.qubits, target, graph, sizes, config)
-            for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
+            for trust in requested_classes(sizes):
                 staged += join(alloc, frozenset(), target, graph, sizes, config, fresh_trust=trust)
         current = dedup_allocations(staged)
     return current
@@ -425,7 +437,7 @@ def reference_improve_alloc(allocation, involved, graph, sizes, config, join=ref
             merge_base |= owner.qubits
     if not merge_base:
         fresh = []
-        for trust in (Trust.TRUSTED, Trust.UNTRUSTED):
+        for trust in requested_classes(sizes):
             candidate = reference_new_alloc(allocation, involved, graph, sizes, fresh_trust=trust)
             if candidate is not None:
                 fresh.append(candidate)
@@ -677,9 +689,9 @@ def connect_cases(draw, most=8):
         grow = draw(st.integers(0, spare))
         spare -= grow
         requests[comp.trust].append(len(comp.qubits) + grow)
-    sizes = update_sizes(
-        n, SizeRequests(trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED])
-    )
+    sizes = SizeRequests(
+        trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED]
+    ).with_idle(n)
 
     if components and draw(st.booleans()):
         user = draw(st.sampled_from(components)).qubits
@@ -812,9 +824,9 @@ def region_join_runs(draw):
         if spare:
             requests[trust].append(draw(st.integers(1, spare)))
             spare -= requests[trust][-1]
-    sizes = update_sizes(
-        n, SizeRequests(trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED])
-    )
+    sizes = SizeRequests(
+        trusted=requests[Trust.TRUSTED], untrusted=requests[Trust.UNTRUSTED]
+    ).with_idle(n)
 
     states = []
     for _ in range(draw(st.integers(1, 3))):
@@ -825,7 +837,7 @@ def region_join_runs(draw):
     joins = []
     for _ in range(draw(st.integers(1, 12))):
         state = draw(st.sampled_from(states))
-        users = [o for o in state[1] + allocator_module._FRESH if o[1] != (1 << n) - 1]
+        users = [o for o in state[1] + FRESH_BOTH if o[1] != (1 << n) - 1]
         joined = draw(st.sampled_from(users))
         outside = [q for q in range(n) if not joined[1] >> q & 1]
         incoming = qubit_mask(draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2)))
@@ -1018,7 +1030,7 @@ def test_the_sorted_shape_budget_is_remain_on_the_state(case):
     graph, sizes, paths, joins = case
     shared = SearchMemo(sizes, graph, SearchConfig(max_paths_per_connect=paths))
     for state, _, _ in joins:
-        owners = state[1] + allocator_module._FRESH
+        owners = state[1] + FRESH_BOTH
         allocation = allocation_of(state)
         expected = [
             reference_remain(
@@ -1140,7 +1152,7 @@ class TestNewAlloc:
         # {0, 1, 2}, so only the mixed-trust guard refuses the merge.
         edges = "0-2 0-4 0-5 0-6 1-2 1-4 1-7 2-3 2-6 3-5 3-7 4-6 5-6"
         graph = ConnectivityGraph(8, frozenset(tuple(map(int, e.split("-"))) for e in edges.split()))
-        memo = SearchMemo(update_sizes(8, SizeRequests(trusted=(3,), untrusted=(4,))), graph)
+        memo = SearchMemo(SizeRequests(trusted=(3,), untrusted=(4,)).with_idle(8), graph)
         state = (0b11111000, ((Trust.TRUSTED, 0b10), (Trust.UNTRUSTED, 0b101)))
         mixed = (0b11111000, ((Trust.TRUSTED, 0b111),))
         assert allocator_module.completable(mixed, memo)
@@ -1434,7 +1446,7 @@ def list_reference_allocate(graph, sizes, rates, config):
     the population after it, as the per-rate update left each record, and
     the members it retired.
     """
-    full = update_sizes(graph.vertex_count, sizes)
+    full = sizes.with_idle(graph.vertex_count)
     ordered = sort_rates(rates)
     top = max((r.score for r in ordered), default=0.0)
     initial_score = max(top + 1.0, math.nextafter(top, math.inf))
@@ -1720,7 +1732,7 @@ class TestWarmMemo:
 
     def test_connect_gives_the_same_list_warm_as_cold(self, family):
         for instance in family[:8]:
-            full = update_sizes(instance.graph.vertex_count, instance.sizes)
+            full = instance.sizes.with_idle(instance.graph.vertex_count)
             outcome = allocate(instance.graph, instance.sizes, instance.rates)
             shared = SearchMemo(full, instance.graph)
             for allocation in built(outcome.allocations):
@@ -1736,7 +1748,7 @@ class TestWarmMemo:
     def test_a_join_refused_on_budget_is_empty_and_keeps_no_key(self, family):
         refused = 0
         for instance in family:
-            full = update_sizes(instance.graph.vertex_count, instance.sizes)
+            full = instance.sizes.with_idle(instance.graph.vertex_count)
             outcome = allocate(instance.graph, instance.sizes, instance.rates)
             shared = SearchMemo(full, instance.graph)
             for allocation in built(outcome.allocations):
@@ -1774,6 +1786,47 @@ class TestWarmMemo:
         for _ in range(2):
             assert join(state, FRESH_U, qubit_mask({0, 1, 2, 3}), memo) == ()
         assert memo.joins == {args: first}
+
+
+class TestFreshUsersOfRequestedClassesOnly:
+    """The search offers a fresh user only of a class that has a request, the idle one included.
+
+    A fresh user of a class without one could only be refused: by its
+    budget of -1 in :func:`connect`, or as a state no completion holds.
+    """
+
+    def test_the_memo_names_a_fresh_user_of_each_requested_class(self, demo_graph):
+        fresh_t = (Trust.TRUSTED, 0)
+        cases = [
+            (SizeRequests(untrusted=(2, 3)), (FRESH_U,)),
+            (SizeRequests(trusted=(2,), untrusted=(3,)), (fresh_t, FRESH_U)),
+            (SizeRequests(trusted=(2, 3)), (fresh_t,)),
+            # The idle request is untrusted.
+            (SizeRequests(trusted=(2,)).with_idle(5), (fresh_t, FRESH_U)),
+        ]
+        for sizes, fresh in cases:
+            assert SearchMemo(sizes, demo_graph).fresh == fresh
+
+    def test_no_join_of_an_untrusted_only_run_names_a_fresh_trusted_user(
+        self, monkeypatch, demo_graph, demo_sizes, demo_rates, family
+    ):
+        owners = []
+
+        def recording(function):
+            def wrapper(state, owner, *args, **kwargs):
+                owners.append(owner)
+                return function(state, owner, *args, **kwargs)
+            return wrapper
+
+        for name in ("connect", "_fused"):
+            monkeypatch.setattr(allocator_module, name, recording(getattr(allocator_module, name)))
+        instances = [(demo_graph, demo_sizes, demo_rates)]
+        instances += [(i.graph, i.sizes, i.rates) for i in family if not i.sizes.trusted]
+        assert len(instances) > 5
+        for graph, sizes, rates in instances:
+            allocate(graph, sizes, rates)
+        assert FRESH_U in owners
+        assert all(owner[0] is Trust.UNTRUSTED for owner in owners)
 
 
 class TestMemoCarriesTheRun:

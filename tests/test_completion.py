@@ -25,7 +25,6 @@ from qaiccc import (
 )
 import qaiccc.allocator as allocator_module
 import qaiccc.completion as completion_module
-from qaiccc.allocator import update_sizes
 from qaiccc.completion import (
     can_complete,
     complete_allocation,
@@ -34,7 +33,6 @@ from qaiccc.completion import (
     connected_supersets,
     decide,
     open_requests,
-    request_slots,
 )
 from qaiccc.ingest import MAX_QUBITS
 from qaiccc.model import mask_qubits, qubit_mask, state_of
@@ -72,6 +70,33 @@ def test_stranding_allocation_fails(demo_graph):
     assert not can_complete(allocation, demo_graph, sizes)
 
 
+def test_an_infeasible_allocation_returns_none_once_every_first_choice_is_refused(monkeypatch):
+    # Growing the trusted {2} to either 2-qubit block, or placing a fresh
+    # trusted block beside it, strands a qubit the untrusted 3-request
+    # needs.  The walk asks the decider nothing up front: it asks about
+    # each choice for the first slot, in the walk's order, and returns None
+    # once all four are refused.
+    line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+    sizes = SizeRequests(trusted=(2,), untrusted=(3,))
+    asked = []
+    decide = completion_module.decide
+
+    def recording(free, pending, graph, requests, verdicts):
+        asked.append((free, pending, requests))
+        return decide(free, pending, graph, requests, verdicts)
+
+    monkeypatch.setattr(completion_module, "decide", recording)
+    assert complete_allocation(build(5, t(2)), line, sizes) is None
+    held = ((Trust.TRUSTED, 0b100),)
+    untrusted_3 = ((Trust.UNTRUSTED, 3),)
+    assert asked == [
+        (0b11001, (), untrusted_3),  # {1, 2}
+        (0b10011, (), untrusted_3),  # {2, 3}
+        (0b11000, held, untrusted_3),  # fresh {0, 1}
+        (0b00011, held, untrusted_3),  # fresh {3, 4}
+    ]
+
+
 def test_attributes_ride_through_completion(demo_graph, demo_rates):
     allocation = Allocation(
         unallocated=frozenset({0, 1, 4}),
@@ -92,7 +117,7 @@ def test_attributes_ride_through_completion(demo_graph, demo_rates):
 def test_idle_slot_comes_last_and_must_be_connected():
     line = ConnectivityGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
     sizes = SizeRequests(untrusted=(2,), idle_size=3)
-    slots = request_slots(sizes)
+    slots = sizes.slots()
     assert slots[-1][0] == ("idle", 0)
     completed, assignment = complete_allocation(build(5), line, sizes)
     assert assignment[("untrusted", 0)] == frozenset({0, 1})
@@ -185,7 +210,7 @@ def stray_partials(draw):
         if owner > 0
     )
     partial = Allocation(unallocated=frozenset(groups.get(0, ())), components=components)
-    return graph, update_sizes(n, sizes), partial
+    return graph, sizes.with_idle(n), partial
 
 
 LINE4 = ConnectivityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
@@ -356,7 +381,7 @@ def reference_completion(allocation, graph, sizes):
     include/exclude growth on the lowest frontier qubit; the first
     completion found is the one :func:`complete_allocation` must return.
     """
-    slots = request_slots(sizes)
+    slots = sizes.slots()
     if sum(size for _, _, size in slots) != graph.vertex_count:
         return None
     comps = list(allocation.components)
@@ -405,7 +430,7 @@ def reference_completion(allocation, graph, sizes):
 def test_walk_returns_the_backtracking_search_assignment(family):
     checked = 0
     for instance in family:
-        full = update_sizes(instance.graph.vertex_count, instance.sizes)
+        full = instance.sizes.with_idle(instance.graph.vertex_count)
         outcome = allocate(instance.graph, instance.sizes, instance.rates)
         for allocation in built(outcome.allocations):
             result = complete_allocation(allocation, instance.graph, full)
@@ -468,7 +493,7 @@ def extends(full, partial):
 @given(partial_instances())
 def test_decider_agrees_with_exhaustive_enumeration(case):
     graph, sizes, partial = case
-    full = update_sizes(graph.vertex_count, sizes)
+    full = sizes.with_idle(graph.vertex_count)
     expected = any(extends(alloc, partial) for alloc in enumerate_complete(graph, sizes))
     assert can_complete(partial, graph, full) is expected
 
@@ -479,13 +504,13 @@ def test_decider_agrees_with_exhaustive_enumeration(case):
         return
     completed, assignment = result
     assert validate_allocation(completed, graph) == []
-    for label, trust, size in request_slots(full):
+    for label, trust, size in full.slots():
         assert len(assignment[label]) == size
         assert UserComponent(trust, assignment[label]) in completed.components
     for comp in partial.components:
         assert any(
             comp.qubits <= assignment[label] and trust is comp.trust
-            for label, trust, _ in request_slots(full)
+            for label, trust, _ in full.slots()
         )
 
 
@@ -511,7 +536,7 @@ def partial_sequences(draw):
 @given(partial_sequences())
 def test_one_shared_table_decides_like_a_fresh_table_per_state(case):
     graph, sizes, sequence = case
-    requests = open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
+    requests = open_requests(sizes.with_idle(graph.vertex_count).slots())
     complete = enumerate_complete(graph, sizes)
     shared: dict = {}
     for partial in sequence:
@@ -525,7 +550,7 @@ def test_one_shared_table_decides_like_a_fresh_table_per_state(case):
 
 
 def requests_of(graph, sizes):
-    return open_requests(request_slots(update_sizes(graph.vertex_count, sizes)))
+    return open_requests(sizes.with_idle(graph.vertex_count).slots())
 
 
 _STAR4 = ConnectivityGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
@@ -748,7 +773,7 @@ class TestDeciderKeyCarriesTheOpenRequests:
         10, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (5, 9)})
     )
     SIZES = SizeRequests(untrusted=(1, 2, 3, 4))
-    REQUESTS = open_requests(request_slots(SIZES))
+    REQUESTS = open_requests(SIZES.slots())
 
     def decide(self, allocation, verdicts):
         return decide(*state_of(allocation), self.GRAPH, self.REQUESTS, verdicts)

@@ -41,7 +41,7 @@ from qaiccc import (
 )
 from qaiccc import allocator
 from qaiccc.cli import EXIT_OK, RunReport, format_rate, format_structure, main, render_text
-from qaiccc.completion import complete_allocation, request_slots
+from qaiccc.completion import complete_allocation
 from qaiccc.errors import BaselineInfeasibleError, NoFeasibleAllocationError
 from qaiccc.ingest import save_platform, save_rates, save_requests
 from qaiccc.model import allocation_of, mask_qubits
@@ -299,7 +299,7 @@ def test_generated_instances_hold_every_pipeline_invariant(instance):
     selected = result.allocation
     assert validate_allocation(selected, graph) == []
     assert not selected.unallocated
-    for label, trust, size in request_slots(outcome.sizes):
+    for label, trust, size in outcome.sizes.slots():
         qubits = result.assignment[label]
         assert len(qubits) == size and graph.is_connected(qubits)
         assert any(c.trust is trust and c.qubits == qubits for c in selected.components)

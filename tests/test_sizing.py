@@ -5,9 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from qaiccc import Allocation, SizeRequests, Trust, UserComponent
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qaiccc import Allocation, InsufficientQubitsError, SizeRequests, Trust, UserComponent
+from qaiccc.allocator import allocation_feasible, remain
 from qaiccc.model import qubit_mask, state_of
-from qaiccc.sizing import allocation_feasible, assignment_feasible, remain
 
 from conftest import build_free, u
 
@@ -27,7 +31,9 @@ def test_assignment_feasible_matches_brute_force():
     for _ in range(500):
         comps = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
         reqs = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
-        assert assignment_feasible(comps, reqs) == brute_force_feasible(comps, reqs)
+        expected = brute_force_feasible(comps, reqs)
+        assert SizeRequests(trusted=reqs).fits(Trust.TRUSTED, comps) == expected
+        assert SizeRequests(untrusted=reqs).fits(Trust.UNTRUSTED, comps) == expected
 
 
 def brute_force_remain(user, allocation, sizes, fresh_trust=None) -> int:
@@ -126,3 +132,74 @@ def test_allocation_feasible_checks_both_classes():
     assert allocation_feasible(good, sizes)
     bad = build_free({3, 4}, UserComponent(Trust.TRUSTED, frozenset({0, 1, 2})))
     assert not allocation_feasible(bad, sizes)
+
+
+# Frozen copies of the request rules as three modules held them before
+# ``SizeRequests`` gave them: the allocator's idle request, the completion
+# walk's slot list and the size matching.
+
+
+def frozen_update_sizes(vertex_count, sizes):
+    total = sizes.total()
+    if total > vertex_count:
+        raise InsufficientQubitsError(
+            f"requests need {total} qubits but the platform has {vertex_count}"
+        )
+    if total == vertex_count:
+        return sizes
+    if sizes.idle_size is not None:
+        raise ValueError("idle request already set but requests do not cover the platform")
+    return SizeRequests(sizes.trusted, sizes.untrusted, vertex_count - total)
+
+
+def frozen_request_slots(sizes):
+    slots = []
+    slots += [(("trusted", i), Trust.TRUSTED, s) for i, s in enumerate(sizes.trusted)]
+    slots += [(("untrusted", i), Trust.UNTRUSTED, s) for i, s in enumerate(sizes.untrusted)]
+    if sizes.idle_size is not None:
+        slots.append((("idle", 0), Trust.UNTRUSTED, sizes.idle_size))
+    return tuple(slots)
+
+
+def frozen_assignment_feasible(component_sizes, request_sizes):
+    if len(component_sizes) > len(request_sizes):
+        return False
+    comps = sorted(component_sizes, reverse=True)
+    reqs = sorted(request_sizes, reverse=True)
+    return all(c <= r for c, r in zip(comps, reqs))
+
+
+def outcome(function, *args):
+    """What a call gives: its value, or its exception's class and message."""
+    try:
+        return function(*args)
+    except (InsufficientQubitsError, ValueError) as error:
+        return type(error), str(error)
+
+
+_SIZE_LISTS = st.lists(st.integers(1, 6), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(
+        st.builds(SizeRequests, _SIZE_LISTS, _SIZE_LISTS, st.none() | st.integers(1, 6)),
+        st.integers(1, 30),
+        st.dictionaries(st.sampled_from(list(Trust)), st.lists(st.integers(1, 7), max_size=5)),
+    )
+)
+@example((SizeRequests(untrusted=(6,)), 5, {}))  # the requests outgrow the platform
+@example((SizeRequests(untrusted=(2,), idle_size=1), 5, {}))  # idle set, platform not covered
+@example((SizeRequests(trusted=(2,), untrusted=(3,)), 5, {}))  # covered: no idle request
+def test_the_request_rules_are_the_three_modules_rules(case):
+    sizes, vertex_count, components = case
+    full = outcome(sizes.with_idle, vertex_count)
+    assert full == outcome(frozen_update_sizes, vertex_count, sizes)
+    for requests in (sizes, full) if isinstance(full, SizeRequests) else (sizes,):
+        assert requests.slots() == frozen_request_slots(requests)
+        for trust in Trust:
+            comps = components.get(trust, [])
+            assert requests.fits(trust, comps) == frozen_assignment_feasible(
+                comps, requests.for_trust(trust)
+            )
+
